@@ -2,13 +2,11 @@ from .augment import SpecAugmentPolicy, specaugment
 from .conformer import (AsrModel, ConformerConfig, FusionAttention, Utterance,
                         build_models, subsample_length)
 from .metrics import EditCounts, align_counts, corpus_wer, format_wer_report, wer
-from .transducer import (TransducerLattice, greedy_decode, make_lattice,
-                         rnnt_alphas, rnnt_betas, rnnt_loss)
+from .transducer import greedy_decode, rnnt_alphas, rnnt_betas, rnnt_loss
 
 __all__ = [
     "AsrModel", "ConformerConfig", "FusionAttention", "Utterance",
     "build_models", "subsample_length", "SpecAugmentPolicy", "specaugment",
     "EditCounts", "align_counts", "corpus_wer", "format_wer_report", "wer",
-    "TransducerLattice", "greedy_decode", "make_lattice", "rnnt_alphas",
-    "rnnt_betas", "rnnt_loss",
+    "greedy_decode", "rnnt_alphas", "rnnt_betas", "rnnt_loss",
 ]

@@ -1,20 +1,33 @@
 """Transducer (RNN-T) loss and greedy decoding.
 
 The loss is the negative log of the total probability of every monotonic
-alignment of U label emissions and T blank advances, computed by a forward
-dynamic program in log space over a T x (U+1) lattice:
+alignment of U label emissions and T blank advances, summed in log space
+over a T x (U+1) lattice (Graves 2012):
 
     alpha[t, u] = logadd(alpha[t-1, u] + blank(t-1, u),
                          alpha[t, u-1] + label(t, u-1))
     loss = -(alpha[T-1, U] + blank(T-1, U))
 
-The matching backward recursion gives completion probabilities beta, and the
-gradient w.r.t. each lattice log-probability is its alignment-occupancy
-weight exp(alpha + logp + beta' - loglik). The blank symbol is the last
-vocabulary index.
-"""
+Along one label row u the recursion over t only adds blanks, so each row has
+a closed form. With B[:, u] the exclusive cumsum over t of the row's blanks
+and e = alpha[:, u-1] + label(:, u-1):
 
-from dataclasses import dataclass
+    alpha[:, u] = B[:, u] + logaddexp.accumulate(e - B[:, u]),
+    alpha[:, 0] = B[:, 0].
+
+The backward completions beta mirror it with C[:, u], the reverse inclusive
+cumsum of the blanks, and f = beta[:, u+1] + label(:, u):
+
+    beta[:, u] = C[:, u] + reversed(logaddexp.accumulate(reversed(f - C[:, u]))),
+    beta[:, U] = C[:, U].
+
+Each pass makes O(U) numpy calls rather than O(T*U) Python steps, in float64
+whatever the input dtype. The gradient w.r.t. each lattice log-probability
+is its alignment-occupancy weight exp(alpha + logp + beta' - loglik). The
+blank symbol is the last vocabulary index. The plain (t, u) double loops
+are kept as the test oracle in tests/oracles.py, next to brute-force
+alignment enumeration.
+"""
 
 import numpy as np
 
@@ -37,40 +50,39 @@ def _check_lattice_inputs(log_probs: np.ndarray, labels: np.ndarray):
         raise ValueError("labels must lie in [0, V) with blank = V")
 
 
+def _rows(log_probs: np.ndarray, labels: np.ndarray):
+    """The lattice's blank (T, U+1) and label-emission (T, U) log-probs, in
+    float64."""
+    blanks = log_probs[:, :, -1].astype(np.float64)
+    emits = log_probs[:, np.arange(labels.size), labels].astype(np.float64)
+    return blanks, emits
+
+
 def rnnt_alphas(log_probs: np.ndarray, labels: np.ndarray):
     """Forward DP. Returns (alpha (T, U+1), log-likelihood)."""
-    t_len, u1, v1 = log_probs.shape
-    blank = v1 - 1
-    alpha = np.full((t_len, u1), NEG_INF)
-    alpha[0, 0] = 0.0
-    for t in range(1, t_len):
-        alpha[t, 0] = alpha[t - 1, 0] + log_probs[t - 1, 0, blank]
-    for u in range(1, u1):
-        alpha[0, u] = alpha[0, u - 1] + log_probs[0, u - 1, labels[u - 1]]
-        for t in range(1, t_len):
-            alpha[t, u] = np.logaddexp(
-                alpha[t - 1, u] + log_probs[t - 1, u, blank],
-                alpha[t, u - 1] + log_probs[t, u - 1, labels[u - 1]],
-            )
-    return alpha, alpha[-1, -1] + log_probs[-1, -1, blank]
+    blanks, emits = _rows(log_probs, labels)
+    # exclusive cumsum over t of the blanks in each row
+    b = np.zeros_like(blanks)
+    np.cumsum(blanks[:-1], axis=0, out=b[1:])
+    alpha = np.empty_like(blanks)
+    alpha[:, 0] = b[:, 0]
+    for u in range(1, alpha.shape[1]):
+        e = alpha[:, u - 1] + emits[:, u - 1]
+        alpha[:, u] = b[:, u] + np.logaddexp.accumulate(e - b[:, u])
+    return alpha, alpha[-1, -1] + blanks[-1, -1]
 
 
 def rnnt_betas(log_probs: np.ndarray, labels: np.ndarray):
     """Backward DP. beta[t, u] completes from (t, u); beta[0, 0] is the
     log-likelihood."""
-    t_len, u1, v1 = log_probs.shape
-    blank = v1 - 1
-    beta = np.full((t_len, u1), NEG_INF)
-    beta[-1, -1] = log_probs[-1, -1, blank]
-    for t in range(t_len - 2, -1, -1):
-        beta[t, -1] = beta[t + 1, -1] + log_probs[t, -1, blank]
-    for u in range(u1 - 2, -1, -1):
-        beta[-1, u] = beta[-1, u + 1] + log_probs[-1, u, labels[u]]
-        for t in range(t_len - 2, -1, -1):
-            beta[t, u] = np.logaddexp(
-                beta[t + 1, u] + log_probs[t, u, blank],
-                beta[t, u + 1] + log_probs[t, u, labels[u]],
-            )
+    blanks, emits = _rows(log_probs, labels)
+    # reverse inclusive cumsum over t of the blanks in each row
+    c = np.cumsum(blanks[::-1], axis=0)[::-1]
+    beta = np.empty_like(blanks)
+    beta[:, -1] = c[:, -1]
+    for u in range(beta.shape[1] - 2, -1, -1):
+        f = (beta[:, u + 1] + emits[:, u] - c[:, u])[::-1]
+        beta[:, u] = c[:, u] + np.logaddexp.accumulate(f)[::-1]
     return beta, beta[0, 0]
 
 
@@ -86,33 +98,10 @@ def rnnt_grad(log_probs: np.ndarray, labels: np.ndarray,
     occ[-1, -1] = alpha[-1, -1] + log_probs[-1, -1, blank]
     grad[:, :, blank] = -np.exp(occ - loglik)
     # label emissions (t, u) -> (t, u+1)
-    for u in range(u1 - 1):
-        occ_u = alpha[:, u] + log_probs[:, u, labels[u]] + beta[:, u + 1]
-        grad[:, u, labels[u]] = -np.exp(occ_u - loglik)
+    rows = np.arange(u1 - 1)
+    occ = alpha[:, :-1] + log_probs[:, rows, labels] + beta[:, 1:]
+    grad[:, rows, labels] = -np.exp(occ - loglik)
     return grad
-
-
-@dataclass
-class TransducerLattice:
-    """The T x (U+1) x (V+1) joint lattice with its forward/backward sums."""
-
-    log_probs: np.ndarray
-    labels: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    loglik: float
-
-
-def make_lattice(log_probs: np.ndarray, labels) -> TransducerLattice:
-    labels = np.asarray(labels, dtype=np.int64)
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    _check_lattice_inputs(log_probs, labels)
-    norm = np.log(np.exp(log_probs).sum(axis=-1))
-    if np.abs(norm).max() > 1e-6:
-        raise ValueError("each lattice vector must be a normalized log-distribution")
-    alpha, ll_f = rnnt_alphas(log_probs, labels)
-    beta, _ = rnnt_betas(log_probs, labels)
-    return TransducerLattice(log_probs, labels, alpha, beta, float(ll_f))
 
 
 def rnnt_loss(log_probs: Tensor, labels) -> Tensor:

@@ -150,6 +150,13 @@ def run_asr_training(cfg: RunConfig) -> dict:
     utts = load_corpus(cfg.train_manifest_path())
     whitener = ensure_whitener(cfg.codebook_path(), utts)
     feats = [whiten_clip(u.raw_patches, whitener).patches for u in utts]
+    frames, shortest = min((f.shape[0], u.name) for u, f in zip(utts, feats))
+    if cfg.time_width > frames:
+        raise ValueError(f"augment.time_width = {cfg.time_width} exceeds the "
+                         f"{frames} frames of utterance {shortest}")
+    if cfg.freq_width > feats[0].shape[1]:
+        raise ValueError(f"augment.freq_width = {cfg.freq_width} exceeds the "
+                         f"{feats[0].shape[1]} feature dims")
 
     env_hash_before = env_hash_after = None
     envs = [None] * len(utts)

@@ -1,10 +1,15 @@
 """Independent reference implementations the tests check against.
 
 These deliberately avoid the library's own code paths: naive loops,
-exhaustive enumeration, and plain DP recurrences.
+exhaustive enumeration, and plain DP recurrences. The one exception is
+``make_lattice``, a test helper that bundles the library's transducer sums.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from envasr.asr.transducer import _check_lattice_inputs, rnnt_alphas, rnnt_betas
 
 
 def matmul_triple_loop(a, b):
@@ -81,6 +86,83 @@ def transducer_loglik_enumerate(log_probs, labels):
     all_paths = complete(0, 0)
     m = max(all_paths)
     return m + np.log(np.sum(np.exp(np.array(all_paths) - m))), len(all_paths)
+
+
+def transducer_alphas_loop(log_probs, labels):
+    """Forward DP. Returns (alpha (T, U+1), log-likelihood)."""
+    t_len, u1, v1 = log_probs.shape
+    blank = v1 - 1
+    alpha = np.full((t_len, u1), -np.inf)
+    alpha[0, 0] = 0.0
+    for t in range(1, t_len):
+        alpha[t, 0] = alpha[t - 1, 0] + log_probs[t - 1, 0, blank]
+    for u in range(1, u1):
+        alpha[0, u] = alpha[0, u - 1] + log_probs[0, u - 1, labels[u - 1]]
+        for t in range(1, t_len):
+            alpha[t, u] = np.logaddexp(
+                alpha[t - 1, u] + log_probs[t - 1, u, blank],
+                alpha[t, u - 1] + log_probs[t, u - 1, labels[u - 1]],
+            )
+    return alpha, alpha[-1, -1] + log_probs[-1, -1, blank]
+
+
+def transducer_betas_loop(log_probs, labels):
+    """Backward DP. beta[t, u] completes from (t, u); beta[0, 0] is the
+    log-likelihood."""
+    t_len, u1, v1 = log_probs.shape
+    blank = v1 - 1
+    beta = np.full((t_len, u1), -np.inf)
+    beta[-1, -1] = log_probs[-1, -1, blank]
+    for t in range(t_len - 2, -1, -1):
+        beta[t, -1] = beta[t + 1, -1] + log_probs[t, -1, blank]
+    for u in range(u1 - 2, -1, -1):
+        beta[-1, u] = beta[-1, u + 1] + log_probs[-1, u, labels[u]]
+        for t in range(t_len - 2, -1, -1):
+            beta[t, u] = np.logaddexp(
+                beta[t + 1, u] + log_probs[t, u, blank],
+                beta[t, u + 1] + log_probs[t, u, labels[u]],
+            )
+    return beta, beta[0, 0]
+
+
+def transducer_grad_loop(log_probs, labels, alpha, beta, loglik):
+    """d(-loglik)/d(log_probs): negative alignment occupancies."""
+    t_len, u1, v1 = log_probs.shape
+    blank = v1 - 1
+    grad = np.zeros_like(log_probs)
+    # blank transitions (t, u) -> (t+1, u); the final blank exits the lattice
+    occ = np.full((t_len, u1), -np.inf)
+    occ[:-1, :] = alpha[:-1, :] + log_probs[:-1, :, blank] + beta[1:, :]
+    occ[-1, -1] = alpha[-1, -1] + log_probs[-1, -1, blank]
+    grad[:, :, blank] = -np.exp(occ - loglik)
+    # label emissions (t, u) -> (t, u+1)
+    for u in range(u1 - 1):
+        occ_u = alpha[:, u] + log_probs[:, u, labels[u]] + beta[:, u + 1]
+        grad[:, u, labels[u]] = -np.exp(occ_u - loglik)
+    return grad
+
+
+@dataclass
+class TransducerLattice:
+    """The T x (U+1) x (V+1) joint lattice with its forward/backward sums."""
+
+    log_probs: np.ndarray
+    labels: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    loglik: float
+
+
+def make_lattice(log_probs, labels) -> TransducerLattice:
+    labels = np.asarray(labels, dtype=np.int64)
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    _check_lattice_inputs(log_probs, labels)
+    norm = np.log(np.exp(log_probs).sum(axis=-1))
+    if np.abs(norm).max() > 1e-6:
+        raise ValueError("each lattice vector must be a normalized log-distribution")
+    alpha, ll_f = rnnt_alphas(log_probs, labels)
+    beta, _ = rnnt_betas(log_probs, labels)
+    return TransducerLattice(log_probs, labels, alpha, beta, float(ll_f))
 
 
 def edit_distance_dp(ref, hyp):

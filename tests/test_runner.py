@@ -7,6 +7,7 @@ import pytest
 from envasr.pipeline import (RunConfig, generate_synthetic_corpus, load_checkpoint,
                              run_asr_training, run_eval, run_pretraining,
                              run_tokenize, save_checkpoint, write_corpus)
+from envasr.pipeline.data import load_corpus
 from envasr.quantize import load_codebook
 
 
@@ -139,6 +140,23 @@ class TestAsrRunner:
         # deterministic rerun
         again = run_eval(cfg)
         assert again["report"] == result["report"]
+
+    def test_augment_widths_checked_before_step_0(self, tmp_path, corpus16, capsys):
+        cfg = self.make_pretrained(tmp_path, corpus16, capsys)
+        frames, name = min((u.raw_patches.shape[0], u.name)
+                           for u in load_corpus(cfg.train_manifest_path()))
+        cfg.time_width = frames + 1
+        msg = f"augment.time_width = {frames + 1} exceeds the {frames} frames " \
+              f"of utterance {name}$"
+        with pytest.raises(ValueError, match=msg):
+            run_asr_training(cfg)
+        cfg.time_width = 1
+        cfg.freq_width = 193
+        with pytest.raises(ValueError, match="augment.freq_width = 193 exceeds "
+                                             "the 192 feature dims"):
+            run_asr_training(cfg)
+        log = cfg.out_path() / "train_asr.log"
+        assert not log.exists() or "step=" not in log.read_text()
 
     def test_eval_missing_checkpoint(self, tmp_path, corpus16):
         cfg = toy_cfg(corpus16, tmp_path / "noeval")

@@ -4,11 +4,12 @@ import pytest
 from envasr import autodiff as ad
 from envasr.autodiff import Tensor, check_gradients
 from envasr.asr.conformer import AsrModel, ConformerConfig
-from envasr.asr.transducer import (greedy_decode, make_lattice, rnnt_alphas,
-                                   rnnt_betas, rnnt_loss)
+from envasr.asr.transducer import (greedy_decode, rnnt_alphas, rnnt_betas,
+                                   rnnt_grad, rnnt_loss)
 from envasr.env_encoder import EnvEmbeddings
 
-from oracles import transducer_loglik_enumerate
+from oracles import (make_lattice, transducer_alphas_loop, transducer_betas_loop,
+                     transducer_grad_loop, transducer_loglik_enumerate)
 
 
 def random_log_probs(rng, t, u, v):
@@ -58,6 +59,23 @@ class TestLossValues:
             _, ll_f = rnnt_alphas(lp, labels)
             _, ll_b = rnnt_betas(lp, labels)
             assert abs(ll_f - ll_b) < 1e-8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t,u", [(1, 0), (1, 3), (4, 0), (85, 51), (300, 80)])
+def test_vectorized_dp_matches_loop_oracle(rng, t, u, dtype):
+    lp = random_log_probs(rng, t, u, 30).astype(dtype)
+    labels = rng.integers(0, 30, u)
+    alpha, loglik = rnnt_alphas(lp, labels)
+    beta, ll_b = rnnt_betas(lp, labels)
+    grad = rnnt_grad(lp, labels, alpha, beta, loglik)
+    alpha_o, loglik_o = transducer_alphas_loop(lp, labels)
+    beta_o, _ = transducer_betas_loop(lp, labels)
+    grad_o = transducer_grad_loop(lp, labels, alpha_o, beta_o, loglik_o)
+    assert grad.dtype == grad_o.dtype == dtype
+    for got, want in ((alpha, alpha_o), (beta, beta_o), (loglik, loglik_o),
+                      (ll_b, loglik_o), (grad, grad_o)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 class TestLossGradients:
