@@ -11,8 +11,8 @@ exactly the same parameter count. The environment embeddings themselves are
 constants: gradients stop at the shared env adapter.
 """
 
-import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..env_encoder import EnvEmbeddings
 from ..features import AUDIO_PATCH_DIM
-from ..optim import ParameterSet
+from ..optim import ParameterSet, init_param
 from ..rng import substream
 
 CROSS = "cross_attention"
@@ -57,12 +57,6 @@ class ConformerConfig:
         if self.dtype not in ("f32", "f64"):
             raise ValueError("dtype must be f32 or f64")
 
-    @staticmethod
-    def full(env_dim: int = 128, vocab_size: int = 8) -> "ConformerConfig":
-        return ConformerConfig(model_dim=1024, num_blocks=24, heads=4,
-                               conv_kernel=31, env_dim=env_dim,
-                               vocab_size=vocab_size, dtype="f32")
-
 
 def subsample_length(t: int, kernel: int = 3, stride: int = 2) -> int:
     if t < kernel:
@@ -97,25 +91,17 @@ class FusionAttention:
         self.mode = mode
         self.p = params
         self.prefix = prefix
-        scale = 1.0 / math.sqrt(dim)
         for mat in ("q", "k", "v", "o"):
-            params.add(f"{prefix}.w{mat}",
-                       (rng.standard_normal((dim, dim)) * scale).astype(dtype))
-            params.add(f"{prefix}.b{mat}", np.zeros(dim, dtype=dtype))
+            init_param(params, rng, f"{prefix}.w{mat}", (dim, dim), dtype)
+            init_param(params, rng, f"{prefix}.b{mat}", (dim,), dtype, zero=True)
 
     def __call__(self, x: Tensor, env_proj: Tensor | None) -> Tensor:
-        if self.mode == CROSS:
-            if env_proj is None:
-                raise ValueError("cross-attention fusion requires env embeddings")
-            kv = env_proj
-        else:
-            kv = x
-        p, pre = self.p, self.prefix
-        q = ad.add(ad.matmul(x, p[f"{pre}.wq"]), p[f"{pre}.bq"])
-        k = ad.add(ad.matmul(kv, p[f"{pre}.wk"]), p[f"{pre}.bk"])
-        v = ad.add(ad.matmul(kv, p[f"{pre}.wv"]), p[f"{pre}.bv"])
-        out = ad.attention(q, k, v, self.heads)
-        return ad.add(ad.matmul(out, p[f"{pre}.wo"]), p[f"{pre}.bo"])
+        """Keys and values from the projected env embeddings (cross) or from
+        `x` itself (parity baseline)."""
+        if self.mode == CROSS and env_proj is None:
+            raise ValueError("cross-attention fusion requires env embeddings")
+        kv = env_proj if self.mode == CROSS else x
+        return ad.mha(self.p, self.prefix, x, kv, self.heads)[0]
 
 
 class AsrModel:
@@ -130,7 +116,7 @@ class AsrModel:
         rng = substream(seed, "asr-init")
         d = config.model_dim
         dt = self.np_dtype
-        add = self._add_param
+        add = partial(init_param, self.params, dtype=dt)
         add(rng, "subsample.w", (config.subsample_kernel, config.feature_dim, d))
         add(rng, "subsample.b", (d,), zero=True)
         add(rng, "env_adapter.w", (config.env_dim, d))
@@ -159,7 +145,7 @@ class AsrModel:
             add(rng, f"{pre}.conv.norm.b", (d,), zero=True)
             add(rng, f"{pre}.conv.pw1.w", (d, 2 * d))
             add(rng, f"{pre}.conv.pw1.b", (2 * d,), zero=True)
-            add(rng, f"{pre}.conv.dw.w", (config.conv_kernel, d), depthwise=True)
+            add(rng, f"{pre}.conv.dw.w", (config.conv_kernel, d))
             add(rng, f"{pre}.conv.dw.b", (d,), zero=True)
             add(rng, f"{pre}.conv.inorm.g", (d,), one=True)
             add(rng, f"{pre}.conv.inorm.b", (d,), zero=True)
@@ -177,21 +163,6 @@ class AsrModel:
         add(rng, "joint.b", (config.joint_dim,), zero=True)
         add(rng, "joint.w_out", (config.joint_dim, v1))
         add(rng, "joint.b_out", (v1,), zero=True)
-
-    def _add_param(self, rng, name, shape, zero=False, one=False, table=False,
-                   depthwise=False):
-        if zero:
-            data = np.zeros(shape)
-        elif one:
-            data = np.ones(shape)
-        elif table:
-            data = 0.02 * rng.standard_normal(shape)
-        elif depthwise:
-            data = rng.standard_normal(shape) / math.sqrt(shape[0])
-        else:
-            fan_in = int(np.prod(shape[:-1]))
-            data = rng.standard_normal(shape) / math.sqrt(fan_in)
-        return self.params.add(name, data.astype(self.np_dtype))
 
     def _const(self, arr) -> Tensor:
         return Tensor(np.asarray(arr, dtype=self.np_dtype))
@@ -246,11 +217,7 @@ class AsrModel:
         pre = f"block{i}"
         x = ad.add(x, ad.mul(self._ff(x, f"{pre}.ff1"), 0.5))
         h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-        q = ad.add(ad.matmul(h, p[f"{pre}.attn.wq"]), p[f"{pre}.attn.bq"])
-        k = ad.add(ad.matmul(h, p[f"{pre}.attn.wk"]), p[f"{pre}.attn.bk"])
-        v = ad.add(ad.matmul(h, p[f"{pre}.attn.wv"]), p[f"{pre}.attn.bv"])
-        att = ad.attention(q, k, v, self.config.heads)
-        x = ad.add(x, ad.add(ad.matmul(att, p[f"{pre}.attn.wo"]), p[f"{pre}.attn.bo"]))
+        x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, self.config.heads)[0])
         h = ad.layer_norm(x, p[f"{pre}.fusion.norm.g"], p[f"{pre}.fusion.norm.b"])
         x = ad.add(x, self.fusion[i](h, env_proj))
         x = ad.add(x, self._conv_module(x, f"{pre}.conv"))

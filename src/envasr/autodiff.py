@@ -16,21 +16,8 @@ import numpy as np
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-_default_dtype = np.float64
 _grad_enabled = True
 _debug_checks = False
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype).type
-    if dtype not in _FLOAT_DTYPES:
-        raise ValueError("default dtype must be float32 or float64")
-    _default_dtype = dtype
-
-
-def default_dtype():
-    return _default_dtype
 
 
 @contextmanager
@@ -71,7 +58,7 @@ class Tensor:
         if dtype is not None:
             arr = np.ascontiguousarray(arr, dtype=dtype)
         elif arr.dtype not in _FLOAT_DTYPES:
-            arr = np.ascontiguousarray(arr, dtype=_default_dtype)
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -96,9 +83,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -587,6 +571,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, return_weights: bool 
     if return_weights:
         return out, weights
     return out
+
+
+def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int):
+    """Multi-head attention layer: queries from `x`, keys and values from `kv`
+    (`x` itself for self-attention), each through the `<prefix>.w{q,k,v,o}`,
+    `<prefix>.b{q,k,v,o}` affine maps in `params`. Returns (output, weights)."""
+
+    def proj(t, m):
+        return add(matmul(t, params[f"{prefix}.w{m}"]), params[f"{prefix}.b{m}"])
+
+    out, weights = attention(proj(x, "q"), proj(kv, "k"), proj(kv, "v"), heads,
+                             return_weights=True)
+    return proj(out, "o"), weights
 
 
 # ---------------------------------------------------------------------------

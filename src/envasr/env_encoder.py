@@ -16,6 +16,7 @@ the frozen embedding sequence consumed by the ASR stage.
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .features import AUDIO_PATCH_DIM, VIDEO_PATCH_DIM
 from .masking import MaskSchedule, mask_params_at, sample_segmented_mask
-from .optim import AdamHyper, ParameterSet, adam_step
+from .optim import AdamHyper, ParameterSet, adam_step, init_param
 from .rng import substream
 
 AUDIO, VIDEO = 0, 1  # modality table rows
@@ -52,11 +53,6 @@ class EnvEncoderConfig:
             raise ValueError("model_dim must be divisible by heads")
         if self.dtype not in ("f32", "f64"):
             raise ValueError("dtype must be f32 or f64")
-
-    @staticmethod
-    def full(vocab_size: int = 12288) -> "EnvEncoderConfig":
-        return EnvEncoderConfig(model_dim=128, num_blocks=6, heads=4,
-                                vocab_size=vocab_size, dtype="f32")
 
 
 @dataclass
@@ -97,7 +93,6 @@ class MultimodalBatch:
 @dataclass
 class EnvEmbeddings:
     vectors: np.ndarray          # (L, model_dim)
-    frozen: bool = True
 
 
 class EnvEncoder:
@@ -111,7 +106,7 @@ class EnvEncoder:
         self.last_attention = []
         rng = substream(seed, "env-init")
         d = config.model_dim
-        add = self._add_param
+        add = partial(init_param, self.params, dtype=self.np_dtype)
         add(rng, "stem.audio.w", (config.audio_patch_dim, d))
         add(rng, "stem.audio.b", (d,), zero=True)
         add(rng, "stem.audio.norm.g", (d,), one=True)
@@ -144,17 +139,6 @@ class EnvEncoder:
         # small head init keeps fresh-model predictions near uniform
         add(rng, "head.w", (d, config.vocab_size), table=True)
         add(rng, "head.b", (config.vocab_size,), zero=True)
-
-    def _add_param(self, rng, name, shape, zero=False, one=False, table=False):
-        if zero:
-            data = np.zeros(shape)
-        elif one:
-            data = np.ones(shape)
-        elif table:
-            data = 0.02 * rng.standard_normal(shape)
-        else:
-            data = rng.standard_normal(shape) / math.sqrt(shape[0])
-        return self.params.add(name, data.astype(self.np_dtype))
 
     def _const(self, arr) -> Tensor:
         return Tensor(np.asarray(arr, dtype=self.np_dtype))
@@ -233,13 +217,9 @@ class EnvEncoder:
         for i in range(cfg.num_blocks):
             pre = f"block{i}"
             h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-            q = ad.add(ad.matmul(h, p[f"{pre}.attn.wq"]), p[f"{pre}.attn.bq"])
-            k = ad.add(ad.matmul(h, p[f"{pre}.attn.wk"]), p[f"{pre}.attn.bk"])
-            v = ad.add(ad.matmul(h, p[f"{pre}.attn.wv"]), p[f"{pre}.attn.bv"])
-            att, weights = ad.attention(q, k, v, cfg.heads, return_weights=True)
+            att, weights = ad.mha(p, f"{pre}.attn", h, h, cfg.heads)
             if self.collect_attention:
                 self.last_attention.append(weights.data.copy())
-            att = ad.add(ad.matmul(att, p[f"{pre}.attn.wo"]), p[f"{pre}.attn.bo"])
             x = ad.add(x, att)
             h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
             h = ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.ff.w1"]), p[f"{pre}.ff.b1"]))
@@ -298,7 +278,7 @@ def extract_env_embeddings(model: EnvEncoder, audio_patches: np.ndarray) -> EnvE
     batch = MultimodalBatch(audio_patches=audio_patches)
     with ad.no_grad():
         encoded = model.encoder_forward(model.embed_multimodal(batch, apply_mask=False))
-    return EnvEmbeddings(encoded.data.copy(), frozen=True)
+    return EnvEmbeddings(encoded.data.copy())
 
 
 def masked_accuracy(model: EnvEncoder, batches, seed: int = 0, width: int = 1,

@@ -164,14 +164,6 @@ def extract_video_patches(clip: VideoClip) -> VideoPatchSeq:
     return VideoPatchSeq(x.reshape(t * r * cols, VIDEO_PATCH_DIM), grid=(t, r, cols))
 
 
-def truncate_to_tubelets(frames: np.ndarray) -> np.ndarray:
-    """Drop trailing frames so the count divides the tubelet depth (3)."""
-    f = frames.shape[0]
-    if f < TUBE_FRAMES:
-        raise ValueError(f"need at least {TUBE_FRAMES} frames, got {f}")
-    return frames[: (f // TUBE_FRAMES) * TUBE_FRAMES]
-
-
 def center_crop_resize(frames: np.ndarray, size: int = 256) -> VideoClip:
     """Resize the short side to `size` (bilinear) then center-crop size x size."""
     x = np.asarray(frames, dtype=np.float64)

@@ -67,14 +67,7 @@ def _mark_spans(mask: np.ndarray, centers: np.ndarray, width: int, lo: int, hi: 
 def sample_mask(seq_len: int, width: int, prob: float,
                 rng: np.random.Generator) -> MaskPlan:
     """Independent Bernoulli centers; each center masks a clipped span."""
-    if seq_len < 1:
-        raise ValueError("seq_len must be at least 1")
-    if width % 2 == 0:
-        raise ValueError("mask width must be odd")
-    centers = rng.random(seq_len) < prob
-    mask = np.zeros(seq_len, dtype=bool)
-    _mark_spans(mask, centers, width, 0, seq_len)
-    return MaskPlan(width, prob, mask, centers)
+    return sample_segmented_mask([seq_len], width, prob, rng)
 
 
 def sample_segmented_mask(segment_lengths, width: int, prob: float,

@@ -1,5 +1,7 @@
-"""Named parameter sets and the Adam update used by both training stages."""
+"""Named parameter sets, their initialiser, and the Adam update used by both
+training stages."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +65,21 @@ class ParameterSet:
     def state(self, name: str) -> AdamState:
         return self._state[name]
 
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad = None
+
+def init_param(params: ParameterSet, rng, name: str, shape, dtype, zero=False,
+               one=False, table=False) -> Tensor:
+    """Add a parameter of zeros, ones, a 0.02-scaled normal table, or a weight
+    drawn N(0, 1) / sqrt(prod(shape[:-1])). Only tables and weights draw from
+    `rng`, so the order of those names fixes every parameter's values."""
+    if zero:
+        data = np.zeros(shape)
+    elif one:
+        data = np.ones(shape)
+    elif table:
+        data = 0.02 * rng.standard_normal(shape)
+    else:
+        data = rng.standard_normal(shape) / math.sqrt(int(np.prod(shape[:-1])))
+    return params.add(name, data.astype(dtype))
 
 
 def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..features import SAMPLE_RATE, write_wav
 from ..rng import substream
-from ..serialize import read_raw_array, write_raw_array
+from ..serialize import write_raw_array
 
 SYMBOLS = ("a", "b", "c", "d", "e", "f", "g", "h")
 SYMBOL_HZ = (400.0, 600.0, 800.0, 1000.0, 1300.0, 1700.0, 2200.0, 2800.0)
@@ -134,7 +134,3 @@ def load_manifest(manifest_path):
         clip = wav.with_suffix(".clip")
         entries.append((wav, clip if clip.is_file() else None, labels.split()))
     return entries
-
-
-def read_clip(path) -> np.ndarray:
-    return read_raw_array(path)

@@ -2,13 +2,14 @@
 codebook persistence, batch assembly, and the on-disk environment-embedding
 cache."""
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..env_encoder import EnvEncoder, MultimodalBatch, extract_env_embeddings
-from ..env_encoder import EnvEmbeddings
+from ..env_encoder import (EnvEmbeddings, EnvEncoder, MultimodalBatch,
+                           extract_env_embeddings, parameter_hash)
 from ..features import (VideoClip, Whitener, compute_lfbe, extract_video_patches,
                         fit_whitener, read_wav, stack_frames, whiten_clip)
 from ..quantize import (Codebook, assign_tokens, load_codebook, reservoir_sample,
@@ -139,13 +140,21 @@ def make_pretrain_batch(utt: LoadedUtterance, whitener: Whitener,
 
 
 def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
-                          audio_patches: np.ndarray) -> EnvEmbeddings:
-    """Extract-once cache: the freeze contract makes reuse safe."""
+                          audio_patches: np.ndarray,
+                          model_hash: str | None = None) -> EnvEmbeddings:
+    """Extract-once cache `<utt_name>.env`, reused only while `<utt_name>.key`
+    holds this env model's parameter hash (`model_hash`, computed here if not
+    given) and the hash of these patch bytes; otherwise it is rewritten."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{utt_name}.env"
-    if path.is_file():
-        return EnvEmbeddings(read_raw_array(path), frozen=True)
+    key_path = cache_dir / f"{utt_name}.key"
+    key = (f"{model_hash or parameter_hash(model.params)} "
+           f"{hashlib.sha256(np.asarray(audio_patches).tobytes()).hexdigest()}\n")
+    if path.is_file() and key_path.is_file() and key_path.read_text() == key:
+        return EnvEmbeddings(read_raw_array(path))
+    key_path.unlink(missing_ok=True)  # no key may vouch for a half-written entry
     env = extract_env_embeddings(model, audio_patches)
     write_raw_array(path, env.vectors.astype(np.float32))
-    return EnvEmbeddings(read_raw_array(path), frozen=True)
+    key_path.write_text(key)
+    return EnvEmbeddings(read_raw_array(path))

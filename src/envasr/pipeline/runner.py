@@ -135,6 +135,26 @@ def _load_env_model(ckpt_path) -> EnvEncoder:
     return model
 
 
+def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int):
+    """(env model, its parameter hash, per-utterance embeddings) from the
+    pretraining checkpoint, which must be `env_dim` wide; embeddings go
+    through the cache under out_dir/env_cache."""
+    ckpt_path = cfg.pretrain_ckpt_path()
+    if not Path(ckpt_path).is_file():
+        raise ValueError(f"cross-attention needs a pretraining checkpoint at {ckpt_path}")
+    env_model = _load_env_model(ckpt_path)
+    if env_model.config.model_dim != env_dim:
+        raise ValueError(
+            f"pretraining checkpoint {ckpt_path} has model_dim "
+            f"{env_model.config.model_dim}, but the ASR model's "
+            f"pretrain.model_dim is {env_dim}")
+    model_hash = parameter_hash(env_model.params)
+    cache = cfg.out_path() / "env_cache"
+    envs = [cached_env_embeddings(cache, u.name, env_model, f, model_hash=model_hash)
+            for u, f in zip(utts, feats)]
+    return env_model, model_hash, envs
+
+
 def _decode_corpus(model, utts, examples):
     pairs = []
     hyps = []
@@ -161,19 +181,8 @@ def run_asr_training(cfg: RunConfig) -> dict:
     env_hash_before = env_hash_after = None
     envs = [None] * len(utts)
     if cfg.asr_fusion_mode == CROSS:
-        ckpt_path = cfg.pretrain_ckpt_path()
-        if not Path(ckpt_path).is_file():
-            raise ValueError(
-                f"cross-attention training needs a pretraining checkpoint at {ckpt_path}")
-        env_model = _load_env_model(ckpt_path)
-        if env_model.config.model_dim != cfg.env_model_dim:
-            raise ValueError(
-                f"pretrain.model_dim {cfg.env_model_dim} does not match the "
-                f"checkpoint's {env_model.config.model_dim}")
-        env_hash_before = parameter_hash(env_model.params)
-        cache = cfg.out_path() / "env_cache"
-        envs = [cached_env_embeddings(cache, u.name, env_model, f)
-                for u, f in zip(utts, feats)]
+        env_model, env_hash_before, envs = _frozen_env(cfg, utts, feats,
+                                                       cfg.env_model_dim)
     examples = [Utterance(f, u.label_ids, e).require_labels()
                 for u, f, e in zip(utts, feats, envs)]
 
@@ -245,14 +254,7 @@ def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
     feats = [whiten_clip(u.raw_patches, whitener).patches for u in utts]
     envs = [None] * len(utts)
     if snap.asr_fusion_mode == CROSS:
-        pre_path = cfg.pretrain_ckpt_path()
-        if not Path(pre_path).is_file():
-            raise ValueError(f"pretraining checkpoint not found: {pre_path}")
-        env_model = _load_env_model(pre_path)
-        cache = cfg.out_path() / "env_cache"
-        envs = [cached_env_embeddings(cache, u.name, env_model, f)
-                for u, f in zip(utts, feats)]
-
+        envs = _frozen_env(cfg, utts, feats, snap.env_model_dim)[2]
     examples = [Utterance(f, u.label_ids, e)
                 for u, f, e in zip(utts, feats, envs)]
     pairs, hyps = _decode_corpus(model, utts, examples)

@@ -15,9 +15,6 @@ from .serialize import pack_tensors, unpack_tensors
 
 MODALITIES = ("audio", "video")
 
-# named codebook size presets: per-modality (k_audio, k_video)
-K_PRESETS = {"toy": (64, 128), "full": (4096, 8192)}
-
 
 @dataclass
 class Codebook:

@@ -142,6 +142,16 @@ class TestAttention:
         with pytest.raises(ValueError, match="divisible"):
             ad.attention(x, x, x, heads=4)
 
+    def test_mha_with_identity_projections_is_attention(self, rng):
+        params = {f"l.{kind}{m}": t(np.eye(4) if kind == "w" else np.zeros(4))
+                  for kind in "wb" for m in "qkvo"}
+        x = t(rng.standard_normal((3, 4)))
+        kv = t(rng.standard_normal((5, 4)))
+        out, w = ad.mha(params, "l", x, kv, heads=2)
+        np.testing.assert_allclose(out.data, ad.attention(x, kv, kv, 2).data,
+                                   atol=1e-12)
+        assert w.data.shape == (2, 3, 5)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):

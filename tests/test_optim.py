@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from envasr.autodiff import Tensor
-from envasr.optim import ParameterSet, adam_step, count_parameters
+from envasr.optim import ParameterSet, adam_step, count_parameters, init_param
 
 from oracles import adam_scalar_trajectory
 
@@ -77,6 +77,29 @@ class TestParameterSet:
         params = make_params({"w": rng.standard_normal((3, 4))})
         st = params.state("w")
         assert st.m.shape == (3, 4) and st.v.shape == (3, 4) and st.t == 0
+
+
+class TestInitParam:
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5)])
+    def test_weight_scaled_by_fan_in(self, shape):
+        params = ParameterSet()
+        w = init_param(params, np.random.default_rng(3), "w", shape, np.float64)
+        fan_in = int(np.prod(shape[:-1]))
+        want = np.random.default_rng(3).standard_normal(shape) / np.sqrt(fan_in)
+        np.testing.assert_array_equal(w.data, want)
+        assert params["w"] is w and w.requires_grad
+
+    def test_zero_and_one_draw_nothing(self):
+        params = ParameterSet()
+        rng = np.random.default_rng(5)
+        init_param(params, rng, "b", (3,), np.float32, zero=True)
+        init_param(params, rng, "g", (3,), np.float32, one=True)
+        table = init_param(params, rng, "t", (2, 3), np.float32, table=True)
+        np.testing.assert_array_equal(params["b"].data, np.zeros(3, np.float32))
+        np.testing.assert_array_equal(params["g"].data, np.ones(3, np.float32))
+        want = (0.02 * np.random.default_rng(5).standard_normal((2, 3)))
+        np.testing.assert_array_equal(table.data, want.astype(np.float32))
+        assert table.data.dtype == np.float32
 
 
 class TestCountParameters:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from envasr.env_encoder import EnvEncoder, EnvEncoderConfig
+from envasr.env_encoder import EnvEncoder, EnvEncoderConfig, extract_env_embeddings
 from envasr.features import read_wav
 from envasr.pipeline import (RunConfig, config_lines, generate_synthetic_corpus,
                              load_config, load_checkpoint, load_manifest,
@@ -197,4 +197,16 @@ class TestDataPlumbing:
         a = cached_env_embeddings(tmp_path / "cache", "u0", model, audio)
         b = cached_env_embeddings(tmp_path / "cache", "u0", model, audio)
         np.testing.assert_array_equal(a.vectors, b.vectors)
-        assert a.frozen and b.frozen
+
+    def test_env_cache_rewrites_entry_for_other_patches_or_model(self, tmp_path, rng):
+        cache = tmp_path / "cache"
+        first = rng.standard_normal((5, 6))
+        cached_env_embeddings(cache, "u0", micro_env_model(), first)
+        other = rng.standard_normal((7, 6))  # same name, another utterance
+        env = cached_env_embeddings(cache, "u0", micro_env_model(), other)
+        assert env.vectors.shape == (7, 8)
+        retrained = micro_env_model(seed=1)  # same patches, other weights
+        env = cached_env_embeddings(cache, "u0", retrained, other)
+        want = extract_env_embeddings(retrained, other).vectors.astype(np.float32)
+        np.testing.assert_array_equal(env.vectors, want)
+        np.testing.assert_array_equal(read_raw_array(cache / "u0.env"), want)

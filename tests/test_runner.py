@@ -1,14 +1,22 @@
 """Stage-driver behavior on small runs (full-strength runs live in the
 acceptance suite)."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from envasr.pipeline import (RunConfig, generate_synthetic_corpus, load_checkpoint,
+from envasr.env_encoder import EnvEncoder, extract_env_embeddings
+from envasr.features import whiten_clip
+from envasr.pipeline import (RunConfig, config_lines, env_encoder_config,
+                             generate_synthetic_corpus, load_checkpoint,
                              run_asr_training, run_eval, run_pretraining,
                              run_tokenize, save_checkpoint, write_corpus)
-from envasr.pipeline.data import load_corpus
+from envasr.pipeline.data import ensure_whitener, load_corpus
+from envasr.pipeline.runner import _load_env_model
 from envasr.quantize import load_codebook
+from envasr.serialize import read_raw_array
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +182,45 @@ class TestDeterminism:
             run_asr_training(cfg)
             logs.append((cfg.out_path() / "train_asr.log").read_text())
         assert logs[0] == logs[1]
+
+
+class TestEnvCacheAcrossRuns:
+    """One out_dir, a cross-attention model trained on one corpus, then
+    evaluated on another whose utterance names are the same."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("envcache")
+        for name, seed in (("a", 11), ("b", 99)):
+            write_corpus(generate_synthetic_corpus(8, seed=seed), root / name)
+        cfg = toy_cfg(root / "a", root / "out", max_steps=2, checkpoint_every=2,
+                      eval_every=2)
+        run_pretraining(cfg)
+        run_asr_training(cfg)
+        return root, cfg
+
+    def test_eval_on_second_corpus_recomputes_embeddings(self, trained, capsys):
+        root, cfg = trained
+        cfg = replace(cfg, eval_manifest=str(root / "b" / "manifest.tsv"))
+        run_eval(cfg)
+        utts = load_corpus(cfg.eval_manifest_path())
+        whitener = ensure_whitener(cfg.codebook_path(), utts)
+        env_model = _load_env_model(cfg.pretrain_ckpt_path())
+        for u in utts:
+            cached = read_raw_array(cfg.out_path() / "env_cache" / f"{u.name}.env")
+            fresh = extract_env_embeddings(
+                env_model, whiten_clip(u.raw_patches, whitener).patches).vectors
+            np.testing.assert_array_equal(cached, fresh.astype(np.float32))
+
+    def test_eval_rejects_pretraining_checkpoint_of_other_width(self, trained,
+                                                                 tmp_path):
+        _, cfg = trained
+        narrow = replace(cfg, env_model_dim=16)
+        path = tmp_path / "narrow.ckpt"
+        save_checkpoint(path, EnvEncoder(env_encoder_config(narrow)).params, 0, 0,
+                        config_lines(narrow))
+        cfg = replace(cfg, pretrain_checkpoint=str(path))
+        msg = (f"^pretraining checkpoint {re.escape(str(path))} has model_dim 16, "
+               f"but the ASR model's pretrain.model_dim is 32$")
+        with pytest.raises(ValueError, match=msg):
+            run_eval(cfg)
