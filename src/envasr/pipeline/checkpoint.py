@@ -8,7 +8,7 @@ so that save -> load -> save is byte-identical and training resumes exactly.
 from dataclasses import dataclass
 
 from ..optim import ParameterSet
-from ..serialize import pack_tensors, unpack_tensors
+from ..serialize import atomic_write, pack_tensors, unpack_tensors
 
 _MAGIC = "envasr-checkpoint 1"
 
@@ -38,7 +38,7 @@ def save_checkpoint(path, params: ParameterSet, step: int, schedule_step: int,
             f"config {len(list(config_lines))}", *config_lines,
             f"tensors {len(manifest)}", *manifest,
             f"payload {len(payload)}"]
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(("\n".join(head) + "\n").encode("utf-8"))
         fh.write(payload)
 

@@ -15,7 +15,8 @@ from ..features import (VideoClip, Whitener, compute_lfbe, extract_video_patches
 from ..quantize import (Codebook, assign_tokens, load_codebook, reservoir_sample,
                         save_codebook, train_kmeans)
 from ..rng import derive_seed, substream
-from ..serialize import pack_tensors, read_raw_array, unpack_tensors, write_raw_array
+from ..serialize import (atomic_write, pack_tensors, read_raw_array, unpack_tensors,
+                         write_raw_array)
 from .corpus import labels_to_ids, load_manifest
 
 
@@ -57,7 +58,7 @@ def load_corpus(manifest_path) -> list:
 
 def save_whitener(path, whitener: Whitener) -> None:
     lines, payload = pack_tensors([("mean", whitener.mean), ("std", whitener.std)])
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write((f"whitener {len(lines)}\n").encode())
         fh.write(("\n".join(lines) + "\n").encode())
         fh.write(payload)
@@ -153,8 +154,9 @@ def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
            f"{hashlib.sha256(np.asarray(audio_patches).tobytes()).hexdigest()}\n")
     if path.is_file() and key_path.is_file() and key_path.read_text() == key:
         return EnvEmbeddings(read_raw_array(path))
-    key_path.unlink(missing_ok=True)  # no key may vouch for a half-written entry
+    key_path.unlink(missing_ok=True)  # an old key must not vouch for the new entry
     env = extract_env_embeddings(model, audio_patches)
     write_raw_array(path, env.vectors.astype(np.float32))
-    key_path.write_text(key)
+    with atomic_write(key_path) as fh:
+        fh.write(key.encode("ascii"))
     return EnvEmbeddings(read_raw_array(path))

@@ -74,14 +74,30 @@ def run_tokenize(cfg: RunConfig) -> dict:
             "video_codebook": str(cb_dir / "video.cb"), "utterances": len(utts)}
 
 
+def _check_positions(env_cfg, utts, video: bool) -> None:
+    """Fail before step 0, naming the utterance, if one outgrows the env
+    encoder's position tables; `embed_multimodal` would fail only at its step."""
+    for u in utts:
+        sizes = [("audio patches", "max_audio_positions", u.raw_patches.shape[0])]
+        if video and u.video_grid:
+            sizes += zip(("video steps", "grid rows", "grid cols"),
+                         ("max_video_steps", "max_grid_rows", "max_grid_cols"),
+                         u.video_grid)
+        for what, key, size in sizes:
+            if size > getattr(env_cfg, key):
+                raise ValueError(f"utterance {u.name} has {size} {what}, more than "
+                                 f"{key} = {getattr(env_cfg, key)}")
+
+
 def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     """Masked multimodal pretraining on the corpus; returns a summary dict."""
     utts = load_corpus(cfg.train_manifest_path())
+    env_cfg = env_encoder_config(cfg)
+    _check_positions(env_cfg, utts, video=True)
     whitener = ensure_whitener(cfg.codebook_path(), utts)
     cb_audio, cb_video = ensure_codebooks(cfg, utts, whitener)
     batches = [make_pretrain_batch(u, whitener, cb_audio, cb_video) for u in utts]
 
-    env_cfg = env_encoder_config(cfg)
     model = EnvEncoder(env_cfg, seed=cfg.seed)
     start = 0
     if resume is not None:
@@ -148,6 +164,8 @@ def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int):
             f"pretraining checkpoint {ckpt_path} has model_dim "
             f"{env_model.config.model_dim}, but the ASR model's "
             f"pretrain.model_dim is {env_dim}")
+    # env extraction is audio-only, so video grids never reach the tables here
+    _check_positions(env_model.config, utts, video=False)
     model_hash = parameter_hash(env_model.params)
     cache = cfg.out_path() / "env_cache"
     envs = [cached_env_embeddings(cache, u.name, env_model, f, model_hash=model_hash)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substream
-from .serialize import pack_tensors, unpack_tensors
+from .serialize import atomic_write, pack_tensors, unpack_tensors
 
 MODALITIES = ("audio", "video")
 
@@ -166,7 +166,7 @@ def reservoir_sample(rows, cap: int, rng: np.random.Generator) -> np.ndarray:
 
 def save_codebook(path, cb: Codebook) -> None:
     lines, payload = pack_tensors([("centers", cb.centers)])
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{cb.modality} {cb.k} {cb.dim} {cb.vocab_offset} {cb.seed}\n".encode())
         fh.write((lines[0] + "\n").encode())
         fh.write(payload)

@@ -7,7 +7,14 @@ Two formats live here:
   checkpoints and codebook files.
 * raw arrays: a single text header ``ndim d0 d1 ... dn`` followed by a
   little-endian float32 payload. Used for video clips and cached embeddings.
+
+Checkpoints, codebooks, the whitener, raw arrays and env-cache keys are
+written through ``atomic_write``, so a failed write never leaves a truncated
+file behind.
 """
+
+import os
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -66,10 +73,29 @@ def unpack_tensors(lines, payload: bytes) -> dict:
     return out
 
 
+@contextmanager
+def atomic_write(path):
+    """Binary handle whose bytes replace `path` only once the block completes.
+
+    They go to `<path>.<pid>.tmp` in the same directory, which `os.replace`
+    then moves over `path`; if anything fails the temp file is removed and
+    the previous `path`, if any, is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_raw_array(path, arr) -> None:
     arr = np.ascontiguousarray(arr, dtype="<f4")
     header = " ".join([str(arr.ndim)] + [str(d) for d in arr.shape])
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write((header + "\n").encode("ascii"))
         fh.write(arr.tobytes())
 

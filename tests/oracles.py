@@ -1,14 +1,17 @@
 """Independent reference implementations the tests check against.
 
 These deliberately avoid the library's own code paths: naive loops,
-exhaustive enumeration, and plain DP recurrences. The one exception is
-``make_lattice``, a test helper that bundles the library's transducer sums.
+exhaustive enumeration, and plain DP recurrences. The two exceptions are
+``make_lattice``, a test helper that bundles the library's transducer sums,
+and ``gelu_composite``, GELU spelled out as a chain of the engine's
+elementwise ops.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from envasr import autodiff as ad
 from envasr.asr.transducer import _check_lattice_inputs, rnnt_alphas, rnnt_betas
 
 
@@ -37,6 +40,13 @@ def cross_entropy_logsumexp(logits, targets):
     for row, t in zip(logits, targets):
         total += np.log(np.exp(row).sum()) - row[t]
     return total / len(targets)
+
+
+def gelu_composite(a):
+    """tanh-form GELU as eight autodiff nodes (power, mul, add, mul, tanh,
+    add, mul, mul); each node's backward is the engine's own."""
+    inner = ad.mul(ad.add(a, ad.mul(ad.power(a, 3.0), 0.044715)), ad._GELU_C)
+    return ad.mul(ad.mul(a, ad.add(ad.tanh(inner), 1.0)), 0.5)
 
 
 def adam_scalar_trajectory(x0, grads, lr, beta1, beta2, eps):

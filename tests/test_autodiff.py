@@ -4,7 +4,8 @@ import pytest
 from envasr import autodiff as ad
 from envasr.autodiff import Tensor, check_gradients, debug_checks, no_grad
 
-from oracles import cross_entropy_logsumexp, matmul_triple_loop, softmax_direct
+from oracles import (cross_entropy_logsumexp, gelu_composite, matmul_triple_loop,
+                     softmax_direct)
 
 
 def t(data, grad=False):
@@ -277,6 +278,42 @@ class TestElementwiseGradients:
         w = Tensor(rng.standard_normal(4))
         check_gradients(lambda: ad.sum_(ad.mul(ad.mean(x, axis=0), w)),
                         [x], rtol=1e-4)
+
+
+class TestFusedGelu:
+    """The one-node GELU against the composite of elementwise ops."""
+
+    def _value_and_grad(self, op, x0, w, dtype):
+        x = Tensor(x0, requires_grad=True, dtype=dtype)
+        y = op(x)
+        ad.sum_(ad.mul(y, Tensor(w, dtype=dtype))).backward()
+        return y.data, x.grad
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 2e-6)])
+    def test_matches_composite_oracle(self, dtype, tol, rng):
+        x0 = np.concatenate([np.linspace(-10.0, 10.0, 401), [0.0, 1e-4, -1e-4],
+                             rng.uniform(-10.0, 10.0, 200)])
+        w = rng.standard_normal(x0.shape)
+        y, g = self._value_and_grad(ad.gelu, x0, w, dtype)
+        y_ref, g_ref = self._value_and_grad(gelu_composite, x0, w, dtype)
+        assert y.dtype == g.dtype == dtype
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=tol)
+
+    def test_single_node(self, rng):
+        x = t(rng.standard_normal((2, 3)), grad=True)
+        y = ad.gelu(x)
+        assert y._parents == (x,)
+
+    def test_gradcheck_negative_inputs(self, rng):
+        x = t(rng.uniform(-4.0, 4.0, size=(4, 5)), grad=True)
+        w = rng.standard_normal((4, 5))
+        check_gradients(lambda: ad.sum_(ad.mul(ad.gelu(x), Tensor(w))), [x], rtol=1e-4)
+
+    def test_debug_checks_name_gelu(self):
+        with debug_checks():
+            with pytest.raises(FloatingPointError, match="'gelu'"):
+                ad.gelu(t([1.0, np.nan]))
 
 
 class TestDeterminismAndChecks:

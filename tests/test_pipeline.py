@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,12 @@ from envasr.pipeline.corpus import SYMBOL_HZ, SYMBOLS
 from envasr.pipeline.data import (cached_env_embeddings, ensure_whitener,
                                   load_corpus, load_whitener, save_whitener)
 from envasr.features import SAMPLE_RATE, Whitener
+from envasr.quantize import Codebook, load_codebook, save_codebook
 from envasr.serialize import read_raw_array, write_raw_array
+
+
+def fail_replace(src, dst):
+    raise OSError("injected failure before the rename")
 
 
 class TestConfig:
@@ -99,6 +106,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="shape mismatch"):
             restore_params(bigger.params, load_checkpoint(tmp_path / "c.ckpt"))
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, micro_env_model().params, 1, 1, ["seed = 3"])
+        good = path.read_bytes()
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(path, micro_env_model(seed=5).params, 2, 2, ["seed = 3"])
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+        assert path.read_bytes() == good
+        ckpt = load_checkpoint(path)
+        fresh = micro_env_model(seed=9)
+        restore_params(fresh.params, ckpt)
+        save_checkpoint(tmp_path / "again.ckpt", fresh.params, ckpt.step,
+                        ckpt.schedule_step, ckpt.config_lines)
+        assert (tmp_path / "again.ckpt").read_bytes() == good
+
     def test_corrupt_manifest_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint\n")
@@ -160,6 +184,26 @@ class TestRawArrays:
         arr = rng.standard_normal((3, 4, 5)).astype(np.float32)
         write_raw_array(tmp_path / "a.arr", arr)
         np.testing.assert_array_equal(read_raw_array(tmp_path / "a.arr"), arr)
+
+    @pytest.mark.parametrize("write,read", [
+        (write_raw_array, read_raw_array),
+        (lambda p, a: save_whitener(p, Whitener(a[0], a[1] + 2.0)),
+         lambda p: load_whitener(p).std),
+        (lambda p, a: save_codebook(p, Codebook(a, "audio", 0)),
+         lambda p: load_codebook(p).centers),
+    ])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, rng,
+                                               write, read):
+        path = tmp_path / "artifact"
+        write(path, rng.standard_normal((2, 3)))
+        good = path.read_bytes()
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="injected"):
+            write(path, rng.standard_normal((2, 3)))
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+        assert path.read_bytes() == good
+        read(path)
 
     def test_header_validation(self, tmp_path):
         (tmp_path / "bad.arr").write_bytes(b"2 3\n")

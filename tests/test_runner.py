@@ -13,6 +13,8 @@ from envasr.pipeline import (RunConfig, config_lines, env_encoder_config,
                              generate_synthetic_corpus, load_checkpoint,
                              run_asr_training, run_eval, run_pretraining,
                              run_tokenize, save_checkpoint, write_corpus)
+from envasr.pipeline.corpus import (SyntheticCorpus, SyntheticUtterance, synth_clip,
+                                    synth_wave)
 from envasr.pipeline.data import ensure_whitener, load_corpus
 from envasr.pipeline.runner import _load_env_model
 from envasr.quantize import load_codebook
@@ -170,6 +172,53 @@ class TestAsrRunner:
         cfg = toy_cfg(corpus16, tmp_path / "noeval")
         with pytest.raises(ValueError, match="checkpoint not found"):
             run_eval(cfg)
+
+
+class TestPositionTables:
+    """Utterances that outgrow the env encoder's position tables are rejected
+    before any artifact, model or log exists."""
+
+    def write_one(self, root, n_symbols, clip_steps=1):
+        """One utterance of `n_symbols` 100 ms tones; its clip repeats the
+        3-frame synthetic clip `clip_steps` times (one video step each)."""
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 8, n_symbols)
+        clip = np.concatenate([synth_clip(1, rng)] * clip_steps)
+        utt = SyntheticUtterance("long", labels, 1, synth_wave(labels, 1, rng), clip)
+        write_corpus(SyntheticCorpus([utt], seed=0), root)
+        return root
+
+    def save_untrained_env(self, cfg):
+        cfg.out_path().mkdir()
+        save_checkpoint(cfg.pretrain_ckpt_path(),
+                        EnvEncoder(env_encoder_config(cfg)).params, 0, 0,
+                        config_lines(cfg))
+
+    def test_long_audio_rejected_before_step_0(self, tmp_path, capsys):
+        data = self.write_one(tmp_path / "data", n_symbols=160)
+        cfg = toy_cfg(data, tmp_path / "out")
+        msg = "^utterance long has 532 audio patches, more than max_audio_positions = 512$"
+        with pytest.raises(ValueError, match=msg):
+            run_pretraining(cfg)
+        assert not cfg.out_path().exists()
+        # the ASR stage checks against the pretraining checkpoint's tables
+        self.save_untrained_env(cfg)
+        with pytest.raises(ValueError, match=msg):
+            run_asr_training(cfg)
+        assert not (cfg.out_path() / "train_asr.log").exists()
+        assert not (cfg.out_path() / "env_cache").exists()
+
+    def test_long_video_rejected_by_pretraining_only(self, tmp_path, capsys):
+        data = self.write_one(tmp_path / "data", n_symbols=4, clip_steps=65)
+        cfg = toy_cfg(data, tmp_path / "out", max_steps=1, checkpoint_every=1,
+                      eval_every=1, time_width=2)
+        with pytest.raises(ValueError, match="^utterance long has 65 video steps, "
+                                             "more than max_video_steps = 64$"):
+            run_pretraining(cfg)
+        assert not cfg.out_path().exists()
+        # env extraction for the ASR stage reads audio only
+        self.save_untrained_env(cfg)
+        assert run_asr_training(cfg)["steps_run"] == 1
 
 
 class TestDeterminism:
