@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .features import AUDIO_PATCH_DIM, VIDEO_PATCH_DIM
 from .masking import MaskSchedule, mask_params_at, sample_segmented_mask
-from .optim import AdamHyper, ParameterSet, adam_step, init_param
+from .optim import AdamHyper, ParameterSet, init_param, minimize_mean
 from .rng import substream
 
 AUDIO, VIDEO = 0, 1  # modality table rows
@@ -262,11 +262,7 @@ def pretrain_step(model: EnvEncoder, batches, hyper: AdamHyper, step: int,
     for batch in batches:
         batch = replace(batch, mask=draw_batch_mask(batch, width, prob, rng))
         losses.append(model.forward_loss(batch))
-    total = losses[0] if len(losses) == 1 else ad.mul(sum(losses[1:], losses[0]),
-                                                      1.0 / len(losses))
-    total.backward()
-    adam_step(model.params, hyper.lr, hyper.beta1, hyper.beta2, hyper.eps)
-    loss = float(total.data)
+    loss = minimize_mean(model.params, losses, hyper)
     return loss, math.exp(loss)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, mul
 
 
 @dataclass
@@ -98,6 +98,15 @@ def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,
         v_hat = st.v / (1.0 - beta2 ** st.t)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
         p.grad = None
+
+
+def minimize_mean(params: ParameterSet, losses, hyper: AdamHyper) -> float:
+    """Backpropagate the mean of `losses` and make one Adam step on `params`;
+    returns the mean loss."""
+    total = mul(sum(losses[1:], losses[0]), 1.0 / len(losses))
+    total.backward()
+    adam_step(params, hyper.lr, hyper.beta1, hyper.beta2, hyper.eps)
+    return float(total.data)
 
 
 def count_parameters(params: ParameterSet) -> int:

@@ -4,6 +4,14 @@ Every run is a deterministic function of (config, seed, input files): model
 init, masking, SpecAugment, and codebook training all draw from named
 substreams of the run seed, and logs are written line by line as
 ``step=<n> loss=<f> [ppl=<f>] [mask_w=<n> mask_p=<f>]``.
+
+Both training stages run `_train_loop`. Step ``n`` trains on items
+``(n * batch_size + j) % len(items)``; a checkpoint follows every
+``checkpoint_every`` steps, the last step and an early stop; an eval follows
+every ``eval_every`` steps and the last step. Pretraining stops after
+``patience`` evals (0: never) without a training-loss gain of 1e-6, ASR once
+its WER is at most ``asr.early_stop_wer``. A resumed run keeps its log's
+lines from before its first step and appends.
 """
 
 import math
@@ -17,33 +25,15 @@ from ..env_encoder import (EnvEncoder, masked_accuracy, parameter_hash,
                            pretrain_step)
 from ..features import whiten_clip
 from ..masking import mask_params_at
-from ..optim import AdamHyper, adam_step
+from ..optim import AdamHyper, minimize_mean
 from ..quantize import assign_tokens, unified_vocab_size
 from ..rng import substream
-from .. import autodiff as ad
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import (RunConfig, config_lines, conformer_config,
                      env_encoder_config, parse_config_lines)
 from .corpus import SYMBOLS
 from .data import (cached_env_embeddings, ensure_codebooks, ensure_whitener,
                    load_corpus, make_pretrain_batch)
-
-
-class RunLog:
-    """Mirrors every line to stdout and a log file."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
-
-    def line(self, text: str) -> None:
-        print(text)
-        self._fh.write(text + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
 
 
 def _hyper(cfg: RunConfig) -> AdamHyper:
@@ -89,6 +79,46 @@ def _check_positions(env_cfg, utts, video: bool) -> None:
                                  f"{key} = {getattr(env_cfg, key)}")
 
 
+def _train_loop(cfg: RunConfig, log_name: str, n_items: int, step_fn, eval_fn,
+                params, ckpt_path, start: int = 0) -> dict:
+    """Steps `start` .. max_steps - 1 at the cadence above, each log line also
+    printed. `step_fn(step, items)` makes one optimizer step on those item
+    indices and returns (loss, step line); `eval_fn(step, loss)` returns
+    (``#`` lines, early-stop reason or None)."""
+    log_path = cfg.out_path() / log_name
+    kept = []
+    if start and log_path.is_file():
+        for text in log_path.read_text(encoding="utf-8").splitlines(keepends=True):
+            if text.startswith("step=") and int(text.split()[0][5:]) >= start:
+                break
+            kept.append(text)
+    log_path.parent.mkdir(parents=True, exist_ok=True)
+    done, loss = start, None
+    with open(log_path, "w", encoding="utf-8") as log:
+        log.write("".join(kept))
+
+        def line(text):
+            print(text)
+            print(text, file=log, flush=True)
+
+        for step in range(start, cfg.max_steps):
+            items = [(step * cfg.batch_size + j) % n_items for j in range(cfg.batch_size)]
+            loss, text = step_fn(step, items)
+            line(text)
+            done = step + 1
+            stop = None
+            if done % cfg.eval_every == 0 or done == cfg.max_steps:
+                lines, stop = eval_fn(step, loss)
+                for text in lines + ([f"# early stop: {stop}"] if stop else []):
+                    line(text)
+            if done % cfg.checkpoint_every == 0 or done == cfg.max_steps or stop:
+                save_checkpoint(ckpt_path, params, done, done, config_lines(cfg))
+            if stop:
+                break
+    return {"steps_run": done - start, "final_loss": loss,
+            "checkpoint": str(ckpt_path), "log": str(log_path)}
+
+
 def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     """Masked multimodal pretraining on the corpus; returns a summary dict."""
     utts = load_corpus(cfg.train_manifest_path())
@@ -105,42 +135,25 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
         restore_params(model.params, ckpt)
         start = ckpt.schedule_step
     hyper = _hyper(cfg)
-    out_dir = cfg.out_path()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = cfg.pretrain_ckpt_path()
-    log = RunLog(out_dir / "pretrain.log")
-    best = math.inf
-    misses = 0
-    steps_run = 0
-    loss = None
-    try:
-        for step in range(start, cfg.max_steps):
-            group = [batches[(step * cfg.batch_size + j) % len(batches)]
-                     for j in range(cfg.batch_size)]
-            loss, ppl = pretrain_step(model, group, hyper, step, seed=cfg.seed)
-            width, prob = mask_params_at(env_cfg.schedule, step)
-            log.line(f"step={step} loss={loss:.6f} ppl={ppl:.6f} "
-                     f"mask_w={width} mask_p={prob:.6f}")
-            steps_run += 1
-            done = step + 1
-            if done % cfg.checkpoint_every == 0 or done == cfg.max_steps:
-                save_checkpoint(ckpt_path, model.params, done, done, config_lines(cfg))
-            if cfg.patience and done % cfg.eval_every == 0:
-                if loss < best - 1e-6:
-                    best, misses = loss, 0
-                else:
-                    misses += 1
-                    if misses >= cfg.patience:
-                        log.line(f"# early stop: no improvement in {misses} evals")
-                        save_checkpoint(ckpt_path, model.params, done, done,
-                                        config_lines(cfg))
-                        break
-    finally:
-        log.close()
-    accuracy = masked_accuracy(model, batches, seed=cfg.seed)
-    return {"steps_run": steps_run, "final_loss": loss,
-            "masked_accuracy": accuracy, "checkpoint": str(ckpt_path),
-            "log": str(log.path), "model": model}
+    best, misses = math.inf, 0
+
+    def train_step(step, items):
+        loss, ppl = pretrain_step(model, [batches[i] for i in items], hyper, step,
+                                  seed=cfg.seed)
+        width, prob = mask_params_at(env_cfg.schedule, step)
+        return loss, (f"step={step} loss={loss:.6f} ppl={ppl:.6f} "
+                      f"mask_w={width} mask_p={prob:.6f}")
+
+    def patience(step, loss):
+        nonlocal best, misses
+        best, misses = (loss, 0) if loss < best - 1e-6 else (best, misses + 1)
+        stop = cfg.patience and misses >= cfg.patience
+        return [], f"no improvement in {misses} evals" if stop else None
+
+    summary = _train_loop(cfg, "pretrain.log", len(batches), train_step, patience,
+                          model.params, cfg.pretrain_ckpt_path(), start)
+    return {**summary, "masked_accuracy": masked_accuracy(model, batches, seed=cfg.seed),
+            "model": model}
 
 
 def _load_env_model(ckpt_path) -> EnvEncoder:
@@ -208,49 +221,30 @@ def run_asr_training(cfg: RunConfig) -> dict:
     policy = SpecAugmentPolicy(cfg.freq_masks, cfg.freq_width,
                                cfg.time_masks, cfg.time_width)
     hyper = _hyper(cfg)
-    out_dir = cfg.out_path()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    asr_ckpt = cfg.asr_ckpt_path()
-    log = RunLog(out_dir / "train_asr.log")
-    steps_run = 0
     latest_wer = None
-    loss = None
-    try:
-        for step in range(cfg.max_steps):
-            losses = []
-            for j in range(cfg.batch_size):
-                i = (step * cfg.batch_size + j) % len(examples)
-                ex = examples[i]
-                aug = specaugment(ex.features, policy,
-                                  substream(cfg.seed, "specaug", step, i))
-                losses.append(model.loss(aug, ex.labels, ex.env))
-            total = losses[0] if len(losses) == 1 else \
-                ad.mul(sum(losses[1:], losses[0]), 1.0 / len(losses))
-            total.backward()
-            adam_step(model.trainable_params(), hyper.lr, hyper.beta1,
-                      hyper.beta2, hyper.eps)
-            loss = float(total.data)
-            log.line(f"step={step} loss={loss:.6f}")
-            steps_run += 1
-            done = step + 1
-            if done % cfg.checkpoint_every == 0 or done == cfg.max_steps:
-                save_checkpoint(asr_ckpt, model.params, done, done, config_lines(cfg))
-            if done % cfg.eval_every == 0 or done == cfg.max_steps:
-                pairs, _ = _decode_corpus(model, utts, examples)
-                latest_wer, counts, _ = corpus_wer(pairs)
-                log.line(f"# eval step={step} {format_wer_report(latest_wer, counts)}")
-                stop_at = cfg.asr_early_stop_wer
-                if stop_at >= 0.0 and latest_wer <= stop_at:
-                    log.line(f"# early stop: wer {latest_wer:.4f}")
-                    save_checkpoint(asr_ckpt, model.params, done, done, config_lines(cfg))
-                    break
-    finally:
-        log.close()
+
+    def train_step(step, items):
+        losses = []
+        for i in items:
+            ex = examples[i]
+            aug = specaugment(ex.features, policy, substream(cfg.seed, "specaug", step, i))
+            losses.append(model.loss(aug, ex.labels, ex.env))
+        loss = minimize_mean(model.trainable_params(), losses, hyper)
+        return loss, f"step={step} loss={loss:.6f}"
+
+    def evaluate(step, _loss):
+        nonlocal latest_wer
+        pairs, _ = _decode_corpus(model, utts, examples)
+        latest_wer, counts, _ = corpus_wer(pairs)
+        stop = latest_wer <= cfg.asr_early_stop_wer  # WER >= 0: never when negative
+        return ([f"# eval step={step} {format_wer_report(latest_wer, counts)}"],
+                f"wer {latest_wer:.4f}" if stop else None)
+
+    summary = _train_loop(cfg, "train_asr.log", len(examples), train_step, evaluate,
+                          model.params, cfg.asr_ckpt_path())
     if cfg.asr_fusion_mode == CROSS:
         env_hash_after = parameter_hash(env_model.params)
-    return {"steps_run": steps_run, "final_loss": loss,
-            "final_wer": latest_wer, "checkpoint": str(asr_ckpt),
-            "log": str(log.path), "env_hash_before": env_hash_before,
+    return {**summary, "final_wer": latest_wer, "env_hash_before": env_hash_before,
             "env_hash_after": env_hash_after, "model": model}
 
 

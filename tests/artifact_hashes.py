@@ -1,0 +1,78 @@
+"""Print the sha256 of every artifact of a fixed set of toy runs.
+
+A pure refactor should leave every artifact byte-identical. Run this script
+once with each commit's ``src`` on ``PYTHONPATH``, in the same absolute work
+directory (checkpoints store the config, paths included), and compare:
+
+    PYTHONPATH=<parent>/src python tests/artifact_hashes.py /tmp/hashes > parent.txt
+    rm -rf /tmp/hashes
+    PYTHONPATH=src python tests/artifact_hashes.py /tmp/hashes > change.txt
+    diff parent.txt change.txt
+
+The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
+--seed 11``, one out_dir each:
+
+- ``toy``: pretraining, cross-attention ASR training, eval;
+- ``patience``: pretraining with ``patience = 2``, ``eval_every = 7``, which
+  stops early;
+- ``baseline``: f64 ``self_attention_baseline`` ASR training without early
+  stop, 95 steps with ``eval_every = 40`` (not a multiple);
+- ``resume``: pretraining to step 150, then resumed from its checkpoint to 300.
+
+Only the runner's public entry points are used, so any commit can be hashed.
+Output lines are ``<sha256>  <path relative to the work directory>``.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+from envasr.pipeline import (generate_synthetic_corpus, run_asr_training, run_eval,
+                             run_pretraining, write_corpus)
+from envasr.pipeline.config import parse_config_lines
+
+TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+
+
+def config(work: Path, case: str, **overrides):
+    values = {"paths.data_dir": work / "data", "paths.out_dir": work / case,
+              "max_steps": 300, **overrides}
+    lines = TOY_CFG.read_text(encoding="utf-8").splitlines()
+    return parse_config_lines(lines + [f"{k} = {v}" for k, v in values.items()])
+
+
+def run_all(work: Path) -> None:
+    write_corpus(generate_synthetic_corpus(16, seed=11), work / "data")
+    toy = config(work, "toy")
+    run_pretraining(toy)
+    run_asr_training(toy)
+    run_eval(toy)
+    run_pretraining(config(work, "patience", patience=2, eval_every=7))
+    run_asr_training(config(work, "baseline", max_steps=95, eval_every=40,
+                            **{"asr.fusion_mode": "self_attention_baseline",
+                               "asr.dtype": "f64", "asr.early_stop_wer": -1.0}))
+    run_pretraining(config(work, "resume", max_steps=150))
+    resumed = config(work, "resume")
+    run_pretraining(resumed, resume=str(resumed.pretrain_ckpt_path()))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("work", help="work directory; must be missing or empty")
+    work = Path(parser.parse_args(argv).work).resolve()
+    if work.exists() and any(work.iterdir()):
+        parser.error(f"{work} is not empty")
+    work.mkdir(parents=True, exist_ok=True)
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        run_all(work)
+    for path in sorted(p for p in work.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(work)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

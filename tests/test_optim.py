@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from envasr import autodiff as ad
 from envasr.autodiff import Tensor
-from envasr.optim import ParameterSet, adam_step, count_parameters, init_param
+from envasr.optim import (AdamHyper, ParameterSet, adam_step, count_parameters,
+                          init_param, minimize_mean)
 
 from oracles import adam_scalar_trajectory
 
@@ -60,6 +62,32 @@ class TestAdam:
         params["w"].grad = np.array([1.0])
         adam_step(params, lr=0.1)
         assert params["w"].grad is None
+
+
+class TestMinimizeMean:
+    def test_two_losses_update_like_backward_on_their_mean(self, rng):
+        start, a, b = rng.standard_normal((3, 4))
+        hyper = AdamHyper(lr=0.01)
+
+        def losses(params):
+            w = params["w"]
+            return [ad.sum_(ad.mul(w, Tensor(a))), ad.sum_(ad.mul(ad.mul(w, w), Tensor(b)))]
+
+        helper = make_params({"w": start.copy()})
+        loss = minimize_mean(helper, losses(helper), hyper)
+
+        by_hand = make_params({"w": start.copy()})
+        first, second = losses(by_hand)
+        mean = ad.mul(ad.add(first, second), 0.5)
+        mean.backward()
+        adam_step(by_hand, hyper.lr, hyper.beta1, hyper.beta2, hyper.eps)
+
+        assert loss == float(mean.data)
+        np.testing.assert_array_equal(helper["w"].data, by_hand["w"].data)
+        for moment in ("m", "v", "t"):
+            np.testing.assert_array_equal(getattr(helper.state("w"), moment),
+                                          getattr(by_hand.state("w"), moment))
+        assert helper["w"].grad is None
 
 
 class TestParameterSet:

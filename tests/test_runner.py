@@ -2,6 +2,7 @@
 acceptance suite)."""
 
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from envasr.pipeline import (RunConfig, config_lines, env_encoder_config,
 from envasr.pipeline.corpus import (SyntheticCorpus, SyntheticUtterance, synth_clip,
                                     synth_wave)
 from envasr.pipeline.data import ensure_whitener, load_corpus
+from envasr.pipeline import runner
 from envasr.pipeline.runner import _load_env_model
 from envasr.quantize import load_codebook
 from envasr.serialize import read_raw_array
@@ -91,14 +93,84 @@ class TestPretrainingRunner:
         capsys.readouterr()
         run_pretraining(cfg, resume=str(cfg.pretrain_ckpt_path()))
         log = (cfg.out_path() / "pretrain.log").read_text().splitlines()
-        assert log[0].startswith("step=10000 ") and "mask_w=3" in log[0]
-        assert len(log) == 1
+        assert log[-1].startswith("step=10000 ") and "mask_w=3" in log[-1]
+        assert len(log) == 3  # steps 0 and 1 of the first run, then the resumed step
+
+    def test_resume_continues_log_and_checkpoint_exactly(self, tmp_path, corpus16,
+                                                         capsys):
+        cfg = toy_cfg(corpus16, tmp_path / "resume", max_steps=30)
+        log_path, ckpt_path = cfg.out_path() / "pretrain.log", cfg.pretrain_ckpt_path()
+        step12 = tmp_path / "step12.ckpt"
+        run_pretraining(replace(cfg, max_steps=12))
+        shutil.copy(ckpt_path, step12)
+        run_pretraining(cfg, resume=str(step12))
+        resumed = log_path.read_bytes(), ckpt_path.read_bytes()
+        run_pretraining(cfg)
+        assert (log_path.read_bytes(), ckpt_path.read_bytes()) == resumed
+        # over the full log, a resume first drops the lines of steps 12..29
+        run_pretraining(cfg, resume=str(step12))
+        assert (log_path.read_bytes(), ckpt_path.read_bytes()) == resumed
+        # resuming a finished run makes no step and keeps its log
+        assert run_pretraining(cfg, resume=str(ckpt_path))["steps_run"] == 0
+        assert log_path.read_bytes() == resumed[0]
+
+    def test_patience_stops_early_and_checkpoints_the_stop(self, tmp_path, corpus16,
+                                                           capsys):
+        cfg = toy_cfg(corpus16, tmp_path / "patience", max_steps=40,
+                      checkpoint_every=40, eval_every=3, patience=2)
+        summary = run_pretraining(cfg)
+        log = (cfg.out_path() / "pretrain.log").read_text().splitlines()
+        assert log[-1] == "# early stop: no improvement in 2 evals"
+        stop = int(re.match(r"step=(\d+) ", log[-2]).group(1))
+        assert summary["steps_run"] == stop + 1 < cfg.max_steps
+        assert load_checkpoint(summary["checkpoint"]).step == summary["steps_run"]
 
     def test_batch_size_groups_utterances(self, tmp_path, corpus16, capsys):
         cfg = toy_cfg(corpus16, tmp_path / "bs", batch_size=4, max_steps=3,
                       checkpoint_every=3)
         summary = run_pretraining(cfg)
         assert summary["steps_run"] == 3
+
+
+class TestTrainLoop:
+    """The cadence both stages share, with stand-in step and eval functions."""
+
+    def run(self, tmp_path, monkeypatch, stop_at=None):
+        saves, items, evals = [], [], []
+        monkeypatch.setattr(runner, "save_checkpoint",
+                            lambda path, params, step, schedule_step, lines:
+                            saves.append(step))
+
+        def step_fn(step, batch):
+            items.append(batch)
+            return 0.5, f"step={step} loss=0.5"
+
+        def eval_fn(step, loss):
+            evals.append(step)
+            return [f"# eval step={step}"], "done" if step == stop_at else None
+
+        cfg = RunConfig(out_dir=str(tmp_path), batch_size=3, max_steps=11,
+                        checkpoint_every=4, eval_every=2)
+        summary = runner._train_loop(cfg, "t.log", 5, step_fn, eval_fn, None,
+                                     tmp_path / "t.ckpt")
+        log = (tmp_path / "t.log").read_text().splitlines()
+        return summary, saves, items, evals, log
+
+    def test_batches_evals_and_checkpoints(self, tmp_path, monkeypatch, capsys):
+        summary, saves, items, evals, log = self.run(tmp_path, monkeypatch)
+        assert items[:3] == [[0, 1, 2], [3, 4, 0], [1, 2, 3]]
+        assert evals == [1, 3, 5, 7, 9, 10]  # every 2 steps and after the last
+        assert saves == [4, 8, 11]           # every 4 steps and after the last
+        assert summary["steps_run"] == 11 and summary["final_loss"] == 0.5
+        assert log[-2:] == ["step=10 loss=0.5", "# eval step=10"]
+        assert capsys.readouterr().out.splitlines() == log
+
+    def test_early_stop_on_a_checkpoint_step_saves_once(self, tmp_path, monkeypatch,
+                                                        capsys):
+        summary, saves, _, _, log = self.run(tmp_path, monkeypatch, stop_at=7)
+        assert saves == [4, 8]
+        assert summary["steps_run"] == 8
+        assert log[-3:] == ["step=7 loss=0.5", "# eval step=7", "# early stop: done"]
 
 
 class TestAsrRunner:
@@ -222,11 +294,12 @@ class TestPositionTables:
 
 
 class TestDeterminism:
-    def test_asr_log_bitwise_identical(self, tmp_path, corpus16, capsys):
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_asr_log_bitwise_identical(self, tmp_path, corpus16, capsys, batch_size):
         logs = []
         for run in range(2):
             cfg = toy_cfg(corpus16, tmp_path / f"det{run}", max_steps=5,
-                          checkpoint_every=5, eval_every=5,
+                          checkpoint_every=5, eval_every=5, batch_size=batch_size,
                           asr_fusion_mode="self_attention_baseline")
             run_asr_training(cfg)
             logs.append((cfg.out_path() / "train_asr.log").read_text())
