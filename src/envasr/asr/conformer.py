@@ -8,7 +8,8 @@ residual connections throughout. The fusion sublayer either cross-attends to
 the projected environment embeddings or, in the parity baseline, runs plain
 self-attention with identically shaped weights, so the two variants have
 exactly the same parameter count. The environment embeddings themselves are
-constants: gradients stop at the shared env adapter.
+constants: gradients stop at the shared env adapter, which the baseline keeps
+(unused and frozen) only for that count.
 """
 
 from dataclasses import dataclass, replace
@@ -82,28 +83,6 @@ class Utterance:
         return self
 
 
-class FusionAttention:
-    """The per-block fusion sublayer (cross-attention or parity baseline)."""
-
-    def __init__(self, params: ParameterSet, prefix: str, dim: int, heads: int,
-                 mode: str, rng, dtype):
-        self.heads = heads
-        self.mode = mode
-        self.p = params
-        self.prefix = prefix
-        for mat in ("q", "k", "v", "o"):
-            init_param(params, rng, f"{prefix}.w{mat}", (dim, dim), dtype)
-            init_param(params, rng, f"{prefix}.b{mat}", (dim,), dtype, zero=True)
-
-    def __call__(self, x: Tensor, env_proj: Tensor | None) -> Tensor:
-        """Keys and values from the projected env embeddings (cross) or from
-        `x` itself (parity baseline)."""
-        if self.mode == CROSS and env_proj is None:
-            raise ValueError("cross-attention fusion requires env embeddings")
-        kv = env_proj if self.mode == CROSS else x
-        return ad.mha(self.p, self.prefix, x, kv, self.heads)[0]
-
-
 class AsrModel:
     """Conformer transducer: subsampling stem, fusion blocks, prediction
     network, and joint network. Blank id is `vocab_size` (last logit)."""
@@ -115,13 +94,11 @@ class AsrModel:
         self.blank_id = config.vocab_size
         rng = substream(seed, "asr-init")
         d = config.model_dim
-        dt = self.np_dtype
-        add = partial(init_param, self.params, dtype=dt)
+        add = partial(init_param, self.params, dtype=self.np_dtype)
         add(rng, "subsample.w", (config.subsample_kernel, config.feature_dim, d))
         add(rng, "subsample.b", (d,), zero=True)
         add(rng, "env_adapter.w", (config.env_dim, d))
         add(rng, "env_adapter.b", (d,), zero=True)
-        self.fusion = []
         for i in range(config.num_blocks):
             pre = f"block{i}"
             for ff in ("ff1", "ff2"):
@@ -131,16 +108,12 @@ class AsrModel:
                 add(rng, f"{pre}.{ff}.b1", (4 * d,), zero=True)
                 add(rng, f"{pre}.{ff}.w2", (4 * d, d))
                 add(rng, f"{pre}.{ff}.b2", (d,), zero=True)
-            add(rng, f"{pre}.attn.norm.g", (d,), one=True)
-            add(rng, f"{pre}.attn.norm.b", (d,), zero=True)
-            for mat in ("q", "k", "v", "o"):
-                add(rng, f"{pre}.attn.w{mat}", (d, d))
-                add(rng, f"{pre}.attn.b{mat}", (d,), zero=True)
-            add(rng, f"{pre}.fusion.norm.g", (d,), one=True)
-            add(rng, f"{pre}.fusion.norm.b", (d,), zero=True)
-            self.fusion.append(FusionAttention(
-                self.params, f"{pre}.fusion", d, config.heads,
-                config.fusion_mode, rng, dt))
+            for sub in ("attn", "fusion"):
+                add(rng, f"{pre}.{sub}.norm.g", (d,), one=True)
+                add(rng, f"{pre}.{sub}.norm.b", (d,), zero=True)
+                for mat in ("q", "k", "v", "o"):
+                    add(rng, f"{pre}.{sub}.w{mat}", (d, d))
+                    add(rng, f"{pre}.{sub}.b{mat}", (d,), zero=True)
             add(rng, f"{pre}.conv.norm.g", (d,), one=True)
             add(rng, f"{pre}.conv.norm.b", (d,), zero=True)
             add(rng, f"{pre}.conv.pw1.w", (d, 2 * d))
@@ -163,21 +136,12 @@ class AsrModel:
         add(rng, "joint.b", (config.joint_dim,), zero=True)
         add(rng, "joint.w_out", (config.joint_dim, v1))
         add(rng, "joint.b_out", (v1,), zero=True)
+        if config.fusion_mode == BASELINE:
+            for name in ("env_adapter.w", "env_adapter.b"):
+                self.params[name].requires_grad = False
 
     def _const(self, arr) -> Tensor:
         return Tensor(np.asarray(arr, dtype=self.np_dtype))
-
-    def trainable_params(self) -> ParameterSet:
-        """Everything in cross mode; the parity baseline keeps the (unused)
-        env adapter in its parameter count but not in the optimizer."""
-        if self.config.fusion_mode == CROSS:
-            return self.params
-        sub = ParameterSet()
-        for name, p in self.params.items():
-            if not name.startswith("env_adapter."):
-                sub._params[name] = p
-                sub._state[name] = self.params.state(name)
-        return sub
 
     # encoder ---------------------------------------------------------------
 
@@ -219,7 +183,8 @@ class AsrModel:
         h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
         x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, self.config.heads)[0])
         h = ad.layer_norm(x, p[f"{pre}.fusion.norm.g"], p[f"{pre}.fusion.norm.b"])
-        x = ad.add(x, self.fusion[i](h, env_proj))
+        kv = env_proj if self.config.fusion_mode == CROSS else h
+        x = ad.add(x, ad.mha(p, f"{pre}.fusion", h, kv, self.config.heads)[0])
         x = ad.add(x, self._conv_module(x, f"{pre}.conv"))
         x = ad.add(x, ad.mul(self._ff(x, f"{pre}.ff2"), 0.5))
         return ad.layer_norm(x, p[f"{pre}.out_norm.g"], p[f"{pre}.out_norm.b"])

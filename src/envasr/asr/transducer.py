@@ -120,13 +120,9 @@ def rnnt_loss(log_probs: Tensor, labels) -> Tensor:
     return ad._finish(out, backward, "rnnt_loss")
 
 
-def greedy_decode(model, features, env=None, max_symbols_per_frame: int = 10):
+def greedy_decode(model, features, env, max_symbols_per_frame: int = 10):
     """Standard RNN-T greedy loop: emit argmax labels until blank, with a
-    per-frame emission cap. Accepts (features, env) or an Utterance."""
-    from .conformer import Utterance
-
-    if isinstance(features, Utterance):
-        features, env = features.features, features.env
+    per-frame emission cap. `env` is None for the parity baseline."""
     with ad.no_grad():
         enc = model.encode(features, env).data
     state = model.pred_start_np()

@@ -32,20 +32,16 @@ def no_grad():
         _grad_enabled = prev
 
 
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf check that runs after every operation."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
-
 @contextmanager
 def debug_checks():
+    """Check every operation's output for NaN/Inf inside the block."""
+    global _debug_checks
     prev = _debug_checks
-    set_debug_checks(True)
+    _debug_checks = True
     try:
         yield
     finally:
-        set_debug_checks(prev)
+        _debug_checks = prev
 
 
 class Tensor:
@@ -105,20 +101,8 @@ class Tensor:
     def __rsub__(self, other):
         return sub(_coerce(other, self), self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar; frees the graph afterwards."""
@@ -237,63 +221,6 @@ def mul(a: Tensor, b) -> Tensor:
         _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
     return _finish(out, backward, "mul")
-
-
-def div(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    out = _node(a.data / b.data, (a, b))
-
-    def backward():
-        _accum(a, _unbroadcast(out.grad / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-
-    return _finish(out, backward, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    out = _node(-a.data, (a,))
-
-    def backward():
-        _accum(a, -out.grad)
-
-    return _finish(out, backward, "neg")
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-    out = _node(a.data ** exponent, (a,))
-
-    def backward():
-        _accum(a, out.grad * exponent * a.data ** (exponent - 1.0))
-
-    return _finish(out, backward, "power")
-
-
-def exp(a: Tensor) -> Tensor:
-    out = _node(np.exp(a.data), (a,))
-
-    def backward():
-        _accum(a, out.grad * out.data)
-
-    return _finish(out, backward, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    out = _node(np.log(a.data), (a,))
-
-    def backward():
-        _accum(a, out.grad / a.data)
-
-    return _finish(out, backward, "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = _node(np.sqrt(a.data), (a,))
-
-    def backward():
-        _accum(a, out.grad / (2.0 * out.data))
-
-    return _finish(out, backward, "sqrt")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -427,14 +354,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _finish(out, backward, "sum")
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def embedding(table: Tensor, ids) -> Tensor:
     """Gather rows of `table` by integer index; backward scatter-adds."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -561,8 +480,9 @@ def cross_entropy(logits: Tensor, targets, ignore=None) -> Tensor:
     return _finish(out, backward, "cross_entropy")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, return_weights: bool = False):
-    """Multi-head scaled dot-product attention on (time, dim) tensors."""
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
+    """Multi-head scaled dot-product attention on (time, dim) tensors.
+    Returns (output, weights (heads, tq, tk))."""
     tq, d = q.data.shape
     tk = k.data.shape[0]
     if d % heads != 0:
@@ -580,10 +500,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, return_weights: bool 
     scores = mul(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
     weights = softmax(scores, axis=-1)
     mixed = matmul(weights, vh)
-    out = reshape(transpose(mixed, (1, 0, 2)), (tq, d))
-    if return_weights:
-        return out, weights
-    return out
+    return reshape(transpose(mixed, (1, 0, 2)), (tq, d)), weights
 
 
 def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int):
@@ -594,8 +511,7 @@ def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int):
     def proj(t, m):
         return add(matmul(t, params[f"{prefix}.w{m}"]), params[f"{prefix}.b{m}"])
 
-    out, weights = attention(proj(x, "q"), proj(kv, "k"), proj(kv, "v"), heads,
-                             return_weights=True)
+    out, weights = attention(proj(x, "q"), proj(kv, "k"), proj(kv, "v"), heads)
     return proj(out, "o"), weights
 
 
@@ -659,51 +575,3 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accum(b, g.sum(axis=0))
 
     return _finish(out, backward, "depthwise_conv1d")
-
-
-# ---------------------------------------------------------------------------
-# numeric gradient checking
-
-
-def numeric_gradient(f, t: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the scalar f() w.r.t. t.data."""
-    g = np.zeros_like(t.data)
-    flat = t.data.reshape(-1)
-    gf = g.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(f().data)
-            flat[i] = orig - h
-            fm = float(f().data)
-            flat[i] = orig
-            gf[i] = (fp - fm) / (2.0 * h)
-    return g
-
-
-def check_gradients(f, wrt, rtol: float = 1e-4, atol: float = 1e-7, h: float = 1e-5) -> float:
-    """Compare reverse-mode gradients of scalar f() against central differences.
-
-    Returns the worst relative error and raises AssertionError past tolerance.
-    """
-    wrt = list(wrt)
-    for t in wrt:
-        t.grad = None
-    loss = f()
-    loss.backward()
-    worst = 0.0
-    for t in wrt:
-        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
-        numeric = numeric_gradient(f, t, h=h)
-        denom = np.maximum(np.abs(analytic), np.abs(numeric))
-        err = np.abs(analytic - numeric)
-        rel = err / np.maximum(denom, atol / rtol)
-        worst = max(worst, float(rel.max()) if rel.size else 0.0)
-        if not np.all(err <= atol + rtol * denom):
-            idx = np.unravel_index(np.argmax(err - rtol * denom), err.shape)
-            raise AssertionError(
-                f"gradient mismatch at {idx}: analytic {analytic[idx]:.8g} "
-                f"vs numeric {numeric[idx]:.8g}"
-            )
-    return worst

@@ -82,13 +82,6 @@ class MultimodalBatch:
         segs.append(self.audio_patches.shape[0])
         return segs
 
-    def modality_ids(self) -> np.ndarray:
-        n_v = 0 if self.video_patches is None else self.video_patches.shape[0]
-        return np.concatenate([
-            np.full(n_v, VIDEO, dtype=np.int64),
-            np.full(self.audio_patches.shape[0], AUDIO, dtype=np.int64),
-        ])
-
 
 @dataclass
 class EnvEmbeddings:
@@ -251,11 +244,9 @@ def draw_batch_mask(batch: MultimodalBatch, width: int, prob: float,
             return plan.mask
 
 
-def pretrain_step(model: EnvEncoder, batches, hyper: AdamHyper, step: int,
+def pretrain_step(model: EnvEncoder, batches: list, hyper: AdamHyper, step: int,
                   seed: int = 0):
-    """One optimization step over one or more batches. Returns (loss, ppl)."""
-    if isinstance(batches, MultimodalBatch):
-        batches = [batches]
+    """One optimization step over a list of batches. Returns (loss, ppl)."""
     width, prob = mask_params_at(model.config.schedule, step)
     rng = substream(seed, "mask", step)
     losses = []

@@ -47,8 +47,6 @@ class AudioWave:
 @dataclass
 class LfbeFrames:
     frames: np.ndarray            # (T, 64)
-    frame_shift_ms: int = 10
-    frame_length_ms: int = 25
 
 
 @dataclass
@@ -60,7 +58,6 @@ class AudioPatchSeq:
 @dataclass
 class VideoClip:
     frames: np.ndarray            # (F, H, W, 3) in [0, 1]
-    frame_rate: float = 6.0
 
 
 @dataclass
@@ -90,7 +87,7 @@ def mel_to_hz(m):
 def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
                    sample_rate: int = SAMPLE_RATE, fmin: float = 0.0,
                    fmax: float = 8000.0):
-    """Triangular mel filters. Returns (weights (bins, n_mels), centers_hz)."""
+    """Triangular mel filter weights, (bins, n_mels)."""
     points = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
     bins = n_fft // 2 + 1
     freqs = np.arange(bins) * sample_rate / n_fft
@@ -100,10 +97,10 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
         up = (freqs - lo) / max(center - lo, 1e-12)
         down = (hi - freqs) / max(hi - center, 1e-12)
         weights[:, j] = np.clip(np.minimum(up, down), 0.0, 1.0)
-    return weights, points[1:-1]
+    return weights
 
 
-_MEL_WEIGHTS, MEL_CENTERS_HZ = mel_filterbank()
+_MEL_WEIGHTS = mel_filterbank()
 
 
 def compute_lfbe(wave: AudioWave) -> LfbeFrames:
@@ -139,9 +136,8 @@ def fit_whitener(rows: np.ndarray) -> Whitener:
     return Whitener(rows.mean(axis=0), rows.std(axis=0))
 
 
-def whiten_clip(patches, whitener: Whitener) -> AudioPatchSeq:
-    """(x - mean) / std, then clamp to [-1.2, 1.2]."""
-    rows = patches.patches if isinstance(patches, AudioPatchSeq) else np.asarray(patches)
+def whiten_clip(rows: np.ndarray, whitener: Whitener) -> AudioPatchSeq:
+    """(x - mean) / std of (T, d) patch rows, then clamp to [-1.2, 1.2]."""
     if rows.shape[-1] != whitener.mean.shape[0]:
         raise ValueError("whitener dimension mismatch")
     z = (rows - whitener.mean) / whitener.std

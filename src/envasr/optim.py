@@ -84,11 +84,13 @@ def init_param(params: ParameterSet, rng, name: str, shape, dtype, zero=False,
 
 def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,
               beta2: float = 0.99, eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update; gradients are consumed (cleared)."""
-    missing = [name for name, p in params.items() if p.grad is None]
+    """Bias-corrected Adam update of every parameter that requires gradients;
+    gradients are consumed (cleared)."""
+    live = [(name, p) for name, p in params.items() if p.requires_grad]
+    missing = [name for name, p in live if p.grad is None]
     if missing:
         raise ValueError(f"adam_step: missing gradient for {missing[0]}")
-    for name, p in params.items():
+    for name, p in live:
         st = params.state(name)
         g = p.grad
         st.t += 1

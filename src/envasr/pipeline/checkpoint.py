@@ -106,6 +106,6 @@ def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
             raise ValueError(f"checkpoint is missing Adam step for {name}")
         params.state(name).t = ckpt.adam_t[name]
         p.grad = None
-    extra = [k for k in ckpt.tensors if k.split(".", 1)[1] not in params._params]
+    extra = [k for k in ckpt.tensors if k.split(".", 1)[1] not in params]
     if extra:
         raise ValueError(f"checkpoint holds tensors unknown to the model: {extra[:3]}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..env_encoder import (EnvEmbeddings, EnvEncoder, MultimodalBatch,
-                           extract_env_embeddings, parameter_hash)
+                           extract_env_embeddings)
 from ..features import (VideoClip, Whitener, compute_lfbe, extract_video_patches,
                         fit_whitener, read_wav, stack_frames, whiten_clip)
 from ..quantize import (Codebook, assign_tokens, load_codebook, reservoir_sample,
@@ -141,16 +141,15 @@ def make_pretrain_batch(utt: LoadedUtterance, whitener: Whitener,
 
 
 def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
-                          audio_patches: np.ndarray,
-                          model_hash: str | None = None) -> EnvEmbeddings:
+                          audio_patches: np.ndarray, model_hash: str) -> EnvEmbeddings:
     """Extract-once cache `<utt_name>.env`, reused only while `<utt_name>.key`
-    holds this env model's parameter hash (`model_hash`, computed here if not
-    given) and the hash of these patch bytes; otherwise it is rewritten."""
+    holds `model_hash` (the env model's `parameter_hash`) and the hash of these
+    patch bytes; otherwise it is rewritten."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{utt_name}.env"
     key_path = cache_dir / f"{utt_name}.key"
-    key = (f"{model_hash or parameter_hash(model.params)} "
+    key = (f"{model_hash} "
            f"{hashlib.sha256(np.asarray(audio_patches).tobytes()).hexdigest()}\n")
     if path.is_file() and key_path.is_file() and key_path.read_text() == key:
         return EnvEmbeddings(read_raw_array(path))

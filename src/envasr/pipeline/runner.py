@@ -28,6 +28,7 @@ from ..masking import mask_params_at
 from ..optim import AdamHyper, minimize_mean
 from ..quantize import assign_tokens, unified_vocab_size
 from ..rng import substream
+from ..serialize import atomic_write
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import (RunConfig, config_lines, conformer_config,
                      env_encoder_config, parse_config_lines)
@@ -38,6 +39,12 @@ from .data import (cached_env_embeddings, ensure_codebooks, ensure_whitener,
 
 def _hyper(cfg: RunConfig) -> AdamHyper:
     return AdamHyper(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+
+
+def _write_lines(path, lines) -> None:
+    """Replace `path` atomically with `lines`, one per line, in UTF-8."""
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def run_tokenize(cfg: RunConfig) -> dict:
@@ -56,9 +63,11 @@ def run_tokenize(cfg: RunConfig) -> dict:
         if utt.video_patches is not None:
             vids = assign_tokens(cb_video, utt.video_patches).ids
             video_lines.append(utt.name + "\t" + " ".join(map(str, vids)))
-    (cb_dir / "tokens_audio.tsv").write_text("\n".join(audio_lines) + "\n")
+    _write_lines(cb_dir / "tokens_audio.tsv", audio_lines)
     if video_lines:
-        (cb_dir / "tokens_video.tsv").write_text("\n".join(video_lines) + "\n")
+        _write_lines(cb_dir / "tokens_video.tsv", video_lines)
+    else:  # an earlier corpus's video tokens must not outlive it
+        (cb_dir / "tokens_video.tsv").unlink(missing_ok=True)
     return {"vocab_size": vocab, "codebook_dir": str(cb_dir),
             "audio_codebook": str(cb_dir / "audio.cb"),
             "video_codebook": str(cb_dir / "video.cb"), "utterances": len(utts)}
@@ -181,7 +190,7 @@ def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int):
     _check_positions(env_model.config, utts, video=False)
     model_hash = parameter_hash(env_model.params)
     cache = cfg.out_path() / "env_cache"
-    envs = [cached_env_embeddings(cache, u.name, env_model, f, model_hash=model_hash)
+    envs = [cached_env_embeddings(cache, u.name, env_model, f, model_hash)
             for u, f in zip(utts, feats)]
     return env_model, model_hash, envs
 
@@ -189,8 +198,8 @@ def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int):
 def _decode_corpus(model, utts, examples):
     pairs = []
     hyps = []
-    for utt, example in zip(utts, examples):
-        hyp = [SYMBOLS[k] for k in greedy_decode(model, example)]
+    for utt, ex in zip(utts, examples):
+        hyp = [SYMBOLS[k] for k in greedy_decode(model, ex.features, ex.env)]
         pairs.append((utt.label_names, hyp))
         hyps.append(" ".join(hyp))
     return pairs, hyps
@@ -229,7 +238,7 @@ def run_asr_training(cfg: RunConfig) -> dict:
             ex = examples[i]
             aug = specaugment(ex.features, policy, substream(cfg.seed, "specaug", step, i))
             losses.append(model.loss(aug, ex.labels, ex.env))
-        loss = minimize_mean(model.trainable_params(), losses, hyper)
+        loss = minimize_mean(model.params, losses, hyper)
         return loss, f"step={step} loss={loss:.6f}"
 
     def evaluate(step, _loss):
@@ -273,9 +282,9 @@ def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
     rate, counts, ref_words = corpus_wer(pairs)
     out_dir = cfg.out_path()
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "hypotheses.txt").write_text("\n".join(hyps) + "\n", encoding="utf-8")
+    _write_lines(out_dir / "hypotheses.txt", hyps)
     report = format_wer_report(rate, counts)
-    (out_dir / "wer_report.txt").write_text(report + "\n", encoding="utf-8")
+    _write_lines(out_dir / "wer_report.txt", [report])
     print(report)
     return {"wer": rate, "report": report, "reference_words": ref_words,
             "hypotheses": str(out_dir / "hypotheses.txt")}

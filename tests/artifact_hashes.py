@@ -12,11 +12,12 @@ directory (checkpoints store the config, paths included), and compare:
 The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
 --seed 11``, one out_dir each:
 
-- ``toy``: pretraining, cross-attention ASR training, eval;
+- ``toy``: pretraining, cross-attention ASR training, eval, then tokenize
+  (codebooks loaded from disk, token TSVs written);
 - ``patience``: pretraining with ``patience = 2``, ``eval_every = 7``, which
   stops early;
 - ``baseline``: f64 ``self_attention_baseline`` ASR training without early
-  stop, 95 steps with ``eval_every = 40`` (not a multiple);
+  stop, 95 steps with ``eval_every = 40`` (not a multiple), then eval;
 - ``resume``: pretraining to step 150, then resumed from its checkpoint to 300.
 
 Only the runner's public entry points are used, so any commit can be hashed.
@@ -31,7 +32,7 @@ import sys
 from pathlib import Path
 
 from envasr.pipeline import (generate_synthetic_corpus, run_asr_training, run_eval,
-                             run_pretraining, write_corpus)
+                             run_pretraining, run_tokenize, write_corpus)
 from envasr.pipeline.config import parse_config_lines
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
@@ -50,10 +51,13 @@ def run_all(work: Path) -> None:
     run_pretraining(toy)
     run_asr_training(toy)
     run_eval(toy)
+    run_tokenize(toy)
     run_pretraining(config(work, "patience", patience=2, eval_every=7))
-    run_asr_training(config(work, "baseline", max_steps=95, eval_every=40,
-                            **{"asr.fusion_mode": "self_attention_baseline",
-                               "asr.dtype": "f64", "asr.early_stop_wer": -1.0}))
+    baseline = config(work, "baseline", max_steps=95, eval_every=40,
+                      **{"asr.fusion_mode": "self_attention_baseline",
+                         "asr.dtype": "f64", "asr.early_stop_wer": -1.0})
+    run_asr_training(baseline)
+    run_eval(baseline)
     run_pretraining(config(work, "resume", max_steps=150))
     resumed = config(work, "resume")
     run_pretraining(resumed, resume=str(resumed.pretrain_ckpt_path()))

@@ -1,10 +1,11 @@
 """Independent reference implementations the tests check against.
 
 These deliberately avoid the library's own code paths: naive loops,
-exhaustive enumeration, and plain DP recurrences. The two exceptions are
-``make_lattice``, a test helper that bundles the library's transducer sums,
-and ``gelu_composite``, GELU spelled out as a chain of the engine's
-elementwise ops.
+exhaustive enumeration, and plain DP recurrences. The exceptions are
+``make_lattice``, a test helper that bundles the library's transducer sums;
+``gelu_composite``, GELU spelled out as a chain of the engine's elementwise
+ops plus a ``power`` node defined here; and ``check_gradients``, which
+compares the engine's reverse-mode gradients with central differences.
 """
 
 from dataclasses import dataclass
@@ -42,11 +43,66 @@ def cross_entropy_logsumexp(logits, targets):
     return total / len(targets)
 
 
+def power(a, exponent):
+    """Elementwise a ** exponent as one autodiff node (numpy's float power)."""
+    exponent = float(exponent)
+    out = ad._node(a.data ** exponent, (a,))
+
+    def backward():
+        ad._accum(a, out.grad * exponent * a.data ** (exponent - 1.0))
+
+    return ad._finish(out, backward, "power")
+
+
 def gelu_composite(a):
     """tanh-form GELU as eight autodiff nodes (power, mul, add, mul, tanh,
     add, mul, mul); each node's backward is the engine's own."""
-    inner = ad.mul(ad.add(a, ad.mul(ad.power(a, 3.0), 0.044715)), ad._GELU_C)
+    inner = ad.mul(ad.add(a, ad.mul(power(a, 3.0), 0.044715)), ad._GELU_C)
     return ad.mul(ad.mul(a, ad.add(ad.tanh(inner), 1.0)), 0.5)
+
+
+def numeric_gradient(f, t, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of the scalar f() w.r.t. t.data."""
+    g = np.zeros_like(t.data)
+    flat = t.data.reshape(-1)
+    gf = g.reshape(-1)
+    with ad.no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = float(f().data)
+            flat[i] = orig - h
+            fm = float(f().data)
+            flat[i] = orig
+            gf[i] = (fp - fm) / (2.0 * h)
+    return g
+
+
+def check_gradients(f, wrt, rtol: float = 1e-4, atol: float = 1e-7, h: float = 1e-5) -> float:
+    """Compare reverse-mode gradients of scalar f() against central differences.
+
+    Returns the worst relative error and raises AssertionError past tolerance.
+    """
+    wrt = list(wrt)
+    for t in wrt:
+        t.grad = None
+    loss = f()
+    loss.backward()
+    worst = 0.0
+    for t in wrt:
+        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
+        numeric = numeric_gradient(f, t, h=h)
+        denom = np.maximum(np.abs(analytic), np.abs(numeric))
+        err = np.abs(analytic - numeric)
+        rel = err / np.maximum(denom, atol / rtol)
+        worst = max(worst, float(rel.max()) if rel.size else 0.0)
+        if not np.all(err <= atol + rtol * denom):
+            idx = np.unravel_index(np.argmax(err - rtol * denom), err.shape)
+            raise AssertionError(
+                f"gradient mismatch at {idx}: analytic {analytic[idx]:.8g} "
+                f"vs numeric {numeric[idx]:.8g}"
+            )
+    return worst
 
 
 def adam_scalar_trajectory(x0, grads, lr, beta1, beta2, eps):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from envasr import autodiff as ad
-from envasr.autodiff import Tensor, check_gradients
+from envasr.autodiff import Tensor
 from envasr.asr.conformer import (BASELINE, CROSS, AsrModel, ConformerConfig,
-                                  FusionAttention, build_models, subsample_length)
+                                  build_models, subsample_length)
 from envasr.env_encoder import EnvEmbeddings
-from envasr.optim import ParameterSet, adam_step, count_parameters
-from envasr.rng import substream
+from envasr.optim import adam_step, count_parameters
+
+from oracles import check_gradients
 
 
 def micro_config(**kw):
@@ -78,24 +79,28 @@ class TestConformerBlock:
 
 
 class TestFusionAttention:
-    def build(self, mode, rng_seed=0, dim=8, heads=2):
-        params = ParameterSet()
-        layer = FusionAttention(params, "fusion", dim, heads, mode,
-                                substream(rng_seed, "t"), np.float64)
-        return layer, params
+    """The per-block fusion sublayer: `ad.mha` on the `block<i>.fusion.*`
+    weights, keys and values from the projected env (cross) or from its own
+    input (parity baseline)."""
+
+    def fuse(self, model, x, kv):
+        return ad.mha(model.params, "block0.fusion", x, kv, model.config.heads)[0]
 
     def test_single_env_vector_gives_identical_rows(self, rng):
-        layer, _ = self.build(CROSS)
+        model = AsrModel(micro_config(), seed=0)
         x = Tensor(rng.standard_normal((5, 8)))
         env = Tensor(rng.standard_normal((1, 8)))
-        out = layer(x, env).data
+        out = self.fuse(model, x, env).data
         for row in out[1:]:
             np.testing.assert_allclose(row, out[0], atol=1e-12)
 
     def test_parameter_parity_between_modes(self):
-        _, p_cross = self.build(CROSS)
-        _, p_base = self.build(BASELINE)
-        assert count_parameters(p_cross) == count_parameters(p_base)
+        def fusion_count(mode):
+            params = AsrModel(micro_config(fusion_mode=mode), seed=0).params
+            return sum(p.data.size for name, p in params.items()
+                       if name.startswith("block0.fusion."))
+
+        assert fusion_count(CROSS) == fusion_count(BASELINE) == 2 * 8 + 4 * (8 * 8 + 8)
 
     def test_env_gradient_slot_stays_empty(self, rng):
         model = AsrModel(micro_config(), seed=1)
@@ -104,15 +109,15 @@ class TestFusionAttention:
         env_proj = ad.add(ad.matmul(frozen, model.params["env_adapter.w"]),
                           model.params["env_adapter.b"])
         x = Tensor(rng.standard_normal((4, 8)))
-        out = model.fusion[0](x, env_proj)
+        out = model.block(0, x, env_proj)
         ad.sum_(ad.mul(out, out)).backward()
         assert frozen.grad is None
         assert model.params["env_adapter.w"].grad is not None
 
     def test_cross_mode_requires_env(self, rng):
-        layer, _ = self.build(CROSS)
-        with pytest.raises(ValueError, match="requires env"):
-            layer(Tensor(rng.standard_normal((3, 8))), None)
+        model = AsrModel(micro_config(), seed=0)
+        with pytest.raises(ValueError, match="needs env"):
+            model.loss(rng.standard_normal((7, 6)), np.array([1]), None)
 
     def test_output_reads_env_content(self, rng):
         model = AsrModel(micro_config(), seed=2)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from envasr import autodiff as ad
-from envasr.autodiff import Tensor, check_gradients
+from envasr.autodiff import Tensor
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, MultimodalBatch,
                                 extract_env_embeddings, masked_accuracy,
                                 parameter_hash, pretrain_step)
 from envasr.masking import MaskSchedule, mask_params_at
 from envasr.optim import AdamHyper
+
+from oracles import check_gradients
 
 
 def toy_config(**kw):
@@ -160,7 +162,7 @@ class TestPretrainStep:
         model = EnvEncoder(cfg, seed=0)
         batch = toy_batch(rng, cfg, n_audio=8)
         hyper = AdamHyper(lr=1e-3)
-        losses = [pretrain_step(model, batch, hyper, step, seed=3)[0]
+        losses = [pretrain_step(model, [batch], hyper, step, seed=3)[0]
                   for step in range(100)]
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
@@ -171,14 +173,14 @@ class TestPretrainStep:
         for _ in range(2):
             model = EnvEncoder(cfg, seed=4)
             hyper = AdamHyper()
-            runs.append([pretrain_step(model, batch, hyper, s, seed=9)[0]
+            runs.append([pretrain_step(model, [batch], hyper, s, seed=9)[0]
                          for s in range(5)])
         assert runs[0] == runs[1]
 
     def test_perplexity_is_exp_loss(self, rng):
         cfg = toy_config()
         model = EnvEncoder(cfg, seed=0)
-        loss, ppl = pretrain_step(model, toy_batch(rng, cfg), AdamHyper(), 0, 1)
+        loss, ppl = pretrain_step(model, [toy_batch(rng, cfg)], AdamHyper(), 0, 1)
         assert ppl == pytest.approx(np.exp(loss))
 
     def test_mask_width_changes_across_stage_boundary(self):

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from envasr.env_encoder import EnvEncoder, EnvEncoderConfig, extract_env_embeddings
+from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, extract_env_embeddings,
+                                parameter_hash)
 from envasr.features import read_wav
 from envasr.pipeline import (RunConfig, config_lines, generate_synthetic_corpus,
                              load_config, load_checkpoint, load_manifest,
@@ -19,6 +20,11 @@ from envasr.serialize import read_raw_array, write_raw_array
 
 def fail_replace(src, dst):
     raise OSError("injected failure before the rename")
+
+
+def lookup(cache_dir, name, model, audio):
+    return cached_env_embeddings(cache_dir, name, model, audio,
+                                 parameter_hash(model.params))
 
 
 class TestConfig:
@@ -238,19 +244,19 @@ class TestDataPlumbing:
     def test_env_cache_bitwise_stable(self, tmp_path, rng):
         model = micro_env_model()
         audio = rng.standard_normal((5, 6)).astype(np.float32)
-        a = cached_env_embeddings(tmp_path / "cache", "u0", model, audio)
-        b = cached_env_embeddings(tmp_path / "cache", "u0", model, audio)
+        a = lookup(tmp_path / "cache", "u0", model, audio)
+        b = lookup(tmp_path / "cache", "u0", model, audio)
         np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_env_cache_rewrites_entry_for_other_patches_or_model(self, tmp_path, rng):
         cache = tmp_path / "cache"
         first = rng.standard_normal((5, 6))
-        cached_env_embeddings(cache, "u0", micro_env_model(), first)
+        lookup(cache, "u0", micro_env_model(), first)
         other = rng.standard_normal((7, 6))  # same name, another utterance
-        env = cached_env_embeddings(cache, "u0", micro_env_model(), other)
+        env = lookup(cache, "u0", micro_env_model(), other)
         assert env.vectors.shape == (7, 8)
         retrained = micro_env_model(seed=1)  # same patches, other weights
-        env = cached_env_embeddings(cache, "u0", retrained, other)
+        env = lookup(cache, "u0", retrained, other)
         want = extract_env_embeddings(retrained, other).vectors.astype(np.float32)
         np.testing.assert_array_equal(env.vectors, want)
         np.testing.assert_array_equal(read_raw_array(cache / "u0.env"), want)

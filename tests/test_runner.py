@@ -1,6 +1,7 @@
 """Stage-driver behavior on small runs (full-strength runs live in the
 acceptance suite)."""
 
+import os
 import re
 import shutil
 from dataclasses import replace
@@ -8,14 +9,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from envasr.asr.conformer import AsrModel
 from envasr.env_encoder import EnvEncoder, extract_env_embeddings
 from envasr.features import whiten_clip
-from envasr.pipeline import (RunConfig, config_lines, env_encoder_config,
-                             generate_synthetic_corpus, load_checkpoint,
+from envasr.optim import adam_step
+from envasr.pipeline import (RunConfig, config_lines, conformer_config,
+                             env_encoder_config, generate_synthetic_corpus,
+                             load_checkpoint,
                              run_asr_training, run_eval, run_pretraining,
                              run_tokenize, save_checkpoint, write_corpus)
-from envasr.pipeline.corpus import (SyntheticCorpus, SyntheticUtterance, synth_clip,
-                                    synth_wave)
+from envasr.pipeline.corpus import (SYMBOLS, SyntheticCorpus, SyntheticUtterance,
+                                    synth_clip, synth_wave)
 from envasr.pipeline.data import ensure_whitener, load_corpus
 from envasr.pipeline import runner
 from envasr.pipeline.runner import _load_env_model
@@ -56,6 +60,19 @@ class TestTokenize:
         ids_after = (cfg.codebook_path() / "tokens_audio.tsv").read_text()
         assert ids_before == ids_after
         assert first["vocab_size"] == second["vocab_size"] == 24
+
+    def test_corpus_without_clips_drops_stale_video_tokens(self, tmp_path, corpus16):
+        cb_dir = tmp_path / "cb"
+        run_tokenize(toy_cfg(corpus16, tmp_path / "out", codebook_dir=str(cb_dir)))
+        assert (cb_dir / "tokens_video.tsv").is_file()
+        audio_only = tmp_path / "audio_only"
+        shutil.copytree(corpus16, audio_only)
+        for clip in audio_only.rglob("*.clip"):
+            clip.unlink()
+        # codebooks come from disk, so this corpus needs no video to tokenize
+        run_tokenize(toy_cfg(audio_only, tmp_path / "out", codebook_dir=str(cb_dir)))
+        assert (cb_dir / "tokens_audio.tsv").is_file()
+        assert not (cb_dir / "tokens_video.tsv").exists()
 
 
 class TestPretrainingRunner:
@@ -193,6 +210,47 @@ class TestAsrRunner:
         summary = run_asr_training(cfg)
         assert summary["steps_run"] == 4
         assert summary["env_hash_before"] is None
+
+    def test_baseline_step_leaves_env_adapter_frozen(self, tmp_path, corpus16, capsys):
+        cfg = toy_cfg(corpus16, tmp_path / "base", max_steps=1, checkpoint_every=1,
+                      eval_every=1, asr_fusion_mode="self_attention_baseline")
+        params = run_asr_training(cfg)["model"].params
+        init = AsrModel(conformer_config(cfg, vocab_size=len(SYMBOLS)), seed=cfg.seed)
+        for name, p in params.items():
+            st = params.state(name)
+            if name.startswith("env_adapter."):
+                np.testing.assert_array_equal(p.data, init.params[name].data)
+                assert not st.m.any() and not st.v.any() and st.t == 0
+            else:
+                assert not np.array_equal(p.data, init.params[name].data), name
+                assert st.t == 1
+        for name, p in params.items():
+            if p.requires_grad and name != "joint.b_out":
+                p.grad = np.zeros_like(p.data)
+        with pytest.raises(ValueError, match="missing gradient for joint.b_out$"):
+            adam_step(params, 1e-3)
+
+    def test_failed_eval_write_keeps_previous_outputs(self, tmp_path, corpus16,
+                                                      monkeypatch, capsys):
+        cfg = toy_cfg(corpus16, tmp_path / "base", max_steps=1, checkpoint_every=1,
+                      eval_every=1, asr_fusion_mode="self_attention_baseline")
+        run_asr_training(cfg)
+        previous = {"hypotheses.txt": b"older hypotheses\n",
+                    "wer_report.txt": b"wer 1.0000 from an older run\n"}
+        for name, data in previous.items():
+            (cfg.out_path() / name).write_bytes(data)
+        before = sorted(os.listdir(cfg.out_path()))
+
+        def fail_replace(src, dst):
+            raise OSError("injected failure before the rename")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="injected"):
+            run_eval(cfg)
+        monkeypatch.undo()
+        for name, data in previous.items():
+            assert (cfg.out_path() / name).read_bytes() == data
+        assert sorted(os.listdir(cfg.out_path())) == before
 
     def test_freeze_contract_and_logs(self, tmp_path, corpus16, capsys):
         cfg = self.make_pretrained(tmp_path, corpus16, capsys)

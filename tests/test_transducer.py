@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from envasr import autodiff as ad
-from envasr.autodiff import Tensor, check_gradients
+from envasr.autodiff import Tensor
 from envasr.asr.conformer import AsrModel, ConformerConfig
 from envasr.asr.transducer import (greedy_decode, rnnt_alphas, rnnt_betas,
                                    rnnt_grad, rnnt_loss)
 from envasr.env_encoder import EnvEmbeddings
 
-from oracles import (make_lattice, transducer_alphas_loop, transducer_betas_loop,
-                     transducer_grad_loop, transducer_loglik_enumerate)
+from oracles import (check_gradients, make_lattice, transducer_alphas_loop,
+                     transducer_betas_loop, transducer_grad_loop,
+                     transducer_loglik_enumerate)
 
 
 def random_log_probs(rng, t, u, v):
