@@ -139,6 +139,7 @@ class AsrModel:
         if config.fusion_mode == BASELINE:
             for name in ("env_adapter.w", "env_adapter.b"):
                 self.params[name].requires_grad = False
+        self.params.pack()
 
     def _const(self, arr) -> Tensor:
         return Tensor(np.asarray(arr, dtype=self.np_dtype))

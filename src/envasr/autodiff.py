@@ -45,9 +45,10 @@ def debug_checks():
 
 
 class Tensor:
-    """N-dimensional array with an optional gradient slot."""
+    """N-dimensional array with an optional gradient slot. A packed parameter
+    also holds `_grad_buf`, its slice of the set's flat gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_buf")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -60,6 +61,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        self._grad_buf = None
 
     @property
     def shape(self):
@@ -127,13 +129,14 @@ def _toposort(root: Tensor):
     stack = [(root, iter(root._parents))]
     while stack:
         node, parents = stack[-1]
-        nxt = next((p for p in parents if id(p) not in visited), None)
-        if nxt is None:
+        for p in parents:
+            if id(p) not in visited:
+                visited.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
             topo.append(node)
             stack.pop()
-        else:
-            visited.add(id(nxt))
-            stack.append((nxt, iter(nxt._parents)))
     return topo
 
 
@@ -162,7 +165,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        if t._grad_buf is None:
+            t.grad = np.array(g, dtype=t.data.dtype)
+        else:
+            np.copyto(t._grad_buf, g)
+            t.grad = t._grad_buf
     else:
         t.grad += g
 

@@ -132,6 +132,7 @@ class EnvEncoder:
         # small head init keeps fresh-model predictions near uniform
         add(rng, "head.w", (d, config.vocab_size), table=True)
         add(rng, "head.b", (config.vocab_size,), zero=True)
+        self.params.pack()
 
     def _const(self, arr) -> Tensor:
         return Tensor(np.asarray(arr, dtype=self.np_dtype))

@@ -7,6 +7,8 @@ so that save -> load -> save is byte-identical and training resumes exactly.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..optim import ParameterSet
 from ..serialize import atomic_write, pack_tensors, unpack_tensors
 
@@ -88,7 +90,8 @@ def load_checkpoint(path) -> Checkpoint:
 def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
     """Load parameters and optimizer state in place; shapes must match."""
     for name, p in params.items():
-        for prefix, target in (("p", None), ("m", "m"), ("v", "v")):
+        st = params.state(name)
+        for prefix, target in (("p", p.data), ("m", st.m), ("v", st.v)):
             key = f"{prefix}.{name}"
             if key not in ckpt.tensors:
                 raise ValueError(f"checkpoint is missing tensor {key}")
@@ -97,14 +100,10 @@ def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
                 raise ValueError(
                     f"shape mismatch for {key}: checkpoint {arr.shape}, "
                     f"model {p.data.shape}")
-            arr = arr.astype(p.data.dtype, copy=True)
-            if target is None:
-                p.data = arr
-            else:
-                setattr(params.state(name), target, arr)
+            np.copyto(target, arr, casting="unsafe")
         if name not in ckpt.adam_t:
             raise ValueError(f"checkpoint is missing Adam step for {name}")
-        params.state(name).t = ckpt.adam_t[name]
+        st.t = ckpt.adam_t[name]
         p.grad = None
     extra = [k for k in ckpt.tensors if k.split(".", 1)[1] not in params]
     if extra:

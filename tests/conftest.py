@@ -1,5 +1,12 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# Appended, not prepended: a `src` named on PYTHONPATH (another checkout's,
+# say) is imported in preference to this checkout's.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from envasr.pipeline import generate_synthetic_corpus, write_corpus
 

@@ -4,8 +4,11 @@ These deliberately avoid the library's own code paths: naive loops,
 exhaustive enumeration, and plain DP recurrences. The exceptions are
 ``make_lattice``, a test helper that bundles the library's transducer sums;
 ``gelu_composite``, GELU spelled out as a chain of the engine's elementwise
-ops plus a ``power`` node defined here; and ``check_gradients``, which
-compares the engine's reverse-mode gradients with central differences.
+ops plus a ``power`` node defined here; ``check_gradients``, which
+compares the engine's reverse-mode gradients with central differences; and
+``adam_step_per_tensor`` and ``toposort_dfs``, the engine's earlier Adam
+update and tape sort, which the flat-buffer update and the loop-based sort
+must reproduce exactly.
 """
 
 from dataclasses import dataclass
@@ -117,6 +120,42 @@ def adam_scalar_trajectory(x0, grads, lr, beta1, beta2, eps):
         x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
         history.append(x)
     return history
+
+
+def adam_step_per_tensor(params, lr, beta1=0.9, beta2=0.99, eps=1e-8):
+    """Adam one parameter array at a time, allocating fresh moments; for an
+    unpacked ParameterSet (it rebinds ``m`` and ``v``)."""
+    live = [(name, p) for name, p in params.items() if p.requires_grad]
+    missing = [name for name, p in live if p.grad is None]
+    if missing:
+        raise ValueError(f"adam_step: missing gradient for {missing[0]}")
+    for name, p in live:
+        st = params.state(name)
+        g = p.grad
+        st.t += 1
+        st.m = beta1 * st.m + (1.0 - beta1) * g
+        st.v = beta2 * st.v + (1.0 - beta2) * (g * g)
+        m_hat = st.m / (1.0 - beta1 ** st.t)
+        v_hat = st.v / (1.0 - beta2 ** st.t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.grad = None
+
+
+def toposort_dfs(root):
+    """Post-order DFS over the parent DAG, one ``next(genexpr)`` per visit."""
+    topo = []
+    visited = {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        nxt = next((p for p in parents if id(p) not in visited), None)
+        if nxt is None:
+            topo.append(node)
+            stack.pop()
+        else:
+            visited.add(id(nxt))
+            stack.append((nxt, iter(nxt._parents)))
+    return topo
 
 
 def nearest_center_exhaustive(vectors, centers):

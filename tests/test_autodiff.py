@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from envasr import autodiff as ad
+from envasr.asr.conformer import AsrModel, ConformerConfig
 from envasr.autodiff import Tensor, debug_checks, no_grad
+from envasr.env_encoder import (EnvEmbeddings, EnvEncoder, EnvEncoderConfig,
+                                MultimodalBatch, pretrain_step)
+from envasr.optim import AdamHyper
 
 from oracles import (check_gradients, cross_entropy_logsumexp, gelu_composite,
-                     matmul_triple_loop, softmax_direct)
+                     matmul_triple_loop, softmax_direct, toposort_dfs)
 
 
 def t(data, grad=False):
@@ -314,6 +318,52 @@ class TestFusedGelu:
         with debug_checks():
             with pytest.raises(FloatingPointError, match="'gelu'"):
                 ad.gelu(t([1.0, np.nan]))
+
+
+class TestToposort:
+    """The engine's tape sort visits nodes in the oracle DFS's order."""
+
+    @staticmethod
+    def assert_same_order(root):
+        got, want = ad._toposort(root), toposort_dfs(root)
+        assert len(got) == len(want) == len({id(n) for n in got})
+        assert all(a is b for a, b in zip(got, want))
+        return len(got)
+
+    def test_diamond_with_shared_subgraph(self, rng):
+        x, w = t(rng.standard_normal(3), grad=True), t(rng.standard_normal(3), grad=True)
+        shared = ad.tanh(ad.mul(x, w))
+        left, right = ad.mul(shared, x), ad.sigmoid(ad.add(shared, w))
+        root = ad.sum_(ad.add(ad.mul(left, right), ad.mul(shared, shared)))
+        assert self.assert_same_order(root) == 11
+
+    def test_pretrain_step_graph_at_batch_4(self, rng, monkeypatch):
+        cfg = EnvEncoderConfig(model_dim=16, num_blocks=2, heads=4, vocab_size=24,
+                               audio_patch_dim=12, video_patch_dim=20,
+                               max_audio_positions=32, max_video_steps=8,
+                               max_grid_rows=4, max_grid_cols=4)
+        batches = [MultimodalBatch(audio_patches=rng.standard_normal((5, 12)),
+                                   video_patches=rng.standard_normal((8, 20)),
+                                   video_grid=(2, 2, 2),
+                                   labels=rng.integers(0, 24, 13)) for _ in range(4)]
+        sizes = []
+        backward = Tensor.backward
+
+        def checked_backward(self):
+            sizes.append(TestToposort.assert_same_order(self))
+            backward(self)
+
+        monkeypatch.setattr(Tensor, "backward", checked_backward)
+        pretrain_step(EnvEncoder(cfg, seed=0), batches, AdamHyper(), step=0)
+        assert len(sizes) == 1 and sizes[0] > 400
+
+    def test_asr_loss_graph(self, rng):
+        cfg = ConformerConfig(model_dim=8, num_blocks=2, heads=2, conv_kernel=3,
+                              env_dim=4, feature_dim=6, vocab_size=3)
+        model = AsrModel(cfg, seed=0)
+        loss = model.loss(rng.standard_normal((11, 6)), np.array([1, 0, 2]),
+                          EnvEmbeddings(rng.standard_normal((4, 4))))
+        assert self.assert_same_order(loss) > 300
 
 
 class TestDeterminismAndChecks:

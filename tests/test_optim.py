@@ -3,10 +3,11 @@ import pytest
 
 from envasr import autodiff as ad
 from envasr.autodiff import Tensor
-from envasr.optim import (AdamHyper, ParameterSet, adam_step, count_parameters,
-                          init_param, minimize_mean)
+from envasr.optim import (ADAM_CHUNK, AdamHyper, ParameterSet, adam_step,
+                          count_parameters, init_param, minimize_mean)
+from envasr.pipeline.checkpoint import Checkpoint, restore_params
 
-from oracles import adam_scalar_trajectory
+from oracles import adam_scalar_trajectory, adam_step_per_tensor
 
 
 def make_params(values):
@@ -64,6 +65,72 @@ class TestAdam:
         assert params["w"].grad is None
 
 
+class TestAdamMatchesPerTensorOracle:
+    """The chunked flat-buffer update against the per-tensor one, bit for bit."""
+
+    # 286,022 elements: `a.w` alone spans three chunks, and `b.frozen` sits
+    # between live parameters in name order.
+    SHAPES = {"a.w": (300, 500), "b.frozen": (70_000,), "c.b": (7,),
+              "d.w": (3, 5), "e.t": (2, 33_000)}
+    ADAM_T = {"a.w": 2, "b.frozen": 0, "c.b": 2, "d.w": 5, "e.t": 9}
+
+    def two_sets(self, dtype, rng):
+        values = {n: rng.standard_normal(s).astype(dtype) for n, s in self.SHAPES.items()}
+        tensors = {}
+        for name, shape in self.SHAPES.items():
+            tensors[f"p.{name}"] = values[name] + 1.0
+            tensors[f"m.{name}"] = 0.1 * rng.standard_normal(shape)
+            tensors[f"v.{name}"] = 0.01 * rng.random(shape)
+        ckpt = Checkpoint(0, 0, [], tensors, dict(self.ADAM_T))
+        packed, oracle = ParameterSet(), ParameterSet()
+        for params in (packed, oracle):
+            for name, v in values.items():
+                params.add(name, v.copy())
+            params["b.frozen"].requires_grad = False
+        packed.pack()
+        for params in (packed, oracle):
+            restore_params(params, ckpt)
+        return packed, oracle
+
+    @staticmethod
+    def backward(params, weights):
+        terms = []
+        for name, (w1, w2) in weights.items():
+            p = params[name]
+            terms.append(ad.sum_(ad.mul(p, Tensor(w1))))
+            terms.append(ad.sum_(ad.mul(ad.mul(p, p), Tensor(w2))))  # second use: +=
+        sum(terms[1:], terms[0]).backward()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_five_steps_bit_identical(self, dtype, rng):
+        assert sum(np.prod(s) for s in self.SHAPES.values()) > 2 * ADAM_CHUNK
+        packed, oracle = self.two_sets(dtype, rng)
+        frozen = packed["b.frozen"].data.copy()
+        live = [n for n in self.SHAPES if n != "b.frozen"]
+        for step in range(5):
+            if step % 2:
+                for name in live:
+                    g = rng.standard_normal(self.SHAPES[name]).astype(dtype)
+                    packed[name].grad, oracle[name].grad = g.copy(), g
+            else:
+                weights = {n: tuple(rng.standard_normal(self.SHAPES[n]).astype(dtype)
+                                    for _ in range(2)) for n in live}
+                for params in (packed, oracle):
+                    self.backward(params, weights)
+                assert np.shares_memory(packed["a.w"].grad, packed._flat.grad)
+                g = rng.standard_normal(7).astype(dtype)
+                packed["c.b"].grad, oracle["c.b"].grad = g.copy(), g
+            adam_step(packed, 1e-2, 0.9, 0.99, 1e-8)
+            adam_step_per_tensor(oracle, 1e-2, 0.9, 0.99, 1e-8)
+            for name in self.SHAPES:
+                got, want = packed.state(name), oracle.state(name)
+                assert np.array_equal(packed[name].data, oracle[name].data), (step, name)
+                assert np.array_equal(got.m, want.m) and np.array_equal(got.v, want.v)
+                assert got.t == want.t == self.ADAM_T[name] + (step + 1) * (name in live)
+                assert packed[name].data.dtype == got.m.dtype == dtype
+        np.testing.assert_array_equal(packed["b.frozen"].data, frozen)
+
+
 class TestMinimizeMean:
     def test_two_losses_update_like_backward_on_their_mean(self, rng):
         start, a, b = rng.standard_normal((3, 4))
@@ -100,6 +167,43 @@ class TestParameterSet:
     def test_iteration_sorted_by_name(self):
         params = make_params({"b": [1.0], "a": [2.0], "c": [3.0]})
         assert [name for name, _ in params.items()] == ["a", "b", "c"]
+
+    def test_pack_makes_views_of_flat_buffers(self, rng):
+        params = make_params({"b": rng.standard_normal(3), "a": rng.standard_normal((2, 2))})
+        before = {name: p.data.copy() for name, p in params.items()}
+        params.pack()
+        flat = params._flat
+        assert flat.data.size == 7
+        np.testing.assert_array_equal(flat.data, np.concatenate(
+            [before["a"].ravel(), before["b"]]))
+        for name, p in params.items():
+            st = params.state(name)
+            np.testing.assert_array_equal(p.data, before[name])
+            for arr, buf in ((p.data, flat.data), (st.m, flat.m), (st.v, flat.v),
+                             (p._grad_buf, flat.grad)):
+                assert arr.shape == p.data.shape and np.shares_memory(arr, buf)
+        views = [p.data for _, p in params.items()]
+        params.pack()  # a second pack does nothing
+        assert [p.data for _, p in params.items()] == views
+        assert params._flat is flat
+
+    def test_add_after_pack_rejected(self):
+        params = make_params({"w": [1.0]})
+        params.pack()
+        with pytest.raises(ValueError, match="cannot add b: the parameter set is packed"):
+            params.add("b", np.zeros(2))
+
+    def test_mixed_dtypes_rejected(self):
+        params = make_params({"w": [1.0]})
+        params.add("h", np.zeros(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="mixed dtypes: float32, float64"):
+            params.pack()
+
+    def test_adam_step_packs_hand_built_set(self):
+        params = make_params({"w": [1.0, 2.0]})
+        params["w"].grad = np.array([0.5, -0.5])
+        adam_step(params, lr=0.1)
+        assert np.shares_memory(params["w"].data, params._flat.data)
 
     def test_moments_match_parameter_shape(self, rng):
         params = make_params({"w": rng.standard_normal((3, 4))})

@@ -103,6 +103,23 @@ class TestCheckpoint:
                                           other.params.state(name).m)
             assert other.params.state(name).t == 1
 
+    def test_restore_writes_into_flat_buffers(self, tmp_path, rng):
+        model = micro_env_model()
+        for _, p in model.params.items():
+            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+        from envasr.optim import adam_step
+        adam_step(model.params, 1e-3)
+        save_checkpoint(tmp_path / "c.ckpt", model.params, 1, 1, [])
+        other = micro_env_model(seed=5)
+        flat = other.params._flat
+        restore_params(other.params, load_checkpoint(tmp_path / "c.ckpt"))
+        np.testing.assert_array_equal(flat.data, model.params._flat.data)
+        np.testing.assert_array_equal(flat.v, model.params._flat.v)
+        for name, p in other.params.items():
+            st = other.params.state(name)
+            assert np.shares_memory(p.data, flat.data), name
+            assert np.shares_memory(st.m, flat.m) and np.shares_memory(st.v, flat.v)
+
     def test_mismatched_config_shape_error(self, tmp_path):
         model = micro_env_model()
         save_checkpoint(tmp_path / "c.ckpt", model.params, 0, 0, [])
