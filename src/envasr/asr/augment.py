@@ -7,16 +7,18 @@ import numpy as np
 
 @dataclass
 class SpecAugmentPolicy:
-    n_freq_masks: int = 2
-    max_freq_width: int = 12
-    n_time_masks: int = 2
-    max_time_width: int = 10
+    """The ``augment.*`` config section: how many masks of each kind a
+    training example gets, and the widest each may be."""
+
+    freq_masks: int = 2
+    freq_width: int = 12
+    time_masks: int = 2
+    time_width: int = 10
 
     def __post_init__(self):
-        if min(self.n_freq_masks, self.n_time_masks) < 0:
-            raise ValueError("mask counts must be non-negative")
-        if min(self.max_freq_width, self.max_time_width) < 0:
-            raise ValueError("mask widths must be non-negative")
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"augment.{name} must be non-negative, got {value}")
 
 
 def specaugment(features: np.ndarray, policy: SpecAugmentPolicy,
@@ -24,16 +26,16 @@ def specaugment(features: np.ndarray, policy: SpecAugmentPolicy,
     """Zero up to n random frequency bands and time spans of a (T, D) matrix."""
     x = np.array(features, dtype=np.float64)
     t, d = x.shape
-    if policy.max_freq_width > d:
-        raise ValueError(f"frequency mask width {policy.max_freq_width} exceeds {d} dims")
-    if policy.max_time_width > t:
-        raise ValueError(f"time mask width {policy.max_time_width} exceeds {t} frames")
-    for _ in range(policy.n_freq_masks):
-        f = int(rng.integers(0, policy.max_freq_width + 1))
+    if policy.freq_width > d:
+        raise ValueError(f"frequency mask width {policy.freq_width} exceeds {d} dims")
+    if policy.time_width > t:
+        raise ValueError(f"time mask width {policy.time_width} exceeds {t} frames")
+    for _ in range(policy.freq_masks):
+        f = int(rng.integers(0, policy.freq_width + 1))
         f0 = int(rng.integers(0, d - f + 1))
         x[:, f0 : f0 + f] = 0.0
-    for _ in range(policy.n_time_masks):
-        w = int(rng.integers(0, policy.max_time_width + 1))
+    for _ in range(policy.time_masks):
+        w = int(rng.integers(0, policy.time_width + 1))
         t0 = int(rng.integers(0, t - w + 1))
         x[t0 : t0 + w, :] = 0.0
     return x

@@ -8,30 +8,37 @@ With lam = ln(100) each stage ends within 1% of the target probability.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+RAMP_RATE = math.log(100.0)  # lam above
 
 
 @dataclass
 class MaskSchedule:
+    """The ``schedule.*`` config section."""
+
     p_init: float = 0.15
     p_final: float = 0.45
     width_init: int = 1
     width_final: int = 11
     width_step: int = 2
     stage_steps: int = 10000
-    ramp_rate: float = field(default_factory=lambda: math.log(100.0))
 
     def __post_init__(self):
         if self.width_init % 2 == 0 or self.width_final % 2 == 0:
-            raise ValueError("mask widths must be odd")
+            raise ValueError("schedule.width_init and schedule.width_final must be odd, "
+                             f"got {self.width_init} and {self.width_final}")
         if self.width_step % 2 != 0 or self.width_step <= 0:
-            raise ValueError("width_step must be a positive even increment")
+            raise ValueError("schedule.width_step must be a positive even increment, "
+                             f"got {self.width_step}")
         if not (0.0 <= self.p_init <= self.p_final <= 1.0):
-            raise ValueError("need 0 <= p_init <= p_final <= 1")
+            raise ValueError("need 0 <= schedule.p_init <= schedule.p_final <= 1, "
+                             f"got {self.p_init} and {self.p_final}")
         if self.stage_steps < 1:
-            raise ValueError("stage_steps must be positive")
+            raise ValueError("schedule.stage_steps must be positive, "
+                             f"got {self.stage_steps}")
 
 
 @dataclass
@@ -53,7 +60,7 @@ def mask_params_at(sched: MaskSchedule, step: int):
     stage = step // sched.stage_steps
     width = min(sched.width_init + sched.width_step * stage, sched.width_final)
     t = step - stage * sched.stage_steps
-    ramp = 1.0 - math.exp(-sched.ramp_rate * t / sched.stage_steps)
+    ramp = 1.0 - math.exp(-RAMP_RATE * t / sched.stage_steps)
     prob = sched.p_init + (sched.p_final - sched.p_init) * ramp
     return width, prob
 
@@ -64,15 +71,10 @@ def _mark_spans(mask: np.ndarray, centers: np.ndarray, width: int, lo: int, hi: 
         mask[max(lo, c - half) : min(hi, c + half + 1)] = True
 
 
-def sample_mask(seq_len: int, width: int, prob: float,
-                rng: np.random.Generator) -> MaskPlan:
-    """Independent Bernoulli centers; each center masks a clipped span."""
-    return sample_segmented_mask([seq_len], width, prob, rng)
-
-
 def sample_segmented_mask(segment_lengths, width: int, prob: float,
                           rng: np.random.Generator) -> MaskPlan:
-    """Mask a concatenated sequence; spans never cross segment boundaries."""
+    """Independent Bernoulli centers over a concatenated sequence; each center
+    masks a span clipped to its own segment, so no span crosses a boundary."""
     if width % 2 == 0:
         raise ValueError("mask width must be odd")
     total = int(sum(segment_lengths))

@@ -16,12 +16,24 @@ ADAM_CHUNK = 65536
 
 @dataclass
 class AdamHyper:
-    """Optimizer hyper-parameters (defaults follow the training recipe)."""
+    """Optimizer hyper-parameters, the ``optimizer.*`` config section
+    (defaults follow the training recipe)."""
 
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.99
     eps: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"optimizer.{name} must be positive and finite, "
+                                 f"got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"optimizer.{name} must lie in [0, 1), got {value}")
 
 
 @dataclass

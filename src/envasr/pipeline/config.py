@@ -1,20 +1,101 @@
-"""Flat key=value run configuration with section prefixes.
+"""Run configuration: ``key = value`` lines with section prefixes.
 
 The format is diff-friendly text: one ``section.key = value`` per line,
-``#`` comments, blank lines allowed. Unknown keys are rejected, defaults are
-applied for missing ones, and every load validates values. Paper-scale
-settings ship as checked-in config files under ``configs/``.
+``#`` comments, blank lines allowed, a later line overriding an earlier one.
+Each section is one dataclass whose fields are the section's keys:
+``optimizer`` is `AdamHyper`, ``schedule`` is `MaskSchedule`, ``augment`` is
+`SpecAugmentPolicy`, and ``paths``, ``tokenize``, ``pretrain`` and ``asr``
+are defined below; unprefixed keys are `RunConfig`'s own fields. A field's
+default is the key's default and its dataclass's ``__post_init__`` holds the
+key's checks, so building a config checks it. Unknown keys are rejected.
+Paper-scale settings ship as checked-in config files under ``configs/``.
 """
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+from ..asr.augment import SpecAugmentPolicy
 from ..asr.conformer import BASELINE, CROSS, ConformerConfig
 from ..env_encoder import EnvEncoderConfig
 from ..masking import MaskSchedule
+from ..optim import AdamHyper
 
 STAGES = ("pretrain", "train_asr", "eval", "tokenize")
+
+
+def _require_positive(prefix: str, obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if value <= 0:
+            raise ValueError(f"{prefix}{name} must be positive, got {value}")
+
+
+def _require_dtype(key: str, value: str) -> None:
+    if value not in ("f32", "f64"):
+        raise ValueError(f"{key} must be f32 or f64, got {value!r}")
+
+
+@dataclass
+class PathsConfig:
+    """Where a run reads and writes; an empty path means the default that
+    `RunConfig`'s path methods give. ``data_dir`` must exist at load."""
+
+    data_dir: str = ""
+    out_dir: str = "runs"
+    codebook_dir: str = ""
+    pretrain_checkpoint: str = ""
+    asr_checkpoint: str = ""
+    train_manifest: str = ""
+    eval_manifest: str = ""
+
+
+@dataclass
+class TokenizeConfig:
+    """Codebook sizes and the k-means budget."""
+
+    k_audio: int = 64
+    k_video: int = 128
+    max_iters: int = 25
+    sample_cap: int = 200000
+
+    def __post_init__(self):
+        _require_positive("tokenize.", self, vars(self))
+
+
+@dataclass
+class PretrainConfig:
+    """The environment encoder's shape; its vocabulary is the two codebooks."""
+
+    model_dim: int = 32
+    num_blocks: int = 2
+    heads: int = 4
+    dtype: str = "f32"
+
+    def __post_init__(self):
+        _require_positive("pretrain.", self, ("model_dim", "num_blocks", "heads"))
+        _require_dtype("pretrain.dtype", self.dtype)
+
+
+@dataclass
+class AsrConfig:
+    """The conformer transducer's shape and early-stop WER (negative: never);
+    its fusion layers attend to `pretrain.model_dim`-wide embeddings."""
+
+    model_dim: int = 64
+    num_blocks: int = 2
+    heads: int = 4
+    conv_kernel: int = 7
+    fusion_mode: str = CROSS
+    dtype: str = "f32"
+    early_stop_wer: float = -1.0
+
+    def __post_init__(self):
+        _require_positive("asr.", self, ("model_dim", "num_blocks", "heads",
+                                         "conv_kernel"))
+        if self.fusion_mode not in (CROSS, BASELINE):
+            raise ValueError(f"unknown asr.fusion_mode {self.fusion_mode!r}")
+        _require_dtype("asr.dtype", self.dtype)
 
 
 @dataclass
@@ -26,164 +107,68 @@ class RunConfig:
     checkpoint_every: int = 1000
     eval_every: int = 500
     patience: int = 0
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.99
-    adam_eps: float = 1e-8
-    data_dir: str = ""
-    out_dir: str = "runs"
-    codebook_dir: str = ""
-    pretrain_checkpoint: str = ""
-    asr_checkpoint: str = ""
-    train_manifest: str = ""
-    eval_manifest: str = ""
-    k_audio: int = 64
-    k_video: int = 128
-    kmeans_iters: int = 25
-    sample_cap: int = 200000
-    env_model_dim: int = 32
-    env_blocks: int = 2
-    env_heads: int = 4
-    env_dtype: str = "f32"
-    sched_p_init: float = 0.15
-    sched_p_final: float = 0.45
-    sched_width_init: int = 1
-    sched_width_final: int = 11
-    sched_width_step: int = 2
-    sched_stage_steps: int = 10000
-    asr_model_dim: int = 64
-    asr_blocks: int = 2
-    asr_heads: int = 4
-    asr_conv_kernel: int = 7
-    asr_fusion_mode: str = CROSS
-    asr_dtype: str = "f32"
-    asr_early_stop_wer: float = -1.0
-    freq_masks: int = 2
-    freq_width: int = 12
-    time_masks: int = 2
-    time_width: int = 10
+    optimizer: AdamHyper = field(default_factory=AdamHyper)
+    paths: PathsConfig = field(default_factory=PathsConfig)
+    tokenize: TokenizeConfig = field(default_factory=TokenizeConfig)
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
+    schedule: MaskSchedule = field(default_factory=MaskSchedule)
+    asr: AsrConfig = field(default_factory=AsrConfig)
+    augment: SpecAugmentPolicy = field(default_factory=SpecAugmentPolicy)
+
+    def __post_init__(self):
+        if self.stage not in STAGES:
+            raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
+        _require_positive("", self, ("batch_size", "max_steps", "checkpoint_every",
+                                     "eval_every"))
+        for name in ("seed", "patience"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     # resolved paths -------------------------------------------------------
 
     def out_path(self) -> Path:
-        return Path(self.out_dir)
+        return Path(self.paths.out_dir)
 
     def codebook_path(self) -> Path:
-        return Path(self.codebook_dir) if self.codebook_dir else self.out_path() / "codebooks"
+        return Path(self.paths.codebook_dir) if self.paths.codebook_dir \
+            else self.out_path() / "codebooks"
 
     def pretrain_ckpt_path(self) -> Path:
-        return Path(self.pretrain_checkpoint) if self.pretrain_checkpoint \
+        return Path(self.paths.pretrain_checkpoint) if self.paths.pretrain_checkpoint \
             else self.out_path() / "pretrain.ckpt"
 
     def asr_ckpt_path(self) -> Path:
-        return Path(self.asr_checkpoint) if self.asr_checkpoint \
+        return Path(self.paths.asr_checkpoint) if self.paths.asr_checkpoint \
             else self.out_path() / "asr.ckpt"
 
     def train_manifest_path(self) -> Path:
-        return Path(self.train_manifest) if self.train_manifest \
-            else Path(self.data_dir) / "manifest.tsv"
+        return Path(self.paths.train_manifest) if self.paths.train_manifest \
+            else Path(self.paths.data_dir) / "manifest.tsv"
 
     def eval_manifest_path(self) -> Path:
-        return Path(self.eval_manifest) if self.eval_manifest \
+        return Path(self.paths.eval_manifest) if self.paths.eval_manifest \
             else self.train_manifest_path()
 
 
-# config-file key -> dataclass field
-KEYS = {
-    "stage": "stage",
-    "seed": "seed",
-    "batch_size": "batch_size",
-    "max_steps": "max_steps",
-    "checkpoint_every": "checkpoint_every",
-    "eval_every": "eval_every",
-    "patience": "patience",
-    "optimizer.lr": "lr",
-    "optimizer.beta1": "beta1",
-    "optimizer.beta2": "beta2",
-    "optimizer.eps": "adam_eps",
-    "paths.data_dir": "data_dir",
-    "paths.out_dir": "out_dir",
-    "paths.codebook_dir": "codebook_dir",
-    "paths.pretrain_checkpoint": "pretrain_checkpoint",
-    "paths.asr_checkpoint": "asr_checkpoint",
-    "paths.train_manifest": "train_manifest",
-    "paths.eval_manifest": "eval_manifest",
-    "tokenize.k_audio": "k_audio",
-    "tokenize.k_video": "k_video",
-    "tokenize.max_iters": "kmeans_iters",
-    "tokenize.sample_cap": "sample_cap",
-    "pretrain.model_dim": "env_model_dim",
-    "pretrain.num_blocks": "env_blocks",
-    "pretrain.heads": "env_heads",
-    "pretrain.dtype": "env_dtype",
-    "schedule.p_init": "sched_p_init",
-    "schedule.p_final": "sched_p_final",
-    "schedule.width_init": "sched_width_init",
-    "schedule.width_final": "sched_width_final",
-    "schedule.width_step": "sched_width_step",
-    "schedule.stage_steps": "sched_stage_steps",
-    "asr.model_dim": "asr_model_dim",
-    "asr.num_blocks": "asr_blocks",
-    "asr.heads": "asr_heads",
-    "asr.conv_kernel": "asr_conv_kernel",
-    "asr.fusion_mode": "asr_fusion_mode",
-    "asr.dtype": "asr_dtype",
-    "asr.early_stop_wer": "asr_early_stop_wer",
-    "augment.freq_masks": "freq_masks",
-    "augment.freq_width": "freq_width",
-    "augment.time_masks": "time_masks",
-    "augment.time_width": "time_width",
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+def _items(cfg: RunConfig):
+    """(key, dataclass field, value) for every config key of `cfg`."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            for g in fields(value):
+                yield f"{f.name}.{g.name}", g, getattr(value, g.name)
+        else:
+            yield f.name, f, value
 
 
-def _parse_value(key: str, attr: str, raw: str):
-    kind = _FIELD_TYPES[attr]
-    try:
-        if kind == "int" or kind is int:
-            return int(raw)
-        if kind == "float" or kind is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ValueError(f"bad value for {key}: {raw!r}") from exc
-
-
-def validate_config(cfg: RunConfig, check_paths: bool = True) -> None:
-    if cfg.stage not in STAGES:
-        raise ValueError(f"stage must be one of {STAGES}, got {cfg.stage!r}")
-    positive = ["batch_size", "max_steps", "checkpoint_every", "eval_every",
-                "k_audio", "k_video", "kmeans_iters", "sample_cap",
-                "env_model_dim", "env_blocks", "env_heads",
-                "asr_model_dim", "asr_blocks", "asr_heads", "asr_conv_kernel",
-                "sched_stage_steps"]
-    for name in positive:
-        if getattr(cfg, name) <= 0:
-            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
-    if cfg.seed < 0 or cfg.patience < 0:
-        raise ValueError("seed and patience must be non-negative")
-    if cfg.lr <= 0:
-        raise ValueError("optimizer.lr must be positive")
-    if not (0.0 <= cfg.beta1 < 1.0 and 0.0 <= cfg.beta2 < 1.0):
-        raise ValueError("Adam betas must lie in [0, 1)")
-    if cfg.asr_fusion_mode not in (CROSS, BASELINE):
-        raise ValueError(f"unknown asr.fusion_mode {cfg.asr_fusion_mode!r}")
-    if cfg.env_dtype not in ("f32", "f64") or cfg.asr_dtype not in ("f32", "f64"):
-        raise ValueError("dtype fields must be f32 or f64")
-    if min(cfg.freq_masks, cfg.time_masks, cfg.freq_width, cfg.time_width) < 0:
-        raise ValueError("augment settings must be non-negative")
-    # exercises the schedule invariants (odd widths, probability ordering)
-    mask_schedule(cfg)
-    if check_paths:
-        if not cfg.data_dir:
-            raise ValueError("paths.data_dir is required")
-        if not os.path.isdir(cfg.data_dir):
-            raise ValueError(f"paths.data_dir does not exist: {cfg.data_dir}")
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)
+             if is_dataclass(f.default_factory)}
+_TYPES = {key: f.type for key, f, _ in _items(RunConfig())}
 
 
 def parse_config_lines(lines, check_paths: bool = True) -> RunConfig:
-    cfg = RunConfig()
+    top, sections = {}, {section: {} for section in _SECTIONS}
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -191,11 +176,21 @@ def parse_config_lines(lines, check_paths: bool = True) -> RunConfig:
         if "=" not in text:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in KEYS:
+        if key not in _TYPES:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        attr = KEYS[key]
-        setattr(cfg, attr, _parse_value(key, attr, raw))
-    validate_config(cfg, check_paths=check_paths)
+        try:
+            value = _TYPES[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {raw!r}") from exc
+        section, _, name = key.rpartition(".")
+        (sections[section] if section else top)[name] = value
+    cfg = RunConfig(**top, **{section: _SECTIONS[section](**kw)
+                              for section, kw in sections.items()})
+    if check_paths:
+        if not cfg.paths.data_dir:
+            raise ValueError("paths.data_dir is required")
+        if not os.path.isdir(cfg.paths.data_dir):
+            raise ValueError(f"paths.data_dir does not exist: {cfg.paths.data_dir}")
     return cfg
 
 
@@ -205,12 +200,9 @@ def load_config(path, check_paths: bool = True) -> RunConfig:
 
 
 def config_lines(cfg: RunConfig) -> list:
-    """Canonical serialization (sorted keys, repr-formatted values)."""
-    out = []
-    for key in sorted(KEYS):
-        value = getattr(cfg, KEYS[key])
-        out.append(f"{key} = {value}")
-    return out
+    """Canonical serialization (sorted keys, str-formatted values)."""
+    return [f"{key} = {value}"
+            for key, _, value in sorted(_items(cfg), key=lambda item: item[0])]
 
 
 def save_config(path, cfg: RunConfig) -> None:
@@ -221,22 +213,16 @@ def save_config(path, cfg: RunConfig) -> None:
 # model-config adapters ------------------------------------------------------
 
 
-def mask_schedule(cfg: RunConfig) -> MaskSchedule:
-    return MaskSchedule(p_init=cfg.sched_p_init, p_final=cfg.sched_p_final,
-                        width_init=cfg.sched_width_init,
-                        width_final=cfg.sched_width_final,
-                        width_step=cfg.sched_width_step,
-                        stage_steps=cfg.sched_stage_steps)
-
-
 def env_encoder_config(cfg: RunConfig) -> EnvEncoderConfig:
-    return EnvEncoderConfig(model_dim=cfg.env_model_dim, num_blocks=cfg.env_blocks,
-                            heads=cfg.env_heads, vocab_size=cfg.k_audio + cfg.k_video,
-                            dtype=cfg.env_dtype, schedule=mask_schedule(cfg))
+    return EnvEncoderConfig(model_dim=cfg.pretrain.model_dim,
+                            num_blocks=cfg.pretrain.num_blocks, heads=cfg.pretrain.heads,
+                            vocab_size=cfg.tokenize.k_audio + cfg.tokenize.k_video,
+                            dtype=cfg.pretrain.dtype, schedule=cfg.schedule)
 
 
 def conformer_config(cfg: RunConfig, vocab_size: int) -> ConformerConfig:
-    return ConformerConfig(model_dim=cfg.asr_model_dim, num_blocks=cfg.asr_blocks,
-                           heads=cfg.asr_heads, conv_kernel=cfg.asr_conv_kernel,
-                           fusion_mode=cfg.asr_fusion_mode, env_dim=cfg.env_model_dim,
-                           vocab_size=vocab_size, dtype=cfg.asr_dtype)
+    return ConformerConfig(model_dim=cfg.asr.model_dim, num_blocks=cfg.asr.num_blocks,
+                           heads=cfg.asr.heads, conv_kernel=cfg.asr.conv_kernel,
+                           fusion_mode=cfg.asr.fusion_mode,
+                           env_dim=cfg.pretrain.model_dim, vocab_size=vocab_size,
+                           dtype=cfg.asr.dtype)

@@ -94,19 +94,20 @@ def train_corpus_codebooks(cfg, utts, whitener: Whitener):
     """Fit audio/video codebooks on (capped samples of) the corpus patches."""
     audio_rows = np.concatenate(
         [whiten_clip(u.raw_patches, whitener).patches for u in utts], axis=0)
-    audio_rows = reservoir_sample(audio_rows, cfg.sample_cap,
+    tok = cfg.tokenize
+    audio_rows = reservoir_sample(audio_rows, tok.sample_cap,
                                   substream(cfg.seed, "sample-audio"))
-    cb_audio = train_kmeans(audio_rows, cfg.k_audio, max_iters=cfg.kmeans_iters,
+    cb_audio = train_kmeans(audio_rows, tok.k_audio, max_iters=tok.max_iters,
                             seed=derive_seed(cfg.seed, "kmeans-audio"),
                             modality="audio", vocab_offset=0)
     video_parts = [u.video_patches for u in utts if u.video_patches is not None]
     if not video_parts:
         raise ValueError("corpus has no video clips to train the video codebook")
     video_rows = reservoir_sample(np.concatenate(video_parts, axis=0),
-                                  cfg.sample_cap, substream(cfg.seed, "sample-video"))
-    cb_video = train_kmeans(video_rows, cfg.k_video, max_iters=cfg.kmeans_iters,
+                                  tok.sample_cap, substream(cfg.seed, "sample-video"))
+    cb_video = train_kmeans(video_rows, tok.k_video, max_iters=tok.max_iters,
                             seed=derive_seed(cfg.seed, "kmeans-video"),
-                            modality="video", vocab_offset=cfg.k_audio)
+                            modality="video", vocab_offset=tok.k_audio)
     return cb_audio, cb_video
 
 

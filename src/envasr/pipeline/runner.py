@@ -17,7 +17,7 @@ lines from before its first step and appends.
 import math
 from pathlib import Path
 
-from ..asr.augment import SpecAugmentPolicy, specaugment
+from ..asr.augment import specaugment
 from ..asr.conformer import CROSS, AsrModel, Utterance
 from ..asr.metrics import corpus_wer, format_wer_report
 from ..asr.transducer import greedy_decode
@@ -25,7 +25,7 @@ from ..env_encoder import (EnvEncoder, masked_accuracy, parameter_hash,
                            pretrain_step)
 from ..features import whiten_clip
 from ..masking import mask_params_at
-from ..optim import AdamHyper, minimize_mean
+from ..optim import minimize_mean
 from ..quantize import assign_tokens, unified_vocab_size
 from ..rng import substream
 from ..serialize import atomic_write
@@ -34,11 +34,7 @@ from .config import (RunConfig, config_lines, conformer_config,
                      env_encoder_config, parse_config_lines)
 from .corpus import SYMBOLS
 from .data import (cached_env_embeddings, ensure_codebooks, ensure_whitener,
-                   load_corpus, make_pretrain_batch)
-
-
-def _hyper(cfg: RunConfig) -> AdamHyper:
-    return AdamHyper(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+                   load_corpus, load_whitener, make_pretrain_batch)
 
 
 def _write_lines(path, lines) -> None:
@@ -143,12 +139,11 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
         ckpt = load_checkpoint(resume)
         restore_params(model.params, ckpt)
         start = ckpt.schedule_step
-    hyper = _hyper(cfg)
     best, misses = math.inf, 0
 
     def train_step(step, items):
-        loss, ppl = pretrain_step(model, [batches[i] for i in items], hyper, step,
-                                  seed=cfg.seed)
+        loss, ppl = pretrain_step(model, [batches[i] for i in items], cfg.optimizer,
+                                  step, seed=cfg.seed)
         width, prob = mask_params_at(env_cfg.schedule, step)
         return loss, (f"step={step} loss={loss:.6f} ppl={ppl:.6f} "
                       f"mask_w={width} mask_p={prob:.6f}")
@@ -165,10 +160,15 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
             "model": model}
 
 
-def _load_env_model(ckpt_path) -> EnvEncoder:
+def _load_model(ckpt_path, asr: bool = False):
+    """The environment encoder (or, with `asr`, the ASR model) a checkpoint
+    holds, built from the config snapshot it stores."""
     ckpt = load_checkpoint(ckpt_path)
     snap = parse_config_lines(ckpt.config_lines, check_paths=False)
-    model = EnvEncoder(env_encoder_config(snap), seed=snap.seed)
+    if asr:
+        model = AsrModel(conformer_config(snap, vocab_size=len(SYMBOLS)), seed=snap.seed)
+    else:
+        model = EnvEncoder(env_encoder_config(snap), seed=snap.seed)
     restore_params(model.params, ckpt)
     return model
 
@@ -180,7 +180,7 @@ def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int):
     ckpt_path = cfg.pretrain_ckpt_path()
     if not Path(ckpt_path).is_file():
         raise ValueError(f"cross-attention needs a pretraining checkpoint at {ckpt_path}")
-    env_model = _load_env_model(ckpt_path)
+    env_model = _load_model(ckpt_path)
     if env_model.config.model_dim != env_dim:
         raise ValueError(
             f"pretraining checkpoint {ckpt_path} has model_dim "
@@ -211,25 +211,23 @@ def run_asr_training(cfg: RunConfig) -> dict:
     whitener = ensure_whitener(cfg.codebook_path(), utts)
     feats = [whiten_clip(u.raw_patches, whitener).patches for u in utts]
     frames, shortest = min((f.shape[0], u.name) for u, f in zip(utts, feats))
-    if cfg.time_width > frames:
-        raise ValueError(f"augment.time_width = {cfg.time_width} exceeds the "
+    policy = cfg.augment
+    if policy.time_width > frames:
+        raise ValueError(f"augment.time_width = {policy.time_width} exceeds the "
                          f"{frames} frames of utterance {shortest}")
-    if cfg.freq_width > feats[0].shape[1]:
-        raise ValueError(f"augment.freq_width = {cfg.freq_width} exceeds the "
+    if policy.freq_width > feats[0].shape[1]:
+        raise ValueError(f"augment.freq_width = {policy.freq_width} exceeds the "
                          f"{feats[0].shape[1]} feature dims")
 
     env_hash_before = env_hash_after = None
     envs = [None] * len(utts)
-    if cfg.asr_fusion_mode == CROSS:
+    if cfg.asr.fusion_mode == CROSS:
         env_model, env_hash_before, envs = _frozen_env(cfg, utts, feats,
-                                                       cfg.env_model_dim)
+                                                       cfg.pretrain.model_dim)
     examples = [Utterance(f, u.label_ids, e).require_labels()
                 for u, f, e in zip(utts, feats, envs)]
 
     model = AsrModel(conformer_config(cfg, vocab_size=len(SYMBOLS)), seed=cfg.seed)
-    policy = SpecAugmentPolicy(cfg.freq_masks, cfg.freq_width,
-                               cfg.time_masks, cfg.time_width)
-    hyper = _hyper(cfg)
     latest_wer = None
 
     def train_step(step, items):
@@ -238,20 +236,20 @@ def run_asr_training(cfg: RunConfig) -> dict:
             ex = examples[i]
             aug = specaugment(ex.features, policy, substream(cfg.seed, "specaug", step, i))
             losses.append(model.loss(aug, ex.labels, ex.env))
-        loss = minimize_mean(model.params, losses, hyper)
+        loss = minimize_mean(model.params, losses, cfg.optimizer)
         return loss, f"step={step} loss={loss:.6f}"
 
     def evaluate(step, _loss):
         nonlocal latest_wer
         pairs, _ = _decode_corpus(model, utts, examples)
         latest_wer, counts, _ = corpus_wer(pairs)
-        stop = latest_wer <= cfg.asr_early_stop_wer  # WER >= 0: never when negative
+        stop = latest_wer <= cfg.asr.early_stop_wer  # WER >= 0: never when negative
         return ([f"# eval step={step} {format_wer_report(latest_wer, counts)}"],
                 f"wer {latest_wer:.4f}" if stop else None)
 
     summary = _train_loop(cfg, "train_asr.log", len(examples), train_step, evaluate,
                           model.params, cfg.asr_ckpt_path())
-    if cfg.asr_fusion_mode == CROSS:
+    if cfg.asr.fusion_mode == CROSS:
         env_hash_after = parameter_hash(env_model.params)
     return {**summary, "final_wer": latest_wer, "env_hash_before": env_hash_before,
             "env_hash_after": env_hash_after, "model": model}
@@ -262,20 +260,17 @@ def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
     ckpt_path = Path(checkpoint) if checkpoint else cfg.asr_ckpt_path()
     if not ckpt_path.is_file():
         raise ValueError(f"ASR checkpoint not found: {ckpt_path}")
-    ckpt = load_checkpoint(ckpt_path)
-    snap = parse_config_lines(ckpt.config_lines, check_paths=False)
-    model = AsrModel(conformer_config(snap, vocab_size=len(SYMBOLS)), seed=snap.seed)
-    restore_params(model.params, ckpt)
+    model = _load_model(ckpt_path, asr=True)
 
     utts = load_corpus(cfg.eval_manifest_path())
     whitener_path = cfg.codebook_path() / "whitener.bin"
     if not whitener_path.is_file():
         raise ValueError(f"whitener not found: {whitener_path} (run the training stages first)")
-    whitener = ensure_whitener(cfg.codebook_path(), utts)
+    whitener = load_whitener(whitener_path)
     feats = [whiten_clip(u.raw_patches, whitener).patches for u in utts]
     envs = [None] * len(utts)
-    if snap.asr_fusion_mode == CROSS:
-        envs = _frozen_env(cfg, utts, feats, snap.env_model_dim)[2]
+    if model.config.fusion_mode == CROSS:
+        envs = _frozen_env(cfg, utts, feats, model.config.env_dim)[2]
     examples = [Utterance(f, u.label_ids, e)
                 for u, f, e in zip(utts, feats, envs)]
     pairs, hyps = _decode_corpus(model, utts, examples)

@@ -55,12 +55,6 @@ class TokenSeq:
         if sum(n for _, n in self.segments) != self.ids.size:
             raise ValueError("segment lengths do not cover the id sequence")
 
-    @staticmethod
-    def concat(parts: list) -> "TokenSeq":
-        ids = np.concatenate([p.ids for p in parts]) if parts else np.zeros(0, np.int64)
-        segments = [seg for p in parts for seg in p.segments]
-        return TokenSeq(ids, segments)
-
 
 def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(N, K) squared Euclidean distances, clamped at zero."""

@@ -59,8 +59,7 @@ def run_all(work: Path) -> None:
     run_asr_training(baseline)
     run_eval(baseline)
     run_pretraining(config(work, "resume", max_steps=150))
-    resumed = config(work, "resume")
-    run_pretraining(resumed, resume=str(resumed.pretrain_ckpt_path()))
+    run_pretraining(config(work, "resume"), resume=str(work / "resume" / "pretrain.ckpt"))
 
 
 def main(argv=None) -> int:

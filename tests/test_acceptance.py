@@ -18,11 +18,12 @@ from envasr.asr.metrics import wer
 from envasr.asr.transducer import greedy_decode, rnnt_alphas, rnnt_betas, rnnt_loss
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, EnvEmbeddings,
                                 MultimodalBatch, parameter_hash)
-from envasr.masking import MaskSchedule, expected_coverage, mask_params_at, sample_mask
+from envasr.masking import (MaskSchedule, expected_coverage, mask_params_at,
+                            sample_segmented_mask)
 from envasr.optim import count_parameters
-from envasr.pipeline import (RunConfig, generate_synthetic_corpus, load_checkpoint,
-                             restore_params, run_asr_training, run_eval,
-                             run_pretraining, save_checkpoint, write_corpus)
+from envasr.pipeline import (generate_synthetic_corpus, load_checkpoint,
+                             parse_config_lines, restore_params, run_asr_training,
+                             run_eval, run_pretraining, save_checkpoint, write_corpus)
 from envasr.pipeline.corpus import SYMBOLS
 from envasr.quantize import assign_tokens, lloyd, train_kmeans
 from envasr.rng import substream
@@ -52,23 +53,32 @@ def corpus16(tmp_path_factory):
     return root
 
 
+def config(values: dict):
+    """A config from `key = value` lines, one per item of `values`."""
+    return parse_config_lines([f"{k} = {v}" for k, v in values.items()],
+                              check_paths=False)
+
+
 def pretrain_cfg(data, out, **kw):
-    base = dict(data_dir=str(data), out_dir=str(out), k_audio=8, k_video=16,
-                env_model_dim=32, env_blocks=2, env_heads=4, lr=1e-3, seed=0,
-                max_steps=2000, checkpoint_every=2000, eval_every=200)
-    base.update(kw)
-    return RunConfig(**base)
+    return config({"paths.data_dir": data, "paths.out_dir": out,
+                   "tokenize.k_audio": 8, "tokenize.k_video": 16,
+                   "pretrain.model_dim": 32, "pretrain.num_blocks": 2,
+                   "pretrain.heads": 4, "optimizer.lr": 1e-3, "seed": 0,
+                   "max_steps": 2000, "checkpoint_every": 2000, "eval_every": 200,
+                   **kw})
 
 
 def asr_cfg(data, out, **kw):
-    base = dict(data_dir=str(data), out_dir=str(out), k_audio=8, k_video=16,
-                env_model_dim=32, env_blocks=2, env_heads=4, lr=1e-3, seed=0,
-                asr_model_dim=64, asr_blocks=2, asr_heads=4, asr_conv_kernel=7,
-                max_steps=5000, checkpoint_every=5000, eval_every=250,
-                asr_early_stop_wer=0.0, freq_masks=1, freq_width=12,
-                time_masks=1, time_width=6)
-    base.update(kw)
-    return RunConfig(**base)
+    return config({"paths.data_dir": data, "paths.out_dir": out,
+                   "tokenize.k_audio": 8, "tokenize.k_video": 16,
+                   "pretrain.model_dim": 32, "pretrain.num_blocks": 2,
+                   "pretrain.heads": 4, "optimizer.lr": 1e-3, "seed": 0,
+                   "asr.model_dim": 64, "asr.num_blocks": 2, "asr.heads": 4,
+                   "asr.conv_kernel": 7, "max_steps": 5000,
+                   "checkpoint_every": 5000, "eval_every": 250,
+                   "asr.early_stop_wer": 0.0, "augment.freq_masks": 1,
+                   "augment.freq_width": 12, "augment.time_masks": 1,
+                   "augment.time_width": 6, **kw})
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +258,7 @@ class TestCriterion4MaskSchedule:
             trials, seq_len = 10000, 64
             pos = seq_len // 2
             gen = substream(99, "acc-coverage", width)
-            hits = sum(bool(sample_mask(seq_len, width, prob, gen).mask[pos])
+            hits = sum(bool(sample_segmented_mask([seq_len], width, prob, gen).mask[pos])
                        for _ in range(trials))
             expect = expected_coverage(prob, width)
             sigma = math.sqrt(expect * (1 - expect) / trials)
@@ -281,7 +291,7 @@ class TestCriterion6AsrOverfit:
     def test_wer_zero_and_exact_decode(self, corpus16, trained_stage_one,
                                        tmp_path_factory, capsys):
         stage1_cfg, _ = trained_stage_one
-        cfg = asr_cfg(corpus16, stage1_cfg.out_dir)
+        cfg = asr_cfg(corpus16, stage1_cfg.out_path())
         t0 = time.time()
         summary = run_asr_training(cfg)
         elapsed = time.time() - t0
@@ -299,8 +309,8 @@ class TestCriterion6AsrOverfit:
         for u in utts:
             feats = whiten_clip(u.raw_patches, whitener).patches
             if env_model is None:
-                from envasr.pipeline.runner import _load_env_model
-                env_model = _load_env_model(cfg.pretrain_ckpt_path())
+                from envasr.pipeline.runner import _load_model
+                env_model = _load_model(cfg.pretrain_ckpt_path())
                 model_hash = parameter_hash(env_model.params)
             env = cached_env_embeddings(cfg.out_path() / "env_cache", u.name,
                                         env_model, feats, model_hash)
@@ -332,9 +342,9 @@ class TestCriterion8FreezeContract:
     def test_hash_unchanged_after_100_steps(self, corpus16, trained_stage_one,
                                             capsys):
         stage1_cfg, _ = trained_stage_one
-        cfg = asr_cfg(corpus16, stage1_cfg.out_dir, max_steps=100,
+        cfg = asr_cfg(corpus16, stage1_cfg.out_path(), max_steps=100,
                       checkpoint_every=100, eval_every=100,
-                      asr_early_stop_wer=-1.0)
+                      **{"asr.early_stop_wer": -1.0})
         summary = run_asr_training(cfg)
         ok = (summary["env_hash_before"] is not None
               and summary["env_hash_before"] == summary["env_hash_after"]
@@ -356,8 +366,8 @@ class TestCriterion9Determinism:
             pre_logs.append((pre.out_path() / "pretrain.log").read_text())
 
         asr = asr_cfg(corpus16, out / "asr", max_steps=10, checkpoint_every=10,
-                      eval_every=10, asr_early_stop_wer=-1.0,
-                      asr_fusion_mode="self_attention_baseline")
+                      eval_every=10, **{"asr.early_stop_wer": -1.0,
+                                        "asr.fusion_mode": "self_attention_baseline"})
         asr_logs = []
         for _ in range(2):
             run_asr_training(asr)

@@ -1,15 +1,15 @@
 import numpy as np
 
-from envasr.pipeline import save_config, RunConfig
+from envasr.pipeline import parse_config_lines, save_config
 from envasr.pipeline.cli import main
 
 
-def write_cfg(path, data_dir, out_dir, **kw):
-    base = dict(data_dir=str(data_dir), out_dir=str(out_dir), k_audio=8,
-                k_video=16, max_steps=3, checkpoint_every=3, eval_every=3,
-                time_masks=1, time_width=6)
-    base.update(kw)
-    save_config(path, RunConfig(**base))
+def write_cfg(path, data_dir, out_dir):
+    lines = [f"paths.data_dir = {data_dir}", f"paths.out_dir = {out_dir}",
+             "tokenize.k_audio = 8", "tokenize.k_video = 16", "max_steps = 3",
+             "checkpoint_every = 3", "eval_every = 3", "augment.time_masks = 1",
+             "augment.time_width = 6"]
+    save_config(path, parse_config_lines(lines))
     return path
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from envasr.masking import (MaskSchedule, expected_coverage, mask_params_at,
-                            sample_mask, sample_segmented_mask)
+                            sample_segmented_mask)
 from envasr.rng import substream
 
 
@@ -57,37 +57,37 @@ class TestScheduleParams:
 
 class TestSampleMask:
     def test_prob_zero_all_false(self):
-        plan = sample_mask(50, 3, 0.0, substream(0, "m"))
+        plan = sample_segmented_mask([50], 3, 0.0, substream(0, "m"))
         assert not plan.mask.any()
 
     def test_prob_one_all_true(self):
         for width in (1, 5, 11):
-            plan = sample_mask(50, width, 1.0, substream(0, "m"))
+            plan = sample_segmented_mask([50], width, 1.0, substream(0, "m"))
             assert plan.mask.all()
 
     def test_masked_fraction_binomial_bound(self):
-        plan = sample_mask(10000, 1, 0.15, substream(7, "m"))
+        plan = sample_segmented_mask([10000], 1, 0.15, substream(7, "m"))
         frac = plan.mask.mean()
         assert abs(frac - 0.15) < 3 * math.sqrt(0.15 * 0.85 / 10000)
 
     def test_deterministic_given_seed(self):
-        a = sample_mask(200, 5, 0.3, substream(3, "m"))
-        b = sample_mask(200, 5, 0.3, substream(3, "m"))
+        a = sample_segmented_mask([200], 5, 0.3, substream(3, "m"))
+        b = sample_segmented_mask([200], 5, 0.3, substream(3, "m"))
         np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_even_width_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            sample_mask(10, 4, 0.2, substream(0, "m"))
+            sample_segmented_mask([10], 4, 0.2, substream(0, "m"))
 
     def test_every_masked_position_near_a_center(self):
         for seed in range(10):
-            plan = sample_mask(64, 7, 0.2, substream(seed, "m"))
+            plan = sample_segmented_mask([64], 7, 0.2, substream(seed, "m"))
             centers = np.flatnonzero(plan.centers)
             for pos in np.flatnonzero(plan.mask):
                 assert centers.size and np.abs(centers - pos).min() <= 3
 
     def test_spans_clipped_at_bounds(self):
-        plan = sample_mask(5, 11, 1.0, substream(0, "m"))
+        plan = sample_segmented_mask([5], 11, 1.0, substream(0, "m"))
         assert plan.mask.shape == (5,) and plan.mask.all()
 
 
@@ -133,7 +133,7 @@ class TestExpectedCoverage:
         seq_len = 64
         pos = seq_len // 2
         rng = substream(99, "coverage", width)
-        hits = sum(bool(sample_mask(seq_len, width, prob, rng).mask[pos])
+        hits = sum(bool(sample_segmented_mask([seq_len], width, prob, rng).mask[pos])
                    for _ in range(trials))
         expect = expected_coverage(prob, width)
         sigma = math.sqrt(expect * (1 - expect) / trials)

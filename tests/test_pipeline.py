@@ -6,7 +6,7 @@ import pytest
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, extract_env_embeddings,
                                 parameter_hash)
 from envasr.features import read_wav
-from envasr.pipeline import (RunConfig, config_lines, generate_synthetic_corpus,
+from envasr.pipeline import (config_lines, generate_synthetic_corpus,
                              load_config, load_checkpoint, load_manifest,
                              parse_config_lines, restore_params, save_checkpoint,
                              save_config, write_corpus)
@@ -29,16 +29,18 @@ def lookup(cache_dir, name, model, audio):
 
 class TestConfig:
     def test_roundtrip_preserves_all_fields(self, tmp_path, corpus_dir):
-        cfg = RunConfig(data_dir=str(corpus_dir), seed=42, lr=1e-3,
-                        k_audio=8, k_video=16, asr_fusion_mode="self_attention_baseline",
-                        out_dir=str(tmp_path / "out"))
+        cfg = parse_config_lines([
+            f"paths.data_dir = {corpus_dir}", "seed = 42", "optimizer.lr = 1e-3",
+            "tokenize.k_audio = 8", "tokenize.k_video = 16",
+            "asr.fusion_mode = self_attention_baseline",
+            f"paths.out_dir = {tmp_path / 'out'}"])
         save_config(tmp_path / "run.cfg", cfg)
         assert load_config(tmp_path / "run.cfg") == cfg
 
     def test_missing_lr_defaults_to_3e4(self, corpus_dir):
         cfg = parse_config_lines([f"paths.data_dir = {corpus_dir}"])
-        assert cfg.lr == pytest.approx(3e-4)
-        assert cfg.beta1 == 0.9 and cfg.beta2 == 0.99
+        assert cfg.optimizer.lr == pytest.approx(3e-4)
+        assert cfg.optimizer.beta1 == 0.9 and cfg.optimizer.beta2 == 0.99
 
     def test_negative_batch_size_rejected(self, corpus_dir):
         with pytest.raises(ValueError, match="batch_size"):

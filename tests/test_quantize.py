@@ -121,13 +121,6 @@ class TestUnifiedVocab:
 
 
 class TestTokenSeq:
-    def test_concat_preserves_segments(self, rng):
-        a = vq.TokenSeq(np.arange(3), [("video", 3)])
-        b = vq.TokenSeq(np.arange(5), [("audio", 5)])
-        merged = vq.TokenSeq.concat([a, b])
-        assert merged.segments == [("video", 3), ("audio", 5)]
-        assert merged.ids.size == 8
-
     def test_segment_cover_checked(self):
         with pytest.raises(ValueError, match="segment"):
             vq.TokenSeq(np.arange(4), [("audio", 3)])

@@ -13,16 +13,16 @@ from envasr.asr.conformer import AsrModel
 from envasr.env_encoder import EnvEncoder, extract_env_embeddings
 from envasr.features import whiten_clip
 from envasr.optim import adam_step
-from envasr.pipeline import (RunConfig, config_lines, conformer_config,
+from envasr.pipeline import (config_lines, conformer_config,
                              env_encoder_config, generate_synthetic_corpus,
-                             load_checkpoint,
+                             load_checkpoint, parse_config_lines,
                              run_asr_training, run_eval, run_pretraining,
                              run_tokenize, save_checkpoint, write_corpus)
 from envasr.pipeline.corpus import (SYMBOLS, SyntheticCorpus, SyntheticUtterance,
                                     synth_clip, synth_wave)
 from envasr.pipeline.data import ensure_whitener, load_corpus
 from envasr.pipeline import runner
-from envasr.pipeline.runner import _load_env_model
+from envasr.pipeline.runner import _load_model
 from envasr.quantize import load_codebook
 from envasr.serialize import read_raw_array
 
@@ -35,16 +35,19 @@ def corpus16(tmp_path_factory):
 
 
 def toy_cfg(data, out, **kw):
-    base = dict(data_dir=str(data), out_dir=str(out), k_audio=8, k_video=16,
-                max_steps=12, checkpoint_every=12, eval_every=6, seed=0,
-                time_masks=1, time_width=6, freq_masks=1)
-    base.update(kw)
-    return RunConfig(**base)
+    """A config from `key = value` lines; `kw` maps config keys to overrides."""
+    values = {"paths.data_dir": data, "paths.out_dir": out, "tokenize.k_audio": 8,
+              "tokenize.k_video": 16, "max_steps": 12, "checkpoint_every": 12,
+              "eval_every": 6, "seed": 0, "augment.time_masks": 1,
+              "augment.time_width": 6, "augment.freq_masks": 1, **kw}
+    return parse_config_lines([f"{k} = {v}" for k, v in values.items()],
+                              check_paths=False)
 
 
 class TestTokenize:
     def test_codebook_files_written(self, tmp_path, corpus16):
-        cfg = toy_cfg(corpus16, tmp_path / "out", k_audio=64, k_video=32)
+        cfg = toy_cfg(corpus16, tmp_path / "out",
+                      **{"tokenize.k_audio": 64, "tokenize.k_video": 32})
         summary = run_tokenize(cfg)
         assert summary["vocab_size"] == 96
         cb = load_codebook(summary["audio_codebook"])
@@ -63,14 +66,14 @@ class TestTokenize:
 
     def test_corpus_without_clips_drops_stale_video_tokens(self, tmp_path, corpus16):
         cb_dir = tmp_path / "cb"
-        run_tokenize(toy_cfg(corpus16, tmp_path / "out", codebook_dir=str(cb_dir)))
+        run_tokenize(toy_cfg(corpus16, tmp_path / "out", **{"paths.codebook_dir": cb_dir}))
         assert (cb_dir / "tokens_video.tsv").is_file()
         audio_only = tmp_path / "audio_only"
         shutil.copytree(corpus16, audio_only)
         for clip in audio_only.rglob("*.clip"):
             clip.unlink()
         # codebooks come from disk, so this corpus needs no video to tokenize
-        run_tokenize(toy_cfg(audio_only, tmp_path / "out", codebook_dir=str(cb_dir)))
+        run_tokenize(toy_cfg(audio_only, tmp_path / "out", **{"paths.codebook_dir": cb_dir}))
         assert (cb_dir / "tokens_audio.tsv").is_file()
         assert not (cb_dir / "tokens_video.tsv").exists()
 
@@ -80,7 +83,7 @@ class TestPretrainingRunner:
         logs = []
         for run in range(2):
             cfg = toy_cfg(corpus16, tmp_path / f"out{run}",
-                          codebook_dir=str(tmp_path / f"out{run}" / "cb"))
+                          **{"paths.codebook_dir": tmp_path / f"out{run}" / "cb"})
             run_pretraining(cfg)
             logs.append((cfg.out_path() / "pretrain.log").read_text())
         assert logs[0] == logs[1]
@@ -166,8 +169,9 @@ class TestTrainLoop:
             evals.append(step)
             return [f"# eval step={step}"], "done" if step == stop_at else None
 
-        cfg = RunConfig(out_dir=str(tmp_path), batch_size=3, max_steps=11,
-                        checkpoint_every=4, eval_every=2)
+        cfg = parse_config_lines([f"paths.out_dir = {tmp_path}", "batch_size = 3",
+                                  "max_steps = 11", "checkpoint_every = 4",
+                                  "eval_every = 2"], check_paths=False)
         summary = runner._train_loop(cfg, "t.log", 5, step_fn, eval_fn, None,
                                      tmp_path / "t.ckpt")
         log = (tmp_path / "t.log").read_text().splitlines()
@@ -206,14 +210,14 @@ class TestAsrRunner:
     def test_baseline_runs_without_checkpoint(self, tmp_path, corpus16, capsys):
         cfg = toy_cfg(corpus16, tmp_path / "base", max_steps=4,
                       checkpoint_every=4, eval_every=4,
-                      asr_fusion_mode="self_attention_baseline")
+                      **{"asr.fusion_mode": "self_attention_baseline"})
         summary = run_asr_training(cfg)
         assert summary["steps_run"] == 4
         assert summary["env_hash_before"] is None
 
     def test_baseline_step_leaves_env_adapter_frozen(self, tmp_path, corpus16, capsys):
         cfg = toy_cfg(corpus16, tmp_path / "base", max_steps=1, checkpoint_every=1,
-                      eval_every=1, asr_fusion_mode="self_attention_baseline")
+                      eval_every=1, **{"asr.fusion_mode": "self_attention_baseline"})
         params = run_asr_training(cfg)["model"].params
         init = AsrModel(conformer_config(cfg, vocab_size=len(SYMBOLS)), seed=cfg.seed)
         for name, p in params.items():
@@ -233,7 +237,7 @@ class TestAsrRunner:
     def test_failed_eval_write_keeps_previous_outputs(self, tmp_path, corpus16,
                                                       monkeypatch, capsys):
         cfg = toy_cfg(corpus16, tmp_path / "base", max_steps=1, checkpoint_every=1,
-                      eval_every=1, asr_fusion_mode="self_attention_baseline")
+                      eval_every=1, **{"asr.fusion_mode": "self_attention_baseline"})
         run_asr_training(cfg)
         previous = {"hypotheses.txt": b"older hypotheses\n",
                     "wer_report.txt": b"wer 1.0000 from an older run\n"}
@@ -285,13 +289,13 @@ class TestAsrRunner:
         cfg = self.make_pretrained(tmp_path, corpus16, capsys)
         frames, name = min((u.raw_patches.shape[0], u.name)
                            for u in load_corpus(cfg.train_manifest_path()))
-        cfg.time_width = frames + 1
+        cfg.augment.time_width = frames + 1
         msg = f"augment.time_width = {frames + 1} exceeds the {frames} frames " \
               f"of utterance {name}$"
         with pytest.raises(ValueError, match=msg):
             run_asr_training(cfg)
-        cfg.time_width = 1
-        cfg.freq_width = 193
+        cfg.augment.time_width = 1
+        cfg.augment.freq_width = 193
         with pytest.raises(ValueError, match="augment.freq_width = 193 exceeds "
                                              "the 192 feature dims"):
             run_asr_training(cfg)
@@ -341,7 +345,7 @@ class TestPositionTables:
     def test_long_video_rejected_by_pretraining_only(self, tmp_path, capsys):
         data = self.write_one(tmp_path / "data", n_symbols=4, clip_steps=65)
         cfg = toy_cfg(data, tmp_path / "out", max_steps=1, checkpoint_every=1,
-                      eval_every=1, time_width=2)
+                      eval_every=1, **{"augment.time_width": 2})
         with pytest.raises(ValueError, match="^utterance long has 65 video steps, "
                                              "more than max_video_steps = 64$"):
             run_pretraining(cfg)
@@ -358,7 +362,7 @@ class TestDeterminism:
         for run in range(2):
             cfg = toy_cfg(corpus16, tmp_path / f"det{run}", max_steps=5,
                           checkpoint_every=5, eval_every=5, batch_size=batch_size,
-                          asr_fusion_mode="self_attention_baseline")
+                          **{"asr.fusion_mode": "self_attention_baseline"})
             run_asr_training(cfg)
             logs.append((cfg.out_path() / "train_asr.log").read_text())
         assert logs[0] == logs[1]
@@ -381,11 +385,12 @@ class TestEnvCacheAcrossRuns:
 
     def test_eval_on_second_corpus_recomputes_embeddings(self, trained, capsys):
         root, cfg = trained
-        cfg = replace(cfg, eval_manifest=str(root / "b" / "manifest.tsv"))
+        cfg = replace(cfg, paths=replace(cfg.paths,
+                                         eval_manifest=str(root / "b" / "manifest.tsv")))
         run_eval(cfg)
         utts = load_corpus(cfg.eval_manifest_path())
         whitener = ensure_whitener(cfg.codebook_path(), utts)
-        env_model = _load_env_model(cfg.pretrain_ckpt_path())
+        env_model = _load_model(cfg.pretrain_ckpt_path())
         for u in utts:
             cached = read_raw_array(cfg.out_path() / "env_cache" / f"{u.name}.env")
             fresh = extract_env_embeddings(
@@ -395,11 +400,11 @@ class TestEnvCacheAcrossRuns:
     def test_eval_rejects_pretraining_checkpoint_of_other_width(self, trained,
                                                                  tmp_path):
         _, cfg = trained
-        narrow = replace(cfg, env_model_dim=16)
+        narrow = replace(cfg, pretrain=replace(cfg.pretrain, model_dim=16))
         path = tmp_path / "narrow.ckpt"
         save_checkpoint(path, EnvEncoder(env_encoder_config(narrow)).params, 0, 0,
                         config_lines(narrow))
-        cfg = replace(cfg, pretrain_checkpoint=str(path))
+        cfg = replace(cfg, paths=replace(cfg.paths, pretrain_checkpoint=str(path)))
         msg = (f"^pretraining checkpoint {re.escape(str(path))} has model_dim 16, "
                f"but the ASR model's pretrain.model_dim is 32$")
         with pytest.raises(ValueError, match=msg):
