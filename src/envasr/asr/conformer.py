@@ -203,32 +203,20 @@ class AsrModel:
 
     def predict_states(self, labels: np.ndarray) -> Tensor:
         """(U+1, pred_dim) label-context states g_0..g_U (g_0 from the start
-        symbol)."""
+        symbol): one input projection over all tokens, then the recurrence."""
         p = self.params
-        labels = np.asarray(labels, dtype=np.int64)
-        tokens = np.concatenate([[self.blank_id], labels])  # start symbol row
-        emb = ad.embedding(p["pred.embed"], tokens)
-        states = []
-        h = None
-        for u in range(tokens.size):
-            z = ad.add(ad.matmul(ad.narrow(emb, 0, u, 1), p["pred.w_in"]), p["pred.b"])
-            if h is not None:
-                z = ad.add(z, ad.matmul(h, p["pred.w_rec"]))
-            h = ad.tanh(z)
-            states.append(h)
-        return states[0] if len(states) == 1 else ad.concat(states, axis=0)
+        tokens = np.concatenate([[self.blank_id], np.asarray(labels, dtype=np.int64)])
+        x = ad.matmul(ad.embedding(p["pred.embed"], tokens), p["pred.w_in"])
+        return ad.rnn_tanh(ad.add(x, p["pred.b"]), p["pred.w_rec"])
 
     def joint_log_probs(self, enc: Tensor, pred: Tensor) -> Tensor:
         """(T, U+1, V+1) log-probabilities from the tanh joint network."""
         p = self.params
-        t = enc.data.shape[0]
-        u1 = pred.data.shape[0]
-        e = ad.reshape(ad.matmul(enc, p["joint.w_enc"]), (t, 1, self.config.joint_dim))
-        g = ad.reshape(ad.matmul(pred, p["joint.w_pred"]), (1, u1, self.config.joint_dim))
-        h = ad.tanh(ad.add(ad.add(e, g), p["joint.b"]))
-        h = ad.reshape(h, (t * u1, self.config.joint_dim))
+        h = ad.joint_tanh(ad.matmul(enc, p["joint.w_enc"]),
+                          ad.matmul(pred, p["joint.w_pred"]), p["joint.b"])
         logits = ad.add(ad.matmul(h, p["joint.w_out"]), p["joint.b_out"])
-        return ad.log_softmax(ad.reshape(logits, (t, u1, self.config.vocab_size + 1)))
+        return ad.log_softmax(ad.reshape(
+            logits, (enc.data.shape[0], pred.data.shape[0], self.config.vocab_size + 1)))
 
     def loss(self, features, labels: np.ndarray, env: EnvEmbeddings | None = None) -> Tensor:
         from .transducer import rnnt_loss

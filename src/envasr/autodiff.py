@@ -582,3 +582,56 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accum(b, g.sum(axis=0))
 
     return _finish(out, backward, "depthwise_conv1d")
+
+
+# ---------------------------------------------------------------------------
+# transducer prediction and joint layers
+
+
+def rnn_tanh(x: Tensor, w_rec: Tensor) -> Tensor:
+    """Elman recurrence h_u = tanh(x_u + h_{u-1} @ w_rec), h_{-1} = 0, over
+    the N >= 1 rows of x:(N,H) as one node. The backward is its own
+    backpropagation-through-time loop; the w_rec gradient is one matmul."""
+    n, hdim = x.data.shape
+    if w_rec.data.shape != (hdim, hdim):
+        raise ValueError(f"rnn_tanh weight {w_rec.data.shape} does not match width {hdim}")
+    h = np.empty_like(x.data)
+    h[0] = np.tanh(x.data[0])
+    for u in range(1, n):
+        h[u] = np.tanh(x.data[u] + h[u - 1] @ w_rec.data)
+    out = _node(h, (x, w_rec))
+
+    def backward():
+        g = out.grad
+        w_t = w_rec.data.T
+        dz = np.empty_like(h)
+        carry = g[n - 1]
+        for u in range(n - 1, -1, -1):
+            dz[u] = carry * (1.0 - h[u] * h[u])
+            if u:
+                carry = g[u - 1] + dz[u] @ w_t
+        _accum(x, dz)
+        _accum(w_rec, h[:-1].T @ dz[1:])
+
+    return _finish(out, backward, "rnn_tanh")
+
+
+def joint_tanh(e: Tensor, g: Tensor, b: Tensor) -> Tensor:
+    """tanh(e[:, None] + g[None] + b) flattened to (T*U, J) as one node, for
+    e:(T,J), g:(U,J) and b:(J,)."""
+    t, j = e.data.shape
+    u = g.data.shape[0]
+    if g.data.shape != (u, j) or b.data.shape != (j,):
+        raise ValueError(f"joint_tanh shape mismatch: {e.data.shape}, {g.data.shape}, "
+                         f"{b.data.shape}")
+    h = np.tanh(e.data[:, None] + g.data[None] + b.data).reshape(t * u, j)
+    out = _node(h, (e, g, b))
+
+    def backward():
+        dz = (out.grad * (1.0 - h * h)).reshape(t, u, j)
+        dg = dz.sum(axis=0)
+        _accum(e, dz.sum(axis=1))
+        _accum(g, dg)
+        _accum(b, dg.sum(axis=0))
+
+    return _finish(out, backward, "joint_tanh")

@@ -31,6 +31,12 @@ def _require_positive(prefix: str, obj, names) -> None:
             raise ValueError(f"{prefix}{name} must be positive, got {value}")
 
 
+def _require_heads_divide(prefix: str, obj) -> None:
+    if obj.model_dim % obj.heads:
+        raise ValueError(f"{prefix}heads = {obj.heads} does not divide "
+                         f"{prefix}model_dim = {obj.model_dim}")
+
+
 def _require_dtype(key: str, value: str) -> None:
     if value not in ("f32", "f64"):
         raise ValueError(f"{key} must be f32 or f64, got {value!r}")
@@ -74,6 +80,7 @@ class PretrainConfig:
 
     def __post_init__(self):
         _require_positive("pretrain.", self, ("model_dim", "num_blocks", "heads"))
+        _require_heads_divide("pretrain.", self)
         _require_dtype("pretrain.dtype", self.dtype)
 
 
@@ -93,6 +100,9 @@ class AsrConfig:
     def __post_init__(self):
         _require_positive("asr.", self, ("model_dim", "num_blocks", "heads",
                                          "conv_kernel"))
+        _require_heads_divide("asr.", self)
+        if self.conv_kernel % 2 == 0:
+            raise ValueError(f"asr.conv_kernel must be odd, got {self.conv_kernel}")
         if self.fusion_mode not in (CROSS, BASELINE):
             raise ValueError(f"unknown asr.fusion_mode {self.fusion_mode!r}")
         _require_dtype("asr.dtype", self.dtype)

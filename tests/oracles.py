@@ -8,7 +8,11 @@ ops plus a ``power`` node defined here; ``check_gradients``, which
 compares the engine's reverse-mode gradients with central differences; and
 ``adam_step_per_tensor`` and ``toposort_dfs``, the engine's earlier Adam
 update and tape sort, which the flat-buffer update and the loop-based sort
-must reproduce exactly.
+must reproduce exactly; and ``predict_states_loop`` and
+``joint_log_probs_chain``, the transducer's prediction network as a
+per-label loop of small nodes and its joint hidden layer as a
+reshape/add/add/tanh/reshape chain, which the fused ``rnn_tanh`` and
+``joint_tanh`` nodes must match.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from envasr import autodiff as ad
-from envasr.asr.transducer import _check_lattice_inputs, rnnt_alphas, rnnt_betas
+from envasr.asr.transducer import (_check_lattice_inputs, rnnt_alphas, rnnt_betas,
+                                   rnnt_loss)
 
 
 def matmul_triple_loop(a, b):
@@ -156,6 +161,42 @@ def toposort_dfs(root):
             visited.add(id(nxt))
             stack.append((nxt, iter(nxt._parents)))
     return topo
+
+
+def predict_states_loop(model, labels):
+    """(U+1, pred_dim) prediction states, one label at a time: each step is
+    narrow, matmul, add, (matmul, add,) tanh, and the rows are concatenated."""
+    p = model.params
+    tokens = np.concatenate([[model.blank_id], np.asarray(labels, dtype=np.int64)])
+    emb = ad.embedding(p["pred.embed"], tokens)
+    states = []
+    h = None
+    for u in range(tokens.size):
+        z = ad.add(ad.matmul(ad.narrow(emb, 0, u, 1), p["pred.w_in"]), p["pred.b"])
+        if h is not None:
+            z = ad.add(z, ad.matmul(h, p["pred.w_rec"]))
+        h = ad.tanh(z)
+        states.append(h)
+    return states[0] if len(states) == 1 else ad.concat(states, axis=0)
+
+
+def joint_log_probs_chain(model, enc, pred):
+    """(T, U+1, V+1) joint log-probabilities with the hidden layer as a
+    broadcasting reshape/add/add/tanh/reshape chain."""
+    p = model.params
+    t, u1, j = enc.data.shape[0], pred.data.shape[0], model.config.joint_dim
+    e = ad.reshape(ad.matmul(enc, p["joint.w_enc"]), (t, 1, j))
+    g = ad.reshape(ad.matmul(pred, p["joint.w_pred"]), (1, u1, j))
+    h = ad.reshape(ad.tanh(ad.add(ad.add(e, g), p["joint.b"])), (t * u1, j))
+    logits = ad.add(ad.matmul(h, p["joint.w_out"]), p["joint.b_out"])
+    return ad.log_softmax(ad.reshape(logits, (t, u1, model.config.vocab_size + 1)))
+
+
+def asr_loss_unfused(model, features, labels, env=None):
+    """`AsrModel.loss` through the two oracles above."""
+    enc = model.encode(features, env)
+    pred = predict_states_loop(model, labels)
+    return rnnt_loss(joint_log_probs_chain(model, enc, pred), labels)
 
 
 def nearest_center_exhaustive(vectors, centers):

@@ -320,6 +320,61 @@ class TestFusedGelu:
                 ad.gelu(t([1.0, np.nan]))
 
 
+class TestFusedTransducerLayers:
+    """The one-node recurrence and joint hidden layer: values against plain
+    numpy, gradients against central differences. Their equivalence with the
+    unfused model graph is tested in test_conformer.py."""
+
+    def test_rnn_tanh_values(self, rng):
+        x0, w0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 3))
+        h, want = ad.rnn_tanh(t(x0), t(w0)).data, []
+        prev = np.zeros(3)
+        for row in x0:
+            prev = np.tanh(row + prev @ w0)
+            want.append(prev)
+        np.testing.assert_allclose(h, want, rtol=0, atol=1e-15)
+
+    def test_joint_tanh_values(self, rng):
+        e0, g0, b0 = (rng.standard_normal(s) for s in ((4, 3), (2, 3), (3,)))
+        h = ad.joint_tanh(t(e0), t(g0), t(b0)).data
+        want = [np.tanh(e + g + b0) for e in e0 for g in g0]
+        np.testing.assert_allclose(h, want, rtol=0, atol=1e-15)
+
+    def test_single_nodes(self, rng):
+        x, w = t(rng.standard_normal((4, 3)), grad=True), t(np.eye(3), grad=True)
+        assert ad.rnn_tanh(x, w)._parents == (x, w)
+        e, g, b = (t(rng.standard_normal(s), grad=True) for s in ((4, 3), (2, 3), (3,)))
+        assert ad.joint_tanh(e, g, b)._parents == (e, g, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_rnn_tanh_gradcheck(self, n, rng):
+        x = t(rng.standard_normal((n, 3)), grad=True)
+        w_rec = t(0.7 * rng.standard_normal((3, 3)), grad=True)
+        w = Tensor(rng.standard_normal((n, 3)))
+        check_gradients(lambda: ad.sum_(ad.mul(ad.rnn_tanh(x, w_rec), w)),
+                        [x, w_rec], rtol=1e-4)
+
+    def test_joint_tanh_gradcheck(self, rng):
+        e, g, b = (t(rng.standard_normal(s), grad=True) for s in ((4, 3), (5, 3), (3,)))
+        w = Tensor(rng.standard_normal((20, 3)))
+        check_gradients(lambda: ad.sum_(ad.mul(ad.joint_tanh(e, g, b), w)),
+                        [e, g, b], rtol=1e-4)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="rnn_tanh weight"):
+            ad.rnn_tanh(t(np.ones((2, 3))), t(np.ones((3, 2))))
+        with pytest.raises(ValueError, match="joint_tanh shape mismatch"):
+            ad.joint_tanh(t(np.ones((2, 3))), t(np.ones((2, 4))), t(np.ones(3)))
+
+    def test_debug_checks_name_the_ops(self):
+        nan = np.array([[0.5, np.nan], [0.1, 0.2]])
+        with debug_checks():
+            with pytest.raises(FloatingPointError, match="'rnn_tanh'"):
+                ad.rnn_tanh(t(nan), t(np.eye(2)))
+            with pytest.raises(FloatingPointError, match="'joint_tanh'"):
+                ad.joint_tanh(t(nan), t(np.ones((3, 2))), t(np.zeros(2)))
+
+
 class TestToposort:
     """The engine's tape sort visits nodes in the oracle DFS's order."""
 

@@ -92,11 +92,14 @@ REJECTED = [
     ("pretrain.model_dim", "0"),
     ("pretrain.num_blocks", "0"),
     ("pretrain.heads", "0"),
+    ("pretrain.heads", "5"),
     ("pretrain.dtype", "f16"),
     ("asr.model_dim", "0"),
     ("asr.num_blocks", "0"),
     ("asr.heads", "-4"),
+    ("asr.heads", "3"),
     ("asr.conv_kernel", "0"),
+    ("asr.conv_kernel", "8"),
     ("asr.fusion_mode", "late_fusion"),
     ("asr.dtype", "bf16"),
     ("optimizer.lr", "0"),
@@ -132,6 +135,17 @@ def test_rejection_is_one_line_naming_the_key(key, value):
     with pytest.raises(ValueError, match=re.escape(key)) as info:
         parse_config_lines([f"{key} = {value}"], check_paths=False)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("lines,msg", [
+    (["asr.heads = 3"], "asr.heads = 3 does not divide asr.model_dim = 64"),
+    (["asr.model_dim = 30"], "asr.heads = 4 does not divide asr.model_dim = 30"),
+    (["pretrain.heads = 5"], "pretrain.heads = 5 does not divide pretrain.model_dim = 32"),
+    (["asr.conv_kernel = 8"], "asr.conv_kernel must be odd, got 8"),
+])
+def test_model_shape_rejected_at_load(lines, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        parse_config_lines(lines, check_paths=False)
 
 
 # each of these parsed once and made the loss NaN within two steps

@@ -8,7 +8,7 @@ from envasr.asr.conformer import (BASELINE, CROSS, AsrModel, ConformerConfig,
 from envasr.env_encoder import EnvEmbeddings
 from envasr.optim import adam_step, count_parameters
 
-from oracles import check_gradients
+from oracles import asr_loss_unfused, check_gradients
 
 
 def micro_config(**kw):
@@ -209,3 +209,85 @@ class TestFreezeContract:
             asr.loss(rng.standard_normal((9, 6)), labels, env).backward()
             adam_step(asr.params, 1e-3)
         assert parameter_hash(env_model.params) == before
+
+
+def loss_and_grads(model, loss_fn):
+    """Loss value and a copy of every trainable parameter's gradient (zeros
+    where the graph does not reach the parameter)."""
+    for _, p in model.params.items():
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for name, p in model.params.items() if p.requires_grad}
+    return float(loss.data), grads
+
+
+class TestFusedPredictionAndJoint:
+    """`predict_states` and `joint_log_probs` (one `rnn_tanh` and one
+    `joint_tanh` node) against the per-label loop and the joint chain."""
+
+    # (labels U, feature frames): T = 4 and 81 encoder frames; the last is
+    # the shape of an asr-long utterance
+    SHAPES = [(0, 9), (1, 9), (50, 163)]
+
+    def utterance(self, rng, u, frames, model):
+        feats = rng.standard_normal((frames, model.config.feature_dim))
+        labels = rng.integers(0, model.config.vocab_size, u)
+        return feats, labels, toy_env(rng, length=5, dim=model.config.env_dim)
+
+    def compare(self, model, feats, labels, env):
+        loss, grads = loss_and_grads(model, lambda: model.loss(feats, labels, env))
+        ref, ref_grads = loss_and_grads(
+            model, lambda: asr_loss_unfused(model, feats, labels, env))
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        return loss, ref, grads, ref_grads, scale
+
+    @pytest.mark.parametrize("u,frames", SHAPES)
+    def test_f64_loss_and_gradients_match_unfused(self, u, frames, rng):
+        model = AsrModel(ConformerConfig(vocab_size=8, dtype="f64"), seed=1)
+        loss, ref, grads, ref_grads, scale = self.compare(
+            model, *self.utterance(rng, u, frames, model))
+        assert abs(loss - ref) <= 1e-10 * abs(ref)
+        assert sorted(grads) == sorted(ref_grads)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=1e-10,
+                                       atol=1e-10 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("u,frames", SHAPES)
+    def test_f32_agrees_within_rounding(self, u, frames, rng):
+        model = AsrModel(ConformerConfig(vocab_size=8, dtype="f32"), seed=1)
+        loss, ref, grads, ref_grads, scale = self.compare(
+            model, *self.utterance(rng, u, frames, model))
+        assert abs(loss - ref) <= 1e-5 * abs(ref)
+        for name, g in grads.items():
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, ref_grads[name], rtol=1e-4,
+                                       atol=1e-5 * scale, err_msg=name)
+
+    def test_graph_size_does_not_grow_with_labels(self, rng):
+        model = AsrModel(micro_config(), seed=0)
+        sizes = {len(ad._toposort(model.predict_states(rng.integers(0, 3, u))))
+                 for u in (0, 1, 5, 40)}
+        assert len(sizes) == 1
+
+    def test_decoding_fast_paths_match_training_nodes(self, rng):
+        """Greedy decoding's numpy steps give the rows the trained graph
+        computes, so decoding runs the model that was trained."""
+        model = AsrModel(ConformerConfig(vocab_size=8, dtype="f64"), seed=2)
+        feats, labels, env = self.utterance(rng, 12, 31, model)
+        with ad.no_grad():
+            enc = model.encode(feats, env)
+            pred = model.predict_states(labels)
+            log_probs = model.joint_log_probs(enc, pred).data
+        states = [model.pred_start_np()]
+        for k in labels:
+            states.append(model.pred_step_np(states[-1], int(k)))
+        np.testing.assert_allclose(states, pred.data, rtol=0, atol=1e-12)
+        for ti in range(enc.data.shape[0]):
+            for ui in range(pred.data.shape[0]):
+                logits = model.joint_logits_np(enc.data[ti], pred.data[ui])
+                lp = logits - logits.max()
+                lp -= np.log(np.exp(lp).sum())
+                np.testing.assert_allclose(lp, log_probs[ti, ui], rtol=0, atol=1e-12)
+
