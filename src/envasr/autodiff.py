@@ -454,8 +454,23 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     return add(mul(standardize(x, eps), g), b)
 
 
-def cross_entropy(logits: Tensor, targets, ignore=None) -> Tensor:
-    """Mean negative log-likelihood over rows not flagged in `ignore`."""
+def _segment_bounds(lengths, rows: int, op: str):
+    """(start, stop) row ranges of consecutive segments of the given lengths;
+    None is one segment over all `rows`."""
+    if lengths is None:
+        return [(0, rows)]
+    lengths = [int(n) for n in lengths]
+    if not lengths or min(lengths) <= 0 or sum(lengths) != rows:
+        raise ValueError(f"{op}: segment lengths {lengths} must be positive and sum to "
+                         f"the {rows} rows")
+    ends = np.cumsum(lengths).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def cross_entropy(logits: Tensor, targets, ignore=None, lengths=None) -> Tensor:
+    """Mean negative log-likelihood over rows not flagged in `ignore`. With
+    `lengths` the rows are consecutive segments (a packed batch), and the value
+    is the mean over segments of each segment's mean over its kept rows."""
     if logits.data.ndim != 2:
         raise ValueError("cross_entropy expects (n, vocab) logits")
     n, v = logits.data.shape
@@ -468,57 +483,90 @@ def cross_entropy(logits: Tensor, targets, ignore=None) -> Tensor:
         keep = np.ones(n, dtype=bool)
     else:
         keep = ~np.asarray(ignore, dtype=bool)
-    m = int(keep.sum())
-    if m == 0:
-        raise ValueError("cross_entropy: every position is ignored")
+    bounds = _segment_bounds(lengths, n, "cross_entropy")
+    counts = [int(keep[lo:hi].sum()) for lo, hi in bounds]
+    if 0 in counts:
+        raise ValueError(f"cross_entropy: every position of segment {counts.index(0)} "
+                         f"of {len(bounds)} is ignored")
 
+    dtype = logits.data.dtype
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
     nll = lse - shifted[np.arange(n), targets]
-    value = nll[keep].mean()
-    out = _node(np.asarray(value, dtype=logits.data.dtype), (logits,))
+    means = [nll[lo:hi][keep[lo:hi]].mean() for lo, hi in bounds]
+    inv = np.asarray(1.0 / len(bounds), dtype=dtype)
+    out = _node(np.asarray(sum(means[1:], means[0]) * inv, dtype=dtype), (logits,))
+    row_counts = np.repeat(counts, [hi - lo for lo, hi in bounds]).astype(dtype)[:, None]
 
     def backward():
         probs = np.exp(shifted - lse[:, None])
         probs[np.arange(n), targets] -= 1.0
         probs[~keep] = 0.0
-        _accum(logits, out.grad * probs / m)
+        _accum(logits, out.grad * inv * probs / row_counts)
 
     return _finish(out, backward, "cross_entropy")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
-    """Multi-head scaled dot-product attention on (time, dim) tensors.
-    Returns (output, weights (heads, tq, tk))."""
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None):
+    """Multi-head scaled dot-product attention on (time, dim) tensors as one
+    node. With `lengths`, q, k and v hold consecutive segments of those many
+    rows (a packed batch) and each segment attends only within itself.
+    Returns (output, weights): one (heads, tq, tk) weight array per segment."""
     tq, d = q.data.shape
     tk = k.data.shape[0]
     if d % heads != 0:
         raise ValueError(f"model dim {d} not divisible by {heads} heads")
     if k.data.shape != (tk, d) or v.data.shape != (tk, d):
         raise ValueError("key/value shape mismatch")
+    q_bounds = _segment_bounds(lengths, tq, "attention queries")
+    kv_bounds = _segment_bounds(lengths, tk, "attention keys")
     dh = d // heads
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
 
-    def split(t, n):
-        return transpose(reshape(t, (n, heads, dh)), (1, 0, 2))
+    def split(x, lo, hi):  # rows lo:hi of (time, d) -> (heads, hi - lo, dh) view
+        return np.transpose(x[lo:hi].reshape(hi - lo, heads, dh), (1, 0, 2))
 
-    qh = split(q, tq)
-    kh = split(k, tk)
-    vh = split(v, tk)
-    scores = mul(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    weights = softmax(scores, axis=-1)
-    mixed = matmul(weights, vh)
-    return reshape(transpose(mixed, (1, 0, 2)), (tq, d)), weights
+    heads_views, weights, mixed = [], [], []
+    for (qlo, qhi), (klo, khi) in zip(q_bounds, kv_bounds):
+        qh, kh, vh = split(q.data, qlo, qhi), split(k.data, klo, khi), split(v.data, klo, khi)
+        scores = np.matmul(qh, np.transpose(kh, (0, 2, 1))) * scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        mixed.append(np.transpose(np.matmul(w, vh), (1, 0, 2)).reshape(qhi - qlo, d))
+        heads_views.append((qh, kh, vh))
+        weights.append(w)
+    out = _node(np.concatenate(mixed), (q, k, v))
+
+    def backward():
+        gq, gk, gv = [], [], []
+        for (lo, hi), (qh, kh, vh), w in zip(q_bounds, heads_views, weights):
+            gm = split(out.grad, lo, hi)
+            gw = np.matmul(gm, np.swapaxes(vh, -1, -2))
+            gvh = np.matmul(np.swapaxes(w, -1, -2), gm)
+            gs = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w * scale
+            gq.append(np.transpose(np.matmul(gs, kh), (1, 0, 2)).reshape(hi - lo, d))
+            gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
+            gk.append(np.transpose(gkt, (2, 0, 1)).reshape(-1, d))
+            gv.append(np.transpose(gvh, (1, 0, 2)).reshape(-1, d))
+        # v, k, q: attention_composite's order, so q = k = v on one tensor
+        # sums its three gradients bit-identically
+        _accum(v, np.concatenate(gv))
+        _accum(k, np.concatenate(gk))
+        _accum(q, np.concatenate(gq))
+
+    return _finish(out, backward, "attention"), weights
 
 
-def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int):
+def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int, lengths=None):
     """Multi-head attention layer: queries from `x`, keys and values from `kv`
     (`x` itself for self-attention), each through the `<prefix>.w{q,k,v,o}`,
-    `<prefix>.b{q,k,v,o}` affine maps in `params`. Returns (output, weights)."""
+    `<prefix>.b{q,k,v,o}` affine maps in `params`; `lengths` segments a packed
+    batch as in `attention`. Returns (output, weights)."""
 
     def proj(t, m):
         return add(matmul(t, params[f"{prefix}.w{m}"]), params[f"{prefix}.b{m}"])
 
-    out, weights = attention(proj(x, "q"), proj(kv, "k"), proj(kv, "v"), heads)
+    out, weights = attention(proj(x, "q"), proj(kv, "k"), proj(kv, "v"), heads, lengths)
     return proj(out, "o"), weights
 
 

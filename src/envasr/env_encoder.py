@@ -11,6 +11,16 @@ Masked positions have their embedded vector replaced by a learned
 per-modality mask embedding; the loss is cross-entropy at masked positions
 only. Once pretrained, the final block output over an audio-only sequence is
 the frozen embedding sequence consumed by the ASR stage.
+
+A training step packs its utterances rather than padding them. Each
+utterance goes through the stems (whose instance norm takes statistics per
+utterance and modality), mask replacement and position/modality embeddings
+on its own; the results are concatenated end to end into one (sum of
+lengths, model_dim) sequence. Every later op but attention is row-wise, so
+the encoder stack, final norm and head run once over the packed rows, and
+attention takes the utterance lengths and attends within each utterance
+only. The loss is the mean over utterances of each one's masked
+cross-entropy, as if each had its own graph.
 """
 
 import hashlib
@@ -81,6 +91,21 @@ class MultimodalBatch:
             segs.append(self.video_patches.shape[0])
         segs.append(self.audio_patches.shape[0])
         return segs
+
+
+@dataclass
+class PackedBatch:
+    """A step's utterances, each with labels and mask, packed end to end."""
+
+    items: list
+
+    @property
+    def lengths(self) -> list:
+        return [b.seq_len for b in self.items]
+
+    @property
+    def seq_len(self) -> int:
+        return sum(self.lengths)
 
 
 @dataclass
@@ -159,6 +184,11 @@ class EnvEncoder:
 
     def embed_multimodal(self, batch: MultimodalBatch, apply_mask: bool = True) -> Tensor:
         """Patch projection + mask replacement + modality/position embeddings."""
+        parts = self._embed_parts(batch, apply_mask)
+        return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+
+    def _embed_parts(self, batch: MultimodalBatch, apply_mask: bool = True) -> list:
+        """`embed_multimodal` as its video block (if any) and audio block."""
         cfg = self.config
         p = self.params
         flags = None
@@ -199,10 +229,11 @@ class EnvEncoder:
         h = ad.add(h, ad.narrow(p["embed.modality"], 0, AUDIO, 1))
         h = ad.add(h, ad.embedding(p["embed.audio_pos"], np.arange(n_a)))
         parts.append(h)
-        return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+        return parts
 
-    def encoder_forward(self, embedded: Tensor) -> Tensor:
-        """Pre-norm transformer stack; every position attends to every other."""
+    def encoder_forward(self, embedded: Tensor, lengths=None) -> Tensor:
+        """Pre-norm transformer stack; every position attends to every other
+        position of its segment (`lengths`, as in `ad.attention`)."""
         p = self.params
         cfg = self.config
         if self.collect_attention:
@@ -211,9 +242,9 @@ class EnvEncoder:
         for i in range(cfg.num_blocks):
             pre = f"block{i}"
             h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-            att, weights = ad.mha(p, f"{pre}.attn", h, h, cfg.heads)
+            att, weights = ad.mha(p, f"{pre}.attn", h, h, cfg.heads, lengths)
             if self.collect_attention:
-                self.last_attention.append(weights.data.copy())
+                self.last_attention.append([w.copy() for w in weights])
             x = ad.add(x, att)
             h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
             h = ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.ff.w1"]), p[f"{pre}.ff.b1"]))
@@ -224,16 +255,25 @@ class EnvEncoder:
     def mlm_logits(self, encoded: Tensor) -> Tensor:
         return ad.add(ad.matmul(encoded, self.params["head.w"]), self.params["head.b"])
 
-    def mlm_loss(self, encoded: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Cross-entropy over the unified vocabulary at masked positions only."""
+    def mlm_loss(self, encoded: Tensor, labels: np.ndarray, mask: np.ndarray,
+                 lengths=None) -> Tensor:
+        """Cross-entropy over the unified vocabulary at masked positions only;
+        with `lengths`, the mean over segments of each one's."""
         mask = np.asarray(mask, dtype=bool)
         if not mask.any():
             raise ValueError("mlm_loss requires at least one masked position")
-        return ad.cross_entropy(self.mlm_logits(encoded), labels, ignore=~mask)
+        return ad.cross_entropy(self.mlm_logits(encoded), labels, ignore=~mask,
+                                lengths=lengths)
 
-    def forward_loss(self, batch: MultimodalBatch) -> Tensor:
-        encoded = self.encoder_forward(self.embed_multimodal(batch))
-        return self.mlm_loss(encoded, batch.labels, batch.mask)
+    def forward_loss(self, batch: MultimodalBatch | PackedBatch) -> Tensor:
+        """The mean over the batch's utterances of each one's masked
+        cross-entropy, from one packed forward pass."""
+        packed = batch if isinstance(batch, PackedBatch) else PackedBatch([batch])
+        parts = [part for b in packed.items for part in self._embed_parts(b)]
+        embedded = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+        encoded = self.encoder_forward(embedded, packed.lengths)
+        return self.mlm_loss(encoded, np.concatenate([b.labels for b in packed.items]),
+                             np.concatenate([b.mask for b in packed.items]), packed.lengths)
 
 
 def draw_batch_mask(batch: MultimodalBatch, width: int, prob: float,
@@ -247,14 +287,13 @@ def draw_batch_mask(batch: MultimodalBatch, width: int, prob: float,
 
 def pretrain_step(model: EnvEncoder, batches: list, hyper: AdamHyper, step: int,
                   seed: int = 0):
-    """One optimization step over a list of batches. Returns (loss, ppl)."""
+    """One optimization step over a list of batches: masks are drawn in batch
+    order, then one packed forward and backward. Returns (loss, ppl)."""
     width, prob = mask_params_at(model.config.schedule, step)
     rng = substream(seed, "mask", step)
-    losses = []
-    for batch in batches:
-        batch = replace(batch, mask=draw_batch_mask(batch, width, prob, rng))
-        losses.append(model.forward_loss(batch))
-    loss = minimize_mean(model.params, losses, hyper)
+    packed = PackedBatch([replace(b, mask=draw_batch_mask(b, width, prob, rng))
+                          for b in batches])
+    loss = minimize_mean(model.params, [model.forward_loss(packed)], hyper)
     return loss, math.exp(loss)
 
 

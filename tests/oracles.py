@@ -12,16 +12,24 @@ must reproduce exactly; and ``predict_states_loop`` and
 ``joint_log_probs_chain``, the transducer's prediction network as a
 per-label loop of small nodes and its joint hidden layer as a
 reshape/add/add/tanh/reshape chain, which the fused ``rnn_tanh`` and
-``joint_tanh`` nodes must match.
+``joint_tanh`` nodes must match; and ``attention_composite`` and
+``pretrain_step_per_utterance``, attention as a reshape/transpose/matmul/
+mul/softmax chain and a pretraining step as one graph per utterance, which
+the fused attention node and the packed step must match.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from envasr import autodiff as ad
 from envasr.asr.transducer import (_check_lattice_inputs, rnnt_alphas, rnnt_betas,
                                    rnnt_loss)
+from envasr.env_encoder import draw_batch_mask
+from envasr.masking import mask_params_at
+from envasr.optim import minimize_mean
+from envasr.rng import substream
 
 
 def matmul_triple_loop(a, b):
@@ -197,6 +205,66 @@ def asr_loss_unfused(model, features, labels, env=None):
     enc = model.encode(features, env)
     pred = predict_states_loop(model, labels)
     return rnnt_loss(joint_log_probs_chain(model, enc, pred), labels)
+
+
+def attention_composite(q, k, v, heads):
+    """Multi-head attention on (time, dim) tensors as a chain of the engine's
+    reshape, transpose, matmul, mul and softmax nodes. Returns (output,
+    weights (heads, tq, tk))."""
+    tq, d = q.data.shape
+    tk = k.data.shape[0]
+    dh = d // heads
+
+    def split(t, n):
+        return ad.transpose(ad.reshape(t, (n, heads, dh)), (1, 0, 2))
+
+    qh, kh, vh = split(q, tq), split(k, tk), split(v, tk)
+    scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    weights = ad.softmax(scores, axis=-1)
+    mixed = ad.matmul(weights, vh)
+    return ad.reshape(ad.transpose(mixed, (1, 0, 2)), (tq, d)), weights
+
+
+def encoder_forward_composite(model, embedded):
+    """`EnvEncoder.encoder_forward` over one utterance, with its attention
+    layers through ``attention_composite``."""
+    p = model.params
+    cfg = model.config
+
+    def proj(t, pre, m):
+        return ad.add(ad.matmul(t, p[f"{pre}.w{m}"]), p[f"{pre}.b{m}"])
+
+    x = embedded
+    for i in range(cfg.num_blocks):
+        pre = f"block{i}"
+        h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
+        att, _ = attention_composite(proj(h, f"{pre}.attn", "q"), proj(h, f"{pre}.attn", "k"),
+                                     proj(h, f"{pre}.attn", "v"), cfg.heads)
+        x = ad.add(x, proj(att, f"{pre}.attn", "o"))
+        h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
+        h = ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.ff.w1"]), p[f"{pre}.ff.b1"]))
+        x = ad.add(x, ad.add(ad.matmul(h, p[f"{pre}.ff.w2"]), p[f"{pre}.ff.b2"]))
+    return ad.layer_norm(x, p["final_norm.g"], p["final_norm.b"])
+
+
+def pretrain_losses_per_utterance(model, batches):
+    """One masked cross-entropy per masked batch, each from its own graph."""
+    losses = []
+    for b in batches:
+        encoded = encoder_forward_composite(model, model.embed_multimodal(b))
+        losses.append(ad.cross_entropy(model.mlm_logits(encoded), b.labels, ignore=~b.mask))
+    return losses
+
+
+def pretrain_step_per_utterance(model, batches, hyper, step, seed=0):
+    """`pretrain_step` with one graph per utterance: masks drawn in batch
+    order, per-utterance losses, then the mean's backward and Adam. Returns
+    (loss, ppl)."""
+    width, prob = mask_params_at(model.config.schedule, step)
+    rng = substream(seed, "mask", step)
+    masked = [replace(b, mask=draw_batch_mask(b, width, prob, rng)) for b in batches]
+    loss = minimize_mean(model.params, pretrain_losses_per_utterance(model, masked), hyper)
+    return loss, math.exp(loss)
 
 
 def nearest_center_exhaustive(vectors, centers):

@@ -8,8 +8,8 @@ from envasr.env_encoder import (EnvEmbeddings, EnvEncoder, EnvEncoderConfig,
                                 MultimodalBatch, pretrain_step)
 from envasr.optim import AdamHyper
 
-from oracles import (check_gradients, cross_entropy_logsumexp, gelu_composite,
-                     matmul_triple_loop, softmax_direct, toposort_dfs)
+from oracles import (attention_composite, check_gradients, cross_entropy_logsumexp,
+                     gelu_composite, matmul_triple_loop, softmax_direct, toposort_dfs)
 
 
 def t(data, grad=False):
@@ -131,8 +131,8 @@ class TestAttention:
         q = t(rng.standard_normal((4, 8)) * 5)
         k = t(rng.standard_normal((7, 8)) * 5)
         v = t(rng.standard_normal((7, 8)))
-        _, w = ad.attention(q, k, v, heads=4)
-        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-10)
+        _, (w,) = ad.attention(q, k, v, heads=4)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-10)
 
     def test_gradcheck_3x4(self, rng):
         q = t(rng.standard_normal((3, 4)), grad=True)
@@ -153,10 +153,84 @@ class TestAttention:
                   for kind in "wb" for m in "qkvo"}
         x = t(rng.standard_normal((3, 4)))
         kv = t(rng.standard_normal((5, 4)))
-        out, w = ad.mha(params, "l", x, kv, heads=2)
+        out, (w,) = ad.mha(params, "l", x, kv, heads=2)
         np.testing.assert_allclose(out.data, ad.attention(x, kv, kv, 2)[0].data,
                                    atol=1e-12)
-        assert w.data.shape == (2, 3, 5)
+        assert w.shape == (2, 3, 5)
+
+
+class TestFusedAttention:
+    """`ad.attention` is one node; the reshape/transpose/matmul/mul/softmax
+    chain in `attention_composite` is its oracle."""
+
+    @staticmethod
+    def run(attend, q0, k0, v0, wo0):
+        wo = Tensor(wo0.copy(), requires_grad=True)
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+        if k0 is q0:  # self-attention on one tensor: its three gradients add up
+            k = v = q
+        out = ad.matmul(attend(q, k, v), wo)
+        ad.sum_(ad.mul(out, out)).backward()
+        return [out.data, q.grad, k.grad, v.grad, wo.grad]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tq,tk,d,heads", [(7, 7, 8, 2), (5, 3, 12, 4), (1, 1, 4, 1),
+                                               (6, "shared", 8, 2)])
+    def test_one_segment_matches_composite_bit_for_bit(self, rng, dtype, tq, tk, d, heads):
+        # the same numpy ops on the same memory layouts, so toy (batch 1)
+        # artifacts stay byte-identical to the composite chain's
+        q, wo = rng.standard_normal((tq, d)).astype(dtype), rng.standard_normal((d, d))
+        if tk == "shared":
+            k = v = q
+        else:
+            k, v = (rng.standard_normal((tk, d)).astype(dtype) for _ in range(2))
+        fused = self.run(lambda *a: ad.attention(*a, heads)[0], q, k, v, wo.astype(dtype))
+        chain = self.run(lambda *a: attention_composite(*a, heads)[0], q, k, v,
+                         wo.astype(dtype))
+        for got, want in zip(fused, chain):
+            np.testing.assert_array_equal(got, want)
+
+    def test_segments_match_separate_calls(self, rng):
+        lengths = [3, 1, 4]
+        x = rng.standard_normal((8, 6))
+        q, k, v = (Tensor(x * s, requires_grad=True) for s in (1.0, 0.5, 2.0))
+        out, weights = ad.attention(q, k, v, 3, lengths)
+        assert [w.shape for w in weights] == [(3, n, n) for n in lengths]
+        lo = 0
+        for n in lengths:
+            rows = [Tensor(t.data[lo:lo + n]) for t in (q, k, v)]
+            np.testing.assert_allclose(out.data[lo:lo + n],
+                                       attention_composite(*rows, 3)[0].data,
+                                       rtol=0, atol=1e-12)
+            lo += n
+
+    def test_gradcheck_three_segments_one_of_length_1(self, rng):
+        q, k, v = (t(rng.standard_normal((8, 6)), grad=True) for _ in range(3))
+        w = rng.standard_normal((8, 6))
+        check_gradients(
+            lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 3, [3, 1, 4])[0], Tensor(w))),
+            [q, k, v], rtol=1e-4)
+
+    def test_debug_checks_name_the_op(self):
+        x = t(np.ones((3, 4)))
+        nan = t(np.array([[0.5, np.nan, 0.1, 0.2]] * 3))
+        with debug_checks():
+            with pytest.raises(FloatingPointError, match="'attention'"):
+                ad.attention(nan, x, x, 2, [2, 1])
+
+    @pytest.mark.parametrize("lengths,tk,message", [
+        ([], 5, r"segment lengths \[\] must be positive and sum to the 5 rows"),
+        ([5, 0], 5, r"segment lengths \[5, 0\] must be positive"),
+        ([6, -1], 5, r"segment lengths \[6, -1\] must be positive"),
+        ([2, 2], 5, r"segment lengths \[2, 2\] must be positive and sum to the 5 rows"),
+        ([2, 3], 4, r"attention keys: segment lengths \[2, 3\] must be positive and sum "
+                    r"to the 4 rows"),
+    ])
+    def test_bad_lengths_rejected(self, rng, lengths, tk, message):
+        q = t(rng.standard_normal((5, 4)))
+        kv = t(rng.standard_normal((tk, 4)))
+        with pytest.raises(ValueError, match=message):
+            ad.attention(q, kv, kv, 2, lengths)
 
 
 class TestCrossEntropy:
@@ -192,6 +266,31 @@ class TestCrossEntropy:
     def test_all_ignored(self):
         with pytest.raises(ValueError, match="ignored"):
             ad.cross_entropy(t(np.zeros((2, 3))), [0, 1], ignore=[True, True])
+
+    def test_segments_average_per_segment_means(self, rng):
+        logits = rng.standard_normal((6, 4))
+        targets = rng.integers(0, 4, 6)
+        ignore = np.array([False, True, False, False, True, False])
+        lengths = [3, 1, 2]
+        want, lo = 0.0, 0
+        for n in lengths:
+            kept = [i for i in range(lo, lo + n) if not ignore[i]]
+            want += cross_entropy_logsumexp(logits[kept], targets[kept]) / len(lengths)
+            lo += n
+        x = t(logits, grad=True)
+        out = ad.cross_entropy(x, targets, ignore=ignore, lengths=lengths)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        check_gradients(lambda: ad.cross_entropy(x, targets, ignore, lengths), [x])
+
+    def test_segment_fully_ignored(self):
+        with pytest.raises(ValueError, match="every position of segment 1 of 2"):
+            ad.cross_entropy(t(np.zeros((3, 3))), [0, 1, 2],
+                             ignore=[False, True, True], lengths=[1, 2])
+
+    def test_bad_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"segment lengths \[1, 1\] must be positive "
+                                             r"and sum to the 3 rows"):
+            ad.cross_entropy(t(np.zeros((3, 3))), [0, 1, 2], lengths=[1, 1])
 
 
 class TestBackward:
@@ -393,7 +492,9 @@ class TestToposort:
         assert self.assert_same_order(root) == 11
 
     def test_pretrain_step_graph_at_batch_4(self, rng, monkeypatch):
-        cfg = EnvEncoderConfig(model_dim=16, num_blocks=2, heads=4, vocab_size=24,
+        # a packed step's graph does not grow with the batch, so the depth
+        # keeps it above 400 nodes
+        cfg = EnvEncoderConfig(model_dim=16, num_blocks=8, heads=4, vocab_size=24,
                                audio_patch_dim=12, video_patch_dim=20,
                                max_audio_positions=32, max_video_steps=8,
                                max_grid_rows=4, max_grid_cols=4)
@@ -413,7 +514,7 @@ class TestToposort:
         assert len(sizes) == 1 and sizes[0] > 400
 
     def test_asr_loss_graph(self, rng):
-        cfg = ConformerConfig(model_dim=8, num_blocks=2, heads=2, conv_kernel=3,
+        cfg = ConformerConfig(model_dim=8, num_blocks=3, heads=2, conv_kernel=3,
                               env_dim=4, feature_dim=6, vocab_size=3)
         model = AsrModel(cfg, seed=0)
         loss = model.loss(rng.standard_normal((11, 6)), np.array([1, 0, 2]),

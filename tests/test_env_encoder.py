@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from envasr import autodiff as ad
 from envasr.autodiff import Tensor
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, MultimodalBatch,
-                                extract_env_embeddings, masked_accuracy,
-                                parameter_hash, pretrain_step)
+                                PackedBatch, draw_batch_mask, extract_env_embeddings,
+                                masked_accuracy, parameter_hash, pretrain_step)
 from envasr.masking import MaskSchedule, mask_params_at
 from envasr.optim import AdamHyper
 
-from oracles import check_gradients
+from oracles import (check_gradients, pretrain_losses_per_utterance,
+                     pretrain_step_per_utterance)
 
 
 def toy_config(**kw):
@@ -100,7 +103,7 @@ class TestEncoderForward:
         model.collect_attention = True
         model.encoder_forward(Tensor(rng.standard_normal((6, 16))))
         assert len(model.last_attention) == 2
-        for weights in model.last_attention:
+        for (weights,) in model.last_attention:
             np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-10)
 
 
@@ -187,6 +190,93 @@ class TestPretrainStep:
         sched = MaskSchedule()
         assert mask_params_at(sched, 9999)[0] == 1
         assert mask_params_at(sched, 10000)[0] == 3
+
+
+def mixed_batches(rng, cfg):
+    """Four utterances of different lengths, one of them audio-only."""
+    return [toy_batch(rng, cfg, n_audio=5, grid=(2, 2, 2)),
+            toy_batch(rng, cfg, n_audio=9, grid=(1, 2, 2)),
+            MultimodalBatch(audio_patches=rng.standard_normal((3, cfg.audio_patch_dim)),
+                            labels=rng.integers(0, cfg.vocab_size, 3)),
+            toy_batch(rng, cfg, n_audio=1, grid=(1, 1, 1))]
+
+
+def with_masks(batches, seed=0):
+    rng = np.random.default_rng(seed)
+    return [replace(b, mask=draw_batch_mask(b, 1, 0.4, rng)) for b in batches]
+
+
+def gradients(model, loss):
+    for _, p in model.params.items():
+        p.grad = None
+    loss.backward()
+    return {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+            for name, p in model.params.items()}
+
+
+class TestPackedStep:
+    """One packed graph per step against the per-utterance oracle."""
+
+    def test_loss_and_gradients_match_per_utterance_graphs(self, rng):
+        cfg = toy_config()
+        model = EnvEncoder(cfg, seed=2)
+        batches = with_masks(mixed_batches(rng, cfg))
+        packed = model.forward_loss(PackedBatch(batches))
+        losses = pretrain_losses_per_utterance(model, batches)
+        oracle = ad.mul(sum(losses[1:], losses[0]), 1.0 / len(losses))
+        assert float(packed.data) == pytest.approx(float(oracle.data), rel=1e-10, abs=0)
+        got, want = gradients(model, packed), gradients(model, oracle)
+        scale = max(np.abs(g).max() for g in want.values())
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10,
+                                       atol=1e-10 * scale, err_msg=name)
+
+    def test_step_draws_masks_like_the_per_utterance_step(self, rng):
+        cfg = toy_config()
+        batches = mixed_batches(rng, cfg)
+        for step in (0, 1, 7):
+            packed = pretrain_step(EnvEncoder(cfg, seed=3), batches, AdamHyper(), step, 5)
+            oracle = pretrain_step_per_utterance(EnvEncoder(cfg, seed=3), batches,
+                                                 AdamHyper(), step, 5)
+            assert packed[0] == pytest.approx(oracle[0], rel=1e-10, abs=0)
+
+    def test_batch_of_one_is_bit_identical_in_f32(self, rng):
+        cfg = toy_config(dtype="f32")
+        batch = toy_batch(rng, cfg)
+        models = [EnvEncoder(cfg, seed=1), EnvEncoder(cfg, seed=1)]
+        for step in range(3):
+            a = pretrain_step(models[0], [batch], AdamHyper(), step, 4)
+            b = pretrain_step_per_utterance(models[1], [batch], AdamHyper(), step, 4)
+            assert a == b
+        assert parameter_hash(models[0].params) == parameter_hash(models[1].params)
+
+    def test_segments_are_independent(self, rng):
+        cfg = toy_config()
+        model = EnvEncoder(cfg, seed=0)
+        batches = with_masks(mixed_batches(rng, cfg))
+        packed = PackedBatch(batches)
+
+        def encode(items):
+            parts = [model.embed_multimodal(b) for b in items]
+            return model.encoder_forward(ad.concat(parts), packed.lengths).data
+
+        before = encode(batches)
+        changed = list(batches)
+        noise = rng.standard_normal(batches[1].audio_patches.shape)
+        changed[1] = replace(batches[1], audio_patches=batches[1].audio_patches + noise)
+        after = encode(changed)
+        bounds = np.cumsum([0] + packed.lengths)
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if i == 1:
+                assert np.abs(after[lo:hi] - before[lo:hi]).max() > 1e-3
+            else:
+                np.testing.assert_array_equal(after[lo:hi], before[lo:hi])
+
+    def test_packed_batch_counts_every_position(self, rng):
+        batches = mixed_batches(rng, toy_config())
+        packed = PackedBatch(batches)
+        assert packed.lengths == [13, 13, 3, 2]
+        assert packed.seq_len == 31
 
 
 class TestExtraction:
