@@ -4,7 +4,9 @@ environment embeddings.
 Each block runs: half-step feed-forward, self-attention, a fusion sublayer,
 the convolution module (pointwise-GLU, depthwise conv, instance norm, swish,
 pointwise), a second half-step feed-forward, and a final layer norm, with
-residual connections throughout. The fusion sublayer either cross-attends to
+residual connections throughout. Neither the attention key projections nor
+the depthwise conv has a bias: the softmax over keys and the instance norm
+after the conv would cancel it. The fusion sublayer either cross-attends to
 the projected environment embeddings or, in the parity baseline, runs plain
 self-attention with identically shaped weights, so the two variants have
 exactly the same parameter count. The environment embeddings themselves are
@@ -113,13 +115,13 @@ class AsrModel:
                 add(rng, f"{pre}.{sub}.norm.b", (d,), zero=True)
                 for mat in ("q", "k", "v", "o"):
                     add(rng, f"{pre}.{sub}.w{mat}", (d, d))
-                    add(rng, f"{pre}.{sub}.b{mat}", (d,), zero=True)
+                    if mat != "k":
+                        add(rng, f"{pre}.{sub}.b{mat}", (d,), zero=True)
             add(rng, f"{pre}.conv.norm.g", (d,), one=True)
             add(rng, f"{pre}.conv.norm.b", (d,), zero=True)
             add(rng, f"{pre}.conv.pw1.w", (d, 2 * d))
             add(rng, f"{pre}.conv.pw1.b", (2 * d,), zero=True)
             add(rng, f"{pre}.conv.dw.w", (config.conv_kernel, d))
-            add(rng, f"{pre}.conv.dw.b", (d,), zero=True)
             add(rng, f"{pre}.conv.inorm.g", (d,), one=True)
             add(rng, f"{pre}.conv.inorm.b", (d,), zero=True)
             add(rng, f"{pre}.conv.pw2.w", (d, d))
@@ -171,7 +173,7 @@ class AsrModel:
         h = ad.add(ad.matmul(h, p[f"{prefix}.pw1.w"]), p[f"{prefix}.pw1.b"])
         gate = ad.sigmoid(ad.narrow(h, 1, d, d))
         h = ad.mul(ad.narrow(h, 1, 0, d), gate)
-        h = ad.depthwise_conv1d(h, p[f"{prefix}.dw.w"], p[f"{prefix}.dw.b"])
+        h = ad.depthwise_conv1d(h, p[f"{prefix}.dw.w"])
         h = ad.transpose(h)
         h = ad.instance_norm(h, p[f"{prefix}.inorm.g"], p[f"{prefix}.inorm.b"])
         h = ad.swish(ad.transpose(h))
@@ -182,10 +184,10 @@ class AsrModel:
         pre = f"block{i}"
         x = ad.add(x, ad.mul(self._ff(x, f"{pre}.ff1"), 0.5))
         h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-        x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, self.config.heads)[0])
+        x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, self.config.heads))
         h = ad.layer_norm(x, p[f"{pre}.fusion.norm.g"], p[f"{pre}.fusion.norm.b"])
         kv = env_proj if self.config.fusion_mode == CROSS else h
-        x = ad.add(x, ad.mha(p, f"{pre}.fusion", h, kv, self.config.heads)[0])
+        x = ad.add(x, ad.mha(p, f"{pre}.fusion", h, kv, self.config.heads))
         x = ad.add(x, self._conv_module(x, f"{pre}.conv"))
         x = ad.add(x, ad.mul(self._ff(x, f"{pre}.ff2"), 0.5))
         return ad.layer_norm(x, p[f"{pre}.out_norm.g"], p[f"{pre}.out_norm.b"])

@@ -97,12 +97,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -208,17 +202,6 @@ def add(a: Tensor, b) -> Tensor:
     return _finish(out, backward, "add")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    out = _node(a.data - b.data, (a, b))
-
-    def backward():
-        _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(-out.grad, b.data.shape))
-
-    return _finish(out, backward, "sub")
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     out = _node(a.data * b.data, (a, b))
@@ -228,15 +211,6 @@ def mul(a: Tensor, b) -> Tensor:
         _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
     return _finish(out, backward, "mul")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = _node(np.tanh(a.data), (a,))
-
-    def backward():
-        _accum(a, out.grad * (1.0 - out.data * out.data))
-
-    return _finish(out, backward, "tanh")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -349,18 +323,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _finish(out, backward, "narrow")
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-
-    def backward():
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _finish(out, backward, "sum")
-
-
 def embedding(table: Tensor, ids) -> Tensor:
     """Gather rows of `table` by integer index; backward scatter-adds."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -379,23 +341,7 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization, softmax, losses
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.data.shape[axis] == 0:
-        raise ValueError("softmax over an empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = _node(y, (a,))
-
-    def backward():
-        g = out.grad
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, (g - dot) * y)
-
-    return _finish(out, backward, "softmax")
+# normalization and losses
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -507,11 +453,10 @@ def cross_entropy(logits: Tensor, targets, ignore=None, lengths=None) -> Tensor:
     return _finish(out, backward, "cross_entropy")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None):
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tensor:
     """Multi-head scaled dot-product attention on (time, dim) tensors as one
     node. With `lengths`, q, k and v hold consecutive segments of those many
-    rows (a packed batch) and each segment attends only within itself.
-    Returns (output, weights): one (heads, tq, tk) weight array per segment."""
+    rows (a packed batch) and each segment attends only within itself."""
     tq, d = q.data.shape
     tk = k.data.shape[0]
     if d % heads != 0:
@@ -554,20 +499,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None):
         _accum(k, np.concatenate(gk))
         _accum(q, np.concatenate(gq))
 
-    return _finish(out, backward, "attention"), weights
+    return _finish(out, backward, "attention")
 
 
-def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int, lengths=None):
+def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int, lengths=None) -> Tensor:
     """Multi-head attention layer: queries from `x`, keys and values from `kv`
-    (`x` itself for self-attention), each through the `<prefix>.w{q,k,v,o}`,
-    `<prefix>.b{q,k,v,o}` affine maps in `params`; `lengths` segments a packed
-    batch as in `attention`. Returns (output, weights)."""
+    (`x` itself for self-attention), through the `<prefix>.w{q,k,v,o}` maps in
+    `params` and the biases `<prefix>.b{q,v,o}`. Keys have no bias: it would
+    add one score per query row, which the softmax cancels. `lengths`
+    segments a packed batch as in `attention`."""
 
     def proj(t, m):
         return add(matmul(t, params[f"{prefix}.w{m}"]), params[f"{prefix}.b{m}"])
 
-    out, weights = attention(proj(x, "q"), proj(kv, "k"), proj(kv, "v"), heads, lengths)
-    return proj(out, "o"), weights
+    keys = matmul(kv, params[f"{prefix}.wk"])
+    return proj(attention(proj(x, "q"), keys, proj(kv, "v"), heads, lengths), "o")
 
 
 # ---------------------------------------------------------------------------
@@ -603,20 +549,21 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     return _finish(out, backward, "conv1d")
 
 
-def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-channel 1-D convolution with same padding. x:(T,D) w:(K,D) b:(D,)."""
+def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
+    """Per-channel 1-D convolution with same padding, x:(T,D) w:(K,D). It has
+    no bias, since every caller normalises each channel right after."""
     t, d = x.data.shape
     kk = w.data.shape[0]
     if kk % 2 == 0:
         raise ValueError("depthwise kernel width must be odd")
-    if w.data.shape != (kk, d) or b.data.shape != (d,):
+    if w.data.shape != (kk, d):
         raise ValueError("depthwise weight shape mismatch")
     pad = (kk - 1) // 2
     xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    y = np.tile(b.data, (t, 1)).astype(x.data.dtype)
+    y = np.zeros((t, d), dtype=x.data.dtype)
     for j in range(kk):
         y += xp[j : j + t] * w.data[j]
-    out = _node(y, (x, w, b))
+    out = _node(y, (x, w))
 
     def backward():
         g = out.grad
@@ -627,7 +574,6 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             gw[j] = (xp[j : j + t] * g).sum(axis=0)
         _accum(x, gxp[pad : pad + t])
         _accum(w, gw)
-        _accum(b, g.sum(axis=0))
 
     return _finish(out, backward, "depthwise_conv1d")
 

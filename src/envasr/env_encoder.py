@@ -1,11 +1,13 @@
 """Multimodal masked-prediction encoder producing environment embeddings.
 
 Raw audio/video patches are projected to the model dimension by per-modality
-stems (linear map matching the patch size, then instance normalization over
-the sequence), tagged with modality and position embeddings, concatenated
-(video block first, then audio), and encoded by a stack of pre-norm
-transformer blocks with unrestricted attention. A single linear head over the
-unified audio+video token vocabulary scores masked positions.
+stems (a bias-free linear map matching the patch size, then instance
+normalization over the sequence, which would cancel a bias), tagged with
+modality and position embeddings, concatenated (video block first, then
+audio), and encoded by a stack of pre-norm transformer blocks with
+unrestricted attention, whose key projections have no bias either (the
+softmax cancels it). A single linear head over the unified audio+video token
+vocabulary scores masked positions.
 
 Masked positions have their embedded vector replaced by a learned
 per-modality mask embedding; the loss is cross-entropy at masked positions
@@ -120,17 +122,13 @@ class EnvEncoder:
         self.config = config
         self.np_dtype = np.float32 if config.dtype == "f32" else np.float64
         self.params = ParameterSet()
-        self.collect_attention = False
-        self.last_attention = []
         rng = substream(seed, "env-init")
         d = config.model_dim
         add = partial(init_param, self.params, dtype=self.np_dtype)
         add(rng, "stem.audio.w", (config.audio_patch_dim, d))
-        add(rng, "stem.audio.b", (d,), zero=True)
         add(rng, "stem.audio.norm.g", (d,), one=True)
         add(rng, "stem.audio.norm.b", (d,), zero=True)
         add(rng, "stem.video.w", (config.video_patch_dim, d))
-        add(rng, "stem.video.b", (d,), zero=True)
         add(rng, "stem.video.norm.g", (d,), one=True)
         add(rng, "stem.video.norm.b", (d,), zero=True)
         add(rng, "embed.modality", (2, d), table=True)
@@ -145,7 +143,8 @@ class EnvEncoder:
             add(rng, f"{pre}.attn.norm.b", (d,), zero=True)
             for mat in ("q", "k", "v", "o"):
                 add(rng, f"{pre}.attn.w{mat}", (d, d))
-                add(rng, f"{pre}.attn.b{mat}", (d,), zero=True)
+                if mat != "k":
+                    add(rng, f"{pre}.attn.b{mat}", (d,), zero=True)
             add(rng, f"{pre}.ff.norm.g", (d,), one=True)
             add(rng, f"{pre}.ff.norm.b", (d,), zero=True)
             add(rng, f"{pre}.ff.w1", (d, config.ff_dim))
@@ -165,7 +164,6 @@ class EnvEncoder:
     def _stem(self, patches: np.ndarray, modality: str) -> Tensor:
         p = self.params
         h = ad.matmul(self._const(patches), p[f"stem.{modality}.w"])
-        h = ad.add(h, p[f"stem.{modality}.b"])
         # instance norm over the sequence, per embedding channel
         h = ad.transpose(h)
         h = ad.instance_norm(h, p[f"stem.{modality}.norm.g"], p[f"stem.{modality}.norm.b"])
@@ -178,9 +176,9 @@ class EnvEncoder:
         if not flags.any():
             return content
         fill = ad.narrow(self.params["embed.mask"], 0, modality, 1)
-        col = self._const(flags.astype(self.np_dtype)[:, None])
-        return ad.add(ad.mul(content, ad.sub(self._const(1.0), col)),
-                      ad.mul(fill, col))
+        col = flags.astype(self.np_dtype)[:, None]
+        return ad.add(ad.mul(content, self._const(1.0 - col)),
+                      ad.mul(fill, self._const(col)))
 
     def embed_multimodal(self, batch: MultimodalBatch, apply_mask: bool = True) -> Tensor:
         """Patch projection + mask replacement + modality/position embeddings."""
@@ -236,16 +234,11 @@ class EnvEncoder:
         position of its segment (`lengths`, as in `ad.attention`)."""
         p = self.params
         cfg = self.config
-        if self.collect_attention:
-            self.last_attention = []
         x = embedded
         for i in range(cfg.num_blocks):
             pre = f"block{i}"
             h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-            att, weights = ad.mha(p, f"{pre}.attn", h, h, cfg.heads, lengths)
-            if self.collect_attention:
-                self.last_attention.append([w.copy() for w in weights])
-            x = ad.add(x, att)
+            x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, cfg.heads, lengths))
             h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
             h = ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.ff.w1"]), p[f"{pre}.ff.b1"]))
             h = ad.add(ad.matmul(h, p[f"{pre}.ff.w2"]), p[f"{pre}.ff.b2"])

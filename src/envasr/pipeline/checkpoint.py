@@ -105,6 +105,7 @@ def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
             raise ValueError(f"checkpoint is missing Adam step for {name}")
         st.t = ckpt.adam_t[name]
         p.grad = None
-    extra = [k for k in ckpt.tensors if k.split(".", 1)[1] not in params]
+    extra = sorted({k.split(".", 1)[1] for k in ckpt.tensors} - set(params.names()))
     if extra:
-        raise ValueError(f"checkpoint holds tensors unknown to the model: {extra[:3]}")
+        raise ValueError(f"checkpoint holds parameters unknown to the model: "
+                         f"{', '.join(extra)}")

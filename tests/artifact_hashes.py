@@ -21,7 +21,9 @@ The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
 - ``resume``: pretraining to step 150, then resumed from its checkpoint to 300.
 
 Only the runner's public entry points are used, so any commit can be hashed.
-Output lines are ``<sha256>  <path relative to the work directory>``.
+Output lines are ``<sha256>  <path relative to the work directory>``. When a
+checkpoint's hash differs, ``tests/checkpoint_diff.py`` on the two files
+shows which tensors differ and by how much.
 """
 
 import argparse

@@ -1,0 +1,55 @@
+"""Compare two checkpoints tensor by tensor.
+
+    PYTHONPATH=src python tests/checkpoint_diff.py A.ckpt B.ckpt
+
+Each checkpoint tensor (``p.<name>`` parameter, ``m.<name>`` / ``v.<name>``
+Adam moments) is matched by name. For a tensor in both files the script
+prints ``identical`` when dtype, shape and bytes agree, and otherwise the
+size of the difference, max|a - b| / max|a| (``inf`` when A is all zeros or
+the shapes differ).
+Names found in only one file are listed after. A last line sums it up.
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+from envasr.pipeline.checkpoint import load_checkpoint
+
+
+def relative_diff(a: np.ndarray, b: np.ndarray):
+    """None when dtype, shape and bytes agree, else max|a - b| / max|a|."""
+    if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+        return None
+    if a.shape != b.shape:
+        return np.inf
+    diff = float(np.abs(a.astype(np.float64) - b).max())
+    scale = float(np.abs(a).max())
+    return diff / scale if scale else np.inf
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", help="first checkpoint")
+    parser.add_argument("b", help="second checkpoint")
+    args = parser.parse_args(argv)
+    ta, tb = load_checkpoint(args.a).tensors, load_checkpoint(args.b).tensors
+    common = sorted(ta.keys() & tb.keys())
+    rel = {name: relative_diff(ta[name], tb[name]) for name in common}
+    for name in common:
+        print(f"{'identical' if rel[name] is None else f'rel {rel[name]:.3g}':<12}  {name}")
+    only_a, only_b = sorted(ta.keys() - tb.keys()), sorted(tb.keys() - ta.keys())
+    for label, names in (("only in A", only_a), ("only in B", only_b)):
+        for name in names:
+            print(f"{label:<12}  {name}")
+    differ = [name for name in common if rel[name] is not None]
+    worst = max(differ, key=rel.get, default=None)
+    largest = f", largest rel {rel[worst]:.3g} ({worst})" if worst else ""
+    print(f"{len(common) - len(differ)} identical, {len(differ)} differ{largest}, "
+          f"{len(only_a)} only in A, {len(only_b)} only in B")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

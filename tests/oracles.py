@@ -3,9 +3,11 @@
 These deliberately avoid the library's own code paths: naive loops,
 exhaustive enumeration, and plain DP recurrences. The exceptions are
 ``make_lattice``, a test helper that bundles the library's transducer sums;
+``sub``, ``tanh``, ``sum_``, ``softmax`` and ``power``, autodiff nodes that
+no model uses, which the chains below and the gradient checks build on;
 ``gelu_composite``, GELU spelled out as a chain of the engine's elementwise
-ops plus a ``power`` node defined here; ``check_gradients``, which
-compares the engine's reverse-mode gradients with central differences; and
+ops and those nodes; ``check_gradients``, which compares the engine's
+reverse-mode gradients with central differences; and
 ``adam_step_per_tensor`` and ``toposort_dfs``, the engine's earlier Adam
 update and tape sort, which the flat-buffer update and the loop-based sort
 must reproduce exactly; and ``predict_states_loop`` and
@@ -59,6 +61,56 @@ def cross_entropy_logsumexp(logits, targets):
     return total / len(targets)
 
 
+def sub(a, b):
+    """a - b with numpy broadcasting as one autodiff node."""
+    b = ad._coerce(b, a)
+    out = ad._node(a.data - b.data, (a, b))
+
+    def backward():
+        ad._accum(a, ad._unbroadcast(out.grad, a.data.shape))
+        ad._accum(b, ad._unbroadcast(-out.grad, b.data.shape))
+
+    return ad._finish(out, backward, "sub")
+
+
+def tanh(a):
+    out = ad._node(np.tanh(a.data), (a,))
+
+    def backward():
+        ad._accum(a, out.grad * (1.0 - out.data * out.data))
+
+    return ad._finish(out, backward, "tanh")
+
+
+def sum_(a, axis=None, keepdims=False):
+    out = ad._node(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+
+    def backward():
+        g = out.grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        ad._accum(a, np.broadcast_to(g, a.data.shape))
+
+    return ad._finish(out, backward, "sum")
+
+
+def softmax(a, axis=-1):
+    """Max-shifted softmax as one autodiff node."""
+    if a.data.shape[axis] == 0:
+        raise ValueError("softmax over an empty axis")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+    out = ad._node(y, (a,))
+
+    def backward():
+        g = out.grad
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        ad._accum(a, (g - dot) * y)
+
+    return ad._finish(out, backward, "softmax")
+
+
 def power(a, exponent):
     """Elementwise a ** exponent as one autodiff node (numpy's float power)."""
     exponent = float(exponent)
@@ -72,9 +124,9 @@ def power(a, exponent):
 
 def gelu_composite(a):
     """tanh-form GELU as eight autodiff nodes (power, mul, add, mul, tanh,
-    add, mul, mul); each node's backward is the engine's own."""
+    add, mul, mul), each with its own node's backward."""
     inner = ad.mul(ad.add(a, ad.mul(power(a, 3.0), 0.044715)), ad._GELU_C)
-    return ad.mul(ad.mul(a, ad.add(ad.tanh(inner), 1.0)), 0.5)
+    return ad.mul(ad.mul(a, ad.add(tanh(inner), 1.0)), 0.5)
 
 
 def numeric_gradient(f, t, h: float = 1e-5) -> np.ndarray:
@@ -183,7 +235,7 @@ def predict_states_loop(model, labels):
         z = ad.add(ad.matmul(ad.narrow(emb, 0, u, 1), p["pred.w_in"]), p["pred.b"])
         if h is not None:
             z = ad.add(z, ad.matmul(h, p["pred.w_rec"]))
-        h = ad.tanh(z)
+        h = tanh(z)
         states.append(h)
     return states[0] if len(states) == 1 else ad.concat(states, axis=0)
 
@@ -195,7 +247,7 @@ def joint_log_probs_chain(model, enc, pred):
     t, u1, j = enc.data.shape[0], pred.data.shape[0], model.config.joint_dim
     e = ad.reshape(ad.matmul(enc, p["joint.w_enc"]), (t, 1, j))
     g = ad.reshape(ad.matmul(pred, p["joint.w_pred"]), (1, u1, j))
-    h = ad.reshape(ad.tanh(ad.add(ad.add(e, g), p["joint.b"])), (t * u1, j))
+    h = ad.reshape(tanh(ad.add(ad.add(e, g), p["joint.b"])), (t * u1, j))
     logits = ad.add(ad.matmul(h, p["joint.w_out"]), p["joint.b_out"])
     return ad.log_softmax(ad.reshape(logits, (t, u1, model.config.vocab_size + 1)))
 
@@ -209,8 +261,7 @@ def asr_loss_unfused(model, features, labels, env=None):
 
 def attention_composite(q, k, v, heads):
     """Multi-head attention on (time, dim) tensors as a chain of the engine's
-    reshape, transpose, matmul, mul and softmax nodes. Returns (output,
-    weights (heads, tq, tk))."""
+    reshape, transpose, matmul and mul nodes and ``softmax``."""
     tq, d = q.data.shape
     tk = k.data.shape[0]
     dh = d // heads
@@ -220,9 +271,8 @@ def attention_composite(q, k, v, heads):
 
     qh, kh, vh = split(q, tq), split(k, tk), split(v, tk)
     scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    weights = ad.softmax(scores, axis=-1)
-    mixed = ad.matmul(weights, vh)
-    return ad.reshape(ad.transpose(mixed, (1, 0, 2)), (tq, d)), weights
+    mixed = ad.matmul(softmax(scores, axis=-1), vh)
+    return ad.reshape(ad.transpose(mixed, (1, 0, 2)), (tq, d))
 
 
 def encoder_forward_composite(model, embedded):
@@ -238,8 +288,9 @@ def encoder_forward_composite(model, embedded):
     for i in range(cfg.num_blocks):
         pre = f"block{i}"
         h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-        att, _ = attention_composite(proj(h, f"{pre}.attn", "q"), proj(h, f"{pre}.attn", "k"),
-                                     proj(h, f"{pre}.attn", "v"), cfg.heads)
+        att = attention_composite(proj(h, f"{pre}.attn", "q"),
+                                  ad.matmul(h, p[f"{pre}.attn.wk"]),
+                                  proj(h, f"{pre}.attn", "v"), cfg.heads)
         x = ad.add(x, proj(att, f"{pre}.attn", "o"))
         h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
         h = ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.ff.w1"]), p[f"{pre}.ff.b1"]))

@@ -8,7 +8,7 @@ from envasr.asr.conformer import (BASELINE, CROSS, AsrModel, ConformerConfig,
 from envasr.env_encoder import EnvEmbeddings
 from envasr.optim import adam_step, count_parameters
 
-from oracles import asr_loss_unfused, check_gradients
+from oracles import asr_loss_unfused, check_gradients, sum_
 
 
 def micro_config(**kw):
@@ -84,7 +84,7 @@ class TestFusionAttention:
     input (parity baseline)."""
 
     def fuse(self, model, x, kv):
-        return ad.mha(model.params, "block0.fusion", x, kv, model.config.heads)[0]
+        return ad.mha(model.params, "block0.fusion", x, kv, model.config.heads)
 
     def test_single_env_vector_gives_identical_rows(self, rng):
         model = AsrModel(micro_config(), seed=0)
@@ -100,7 +100,7 @@ class TestFusionAttention:
             return sum(p.data.size for name, p in params.items()
                        if name.startswith("block0.fusion."))
 
-        assert fusion_count(CROSS) == fusion_count(BASELINE) == 2 * 8 + 4 * (8 * 8 + 8)
+        assert fusion_count(CROSS) == fusion_count(BASELINE) == 2 * 8 + 4 * 8 * 8 + 3 * 8
 
     def test_env_gradient_slot_stays_empty(self, rng):
         model = AsrModel(micro_config(), seed=1)
@@ -110,7 +110,7 @@ class TestFusionAttention:
                           model.params["env_adapter.b"])
         x = Tensor(rng.standard_normal((4, 8)))
         out = model.block(0, x, env_proj)
-        ad.sum_(ad.mul(out, out)).backward()
+        sum_(ad.mul(out, out)).backward()
         assert frozen.grad is None
         assert model.params["env_adapter.w"].grad is not None
 
@@ -166,8 +166,8 @@ class TestBuildModels:
         stem = 3 * feat * d + d
         adapter = cfg.env_dim * d + d
         ff = 2 * d + (d * 4 * d + 4 * d) + (4 * d * d + d)
-        attn = 2 * d + 4 * (d * d + d)
-        conv = 2 * d + (d * 2 * d + 2 * d) + (k * d + d) + 2 * d + (d * d + d)
+        attn = 2 * d + 4 * d * d + 3 * d  # no key bias
+        conv = 2 * d + (d * 2 * d + 2 * d) + k * d + 2 * d + (d * d + d)  # no dw bias
         block = 2 * ff + 2 * attn + conv + 2 * d
         pred = v1 * d + 2 * d * d + d
         joint = 2 * d * d + d + d * v1 + v1

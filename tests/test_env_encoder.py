@@ -98,14 +98,6 @@ class TestEncoderForward:
         out_perm = model.encoder_forward(Tensor(x[perm])).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-10)
 
-    def test_attention_rows_sum_to_one(self, rng):
-        model = EnvEncoder(toy_config(), seed=0)
-        model.collect_attention = True
-        model.encoder_forward(Tensor(rng.standard_normal((6, 16))))
-        assert len(model.last_attention) == 2
-        for (weights,) in model.last_attention:
-            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-10)
-
 
 class TestMlmLoss:
     def test_fresh_model_loss_near_log_vocab(self, rng):

@@ -7,7 +7,7 @@ from envasr.optim import (ADAM_CHUNK, AdamHyper, ParameterSet, adam_step,
                           count_parameters, init_param, minimize_mean)
 from envasr.pipeline.checkpoint import Checkpoint, restore_params
 
-from oracles import adam_scalar_trajectory, adam_step_per_tensor
+from oracles import adam_scalar_trajectory, adam_step_per_tensor, sum_
 
 
 def make_params(values):
@@ -97,8 +97,8 @@ class TestAdamMatchesPerTensorOracle:
         terms = []
         for name, (w1, w2) in weights.items():
             p = params[name]
-            terms.append(ad.sum_(ad.mul(p, Tensor(w1))))
-            terms.append(ad.sum_(ad.mul(ad.mul(p, p), Tensor(w2))))  # second use: +=
+            terms.append(sum_(ad.mul(p, Tensor(w1))))
+            terms.append(sum_(ad.mul(ad.mul(p, p), Tensor(w2))))  # second use: +=
         sum(terms[1:], terms[0]).backward()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -138,7 +138,7 @@ class TestMinimizeMean:
 
         def losses(params):
             w = params["w"]
-            return [ad.sum_(ad.mul(w, Tensor(a))), ad.sum_(ad.mul(ad.mul(w, w), Tensor(b)))]
+            return [sum_(ad.mul(w, Tensor(a))), sum_(ad.mul(ad.mul(w, w), Tensor(b)))]
 
         helper = make_params({"w": start.copy()})
         loss = minimize_mean(helper, losses(helper), hyper)

@@ -12,7 +12,7 @@ import pytest
 from envasr.asr.conformer import AsrModel
 from envasr.env_encoder import EnvEncoder, extract_env_embeddings
 from envasr.features import whiten_clip
-from envasr.optim import adam_step
+from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, conformer_config,
                              env_encoder_config, generate_synthetic_corpus,
                              load_checkpoint, parse_config_lines,
@@ -144,6 +144,21 @@ class TestPretrainingRunner:
         stop = int(re.match(r"step=(\d+) ", log[-2]).group(1))
         assert summary["steps_run"] == stop + 1 < cfg.max_steps
         assert load_checkpoint(summary["checkpoint"]).step == summary["steps_run"]
+
+    def test_resume_rejects_checkpoint_with_unknown_parameter(self, tmp_path, corpus16):
+        # checkpoints written while attention keys had a bias hold block*.attn.bk
+        cfg = toy_cfg(corpus16, tmp_path / "old")
+        env_cfg = env_encoder_config(cfg)
+        old = ParameterSet()
+        for name, p in EnvEncoder(env_cfg, seed=0).params.items():
+            old.add(name, p.data.copy())
+        old.add("block0.attn.bk", np.zeros(env_cfg.model_dim))
+        save_checkpoint(tmp_path / "old.ckpt", old, 5, 5, config_lines(cfg))
+        with pytest.raises(ValueError) as err:
+            run_pretraining(cfg, resume=str(tmp_path / "old.ckpt"))
+        assert str(err.value) == ("checkpoint holds parameters unknown to the model: "
+                                  "block0.attn.bk")
+        assert not (cfg.out_path() / "pretrain.log").exists()
 
     def test_batch_size_groups_utterances(self, tmp_path, corpus16, capsys):
         cfg = toy_cfg(corpus16, tmp_path / "bs", batch_size=4, max_steps=3,
