@@ -174,9 +174,7 @@ class AsrModel:
         gate = ad.sigmoid(ad.narrow(h, 1, d, d))
         h = ad.mul(ad.narrow(h, 1, 0, d), gate)
         h = ad.depthwise_conv1d(h, p[f"{prefix}.dw.w"])
-        h = ad.transpose(h)
-        h = ad.instance_norm(h, p[f"{prefix}.inorm.g"], p[f"{prefix}.inorm.b"])
-        h = ad.swish(ad.transpose(h))
+        h = ad.swish(ad.instance_norm(h, p[f"{prefix}.inorm.g"], p[f"{prefix}.inorm.b"]))
         return ad.add(ad.matmul(h, p[f"{prefix}.pw2.w"]), p[f"{prefix}.pw2.b"])
 
     def block(self, i: int, x: Tensor, env_proj: Tensor | None) -> Tensor:
@@ -239,10 +237,17 @@ class AsrModel:
         return np.tanh(p["pred.embed"].data[label] @ p["pred.w_in"].data
                        + state @ p["pred.w_rec"].data + p["pred.b"].data)
 
-    def joint_logits_np(self, enc_t: np.ndarray, state: np.ndarray) -> np.ndarray:
+    def joint_enc_np(self, enc_t: np.ndarray) -> np.ndarray:
+        return enc_t @ self.params["joint.w_enc"].data
+
+    def joint_pred_np(self, state: np.ndarray) -> np.ndarray:
+        return state @ self.params["joint.w_pred"].data
+
+    def joint_logits_np(self, enc_proj: np.ndarray, pred_proj: np.ndarray) -> np.ndarray:
+        """Joint logits from one frame's `joint_enc_np` and one state's
+        `joint_pred_np` projection."""
         p = self.params
-        h = np.tanh(enc_t @ p["joint.w_enc"].data + state @ p["joint.w_pred"].data
-                    + p["joint.b"].data)
+        h = np.tanh(enc_proj + pred_proj + p["joint.b"].data)
         return h @ p["joint.w_out"].data + p["joint.b_out"].data
 
 

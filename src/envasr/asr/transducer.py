@@ -122,19 +122,23 @@ def rnnt_loss(log_probs: Tensor, labels) -> Tensor:
 
 def greedy_decode(model, features, env, max_symbols_per_frame: int = 10):
     """Standard RNN-T greedy loop: emit argmax labels until blank, with a
-    per-frame emission cap. `env` is None for the parity baseline."""
+    per-frame emission cap. `env` is None for the parity baseline. Each
+    frame's and each state's joint projection is computed once."""
     with ad.no_grad():
         enc = model.encode(features, env).data
     state = model.pred_start_np()
+    pred_proj = model.joint_pred_np(state)
     blank = model.blank_id
     out = []
     for t in range(enc.shape[0]):
+        enc_proj = model.joint_enc_np(enc[t])
         emitted = 0
         while emitted < max_symbols_per_frame:
-            k = int(model.joint_logits_np(enc[t], state).argmax())
+            k = int(model.joint_logits_np(enc_proj, pred_proj).argmax())
             if k == blank:
                 break
             out.append(k)
             state = model.pred_step_np(state, k)
+            pred_proj = model.joint_pred_np(state)
             emitted += 1
     return out

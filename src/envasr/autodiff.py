@@ -207,8 +207,10 @@ def mul(a: Tensor, b) -> Tensor:
     out = _node(a.data * b.data, (a, b))
 
     def backward():
-        _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
     return _finish(out, backward, "mul")
 
@@ -262,25 +264,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _node(np.matmul(a.data, b.data), (a, b))
 
     def backward():
-        ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(out.grad, np.swapaxes(b.data, -1, -2)),
+                                   a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), out.grad),
+                                   b.data.shape))
 
     return _finish(out, backward, "matmul")
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    out = _node(np.transpose(a.data, axes), (a,))
-    if axes is None:
-        inverse = None
-    else:
-        inverse = np.argsort(axes)
-
-    def backward():
-        _accum(a, np.transpose(out.grad, inverse))
-
-    return _finish(out, backward, "transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -359,45 +350,64 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _finish(out, backward, "log_softmax")
 
 
-def standardize(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero mean / unit variance over the last axis (the core of both norms)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-vector normalization over the last axis, then affine, as one node."""
+    if gamma.data.shape != (x.data.shape[-1],) or beta.data.shape != (x.data.shape[-1],):
+        raise ValueError("layer_norm affine parameters must match the last axis")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
-    out = _node(y, (a,))
+    out = _node(y * gamma.data + beta.data, (x, gamma, beta))
 
     def backward():
         g = out.grad
+        _accum(beta, _unbroadcast(g, beta.data.shape))
+        _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
+        g = g * gamma.data
         gm = g.mean(axis=-1, keepdims=True)
         gy = (g * y).mean(axis=-1, keepdims=True)
-        _accum(a, (g - gm - y * gy) * inv)
+        _accum(x, (g - gm - y * gy) * inv)
 
-    return _finish(out, backward, "standardize")
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-vector normalization over the last axis, then affine."""
-    if gamma.data.shape != (x.data.shape[-1],) or beta.data.shape != (x.data.shape[-1],):
-        raise ValueError("layer_norm affine parameters must match the last axis")
-    return add(mul(standardize(x, eps), gamma), beta)
+    return _finish(out, backward, "layer_norm")
 
 
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization of a (channels, length) tensor.
-
-    Statistics are taken over the length axis of this sample only; no batch
-    state is involved.
-    """
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, lengths=None,
+                  eps: float = 1e-5) -> Tensor:
+    """Per-channel normalization over time of a (time, channels) tensor, then
+    affine, as one node. Statistics are taken over the rows of each segment
+    (`lengths`, as in `attention`) only; no batch state is involved."""
     if x.data.ndim != 2:
-        raise ValueError("instance_norm expects a (channels, length) tensor")
-    c = x.data.shape[0]
+        raise ValueError("instance_norm expects a (time, channels) tensor")
+    t, c = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("instance_norm affine parameters must match the channel axis")
-    g = reshape(gamma, (c, 1))
-    b = reshape(beta, (c, 1))
-    return add(mul(standardize(x, eps), g), b)
+    bounds = _segment_bounds(lengths, t, "instance_norm")
+    y = np.empty_like(x.data)
+    invs = []
+    for lo, hi in bounds:
+        seg = x.data[lo:hi]
+        centered = seg - seg.mean(axis=0, keepdims=True)
+        inv = 1.0 / np.sqrt((centered * centered).mean(axis=0, keepdims=True) + eps)
+        y[lo:hi] = centered * inv
+        invs.append(inv)
+    out = _node(y * gamma.data + beta.data, (x, gamma, beta))
+
+    def backward():
+        g = out.grad
+        _accum(beta, g.sum(axis=0))
+        _accum(gamma, (g * y).sum(axis=0))
+        g = g * gamma.data
+        gx = np.empty_like(g)
+        for (lo, hi), inv in zip(bounds, invs):
+            gs, ys = g[lo:hi], y[lo:hi]
+            gm = gs.mean(axis=0, keepdims=True)
+            gy = (gs * ys).mean(axis=0, keepdims=True)
+            gx[lo:hi] = (gs - gm - ys * gy) * inv
+        _accum(x, gx)
+
+    return _finish(out, backward, "instance_norm")
 
 
 def _segment_bounds(lengths, rows: int, op: str):
@@ -536,14 +546,14 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
     def backward():
         g = out.grad
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
-        for j in range(kk):
-            sl = slice(j, j + (t_out - 1) * stride + 1, stride)
-            gx[sl] += np.matmul(g, w.data[j].T)
-            gw[j] = np.matmul(x.data[sl].T, g)
-        _accum(x, gx)
-        _accum(w, gw)
+        rows = [slice(j, j + (t_out - 1) * stride + 1, stride) for j in range(kk)]
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            for j, sl in enumerate(rows):
+                gx[sl] += np.matmul(g, w.data[j].T)
+            _accum(x, gx)
+        if w.requires_grad:
+            _accum(w, np.stack([np.matmul(x.data[sl].T, g) for sl in rows]))
         _accum(b, g.sum(axis=0))
 
     return _finish(out, backward, "conv1d")

@@ -15,11 +15,13 @@ only. Once pretrained, the final block output over an audio-only sequence is
 the frozen embedding sequence consumed by the ASR stage.
 
 A training step packs its utterances rather than padding them. Each
-utterance goes through the stems (whose instance norm takes statistics per
-utterance and modality), mask replacement and position/modality embeddings
-on its own; the results are concatenated end to end into one (sum of
-lengths, model_dim) sequence. Every later op but attention is row-wise, so
-the encoder stack, final norm and head run once over the packed rows, and
+modality's patches of every utterance go through its stem at once: one
+matmul, then one instance norm that takes statistics per utterance. Mask
+replacement and position/modality embeddings follow once per modality, and
+one row gather interleaves the two modality blocks into the packed order,
+each utterance's video rows then its audio rows, as one (sum of lengths,
+model_dim) sequence. Every later op but attention is row-wise, so the
+encoder stack, final norm and head run once over the packed rows, and
 attention takes the utterance lengths and attends within each utterance
 only. The loss is the mean over utterances of each one's masked
 cross-entropy, as if each had its own graph.
@@ -161,13 +163,13 @@ class EnvEncoder:
     def _const(self, arr) -> Tensor:
         return Tensor(np.asarray(arr, dtype=self.np_dtype))
 
-    def _stem(self, patches: np.ndarray, modality: str) -> Tensor:
+    def _stem(self, patches: list, modality: str) -> Tensor:
+        """One modality's patches of every utterance through its stem: one
+        matmul, then an instance norm per utterance over its rows."""
         p = self.params
-        h = ad.matmul(self._const(patches), p[f"stem.{modality}.w"])
-        # instance norm over the sequence, per embedding channel
-        h = ad.transpose(h)
-        h = ad.instance_norm(h, p[f"stem.{modality}.norm.g"], p[f"stem.{modality}.norm.b"])
-        return ad.transpose(h)
+        h = ad.matmul(self._const(np.concatenate(patches)), p[f"stem.{modality}.w"])
+        return ad.instance_norm(h, p[f"stem.{modality}.norm.g"], p[f"stem.{modality}.norm.b"],
+                                [x.shape[0] for x in patches])
 
     def _mask_content(self, content: Tensor, flags: np.ndarray, modality: int) -> Tensor:
         """Swap masked rows of the projected content for the modality's mask
@@ -180,54 +182,66 @@ class EnvEncoder:
         return ad.add(ad.mul(content, self._const(1.0 - col)),
                       ad.mul(fill, self._const(col)))
 
-    def embed_multimodal(self, batch: MultimodalBatch, apply_mask: bool = True) -> Tensor:
-        """Patch projection + mask replacement + modality/position embeddings."""
-        parts = self._embed_parts(batch, apply_mask)
-        return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-
-    def _embed_parts(self, batch: MultimodalBatch, apply_mask: bool = True) -> list:
-        """`embed_multimodal` as its video block (if any) and audio block."""
+    def embed(self, items, apply_mask: bool = True) -> Tensor:
+        """Patch projection + mask replacement + modality/position embeddings
+        of every utterance in `items`, packed end to end (each one's video
+        block, if any, then its audio block). Each modality runs once over all
+        utterances; one row gather then restores the packed order."""
         cfg = self.config
         p = self.params
-        flags = None
-        if apply_mask and batch.mask is not None:
-            flags = np.asarray(batch.mask, dtype=bool)
-            if flags.shape[0] != batch.seq_len:
-                raise ValueError("mask length does not match sequence length")
-        n_v = 0 if batch.video_patches is None else batch.video_patches.shape[0]
-        parts = []
-        if batch.video_patches is not None:
-            if batch.video_patches.shape[1] != cfg.video_patch_dim:
-                raise ValueError("video patch dimension does not match config")
-            if batch.video_grid is None:
-                raise ValueError("video patches need their (time, rows, cols) grid")
-            t, r, c = batch.video_grid
-            if t * r * c != n_v:
-                raise ValueError("video grid does not match patch count")
-            if t > cfg.max_video_steps or r > cfg.max_grid_rows or c > cfg.max_grid_cols:
-                raise ValueError("video grid exceeds configured position tables")
-            h = self._stem(batch.video_patches, "video")
-            if flags is not None:
-                h = self._mask_content(h, flags[:n_v], VIDEO)
-            h = ad.add(h, ad.narrow(p["embed.modality"], 0, VIDEO, 1))
-            time_ids = np.repeat(np.arange(t), r * c)
-            space_ids = np.tile(np.arange(r)[:, None] * cfg.max_grid_cols
-                                + np.arange(c)[None, :], (t, 1, 1)).reshape(-1)
-            h = ad.add(h, ad.embedding(p["embed.video_time"], time_ids))
-            h = ad.add(h, ad.embedding(p["embed.video_space"], space_ids))
-            parts.append(h)
-        n_a = batch.audio_patches.shape[0]
-        if batch.audio_patches.shape[1] != cfg.audio_patch_dim:
-            raise ValueError("audio patch dimension does not match config")
-        if n_a > cfg.max_audio_positions:
-            raise ValueError("audio sequence exceeds configured position table")
-        h = self._stem(batch.audio_patches, "audio")
-        if flags is not None:
-            h = self._mask_content(h, flags[n_v:], AUDIO)
-        h = ad.add(h, ad.narrow(p["embed.modality"], 0, AUDIO, 1))
-        h = ad.add(h, ad.embedding(p["embed.audio_pos"], np.arange(n_a)))
-        parts.append(h)
-        return parts
+        patches = {"video": [], "audio": []}
+        positions = {"embed.video_time": [], "embed.video_space": [], "embed.audio_pos": []}
+        flags, from_video = [], []
+        for b in items:
+            n_v = 0 if b.video_patches is None else b.video_patches.shape[0]
+            n_a = b.audio_patches.shape[0]
+            if apply_mask and b.mask is not None:
+                flags.append(np.asarray(b.mask, dtype=bool))
+                if flags[-1].shape[0] != b.seq_len:
+                    raise ValueError("mask length does not match sequence length")
+            else:
+                flags.append(np.zeros(b.seq_len, dtype=bool))
+            if b.video_patches is not None:
+                if b.video_patches.shape[1] != cfg.video_patch_dim:
+                    raise ValueError("video patch dimension does not match config")
+                if b.video_grid is None:
+                    raise ValueError("video patches need their (time, rows, cols) grid")
+                t, r, c = b.video_grid
+                if t * r * c != n_v:
+                    raise ValueError("video grid does not match patch count")
+                if t > cfg.max_video_steps or r > cfg.max_grid_rows or c > cfg.max_grid_cols:
+                    raise ValueError("video grid exceeds configured position tables")
+                patches["video"].append(b.video_patches)
+                positions["embed.video_time"].append(np.repeat(np.arange(t), r * c))
+                positions["embed.video_space"].append(
+                    np.tile(np.arange(r)[:, None] * cfg.max_grid_cols + np.arange(c)[None, :],
+                            (t, 1, 1)).reshape(-1))
+            if b.audio_patches.shape[1] != cfg.audio_patch_dim:
+                raise ValueError("audio patch dimension does not match config")
+            if n_a > cfg.max_audio_positions:
+                raise ValueError("audio sequence exceeds configured position table")
+            patches["audio"].append(b.audio_patches)
+            positions["embed.audio_pos"].append(np.arange(n_a))
+            from_video.append(np.arange(b.seq_len) < n_v)
+        flags, from_video = np.concatenate(flags), np.concatenate(from_video)
+
+        def block(kind, modality, rows, tables):
+            h = self._stem(patches[kind], kind)
+            h = self._mask_content(h, flags[rows], modality)
+            h = ad.add(h, ad.narrow(p["embed.modality"], 0, modality, 1))
+            for name in tables:
+                h = ad.add(h, ad.embedding(p[name], np.concatenate(positions[name])))
+            return h
+
+        h = block("audio", AUDIO, ~from_video, ["embed.audio_pos"])
+        if not from_video.any():
+            return h
+        h = ad.concat([block("video", VIDEO, from_video,
+                             ["embed.video_time", "embed.video_space"]), h], axis=0)
+        # packed row -> row of the stacked [all video; all audio] blocks
+        n_v = int(from_video.sum())
+        order = np.where(from_video, np.cumsum(from_video) - 1, n_v + np.cumsum(~from_video) - 1)
+        return h if np.array_equal(order, np.arange(order.size)) else ad.embedding(h, order)
 
     def encoder_forward(self, embedded: Tensor, lengths=None) -> Tensor:
         """Pre-norm transformer stack; every position attends to every other
@@ -262,9 +276,7 @@ class EnvEncoder:
         """The mean over the batch's utterances of each one's masked
         cross-entropy, from one packed forward pass."""
         packed = batch if isinstance(batch, PackedBatch) else PackedBatch([batch])
-        parts = [part for b in packed.items for part in self._embed_parts(b)]
-        embedded = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-        encoded = self.encoder_forward(embedded, packed.lengths)
+        encoded = self.encoder_forward(self.embed(packed.items), packed.lengths)
         return self.mlm_loss(encoded, np.concatenate([b.labels for b in packed.items]),
                              np.concatenate([b.mask for b in packed.items]), packed.lengths)
 
@@ -297,26 +309,26 @@ def extract_env_embeddings(model: EnvEncoder, audio_patches: np.ndarray) -> EnvE
         raise ValueError("need a non-empty (T, patch_dim) audio sequence")
     batch = MultimodalBatch(audio_patches=audio_patches)
     with ad.no_grad():
-        encoded = model.encoder_forward(model.embed_multimodal(batch, apply_mask=False))
+        encoded = model.encoder_forward(model.embed([batch], apply_mask=False))
     return EnvEmbeddings(encoded.data.copy())
 
 
 def masked_accuracy(model: EnvEncoder, batches, seed: int = 0, width: int = 1,
                     prob: float = 0.3) -> float:
-    """Fraction of masked tokens predicted correctly under fixed eval masks."""
-    correct = 0
-    total = 0
+    """Fraction of masked tokens predicted correctly under fixed eval masks
+    (utterance i's drawn from `substream(seed, "eval-mask", i)`), from one
+    packed no-grad pass over all utterances."""
+    masked = PackedBatch([replace(b, mask=draw_batch_mask(b, width, prob,
+                                                          substream(seed, "eval-mask", i)))
+                          for i, b in enumerate(batches)])
+    if not masked.items:
+        return 0.0
     with ad.no_grad():
-        for i, batch in enumerate(batches):
-            rng = substream(seed, "eval-mask", i)
-            flags = draw_batch_mask(batch, width, prob, rng)
-            batch = replace(batch, mask=flags)
-            logits = model.mlm_logits(
-                model.encoder_forward(model.embed_multimodal(batch)))
-            pred = logits.data.argmax(axis=1)
-            correct += int((pred[flags] == batch.labels[flags]).sum())
-            total += int(flags.sum())
-    return correct / max(total, 1)
+        logits = model.mlm_logits(model.encoder_forward(model.embed(masked.items),
+                                                        masked.lengths))
+    flags = np.concatenate([b.mask for b in masked.items])
+    labels = np.concatenate([b.labels for b in masked.items])
+    return int((logits.data.argmax(axis=1)[flags] == labels[flags]).sum()) / int(flags.sum())
 
 
 def parameter_hash(params: ParameterSet) -> str:

@@ -71,7 +71,7 @@ def run_tokenize(cfg: RunConfig) -> dict:
 
 def _check_positions(env_cfg, utts, video: bool) -> None:
     """Fail before step 0, naming the utterance, if one outgrows the env
-    encoder's position tables; `embed_multimodal` would fail only at its step."""
+    encoder's position tables; `EnvEncoder.embed` would fail only at its step."""
     for u in utts:
         sizes = [("audio patches", "max_audio_positions", u.raw_patches.shape[0])]
         if video and u.video_grid:

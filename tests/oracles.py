@@ -17,7 +17,13 @@ reshape/add/add/tanh/reshape chain, which the fused ``rnn_tanh`` and
 ``joint_tanh`` nodes must match; and ``attention_composite`` and
 ``pretrain_step_per_utterance``, attention as a reshape/transpose/matmul/
 mul/softmax chain and a pretraining step as one graph per utterance, which
-the fused attention node and the packed step must match.
+the fused attention node and the packed step must match; and ``transpose``,
+``standardize``, ``layer_norm_chain`` and ``instance_norm_chain``, the
+norms as chains of small nodes, which the one-node ``layer_norm`` and
+``instance_norm`` must match; and ``embed_per_utterance`` and
+``masked_predictions_per_utterance``, the pretraining front end and the
+masked-accuracy pass one utterance at a time, which the packed ``embed`` and
+``masked_accuracy`` must match.
 """
 
 import math
@@ -28,7 +34,7 @@ import numpy as np
 from envasr import autodiff as ad
 from envasr.asr.transducer import (_check_lattice_inputs, rnnt_alphas, rnnt_betas,
                                    rnnt_loss)
-from envasr.env_encoder import draw_batch_mask
+from envasr.env_encoder import AUDIO, VIDEO, draw_batch_mask
 from envasr.masking import mask_params_at
 from envasr.optim import minimize_mean
 from envasr.rng import substream
@@ -120,6 +126,49 @@ def power(a, exponent):
         ad._accum(a, out.grad * exponent * a.data ** (exponent - 1.0))
 
     return ad._finish(out, backward, "power")
+
+
+def transpose(a, axes=None):
+    out = ad._node(np.transpose(a.data, axes), (a,))
+    inverse = None if axes is None else np.argsort(axes)
+
+    def backward():
+        ad._accum(a, np.transpose(out.grad, inverse))
+
+    return ad._finish(out, backward, "transpose")
+
+
+def standardize(a, eps=1e-5):
+    """Zero mean / unit variance over the last axis as one autodiff node."""
+    mu = a.data.mean(axis=-1, keepdims=True)
+    centered = a.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = centered * inv
+    out = ad._node(y, (a,))
+
+    def backward():
+        g = out.grad
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * y).mean(axis=-1, keepdims=True)
+        ad._accum(a, (g - gm - y * gy) * inv)
+
+    return ad._finish(out, backward, "standardize")
+
+
+def layer_norm_chain(x, gamma, beta, eps=1e-5):
+    """``ad.layer_norm`` as standardize, mul, add."""
+    return ad.add(ad.mul(standardize(x, eps), gamma), beta)
+
+
+def instance_norm_chain(x, gamma, beta, eps=1e-5):
+    """``ad.instance_norm`` of one (time, channels) segment as transpose,
+    standardize over time, mul and add by the (channels, 1) reshaped affine
+    parameters, and transpose back."""
+    c = x.data.shape[1]
+    h = standardize(transpose(x), eps)
+    h = ad.add(ad.mul(h, ad.reshape(gamma, (c, 1))), ad.reshape(beta, (c, 1)))
+    return transpose(h)
 
 
 def gelu_composite(a):
@@ -267,17 +316,55 @@ def attention_composite(q, k, v, heads):
     dh = d // heads
 
     def split(t, n):
-        return ad.transpose(ad.reshape(t, (n, heads, dh)), (1, 0, 2))
+        return transpose(ad.reshape(t, (n, heads, dh)), (1, 0, 2))
 
     qh, kh, vh = split(q, tq), split(k, tk), split(v, tk)
-    scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    scores = ad.mul(ad.matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
     mixed = ad.matmul(softmax(scores, axis=-1), vh)
-    return ad.reshape(ad.transpose(mixed, (1, 0, 2)), (tq, d))
+    return ad.reshape(transpose(mixed, (1, 0, 2)), (tq, d))
+
+
+def embed_per_utterance(model, batch, apply_mask=True):
+    """``EnvEncoder.embed`` of one utterance, one modality block at a time:
+    each stem is a matmul and ``instance_norm_chain``, then mask swap,
+    modality and position embeddings, and the video block (if any) and audio
+    block are concatenated."""
+    cfg = model.config
+    p = model.params
+    flags = None
+    if apply_mask and batch.mask is not None:
+        flags = np.asarray(batch.mask, dtype=bool)
+    n_v = 0 if batch.video_patches is None else batch.video_patches.shape[0]
+
+    def stem(patches, kind):
+        h = ad.matmul(model._const(patches), p[f"stem.{kind}.w"])
+        return instance_norm_chain(h, p[f"stem.{kind}.norm.g"], p[f"stem.{kind}.norm.b"])
+
+    parts = []
+    if batch.video_patches is not None:
+        t, r, c = batch.video_grid
+        h = stem(batch.video_patches, "video")
+        if flags is not None:
+            h = model._mask_content(h, flags[:n_v], VIDEO)
+        h = ad.add(h, ad.narrow(p["embed.modality"], 0, VIDEO, 1))
+        time_ids = np.repeat(np.arange(t), r * c)
+        space_ids = np.tile(np.arange(r)[:, None] * cfg.max_grid_cols
+                            + np.arange(c)[None, :], (t, 1, 1)).reshape(-1)
+        h = ad.add(h, ad.embedding(p["embed.video_time"], time_ids))
+        parts.append(ad.add(h, ad.embedding(p["embed.video_space"], space_ids)))
+    n_a = batch.audio_patches.shape[0]
+    h = stem(batch.audio_patches, "audio")
+    if flags is not None:
+        h = model._mask_content(h, flags[n_v:], AUDIO)
+    h = ad.add(h, ad.narrow(p["embed.modality"], 0, AUDIO, 1))
+    parts.append(ad.add(h, ad.embedding(p["embed.audio_pos"], np.arange(n_a))))
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
 
 
 def encoder_forward_composite(model, embedded):
     """`EnvEncoder.encoder_forward` over one utterance, with its attention
-    layers through ``attention_composite``."""
+    layers through ``attention_composite`` and its norms through
+    ``layer_norm_chain``."""
     p = model.params
     cfg = model.config
 
@@ -287,22 +374,22 @@ def encoder_forward_composite(model, embedded):
     x = embedded
     for i in range(cfg.num_blocks):
         pre = f"block{i}"
-        h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
+        h = layer_norm_chain(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
         att = attention_composite(proj(h, f"{pre}.attn", "q"),
                                   ad.matmul(h, p[f"{pre}.attn.wk"]),
                                   proj(h, f"{pre}.attn", "v"), cfg.heads)
         x = ad.add(x, proj(att, f"{pre}.attn", "o"))
-        h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
+        h = layer_norm_chain(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
         h = ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.ff.w1"]), p[f"{pre}.ff.b1"]))
         x = ad.add(x, ad.add(ad.matmul(h, p[f"{pre}.ff.w2"]), p[f"{pre}.ff.b2"]))
-    return ad.layer_norm(x, p["final_norm.g"], p["final_norm.b"])
+    return layer_norm_chain(x, p["final_norm.g"], p["final_norm.b"])
 
 
 def pretrain_losses_per_utterance(model, batches):
     """One masked cross-entropy per masked batch, each from its own graph."""
     losses = []
     for b in batches:
-        encoded = encoder_forward_composite(model, model.embed_multimodal(b))
+        encoded = encoder_forward_composite(model, embed_per_utterance(model, b))
         losses.append(ad.cross_entropy(model.mlm_logits(encoded), b.labels, ignore=~b.mask))
     return losses
 
@@ -316,6 +403,22 @@ def pretrain_step_per_utterance(model, batches, hyper, step, seed=0):
     masked = [replace(b, mask=draw_batch_mask(b, width, prob, rng)) for b in batches]
     loss = minimize_mean(model.params, pretrain_losses_per_utterance(model, masked), hyper)
     return loss, math.exp(loss)
+
+
+def masked_predictions_per_utterance(model, batches, seed=0, width=1, prob=0.3):
+    """``masked_accuracy``'s eval masks, with one no-grad graph per utterance.
+    Returns the argmax prediction, label and mask flag of every position,
+    concatenated in utterance order."""
+    preds, labels, flags = [], [], []
+    with ad.no_grad():
+        for i, b in enumerate(batches):
+            mask = draw_batch_mask(b, width, prob, substream(seed, "eval-mask", i))
+            embedded = embed_per_utterance(model, replace(b, mask=mask))
+            logits = model.mlm_logits(encoder_forward_composite(model, embedded))
+            preds.append(logits.data.argmax(axis=1))
+            labels.append(b.labels)
+            flags.append(mask)
+    return np.concatenate(preds), np.concatenate(labels), np.concatenate(flags)
 
 
 def nearest_center_exhaustive(vectors, centers):

@@ -29,7 +29,7 @@ from envasr.quantize import assign_tokens, lloyd, train_kmeans
 from envasr.rng import substream
 
 from oracles import (check_gradients, edit_distance_dp, nearest_center_exhaustive,
-                     softmax, sum_, tanh, transducer_loglik_enumerate)
+                     softmax, standardize, sum_, tanh, transducer_loglik_enumerate)
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -118,8 +118,8 @@ class TestCriterion1Gradchecks:
             [xs, g, b], rtol=1e-3))
         gc = Tensor(rng.standard_normal(4), requires_grad=True)
         bc = Tensor(rng.standard_normal(4), requires_grad=True)
-        xc = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        mix3 = Tensor(rng.standard_normal((4, 6)))
+        xc = Tensor(rng.standard_normal((4, 6)).T.copy(), requires_grad=True)  # (time, chans)
+        mix3 = Tensor(rng.standard_normal((4, 6)).T.copy())
         worst = max(worst, check_gradients(
             lambda: sum_(ad.mul(ad.instance_norm(xc, gc, bc), mix3)),
             [xc, gc, bc], rtol=1e-3))
@@ -138,7 +138,7 @@ class TestCriterion1Gradchecks:
             [xv, wd], rtol=1e-3))
 
         for op in (tanh, ad.sigmoid, ad.gelu, ad.swish,
-                   softmax, ad.log_softmax, ad.standardize):
+                   softmax, ad.log_softmax, standardize):
             xe = Tensor(rng.uniform(0.2, 1.5, (3, 4)), requires_grad=True)
             mixe = Tensor(rng.standard_normal((3, 4)))
             worst = max(worst, check_gradients(

@@ -9,8 +9,9 @@ from envasr.env_encoder import (EnvEmbeddings, EnvEncoder, EnvEncoderConfig,
 from envasr.optim import AdamHyper
 
 from oracles import (attention_composite, check_gradients, cross_entropy_logsumexp,
-                     gelu_composite, matmul_triple_loop, softmax, softmax_direct, sub,
-                     sum_, tanh, toposort_dfs)
+                     gelu_composite, instance_norm_chain, layer_norm_chain,
+                     matmul_triple_loop, softmax, softmax_direct, standardize, sub, sum_,
+                     tanh, toposort_dfs, transpose)
 
 
 def t(data, grad=False):
@@ -86,15 +87,42 @@ class TestLayerNorm:
         check_gradients(lambda: sum_(ad.mul(ad.layer_norm(x, g, b), Tensor(w))),
                         [x, g, b], rtol=1e-4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_node_is_bit_identical_to_chain(self, dtype, rng):
+        x0, w = rng.standard_normal((2, 9, 24)) * 3.0 + 1.0
+        g0, b0 = rng.standard_normal((2, 24))
+        fused = norm_value_and_grads(ad.layer_norm, x0, g0, b0, w, dtype)
+        chain = norm_value_and_grads(layer_norm_chain, x0, g0, b0, w, dtype)
+        for a, c in zip(fused, chain):
+            np.testing.assert_array_equal(a, c)
+
+
+def norm_value_and_grads(norm, x0, g0, b0, w, dtype, **kw):
+    """Output and (x, gamma, beta) gradients of sum(norm(x, gamma, beta) * w)."""
+    x, g, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x0, g0, b0))
+    y = norm(x, g, b, **kw)
+    sum_(ad.mul(y, Tensor(w, dtype=dtype))).backward()
+    return y.data, x.grad, g.grad, b.grad
+
+
+def instance_norm_segments_chain(x, g, b, lengths):
+    """Segmented ``instance_norm`` as one chain per segment, concatenated."""
+    bounds = np.cumsum([0] + list(lengths))
+    return ad.concat([instance_norm_chain(ad.narrow(x, 0, lo, hi - lo), g, b)
+                      for lo, hi in zip(bounds[:-1], bounds[1:])])
+
 
 class TestInstanceNorm:
+    """Per-channel normalization over the time axis of a (time, channels)
+    tensor, optionally per segment."""
+
     def test_constant_channel(self):
-        x = t(np.full((2, 6), 5.0))
+        x = t(np.full((6, 2), 5.0))
         out = ad.instance_norm(x, t(np.ones(2)), t(np.zeros(2)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_no_cross_sample_statistics(self, rng):
-        samples = [rng.standard_normal((3, 8)) for _ in range(8)]
+        samples = [rng.standard_normal((8, 3)) for _ in range(8)]
         g, b = t(np.ones(3)), t(np.zeros(3))
         alone = ad.instance_norm(t(samples[0]), g, b).data
         for s in samples:  # other samples in the "batch" change nothing
@@ -103,19 +131,106 @@ class TestInstanceNorm:
         np.testing.assert_array_equal(alone, again)
 
     def test_gradcheck(self, rng):
-        x = t(rng.standard_normal((2, 7)), grad=True)
+        x = t(rng.standard_normal((2, 7)).T.copy(), grad=True)
         g = t(rng.standard_normal(2), grad=True)
         b = t(rng.standard_normal(2), grad=True)
-        w = rng.standard_normal((2, 7))
+        w = rng.standard_normal((2, 7)).T.copy()
         check_gradients(lambda: sum_(ad.mul(ad.instance_norm(x, g, b), Tensor(w))),
                         [x, g, b], rtol=1e-4)
 
     def test_channel_offset_cancels(self, rng):
         # the norm subtracts each channel's mean, so a bias before it is dead
-        x, c = rng.standard_normal((3, 7)), rng.standard_normal(3)
+        x, c = rng.standard_normal((3, 7)).T, rng.standard_normal(3)
         g, b = t(rng.standard_normal(3)), t(rng.standard_normal(3))
-        np.testing.assert_allclose(ad.instance_norm(t(x + c[:, None]), g, b).data,
+        np.testing.assert_allclose(ad.instance_norm(t(x + c[None, :]), g, b).data,
                                    ad.instance_norm(t(x), g, b).data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_segment_is_bit_identical_to_chain(self, dtype, rng):
+        x0, w = rng.standard_normal((2, 11, 16)) * 3.0 + 1.0
+        g0, b0 = rng.standard_normal((2, 16))
+        fused = norm_value_and_grads(ad.instance_norm, x0, g0, b0, w, dtype, lengths=[11])
+        chain = norm_value_and_grads(instance_norm_chain, x0, g0, b0, w, dtype)
+        for a, c in zip(fused, chain):
+            np.testing.assert_array_equal(a, c)
+
+    def test_segments_match_chain_per_segment(self, rng):
+        lengths = [5, 1, 9, 3]
+        x0, w = rng.standard_normal((2, sum(lengths), 6)) * 2.0 - 0.5
+        g0, b0 = rng.standard_normal((2, 6))
+        fused = norm_value_and_grads(ad.instance_norm, x0, g0, b0, w, np.float64,
+                                     lengths=lengths)
+        chain = norm_value_and_grads(instance_norm_segments_chain, x0, g0, b0, w,
+                                     np.float64, lengths=lengths)
+        for a, c in zip(fused, chain):
+            np.testing.assert_allclose(a, c, rtol=0, atol=1e-12)
+
+    def test_segmented_gradcheck(self, rng):
+        lengths = [4, 1, 3]
+        x = t(rng.standard_normal((8, 3)), grad=True)
+        g = t(rng.standard_normal(3), grad=True)
+        b = t(rng.standard_normal(3), grad=True)
+        w = rng.standard_normal((8, 3))
+        check_gradients(
+            lambda: sum_(ad.mul(ad.instance_norm(x, g, b, lengths), Tensor(w))),
+            [x, g, b], rtol=1e-4)
+
+    @pytest.mark.parametrize("lengths", [[4, 3], [8, 0], [], [9, -1]])
+    def test_bad_lengths_fail_in_one_line(self, lengths, rng):
+        x = t(rng.standard_normal((8, 3)))
+        with pytest.raises(ValueError, match="instance_norm: segment lengths") as err:
+            ad.instance_norm(x, t(np.ones(3)), t(np.zeros(3)), lengths)
+        assert "\n" not in str(err.value)
+
+
+class TestConstantOperands:
+    """Backward closures skip gradients of operands that do not require them;
+    the gradients they do compute are unchanged."""
+
+    def count_matmuls(self, monkeypatch, loss):
+        calls = []
+        real = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        loss.backward()
+        monkeypatch.setattr(np, "matmul", real)
+        return len(calls)
+
+    def test_conv1d_with_constant_input_makes_only_weight_matmuls(self, monkeypatch, rng):
+        x0, w0 = rng.standard_normal((9, 4)), rng.standard_normal((3, 4, 5))
+        b0 = rng.standard_normal(5)
+        grads, counts = [], []
+        for x_grad in (True, False):
+            x, w, b = t(x0, grad=x_grad), t(w0, grad=True), t(b0, grad=True)
+            loss = sum_(ad.conv1d(x, w, b, stride=2))
+            counts.append(self.count_matmuls(monkeypatch, loss))
+            grads.append((w.grad, b.grad))
+            assert (x.grad is not None) == x_grad
+        assert counts == [6, 3]
+        for a, c in zip(*grads):
+            np.testing.assert_array_equal(a, c)
+
+    def test_matmul_with_constant_operand_makes_one_matmul(self, monkeypatch, rng):
+        a0, b0 = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
+        a, b = t(a0), t(b0, grad=True)
+        assert self.count_matmuls(monkeypatch, sum_(ad.matmul(a, b))) == 1
+        a2, b2 = t(a0, grad=True), t(b0, grad=True)
+        sum_(ad.matmul(a2, b2)).backward()
+        assert a.grad is None
+        np.testing.assert_array_equal(b.grad, b2.grad)
+
+    def test_mul_with_constant_operand(self, rng):
+        a0, b0 = rng.standard_normal((5, 4)), rng.standard_normal(4)
+        a, b = t(a0), t(b0, grad=True)
+        sum_(ad.mul(a, b)).backward()
+        a2, b2 = t(a0, grad=True), t(b0, grad=True)
+        sum_(ad.mul(a2, b2)).backward()
+        assert a.grad is None
+        np.testing.assert_array_equal(b.grad, b2.grad)
 
 
 class TestAttention:
@@ -349,7 +464,7 @@ class TestElementwiseGradients:
     """Every differentiable primitive against central differences."""
 
     @pytest.mark.parametrize("op", [
-        tanh, ad.sigmoid, ad.gelu, ad.swish, lambda x: ad.standardize(x),
+        tanh, ad.sigmoid, ad.gelu, ad.swish, lambda x: standardize(x),
         lambda x: softmax(x, axis=-1), lambda x: ad.log_softmax(x, axis=-1),
     ])
     def test_unary(self, op, rng):
@@ -372,7 +487,7 @@ class TestElementwiseGradients:
         def f():
             h = ad.reshape(ad.narrow(x, 0, 1, 2), (1, 2, 6))
             h = ad.concat([h, ad.reshape(ad.narrow(x, 0, 2, 2), (1, 2, 6))], axis=0)
-            return sum_(ad.mul(ad.transpose(h, (0, 1, 2)), Tensor(w)))
+            return sum_(ad.mul(transpose(h, (0, 1, 2)), Tensor(w)))
 
         check_gradients(f, [x], rtol=1e-4)
 
@@ -501,7 +616,7 @@ class TestToposort:
     def test_pretrain_step_graph_at_batch_4(self, rng, monkeypatch):
         # a packed step's graph does not grow with the batch, so the depth
         # keeps it above 400 nodes
-        cfg = EnvEncoderConfig(model_dim=16, num_blocks=8, heads=4, vocab_size=24,
+        cfg = EnvEncoderConfig(model_dim=16, num_blocks=12, heads=4, vocab_size=24,
                                audio_patch_dim=12, video_patch_dim=20,
                                max_audio_positions=32, max_video_steps=8,
                                max_grid_rows=4, max_grid_cols=4)

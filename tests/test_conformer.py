@@ -286,7 +286,8 @@ class TestFusedPredictionAndJoint:
         np.testing.assert_allclose(states, pred.data, rtol=0, atol=1e-12)
         for ti in range(enc.data.shape[0]):
             for ui in range(pred.data.shape[0]):
-                logits = model.joint_logits_np(enc.data[ti], pred.data[ui])
+                logits = model.joint_logits_np(model.joint_enc_np(enc.data[ti]),
+                                               model.joint_pred_np(pred.data[ui]))
                 lp = logits - logits.max()
                 lp -= np.log(np.exp(lp).sum())
                 np.testing.assert_allclose(lp, log_probs[ti, ui], rtol=0, atol=1e-12)

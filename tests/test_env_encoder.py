@@ -11,7 +11,8 @@ from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, MultimodalBatch,
 from envasr.masking import MaskSchedule, mask_params_at
 from envasr.optim import AdamHyper
 
-from oracles import (check_gradients, pretrain_losses_per_utterance,
+from oracles import (check_gradients, embed_per_utterance,
+                     masked_predictions_per_utterance, pretrain_losses_per_utterance,
                      pretrain_step_per_utterance)
 
 
@@ -40,19 +41,17 @@ class TestEmbedding:
         cfg = toy_config()
         model = EnvEncoder(cfg, seed=0)
         batch = toy_batch(rng, cfg, n_audio=5, grid=(2, 2, 2))
-        out = model.embed_multimodal(batch)
+        out = model.embed([batch])
         assert out.data.shape == (13, cfg.model_dim)  # 8 video + 5 audio
 
     def test_modality_embedding_separates_identical_patches(self, rng):
         cfg = toy_config(audio_patch_dim=10, video_patch_dim=10)
         model = EnvEncoder(cfg, seed=0)
         patch = rng.standard_normal((1, 10))
-        as_audio = model.embed_multimodal(
-            MultimodalBatch(audio_patches=patch)).data[0]
-        as_video = model.embed_multimodal(
-            MultimodalBatch(audio_patches=patch.copy(),
-                            video_patches=patch.copy(),
-                            video_grid=(1, 1, 1))).data[0]
+        as_audio = model.embed([MultimodalBatch(audio_patches=patch)]).data[0]
+        as_video = model.embed([MultimodalBatch(audio_patches=patch.copy(),
+                                                video_patches=patch.copy(),
+                                                video_grid=(1, 1, 1))]).data[0]
         assert np.abs(as_audio - as_video).max() > 1e-6
 
     def test_position_embedding_separates_identical_patches(self, rng):
@@ -60,7 +59,7 @@ class TestEmbedding:
         model = EnvEncoder(cfg, seed=0)
         patch = rng.standard_normal(cfg.audio_patch_dim)
         audio = np.tile(patch, (4, 1))
-        out = model.embed_multimodal(MultimodalBatch(audio_patches=audio)).data
+        out = model.embed([MultimodalBatch(audio_patches=audio)]).data
         assert np.abs(out[0] - out[3]).max() > 1e-6
 
     def test_masked_rows_keep_position_identity(self, rng):
@@ -68,9 +67,8 @@ class TestEmbedding:
         model = EnvEncoder(cfg, seed=0)
         audio = np.tile(rng.standard_normal(cfg.audio_patch_dim), (4, 1))
         mask = np.array([True, False, False, True])
-        out = model.embed_multimodal(
-            MultimodalBatch(audio_patches=audio,
-                            labels=np.zeros(4, np.int64), mask=mask)).data
+        out = model.embed([MultimodalBatch(audio_patches=audio,
+                                           labels=np.zeros(4, np.int64), mask=mask)]).data
         # both masked, but different positions -> different rows
         assert np.abs(out[0] - out[3]).max() > 1e-6
 
@@ -78,8 +76,7 @@ class TestEmbedding:
         cfg = toy_config()
         model = EnvEncoder(cfg, seed=0)
         with pytest.raises(ValueError, match="audio patch dimension"):
-            model.embed_multimodal(MultimodalBatch(
-                audio_patches=rng.standard_normal((3, 7))))
+            model.embed([MultimodalBatch(audio_patches=rng.standard_normal((3, 7)))])
 
 
 class TestEncoderForward:
@@ -249,8 +246,7 @@ class TestPackedStep:
         packed = PackedBatch(batches)
 
         def encode(items):
-            parts = [model.embed_multimodal(b) for b in items]
-            return model.encoder_forward(ad.concat(parts), packed.lengths).data
+            return model.encoder_forward(model.embed(items), packed.lengths).data
 
         before = encode(batches)
         changed = list(batches)
@@ -269,6 +265,24 @@ class TestPackedStep:
         packed = PackedBatch(batches)
         assert packed.lengths == [13, 13, 3, 2]
         assert packed.seq_len == 31
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_embed_of_one_utterance_is_bit_identical(self, dtype, rng):
+        cfg = toy_config(dtype=dtype)
+        model = EnvEncoder(cfg, seed=1)
+        for batch in with_masks(mixed_batches(rng, cfg)):
+            np.testing.assert_array_equal(model.embed([batch]).data,
+                                          embed_per_utterance(model, batch).data)
+
+    def test_embed_matches_per_utterance_oracle(self, rng):
+        cfg = toy_config()
+        model = EnvEncoder(cfg, seed=1)
+        batches = with_masks(mixed_batches(rng, cfg))
+        for apply_mask in (True, False):
+            want = np.concatenate([embed_per_utterance(model, b, apply_mask).data
+                                   for b in batches])
+            np.testing.assert_allclose(model.embed(batches, apply_mask).data, want,
+                                       rtol=0, atol=1e-12)
 
 
 class TestExtraction:
@@ -336,3 +350,21 @@ class TestMaskedAccuracy:
         model.params["head.b"].data[:] = 0.0
         model.params["head.b"].data[7] = 10.0
         assert masked_accuracy(model, [batch], seed=0) == 1.0
+
+    def test_packed_predictions_match_per_utterance_oracle(self, rng, monkeypatch):
+        cfg = toy_config()
+        model = EnvEncoder(cfg, seed=5)
+        batches = mixed_batches(rng, cfg)
+        seen = []
+        mlm_logits = model.mlm_logits
+
+        def recording(encoded):
+            seen.append(mlm_logits(encoded))
+            return seen[-1]
+
+        monkeypatch.setattr(model, "mlm_logits", recording)
+        acc = masked_accuracy(model, batches, seed=3)
+        assert len(seen) == 1  # one packed pass
+        pred, labels, flags = masked_predictions_per_utterance(model, batches, seed=3)
+        np.testing.assert_array_equal(seen[0].data.argmax(axis=1), pred)
+        assert acc == (pred[flags] == labels[flags]).sum() / flags.sum()
