@@ -92,11 +92,11 @@ class AsrModel:
     def __init__(self, config: ConformerConfig, seed: int = 0):
         self.config = config
         self.np_dtype = np.float32 if config.dtype == "f32" else np.float64
-        self.params = ParameterSet()
         self.blank_id = config.vocab_size
         rng = substream(seed, "asr-init")
         d = config.model_dim
-        add = partial(init_param, self.params, dtype=self.np_dtype)
+        arrays = {}
+        add = partial(init_param, arrays, dtype=self.np_dtype)
         add(rng, "subsample.w", (config.subsample_kernel, config.feature_dim, d))
         add(rng, "subsample.b", (d,), zero=True)
         add(rng, "env_adapter.w", (config.env_dim, d))
@@ -138,10 +138,10 @@ class AsrModel:
         add(rng, "joint.b", (config.joint_dim,), zero=True)
         add(rng, "joint.w_out", (config.joint_dim, v1))
         add(rng, "joint.b_out", (v1,), zero=True)
+        self.params = ParameterSet(arrays)
         if config.fusion_mode == BASELINE:
             for name in ("env_adapter.w", "env_adapter.b"):
                 self.params[name].requires_grad = False
-        self.params.pack()
 
     def _const(self, arr) -> Tensor:
         return Tensor(np.asarray(arr, dtype=self.np_dtype))

@@ -45,8 +45,9 @@ def debug_checks():
 
 
 class Tensor:
-    """N-dimensional array with an optional gradient slot. A packed parameter
-    also holds `_grad_buf`, its slice of the set's flat gradient buffer."""
+    """N-dimensional array with an optional gradient slot. A parameter of a
+    `ParameterSet` also holds `_grad_buf`, its slice of the set's flat
+    gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_buf")
 
@@ -315,17 +316,22 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of `table` by integer index; backward scatter-adds."""
+    """Gather rows of `table` by integer index; backward scatter-adds, or
+    just assigns when no id repeats."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError("embedding ids must be 1-D")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError("embedding id out of range")
     out = _node(table.data[ids], (table,))
+    distinct = bool(out._parents) and np.bincount(ids).max(initial=0) <= 1
 
     def backward():
         g = np.zeros_like(table.data)
-        np.add.at(g, ids, out.grad)
+        if distinct:
+            g[ids] = out.grad
+        else:
+            np.add.at(g, ids, out.grad)
         _accum(table, g)
 
     return _finish(out, backward, "embedding")

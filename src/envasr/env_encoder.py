@@ -123,10 +123,10 @@ class EnvEncoder:
     def __init__(self, config: EnvEncoderConfig, seed: int = 0):
         self.config = config
         self.np_dtype = np.float32 if config.dtype == "f32" else np.float64
-        self.params = ParameterSet()
         rng = substream(seed, "env-init")
         d = config.model_dim
-        add = partial(init_param, self.params, dtype=self.np_dtype)
+        arrays = {}
+        add = partial(init_param, arrays, dtype=self.np_dtype)
         add(rng, "stem.audio.w", (config.audio_patch_dim, d))
         add(rng, "stem.audio.norm.g", (d,), one=True)
         add(rng, "stem.audio.norm.b", (d,), zero=True)
@@ -158,7 +158,7 @@ class EnvEncoder:
         # small head init keeps fresh-model predictions near uniform
         add(rng, "head.w", (d, config.vocab_size), table=True)
         add(rng, "head.b", (config.vocab_size,), zero=True)
-        self.params.pack()
+        self.params = ParameterSet(arrays)
 
     def _const(self, arr) -> Tensor:
         return Tensor(np.asarray(arr, dtype=self.np_dtype))

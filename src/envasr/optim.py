@@ -36,15 +36,9 @@ class AdamHyper:
                 raise ValueError(f"optimizer.{name} must lie in [0, 1), got {value}")
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
 class FlatBuffers(NamedTuple):
-    """A packed set's parameters, gradients and Adam moments, in name order."""
+    """Parameters, gradients and Adam moments, in name order; also one
+    parameter's views of them (`ParameterSet.views`)."""
 
     data: np.ndarray
     grad: np.ndarray
@@ -53,80 +47,61 @@ class FlatBuffers(NamedTuple):
 
 
 class ParameterSet:
-    """Ordered map name -> parameter tensor plus per-parameter Adam state.
+    """Ordered map name -> parameter tensor, stored in four flat buffers
+    (`flat`), plus one Adam step count `t` for every trained parameter.
 
-    Iteration is always sorted by name so that updates, checkpoints, and
-    hashes are deterministic. `pack` moves every parameter, gradient and
-    moment into one flat buffer each (`FlatBuffers`), laid out in name order;
-    `Tensor.data`, the gradient slot and `AdamState.m`/`.v` become views.
+    Built from all of a model's `{name: array}` at once, laid out in name
+    order: each `Tensor.data` and gradient slot (`_grad_buf`) is a view of
+    the set's buffers, and `views` gives a parameter's slices of all four.
+    Iteration is in name order, so updates, checkpoints, and hashes are
+    deterministic.
     """
 
-    def __init__(self):
-        self._params = {}
-        self._state = {}
-        self._flat = None
-        self._offsets = {}
-        self._scratch = ()
-
-    def add(self, name: str, data, dtype=None) -> Tensor:
-        if self._flat is not None:
-            raise ValueError(f"cannot add {name}: the parameter set is packed")
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        t = data if isinstance(data, Tensor) else Tensor(data, dtype=dtype)
-        t.requires_grad = True
-        self._params[name] = t
-        self._state[name] = AdamState(np.zeros_like(t.data), np.zeros_like(t.data))
-        return t
-
-    def pack(self) -> None:
-        """Copy parameters and moments into flat buffers; a second call, or a
-        call on an empty set, does nothing."""
-        if self._flat is not None or not self._params:
-            return
-        dtypes = sorted({str(p.data.dtype) for p in self._params.values()})
+    def __init__(self, arrays: dict):
+        dtypes = sorted({str(a.dtype) for a in arrays.values()})
         if len(dtypes) > 1:
-            raise ValueError(f"cannot pack parameters of mixed dtypes: {', '.join(dtypes)}")
-        total = sum(p.data.size for p in self._params.values())
-        flat = FlatBuffers(*(np.zeros(total, dtype=dtypes[0]) for _ in range(4)))
+            raise ValueError(f"a parameter set cannot mix dtypes: {', '.join(dtypes)}")
+        dtype = dtypes[0] if dtypes else np.float64
+        total = sum(a.size for a in arrays.values())
+        self.flat = FlatBuffers(*(np.zeros(total, dtype=dtype) for _ in range(4)))
+        self.t = 0
+        self._params = {}
+        self._layout = {}
         lo = 0
-        for name, p in self.items():
-            st = self._state[name]
-            hi = lo + p.data.size
-            data, grad, m, v = (buf[lo:hi].reshape(p.data.shape) for buf in flat)
-            data[...], m[...], v[...] = p.data, st.m, st.v
-            p.data, p._grad_buf, st.m, st.v = data, grad, m, v
-            self._offsets[name] = (lo, hi)
+        for name in sorted(arrays):
+            hi = lo + arrays[name].size
+            self._layout[name] = (lo, hi, arrays[name].shape)
+            views = self.views(name)
+            views.data[...] = arrays[name]
+            p = self._params[name] = Tensor(views.data, requires_grad=True)
+            p._grad_buf = views.grad
             lo = hi
-        self._flat = flat
-        self._scratch = tuple(np.empty(min(ADAM_CHUNK, total), dtype=dtypes[0])
+        self._scratch = tuple(np.empty(min(ADAM_CHUNK, total), dtype=dtype)
                               for _ in range(2))
 
+    def views(self, name: str) -> FlatBuffers:
+        """One parameter's slices of the four flat buffers."""
+        lo, hi, shape = self._layout[name]
+        return FlatBuffers(*(buf[lo:hi].reshape(shape) for buf in self.flat))
+
     def names(self):
-        return sorted(self._params)
+        return list(self._params)
 
     def items(self):
-        for name in self.names():
-            yield name, self._params[name]
+        return self._params.items()
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def state(self, name: str) -> AdamState:
-        return self._state[name]
-
-
-def init_param(params: ParameterSet, rng, name: str, shape, dtype, zero=False,
-               one=False, table=False) -> Tensor:
-    """Add a parameter of zeros, ones, a 0.02-scaled normal table, or a weight
-    drawn N(0, 1) / sqrt(prod(shape[:-1])). Only tables and weights draw from
-    `rng`, so the order of those names fixes every parameter's values."""
+def init_param(arrays: dict, rng, name: str, shape, dtype, zero=False,
+               one=False, table=False) -> np.ndarray:
+    """Add to `arrays` a parameter of zeros, ones, a 0.02-scaled normal table,
+    or a weight drawn N(0, 1) / sqrt(prod(shape[:-1])). Only tables and
+    weights draw from `rng`, so the order of those names fixes every
+    parameter's values."""
+    if name in arrays:
+        raise ValueError(f"duplicate parameter name: {name}")
     if zero:
         data = np.zeros(shape)
     elif one:
@@ -135,20 +110,20 @@ def init_param(params: ParameterSet, rng, name: str, shape, dtype, zero=False,
         data = 0.02 * rng.standard_normal(shape)
     else:
         data = rng.standard_normal(shape) / math.sqrt(int(np.prod(shape[:-1])))
-    return params.add(name, data.astype(dtype))
+    arrays[name] = data.astype(dtype)
+    return arrays[name]
 
 
 def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,
               beta2: float = 0.99, eps: float = 1e-8) -> None:
     """Bias-corrected Adam update of every parameter that requires gradients;
-    gradients are consumed (cleared).
+    gradients are consumed (cleared) and the set's step count `t` rises by one.
 
-    Packs `params` first. Live parameters that are neighbours in name order
-    and share a step count form one run of the flat buffers, updated in place
-    `ADAM_CHUNK` elements at a time. Each element sees the per-tensor
-    update's ops in the same order, so the results are bit-identical to it.
+    Live parameters that are neighbours in name order form one run of the
+    flat buffers, updated in place `ADAM_CHUNK` elements at a time. Each
+    element sees the per-tensor update's ops in the same order, so the
+    results are bit-identical to it.
     """
-    params.pack()
     live = [(name, p) for name, p in params.items() if p.requires_grad]
     missing = [name for name, p in live if p.grad is None]
     if missing:
@@ -158,19 +133,16 @@ def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,
         if p.grad is not p._grad_buf:  # assigned by the caller, not by backward
             np.copyto(p._grad_buf, p.grad)
         p.grad = None
-        st = params.state(name)
-        st.t += 1
-        lo, hi = params._offsets[name]
-        if runs and runs[-1][1] == lo and runs[-1][2] == st.t:
+        lo, hi, _ = params._layout[name]
+        if runs and runs[-1][1] == lo:
             runs[-1][1] = hi
         else:
-            runs.append([lo, hi, st.t])
-    if not runs:
-        return
-    data, grad, m, v = params._flat
-    for lo, hi, t in runs:
-        c1 = 1.0 - beta1 ** t
-        c2 = 1.0 - beta2 ** t
+            runs.append([lo, hi])
+    params.t += 1
+    c1 = 1.0 - beta1 ** params.t
+    c2 = 1.0 - beta2 ** params.t
+    data, grad, m, v = params.flat
+    for lo, hi in runs:
         for start in range(lo, hi, ADAM_CHUNK):
             end = min(start + ADAM_CHUNK, hi)
             g, mc, vc, pc = grad[start:end], m[start:end], v[start:end], data[start:end]

@@ -1,8 +1,10 @@
 """Checkpoint files: text manifest plus concatenated tensor payload.
 
-A checkpoint stores every parameter, its Adam moments and step counters, the
-optimization step, the mask-schedule step, and a snapshot of the run config,
-so that save -> load -> save is byte-identical and training resumes exactly.
+A checkpoint stores every parameter and its Adam moments, the Adam step of
+each parameter (the set's `t`, or 0 for a frozen one), the optimization step
+(written twice, as `step` and `schedule_step`, which must agree), and a
+snapshot of the run config, so that save -> load -> save is byte-identical
+and training resumes exactly.
 """
 
 from dataclasses import dataclass
@@ -18,24 +20,20 @@ _MAGIC = "envasr-checkpoint 1"
 @dataclass
 class Checkpoint:
     step: int
-    schedule_step: int
     config_lines: list
     tensors: dict
     adam_t: dict
 
 
-def save_checkpoint(path, params: ParameterSet, step: int, schedule_step: int,
-                    config_lines) -> None:
+def save_checkpoint(path, params: ParameterSet, step: int, config_lines) -> None:
     named = []
     adam_lines = []
-    for name in params.names():
-        named.append((f"p.{name}", params[name].data))
-        st = params.state(name)
-        named.append((f"m.{name}", st.m))
-        named.append((f"v.{name}", st.v))
-        adam_lines.append(f"{name} {st.t}")
+    for name, p in params.items():
+        views = params.views(name)
+        named += [(f"p.{name}", views.data), (f"m.{name}", views.m), (f"v.{name}", views.v)]
+        adam_lines.append(f"{name} {params.t if p.requires_grad else 0}")
     manifest, payload = pack_tensors(named)
-    head = [_MAGIC, f"step {int(step)}", f"schedule_step {int(schedule_step)}",
+    head = [_MAGIC, f"step {int(step)}", f"schedule_step {int(step)}",
             f"adam_t {len(adam_lines)}", *adam_lines,
             f"config {len(list(config_lines))}", *config_lines,
             f"tensors {len(manifest)}", *manifest,
@@ -73,6 +71,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError("corrupt checkpoint manifest: bad magic line")
     step = int(_expect(next(it), "step"))
     schedule_step = int(_expect(next(it), "schedule_step"))
+    if schedule_step != step:
+        raise ValueError(f"corrupt checkpoint: step {step} but schedule_step "
+                         f"{schedule_step}; the two must agree")
     adam_t = {}
     for _ in range(int(_expect(next(it), "adam_t"))):
         name, t = next(it).rsplit(" ", 1)
@@ -84,14 +85,16 @@ def load_checkpoint(path) -> Checkpoint:
     if len(payload) != payload_len:
         raise ValueError("corrupt checkpoint: truncated payload")
     tensors = unpack_tensors(manifest, payload)
-    return Checkpoint(step, schedule_step, config_lines, tensors, adam_t)
+    return Checkpoint(step, config_lines, tensors, adam_t)
 
 
 def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
-    """Load parameters and optimizer state in place; shapes must match."""
+    """Load parameters, Adam moments and the set's Adam step in place; shapes
+    must match, and every trained parameter must have the same Adam step."""
+    steps = {}
     for name, p in params.items():
-        st = params.state(name)
-        for prefix, target in (("p", p.data), ("m", st.m), ("v", st.v)):
+        views = params.views(name)
+        for prefix, target in (("p", views.data), ("m", views.m), ("v", views.v)):
             key = f"{prefix}.{name}"
             if key not in ckpt.tensors:
                 raise ValueError(f"checkpoint is missing tensor {key}")
@@ -103,8 +106,14 @@ def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
             np.copyto(target, arr, casting="unsafe")
         if name not in ckpt.adam_t:
             raise ValueError(f"checkpoint is missing Adam step for {name}")
-        st.t = ckpt.adam_t[name]
+        if p.requires_grad:
+            steps.setdefault(ckpt.adam_t[name], name)
         p.grad = None
+    if len(steps) > 1:
+        (t1, a), (t2, b) = sorted(steps.items())[:2]
+        raise ValueError(f"checkpoint's trained parameters disagree on their Adam "
+                         f"step: {a} at {t1}, {b} at {t2}")
+    params.t = next(iter(steps), 0)
     extra = sorted({k.split(".", 1)[1] for k in ckpt.tensors} - set(params.names()))
     if extra:
         raise ValueError(f"checkpoint holds parameters unknown to the model: "

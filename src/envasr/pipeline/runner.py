@@ -117,7 +117,7 @@ def _train_loop(cfg: RunConfig, log_name: str, n_items: int, step_fn, eval_fn,
                 for text in lines + ([f"# early stop: {stop}"] if stop else []):
                     line(text)
             if done % cfg.checkpoint_every == 0 or done == cfg.max_steps or stop:
-                save_checkpoint(ckpt_path, params, done, done, config_lines(cfg))
+                save_checkpoint(ckpt_path, params, done, config_lines(cfg))
             if stop:
                 break
     return {"steps_run": done - start, "final_loss": loss,
@@ -138,7 +138,7 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     if resume is not None:
         ckpt = load_checkpoint(resume)
         restore_params(model.params, ckpt)
-        start = ckpt.schedule_step
+        start = ckpt.step
     best, misses = math.inf, 0
 
     def train_step(step, items):

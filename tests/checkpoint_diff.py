@@ -1,8 +1,11 @@
-"""Compare two checkpoints tensor by tensor.
+"""Compare two checkpoints header field by header field and tensor by tensor.
 
     PYTHONPATH=src python tests/checkpoint_diff.py A.ckpt B.ckpt
 
-Each checkpoint tensor (``p.<name>`` parameter, ``m.<name>`` / ``v.<name>``
+Header fields (the ``step``, each parameter's Adam step ``adam_t <name>``
+and each config key ``config <key>``) that differ are printed first, with
+their value in A and in B (``None`` when a file lacks the field). Each
+checkpoint tensor (``p.<name>`` parameter, ``m.<name>`` / ``v.<name>``
 Adam moments) is matched by name. For a tensor in both files the script
 prints ``identical`` when dtype, shape and bytes agree, and otherwise the
 size of the difference, max|a - b| / max|a| (``inf`` when A is all zeros or
@@ -29,12 +32,29 @@ def relative_diff(a: np.ndarray, b: np.ndarray):
     return diff / scale if scale else np.inf
 
 
+def header_diffs(a, b):
+    """(field, value in A, value in B) for every header field that differs."""
+    def fields(ckpt):
+        config = dict(line.partition(" = ")[::2] for line in ckpt.config_lines)
+        return {"step": ckpt.step,
+                **{f"adam_t {name}": t for name, t in ckpt.adam_t.items()},
+                **{f"config {key}": value for key, value in config.items()}}
+
+    fa, fb = fields(a), fields(b)
+    return [(key, fa.get(key), fb.get(key)) for key in {**fa, **fb}
+            if fa.get(key) != fb.get(key)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="first checkpoint")
     parser.add_argument("b", help="second checkpoint")
     args = parser.parse_args(argv)
-    ta, tb = load_checkpoint(args.a).tensors, load_checkpoint(args.b).tensors
+    a, b = load_checkpoint(args.a), load_checkpoint(args.b)
+    header = header_diffs(a, b)
+    for key, va, vb in header:
+        print(f"{'header':<12}  {key}: {va!r} in A, {vb!r} in B")
+    ta, tb = a.tensors, b.tensors
     common = sorted(ta.keys() & tb.keys())
     rel = {name: relative_diff(ta[name], tb[name]) for name in common}
     for name in common:
@@ -47,7 +67,8 @@ def main(argv=None) -> int:
     worst = max(differ, key=rel.get, default=None)
     largest = f", largest rel {rel[worst]:.3g} ({worst})" if worst else ""
     print(f"{len(common) - len(differ)} identical, {len(differ)} differ{largest}, "
-          f"{len(only_a)} only in A, {len(only_b)} only in B")
+          f"{len(only_a)} only in A, {len(only_b)} only in B, "
+          f"{len(header)} header fields differ")
     return 0
 
 

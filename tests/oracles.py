@@ -236,23 +236,27 @@ def adam_scalar_trajectory(x0, grads, lr, beta1, beta2, eps):
     return history
 
 
-def adam_step_per_tensor(params, lr, beta1=0.9, beta2=0.99, eps=1e-8):
-    """Adam one parameter array at a time, allocating fresh moments; for an
-    unpacked ParameterSet (it rebinds ``m`` and ``v``)."""
-    live = [(name, p) for name, p in params.items() if p.requires_grad]
+def adam_step_per_tensor(params, moments, lr, beta1=0.9, beta2=0.99, eps=1e-8):
+    """Adam one parameter array at a time, allocating fresh moments.
+
+    `params` maps name -> Tensor. `moments` is this oracle's own state, name
+    -> (m, v, t) per tensor; a name it lacks starts at zero moments, step 0.
+    """
+    live = [(name, params[name]) for name in sorted(params) if params[name].requires_grad]
     missing = [name for name, p in live if p.grad is None]
     if missing:
         raise ValueError(f"adam_step: missing gradient for {missing[0]}")
     for name, p in live:
-        st = params.state(name)
+        m, v, t = moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data), 0))
         g = p.grad
-        st.t += 1
-        st.m = beta1 * st.m + (1.0 - beta1) * g
-        st.v = beta2 * st.v + (1.0 - beta2) * (g * g)
-        m_hat = st.m / (1.0 - beta1 ** st.t)
-        v_hat = st.v / (1.0 - beta2 ** st.t)
+        t += 1
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
         p.grad = None
+        moments[name] = (m, v, t)
 
 
 def toposort_dfs(root):

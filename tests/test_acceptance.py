@@ -377,12 +377,11 @@ class TestCriterion9Determinism:
         model = EnvEncoder(env_encoder_config(pre), seed=pre.seed)
         p1 = out / "rt1.ckpt"
         p2 = out / "rt2.ckpt"
-        save_checkpoint(p1, model.params, 5, 5, ["seed = 0"])
+        save_checkpoint(p1, model.params, 5, ["seed = 0"])
         ckpt = load_checkpoint(p1)
         clone = EnvEncoder(env_encoder_config(pre), seed=99)
         restore_params(clone.params, ckpt)
-        save_checkpoint(p2, clone.params, ckpt.step, ckpt.schedule_step,
-                        ckpt.config_lines)
+        save_checkpoint(p2, clone.params, ckpt.step, ckpt.config_lines)
         round_trip = p1.read_bytes() == p2.read_bytes()
 
         ten_steps = (len(pre_logs[0].splitlines()) == 10

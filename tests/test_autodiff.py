@@ -498,6 +498,18 @@ class TestElementwiseGradients:
         check_gradients(lambda: sum_(ad.mul(ad.embedding(table, ids), Tensor(w))),
                         [table], rtol=1e-4)
 
+    @pytest.mark.parametrize("ids", [[3, 0, 5, 1, 4, 2], [2, 0, 5],
+                                     [1, 1, 4, 0, 1, 4], [3, 3]],
+                             ids=["permutation", "distinct", "repeated", "one-row"])
+    def test_embedding_gradient_equals_scatter_add(self, ids, rng):
+        table = t(rng.standard_normal((6, 3)), grad=True)
+        grad = rng.standard_normal((len(ids), 3))
+        out = ad.embedding(table, ids)
+        sum_(ad.mul(out, Tensor(grad))).backward()
+        want = np.zeros((6, 3))
+        np.add.at(want, np.array(ids), grad)
+        np.testing.assert_array_equal(table.grad, want)
+
     def test_sum_axis(self, rng):
         x = t(rng.standard_normal((3, 4)), grad=True)
         w = Tensor(rng.standard_normal(4))

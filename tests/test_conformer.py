@@ -117,14 +117,14 @@ class TestFusionAttention:
     def test_packed_model_missing_gradient_rejected(self, rng):
         model = AsrModel(micro_config(), seed=0)
         params = model.params
-        before = params._flat.data.copy()
+        before = params.flat.data.copy()
         for name, p in params.items():
             if name != "pred.b":
                 p.grad = rng.standard_normal(p.data.shape)
         with pytest.raises(ValueError, match="missing gradient for pred.b$"):
             adam_step(params, 1e-3)
-        np.testing.assert_array_equal(params._flat.data, before)
-        assert all(params.state(name).t == 0 for name in params.names())
+        np.testing.assert_array_equal(params.flat.data, before)
+        assert params.t == 0
 
     def test_cross_mode_requires_env(self, rng):
         model = AsrModel(micro_config(), seed=0)

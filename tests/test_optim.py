@@ -11,10 +11,8 @@ from oracles import adam_scalar_trajectory, adam_step_per_tensor, sum_
 
 
 def make_params(values):
-    params = ParameterSet()
-    for name, v in values.items():
-        params.add(name, np.asarray(v, dtype=np.float64))
-    return params
+    return ParameterSet({name: np.asarray(v, dtype=np.float64)
+                         for name, v in values.items()})
 
 
 class TestAdam:
@@ -72,25 +70,27 @@ class TestAdamMatchesPerTensorOracle:
     # between live parameters in name order.
     SHAPES = {"a.w": (300, 500), "b.frozen": (70_000,), "c.b": (7,),
               "d.w": (3, 5), "e.t": (2, 33_000)}
-    ADAM_T = {"a.w": 2, "b.frozen": 0, "c.b": 2, "d.w": 5, "e.t": 9}
+    START_T = 4
 
     def two_sets(self, dtype, rng):
+        """The set under test, restored from a checkpoint at step `START_T`,
+        and the oracle's tensors and moments with the same values."""
         values = {n: rng.standard_normal(s).astype(dtype) for n, s in self.SHAPES.items()}
-        tensors = {}
+        tensors, moments = {}, {}
         for name, shape in self.SHAPES.items():
             tensors[f"p.{name}"] = values[name] + 1.0
             tensors[f"m.{name}"] = 0.1 * rng.standard_normal(shape)
             tensors[f"v.{name}"] = 0.01 * rng.random(shape)
-        ckpt = Checkpoint(0, 0, [], tensors, dict(self.ADAM_T))
-        packed, oracle = ParameterSet(), ParameterSet()
-        for params in (packed, oracle):
-            for name, v in values.items():
-                params.add(name, v.copy())
-            params["b.frozen"].requires_grad = False
-        packed.pack()
-        for params in (packed, oracle):
-            restore_params(params, ckpt)
-        return packed, oracle
+            if name != "b.frozen":
+                moments[name] = (tensors[f"m.{name}"].astype(dtype),
+                                 tensors[f"v.{name}"].astype(dtype), self.START_T)
+        adam_t = {name: self.START_T * (name != "b.frozen") for name in self.SHAPES}
+        packed = ParameterSet(values)
+        packed["b.frozen"].requires_grad = False
+        restore_params(packed, Checkpoint(0, [], tensors, adam_t))
+        oracle = {name: Tensor(tensors[f"p.{name}"].astype(dtype),
+                               requires_grad=name != "b.frozen") for name in self.SHAPES}
+        return packed, oracle, moments
 
     @staticmethod
     def backward(params, weights):
@@ -104,7 +104,7 @@ class TestAdamMatchesPerTensorOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_five_steps_bit_identical(self, dtype, rng):
         assert sum(np.prod(s) for s in self.SHAPES.values()) > 2 * ADAM_CHUNK
-        packed, oracle = self.two_sets(dtype, rng)
+        packed, oracle, moments = self.two_sets(dtype, rng)
         frozen = packed["b.frozen"].data.copy()
         live = [n for n in self.SHAPES if n != "b.frozen"]
         for step in range(5):
@@ -117,18 +117,20 @@ class TestAdamMatchesPerTensorOracle:
                                     for _ in range(2)) for n in live}
                 for params in (packed, oracle):
                     self.backward(params, weights)
-                assert np.shares_memory(packed["a.w"].grad, packed._flat.grad)
+                assert np.shares_memory(packed["a.w"].grad, packed.flat.grad)
                 g = rng.standard_normal(7).astype(dtype)
                 packed["c.b"].grad, oracle["c.b"].grad = g.copy(), g
             adam_step(packed, 1e-2, 0.9, 0.99, 1e-8)
-            adam_step_per_tensor(oracle, 1e-2, 0.9, 0.99, 1e-8)
-            for name in self.SHAPES:
-                got, want = packed.state(name), oracle.state(name)
+            adam_step_per_tensor(oracle, moments, 1e-2, 0.9, 0.99, 1e-8)
+            assert packed.t == self.START_T + step + 1
+            for name in live:
+                got, (m, v, t) = packed.views(name), moments[name]
                 assert np.array_equal(packed[name].data, oracle[name].data), (step, name)
-                assert np.array_equal(got.m, want.m) and np.array_equal(got.v, want.v)
-                assert got.t == want.t == self.ADAM_T[name] + (step + 1) * (name in live)
+                assert np.array_equal(got.m, m) and np.array_equal(got.v, v)
+                assert t == packed.t
                 assert packed[name].data.dtype == got.m.dtype == dtype
         np.testing.assert_array_equal(packed["b.frozen"].data, frozen)
+        assert "b.frozen" not in moments
 
 
 class TestMinimizeMean:
@@ -151,87 +153,78 @@ class TestMinimizeMean:
 
         assert loss == float(mean.data)
         np.testing.assert_array_equal(helper["w"].data, by_hand["w"].data)
-        for moment in ("m", "v", "t"):
-            np.testing.assert_array_equal(getattr(helper.state("w"), moment),
-                                          getattr(by_hand.state("w"), moment))
+        for moment in ("m", "v"):
+            np.testing.assert_array_equal(getattr(helper.views("w"), moment),
+                                          getattr(by_hand.views("w"), moment))
+        assert helper.t == by_hand.t == 1
         assert helper["w"].grad is None
 
 
 class TestParameterSet:
     def test_duplicate_name_rejected(self):
-        params = ParameterSet()
-        params.add("w", np.zeros(2))
+        arrays = {}
+        init_param(arrays, None, "w", (2,), np.float64, zero=True)
         with pytest.raises(ValueError, match="duplicate"):
-            params.add("w", np.zeros(2))
+            init_param(arrays, None, "w", (2,), np.float64, zero=True)
 
     def test_iteration_sorted_by_name(self):
         params = make_params({"b": [1.0], "a": [2.0], "c": [3.0]})
         assert [name for name, _ in params.items()] == ["a", "b", "c"]
 
-    def test_pack_makes_views_of_flat_buffers(self, rng):
-        params = make_params({"b": rng.standard_normal(3), "a": rng.standard_normal((2, 2))})
-        before = {name: p.data.copy() for name, p in params.items()}
-        params.pack()
-        flat = params._flat
-        assert flat.data.size == 7
+    def test_construction_makes_views_of_flat_buffers(self, rng):
+        before = {"b": rng.standard_normal(3), "a": rng.standard_normal((2, 2))}
+        params = ParameterSet(before)
+        flat = params.flat
+        assert flat.data.size == 7 and params.t == 0
         np.testing.assert_array_equal(flat.data, np.concatenate(
             [before["a"].ravel(), before["b"]]))
         for name, p in params.items():
-            st = params.state(name)
+            views = params.views(name)
             np.testing.assert_array_equal(p.data, before[name])
-            for arr, buf in ((p.data, flat.data), (st.m, flat.m), (st.v, flat.v),
+            assert p.requires_grad and not np.shares_memory(p.data, before[name])
+            for arr, buf in ((p.data, flat.data), (views.m, flat.m), (views.v, flat.v),
                              (p._grad_buf, flat.grad)):
                 assert arr.shape == p.data.shape and np.shares_memory(arr, buf)
-        views = [p.data for _, p in params.items()]
-        params.pack()  # a second pack does nothing
-        assert [p.data for _, p in params.items()] == views
-        assert params._flat is flat
-
-    def test_add_after_pack_rejected(self):
-        params = make_params({"w": [1.0]})
-        params.pack()
-        with pytest.raises(ValueError, match="cannot add b: the parameter set is packed"):
-            params.add("b", np.zeros(2))
 
     def test_mixed_dtypes_rejected(self):
-        params = make_params({"w": [1.0]})
-        params.add("h", np.zeros(2, dtype=np.float32))
-        with pytest.raises(ValueError, match="mixed dtypes: float32, float64"):
-            params.pack()
+        with pytest.raises(ValueError, match="cannot mix dtypes: float32, float64"):
+            ParameterSet({"w": np.ones(1), "h": np.zeros(2, dtype=np.float32)})
 
-    def test_adam_step_packs_hand_built_set(self):
+    def test_adam_step_updates_flat_buffers_in_place(self):
         params = make_params({"w": [1.0, 2.0]})
+        data = params["w"].data
         params["w"].grad = np.array([0.5, -0.5])
         adam_step(params, lr=0.1)
-        assert np.shares_memory(params["w"].data, params._flat.data)
+        assert params["w"].data is data and params.t == 1
+        np.testing.assert_allclose(params.flat.data, [0.9, 2.1])
 
     def test_moments_match_parameter_shape(self, rng):
         params = make_params({"w": rng.standard_normal((3, 4))})
-        st = params.state("w")
-        assert st.m.shape == (3, 4) and st.v.shape == (3, 4) and st.t == 0
+        views = params.views("w")
+        assert views.m.shape == (3, 4) and views.v.shape == (3, 4) and params.t == 0
 
 
 class TestInitParam:
     @pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5)])
     def test_weight_scaled_by_fan_in(self, shape):
-        params = ParameterSet()
-        w = init_param(params, np.random.default_rng(3), "w", shape, np.float64)
+        arrays = {}
+        w = init_param(arrays, np.random.default_rng(3), "w", shape, np.float64)
         fan_in = int(np.prod(shape[:-1]))
         want = np.random.default_rng(3).standard_normal(shape) / np.sqrt(fan_in)
-        np.testing.assert_array_equal(w.data, want)
-        assert params["w"] is w and w.requires_grad
+        np.testing.assert_array_equal(w, want)
+        assert arrays["w"] is w
 
     def test_zero_and_one_draw_nothing(self):
-        params = ParameterSet()
+        arrays = {}
         rng = np.random.default_rng(5)
-        init_param(params, rng, "b", (3,), np.float32, zero=True)
-        init_param(params, rng, "g", (3,), np.float32, one=True)
-        table = init_param(params, rng, "t", (2, 3), np.float32, table=True)
-        np.testing.assert_array_equal(params["b"].data, np.zeros(3, np.float32))
-        np.testing.assert_array_equal(params["g"].data, np.ones(3, np.float32))
+        init_param(arrays, rng, "b", (3,), np.float32, zero=True)
+        init_param(arrays, rng, "g", (3,), np.float32, one=True)
+        table = init_param(arrays, rng, "t", (2, 3), np.float32, table=True)
+        np.testing.assert_array_equal(arrays["b"], np.zeros(3, np.float32))
+        np.testing.assert_array_equal(arrays["g"], np.ones(3, np.float32))
         want = (0.02 * np.random.default_rng(5).standard_normal((2, 3)))
-        np.testing.assert_array_equal(table.data, want.astype(np.float32))
-        assert table.data.dtype == np.float32
+        np.testing.assert_array_equal(table, want.astype(np.float32))
+        assert table.dtype == np.float32
 
 
 class TestCountParameters:
@@ -240,9 +233,8 @@ class TestCountParameters:
         assert count_parameters(params) == 20
 
     def test_empty(self):
-        assert count_parameters(ParameterSet()) == 0
+        assert count_parameters(ParameterSet({})) == 0
 
     def test_counts_tensor_entries(self, rng):
-        params = ParameterSet()
-        params.add("a", Tensor(rng.standard_normal((2, 3, 4))))
+        params = ParameterSet({"a": rng.standard_normal((2, 3, 4))})
         assert count_parameters(params) == 24

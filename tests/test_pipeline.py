@@ -6,6 +6,7 @@ import pytest
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, extract_env_embeddings,
                                 parameter_hash)
 from envasr.features import read_wav
+from envasr.optim import adam_step
 from envasr.pipeline import (config_lines, generate_synthetic_corpus,
                              load_config, load_checkpoint, load_manifest,
                              parse_config_lines, restore_params, save_checkpoint,
@@ -77,54 +78,56 @@ def micro_env_model(seed=0):
     return EnvEncoder(cfg, seed=seed)
 
 
+def save_trained(path, rng, frozen=()):
+    """A micro env model after one Adam step on random gradients, with the
+    `frozen` parameters frozen, saved at step 1 to `path`."""
+    model = micro_env_model()
+    for name in frozen:
+        model.params[name].requires_grad = False
+    for _, p in model.params.items():
+        p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+    adam_step(model.params, 1e-3)
+    save_checkpoint(path, model.params, 1, [])
+    return model
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         model = micro_env_model()
         lines = ["seed = 3", "optimizer.lr = 0.0003"]
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, model.params, 17, 17, lines)
+        save_checkpoint(p1, model.params, 17, lines)
         ckpt = load_checkpoint(p1)
         fresh = micro_env_model(seed=9)
         restore_params(fresh.params, ckpt)
-        save_checkpoint(p2, fresh.params, ckpt.step, ckpt.schedule_step,
-                        ckpt.config_lines)
+        save_checkpoint(p2, fresh.params, ckpt.step, ckpt.config_lines)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_restore_recovers_values_and_state(self, tmp_path, rng):
-        model = micro_env_model()
-        for name, p in model.params.items():
-            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
-        from envasr.optim import adam_step
-        adam_step(model.params, 1e-3)
-        save_checkpoint(tmp_path / "c.ckpt", model.params, 1, 1, [])
+        model = save_trained(tmp_path / "c.ckpt", rng)
         other = micro_env_model(seed=5)
         restore_params(other.params, load_checkpoint(tmp_path / "c.ckpt"))
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, other.params[name].data)
-            np.testing.assert_array_equal(model.params.state(name).m,
-                                          other.params.state(name).m)
-            assert other.params.state(name).t == 1
+            np.testing.assert_array_equal(model.params.views(name).m,
+                                          other.params.views(name).m)
+        assert other.params.t == 1
 
     def test_restore_writes_into_flat_buffers(self, tmp_path, rng):
-        model = micro_env_model()
-        for _, p in model.params.items():
-            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
-        from envasr.optim import adam_step
-        adam_step(model.params, 1e-3)
-        save_checkpoint(tmp_path / "c.ckpt", model.params, 1, 1, [])
+        model = save_trained(tmp_path / "c.ckpt", rng)
         other = micro_env_model(seed=5)
-        flat = other.params._flat
+        flat = other.params.flat
         restore_params(other.params, load_checkpoint(tmp_path / "c.ckpt"))
-        np.testing.assert_array_equal(flat.data, model.params._flat.data)
-        np.testing.assert_array_equal(flat.v, model.params._flat.v)
+        np.testing.assert_array_equal(flat.data, model.params.flat.data)
+        np.testing.assert_array_equal(flat.m, model.params.flat.m)
+        np.testing.assert_array_equal(flat.v, model.params.flat.v)
+        assert other.params.flat is flat
         for name, p in other.params.items():
-            st = other.params.state(name)
             assert np.shares_memory(p.data, flat.data), name
-            assert np.shares_memory(st.m, flat.m) and np.shares_memory(st.v, flat.v)
 
     def test_mismatched_config_shape_error(self, tmp_path):
         model = micro_env_model()
-        save_checkpoint(tmp_path / "c.ckpt", model.params, 0, 0, [])
+        save_checkpoint(tmp_path / "c.ckpt", model.params, 0, [])
         bigger = EnvEncoder(EnvEncoderConfig(model_dim=16, num_blocks=1, heads=2,
                                              vocab_size=6, audio_patch_dim=6,
                                              video_patch_dim=12), seed=0)
@@ -133,11 +136,11 @@ class TestCheckpoint:
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "c.ckpt"
-        save_checkpoint(path, micro_env_model().params, 1, 1, ["seed = 3"])
+        save_checkpoint(path, micro_env_model().params, 1, ["seed = 3"])
         good = path.read_bytes()
         monkeypatch.setattr(os, "replace", fail_replace)
         with pytest.raises(OSError, match="injected"):
-            save_checkpoint(path, micro_env_model(seed=5).params, 2, 2, ["seed = 3"])
+            save_checkpoint(path, micro_env_model(seed=5).params, 2, ["seed = 3"])
         monkeypatch.undo()
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
         assert path.read_bytes() == good
@@ -145,8 +148,53 @@ class TestCheckpoint:
         fresh = micro_env_model(seed=9)
         restore_params(fresh.params, ckpt)
         save_checkpoint(tmp_path / "again.ckpt", fresh.params, ckpt.step,
-                        ckpt.schedule_step, ckpt.config_lines)
+                        ckpt.config_lines)
         assert (tmp_path / "again.ckpt").read_bytes() == good
+
+    def test_step_and_schedule_step_must_agree(self, tmp_path, rng):
+        path = tmp_path / "c.ckpt"
+        save_trained(path, rng)
+        path.write_bytes(path.read_bytes().replace(b"\nschedule_step 1\n",
+                                                   b"\nschedule_step 2\n", 1))
+        msg = "^corrupt checkpoint: step 1 but schedule_step 2; the two must agree$"
+        with pytest.raises(ValueError, match=msg):
+            load_checkpoint(path)
+
+    def test_trained_parameters_must_agree_on_adam_step(self, tmp_path, rng):
+        path = tmp_path / "c.ckpt"
+        save_trained(path, rng)
+        path.write_bytes(path.read_bytes().replace(b"\nhead.w 1\n", b"\nhead.w 3\n", 1))
+        ckpt = load_checkpoint(path)
+        msg = ("^checkpoint's trained parameters disagree on their Adam step: "
+               "block0.attn.bo at 1, head.w at 3$")
+        with pytest.raises(ValueError, match=msg):
+            restore_params(micro_env_model().params, ckpt)
+
+    def test_frozen_parameter_saves_adam_step_0(self, tmp_path, rng):
+        save_trained(tmp_path / "c.ckpt", rng, frozen=["head.b"])
+        ckpt = load_checkpoint(tmp_path / "c.ckpt")
+        assert ckpt.adam_t["head.b"] == 0
+        assert {t for name, t in ckpt.adam_t.items() if name != "head.b"} == {1}
+        fresh = micro_env_model(seed=9)
+        fresh.params["head.b"].requires_grad = False
+        restore_params(fresh.params, ckpt)
+        assert fresh.params.t == 1
+
+    def test_diff_reports_header_differences(self, tmp_path, capsys):
+        import checkpoint_diff
+        params = micro_env_model().params
+        a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        save_checkpoint(a, params, 1, ["seed = 3", "max_steps = 5"])
+        params.t = 4
+        save_checkpoint(b, params, 2, ["seed = 4", "max_steps = 5"])
+        checkpoint_diff.main([a, b])
+        out = capsys.readouterr().out.splitlines()
+        n = len(params.names())
+        assert out[0] == "header        step: 1 in A, 2 in B"
+        assert out[1] == "header        adam_t block0.attn.bo: 0 in A, 4 in B"
+        assert out[n + 1] == "header        config seed: '3' in A, '4' in B"
+        assert out[-1] == (f"{3 * n} identical, 0 differ, 0 only in A, 0 only in B, "
+                           f"{n + 2} header fields differ")
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

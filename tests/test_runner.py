@@ -108,8 +108,7 @@ class TestPretrainingRunner:
                             checkpoint_every=2)
         out = run_pretraining(cfg_short)
         model = out["model"]
-        save_checkpoint(cfg.pretrain_ckpt_path(), model.params, 10000, 10000,
-                        [])
+        save_checkpoint(cfg.pretrain_ckpt_path(), model.params, 10000, [])
         capsys.readouterr()
         run_pretraining(cfg, resume=str(cfg.pretrain_ckpt_path()))
         log = (cfg.out_path() / "pretrain.log").read_text().splitlines()
@@ -149,11 +148,9 @@ class TestPretrainingRunner:
         # checkpoints written while attention keys had a bias hold block*.attn.bk
         cfg = toy_cfg(corpus16, tmp_path / "old")
         env_cfg = env_encoder_config(cfg)
-        old = ParameterSet()
-        for name, p in EnvEncoder(env_cfg, seed=0).params.items():
-            old.add(name, p.data.copy())
-        old.add("block0.attn.bk", np.zeros(env_cfg.model_dim))
-        save_checkpoint(tmp_path / "old.ckpt", old, 5, 5, config_lines(cfg))
+        arrays = {name: p.data for name, p in EnvEncoder(env_cfg, seed=0).params.items()}
+        arrays["block0.attn.bk"] = np.zeros(env_cfg.model_dim, dtype=arrays["head.b"].dtype)
+        save_checkpoint(tmp_path / "old.ckpt", ParameterSet(arrays), 5, config_lines(cfg))
         with pytest.raises(ValueError) as err:
             run_pretraining(cfg, resume=str(tmp_path / "old.ckpt"))
         assert str(err.value) == ("checkpoint holds parameters unknown to the model: "
@@ -173,7 +170,7 @@ class TestTrainLoop:
     def run(self, tmp_path, monkeypatch, stop_at=None):
         saves, items, evals = [], [], []
         monkeypatch.setattr(runner, "save_checkpoint",
-                            lambda path, params, step, schedule_step, lines:
+                            lambda path, params, step, lines:
                             saves.append(step))
 
         def step_fn(step, batch):
@@ -235,14 +232,14 @@ class TestAsrRunner:
                       eval_every=1, **{"asr.fusion_mode": "self_attention_baseline"})
         params = run_asr_training(cfg)["model"].params
         init = AsrModel(conformer_config(cfg, vocab_size=len(SYMBOLS)), seed=cfg.seed)
+        assert params.t == 1
         for name, p in params.items():
-            st = params.state(name)
+            views = params.views(name)
             if name.startswith("env_adapter."):
                 np.testing.assert_array_equal(p.data, init.params[name].data)
-                assert not st.m.any() and not st.v.any() and st.t == 0
+                assert not views.m.any() and not views.v.any()
             else:
                 assert not np.array_equal(p.data, init.params[name].data), name
-                assert st.t == 1
         for name, p in params.items():
             if p.requires_grad and name != "joint.b_out":
                 p.grad = np.zeros_like(p.data)
@@ -340,7 +337,7 @@ class TestPositionTables:
     def save_untrained_env(self, cfg):
         cfg.out_path().mkdir()
         save_checkpoint(cfg.pretrain_ckpt_path(),
-                        EnvEncoder(env_encoder_config(cfg)).params, 0, 0,
+                        EnvEncoder(env_encoder_config(cfg)).params, 0,
                         config_lines(cfg))
 
     def test_long_audio_rejected_before_step_0(self, tmp_path, capsys):
@@ -417,7 +414,7 @@ class TestEnvCacheAcrossRuns:
         _, cfg = trained
         narrow = replace(cfg, pretrain=replace(cfg.pretrain, model_dim=16))
         path = tmp_path / "narrow.ckpt"
-        save_checkpoint(path, EnvEncoder(env_encoder_config(narrow)).params, 0, 0,
+        save_checkpoint(path, EnvEncoder(env_encoder_config(narrow)).params, 0,
                         config_lines(narrow))
         cfg = replace(cfg, paths=replace(cfg.paths, pretrain_checkpoint=str(path)))
         msg = (f"^pretraining checkpoint {re.escape(str(path))} has model_dim 16, "
