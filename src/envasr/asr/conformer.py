@@ -12,6 +12,19 @@ self-attention with identically shaped weights, so the two variants have
 exactly the same parameter count. The environment embeddings themselves are
 constants: gradients stop at the shared env adapter, which the baseline keeps
 (unused and frozen) only for that count.
+
+A batch is packed rather than padded. Each utterance is SpecAugmented and
+subsampled alone (the strided conv's windows must not cross utterances),
+and one concat joins the subsampled rows. Every block then runs once over
+the packed rows: feed-forward and pointwise layers are row-wise; the
+attention, the depthwise conv, the conv module's instance norm and the
+fusion cross-attention (whose keys are the packed env rows, segmented by
+their own lengths) take the segment lengths and act within each utterance.
+The prediction network runs once over all label sequences, restarting its
+recurrence at each. The joint network and the RNN-T lattice differ in shape
+per utterance, so they run on `narrow` slices of the packed rows, and the
+step's loss is the mean of the per-utterance losses. A batch of one makes no
+concat or narrow, so it builds the per-utterance graph exactly.
 """
 
 from dataclasses import dataclass, replace
@@ -23,8 +36,9 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..env_encoder import EnvEmbeddings
 from ..features import AUDIO_PATCH_DIM
-from ..optim import ParameterSet, init_param
+from ..optim import AdamHyper, ParameterSet, init_param, minimize_mean
 from ..rng import substream
+from .augment import SpecAugmentPolicy, specaugment
 
 CROSS = "cross_attention"
 BASELINE = "self_attention_baseline"
@@ -89,11 +103,13 @@ class AsrModel:
     """Conformer transducer: subsampling stem, fusion blocks, prediction
     network, and joint network. Blank id is `vocab_size` (last logit)."""
 
-    def __init__(self, config: ConformerConfig, seed: int = 0):
+    def __init__(self, config: ConformerConfig, seed: int | None = 0):
+        """Parameters drawn from `seed`'s init substream; with seed None, all
+        zeros, a layout for `restore_params` to fill."""
         self.config = config
         self.np_dtype = np.float32 if config.dtype == "f32" else np.float64
         self.blank_id = config.vocab_size
-        rng = substream(seed, "asr-init")
+        rng = None if seed is None else substream(seed, "asr-init")
         d = config.model_dim
         arrays = {}
         add = partial(init_param, arrays, dtype=self.np_dtype)
@@ -166,48 +182,77 @@ class AsrModel:
         h = ad.swish(ad.add(ad.matmul(h, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
         return ad.add(ad.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
-    def _conv_module(self, x: Tensor, prefix: str) -> Tensor:
+    def _conv_module(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
         p = self.params
         d = self.config.model_dim
         h = ad.layer_norm(x, p[f"{prefix}.norm.g"], p[f"{prefix}.norm.b"])
         h = ad.add(ad.matmul(h, p[f"{prefix}.pw1.w"]), p[f"{prefix}.pw1.b"])
         gate = ad.sigmoid(ad.narrow(h, 1, d, d))
         h = ad.mul(ad.narrow(h, 1, 0, d), gate)
-        h = ad.depthwise_conv1d(h, p[f"{prefix}.dw.w"])
-        h = ad.swish(ad.instance_norm(h, p[f"{prefix}.inorm.g"], p[f"{prefix}.inorm.b"]))
+        h = ad.depthwise_conv1d(h, p[f"{prefix}.dw.w"], lengths)
+        h = ad.swish(ad.instance_norm(h, p[f"{prefix}.inorm.g"], p[f"{prefix}.inorm.b"],
+                                      lengths))
         return ad.add(ad.matmul(h, p[f"{prefix}.pw2.w"]), p[f"{prefix}.pw2.b"])
 
-    def block(self, i: int, x: Tensor, env_proj: Tensor | None) -> Tensor:
+    def block(self, i: int, x: Tensor, env_proj: Tensor | None, lengths=None,
+              env_lengths=None) -> Tensor:
+        """Block `i` over rows `x`: with `lengths`, a packed batch of
+        segments (as in `ad.attention`), whose fusion keys are `env_proj`'s
+        segments of `env_lengths` rows."""
         p = self.params
         pre = f"block{i}"
+        heads = self.config.heads
         x = ad.add(x, ad.mul(self._ff(x, f"{pre}.ff1"), 0.5))
         h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-        x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, self.config.heads))
+        x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, heads, lengths))
         h = ad.layer_norm(x, p[f"{pre}.fusion.norm.g"], p[f"{pre}.fusion.norm.b"])
-        kv = env_proj if self.config.fusion_mode == CROSS else h
-        x = ad.add(x, ad.mha(p, f"{pre}.fusion", h, kv, self.config.heads))
-        x = ad.add(x, self._conv_module(x, f"{pre}.conv"))
+        if self.config.fusion_mode == CROSS:
+            fused = ad.mha(p, f"{pre}.fusion", h, env_proj, heads, lengths, env_lengths)
+        else:
+            fused = ad.mha(p, f"{pre}.fusion", h, h, heads, lengths)
+        x = ad.add(x, fused)
+        x = ad.add(x, self._conv_module(x, f"{pre}.conv", lengths))
         x = ad.add(x, ad.mul(self._ff(x, f"{pre}.ff2"), 0.5))
         return ad.layer_norm(x, p[f"{pre}.out_norm.g"], p[f"{pre}.out_norm.b"])
 
-    def encode(self, features, env: EnvEmbeddings | None = None) -> Tensor:
-        if self.config.fusion_mode == CROSS and env is None:
+    def encoded_lengths(self, features) -> list:
+        """Encoder rows of each utterance's (T, feature_dim) features."""
+        cfg = self.config
+        return [subsample_length(f.shape[0], cfg.subsample_kernel, cfg.subsample_stride)
+                for f in features]
+
+    def encode(self, features, envs=None) -> Tensor:
+        """Encoder rows of the utterances in `features`, packed end to end:
+        (sum of `encoded_lengths`, model_dim). `envs` holds each one's env
+        embeddings (None for the parity baseline). Each utterance is
+        subsampled alone; the blocks run once over the packed rows."""
+        cross = self.config.fusion_mode == CROSS
+        if cross and (envs is None or any(e is None for e in envs)):
             raise ValueError("cross-attention model needs env embeddings")
-        x = self.subsample(features)
-        env_proj = self.project_env(env) if self.config.fusion_mode == CROSS else None
+        parts = [self.subsample(f) for f in features]
+        x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+        lengths = [part.data.shape[0] for part in parts]
+        env_proj = env_lengths = None
+        if cross:
+            env_lengths = [e.vectors.shape[0] for e in envs]
+            env_proj = self.project_env(EnvEmbeddings(np.concatenate([e.vectors for e in envs])))
         for i in range(self.config.num_blocks):
-            x = self.block(i, x, env_proj)
+            x = self.block(i, x, env_proj, lengths, env_lengths)
         return x
 
     # prediction and joint networks ------------------------------------------
 
-    def predict_states(self, labels: np.ndarray) -> Tensor:
-        """(U+1, pred_dim) label-context states g_0..g_U (g_0 from the start
-        symbol): one input projection over all tokens, then the recurrence."""
+    def predict_states(self, labels) -> Tensor:
+        """Label-context states g_0..g_U of each label sequence in `labels`
+        (g_0 from the start symbol), packed end to end: one embedding and
+        input projection over all tokens, then the recurrence, restarting at
+        each sequence."""
         p = self.params
-        tokens = np.concatenate([[self.blank_id], np.asarray(labels, dtype=np.int64)])
-        x = ad.matmul(ad.embedding(p["pred.embed"], tokens), p["pred.w_in"])
-        return ad.rnn_tanh(ad.add(x, p["pred.b"]), p["pred.w_rec"])
+        tokens = [np.concatenate([[self.blank_id], np.asarray(u, dtype=np.int64)])
+                  for u in labels]
+        x = ad.matmul(ad.embedding(p["pred.embed"], np.concatenate(tokens)), p["pred.w_in"])
+        return ad.rnn_tanh(ad.add(x, p["pred.b"]), p["pred.w_rec"],
+                           [t.size for t in tokens])
 
     def joint_log_probs(self, enc: Tensor, pred: Tensor) -> Tensor:
         """(T, U+1, V+1) log-probabilities from the tanh joint network."""
@@ -218,12 +263,26 @@ class AsrModel:
         return ad.log_softmax(ad.reshape(
             logits, (enc.data.shape[0], pred.data.shape[0], self.config.vocab_size + 1)))
 
-    def loss(self, features, labels: np.ndarray, env: EnvEmbeddings | None = None) -> Tensor:
+    def losses(self, batch) -> list:
+        """The transducer loss of each `Utterance` in `batch`, from one packed
+        encoder and prediction-network pass; the joint and the lattice run
+        per utterance on `narrow` slices of the packed rows."""
         from .transducer import rnnt_loss
 
-        enc = self.encode(features, env)
-        pred = self.predict_states(labels)
-        return rnnt_loss(self.joint_log_probs(enc, pred), labels)
+        def rows(x, lo, n):  # a batch of one uses the whole tensor
+            return x if n == x.data.shape[0] else ad.narrow(x, 0, lo, n)
+
+        features = [u.features for u in batch]
+        enc = self.encode(features, [u.env for u in batch])
+        pred = self.predict_states([u.labels for u in batch])
+        out = []
+        t0 = u0 = 0
+        for u, t in zip(batch, self.encoded_lengths(features)):
+            u1 = u.labels.size + 1
+            lattice = self.joint_log_probs(rows(enc, t0, t), rows(pred, u0, u1))
+            out.append(rnnt_loss(lattice, u.labels))
+            t0, u0 = t0 + t, u0 + u1
+        return out
 
     # numpy fast paths used by greedy decoding --------------------------------
 
@@ -249,6 +308,16 @@ class AsrModel:
         p = self.params
         h = np.tanh(enc_proj + pred_proj + p["joint.b"].data)
         return h @ p["joint.w_out"].data + p["joint.b_out"].data
+
+
+def asr_step(model: AsrModel, examples: list, items: list, policy: SpecAugmentPolicy,
+             hyper: AdamHyper, step: int, seed: int = 0) -> float:
+    """One optimization step on `examples[i]` for i in `items`, each
+    SpecAugmented from its own substream: one packed forward and backward of
+    the mean loss, then Adam. Returns the mean loss."""
+    batch = [replace(examples[i], features=specaugment(
+        examples[i].features, policy, substream(seed, "specaug", step, i))) for i in items]
+    return minimize_mean(model.params, model.losses(batch), hyper)
 
 
 def build_models(config: ConformerConfig, seed: int = 0):

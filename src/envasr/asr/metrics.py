@@ -23,19 +23,26 @@ class EditCounts:
 
 def align_counts(reference, hypothesis) -> EditCounts:
     """Minimum-edit alignment counts. Ties resolve match/sub, then deletion,
-    then insertion, so counts are deterministic."""
+    then insertion, so counts are deterministic.
+
+    The DP table is filled a row at a time: the diagonal and up moves are
+    elementwise, and the left moves along the row are a running minimum,
+    cost[i, j] = j + min over k <= j of (best[k] - k)."""
     ref = list(reference)
     hyp = list(hypothesis)
     n, m = len(ref), len(hyp)
+    ids = {}
+    ref_ids = np.array([ids.setdefault(w, len(ids)) for w in ref], dtype=np.int64)
+    hyp_ids = np.array([ids.setdefault(w, len(ids)) for w in hyp], dtype=np.int64)
+    cols = np.arange(m + 1)
     cost = np.zeros((n + 1, m + 1), dtype=np.int64)
-    cost[:, 0] = np.arange(n + 1)
-    cost[0, :] = np.arange(m + 1)
+    cost[0] = cols
     for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            cost[i, j] = min(cost[i - 1, j - 1] + (0 if same else 1),
-                             cost[i - 1, j] + 1,
-                             cost[i, j - 1] + 1)
+        best = np.empty(m + 1, dtype=np.int64)
+        best[0] = i
+        np.minimum(cost[i - 1, :-1] + (hyp_ids != ref_ids[i - 1]), cost[i - 1, 1:] + 1,
+                   out=best[1:])
+        cost[i] = np.minimum.accumulate(best - cols) + cols
     counts = EditCounts()
     i, j = n, m
     while i > 0 or j > 0:

@@ -120,12 +120,11 @@ def rnnt_loss(log_probs: Tensor, labels) -> Tensor:
     return ad._finish(out, backward, "rnnt_loss")
 
 
-def greedy_decode(model, features, env, max_symbols_per_frame: int = 10):
-    """Standard RNN-T greedy loop: emit argmax labels until blank, with a
-    per-frame emission cap. `env` is None for the parity baseline. Each
-    frame's and each state's joint projection is computed once."""
-    with ad.no_grad():
-        enc = model.encode(features, env).data
+def greedy_decode(model, enc: np.ndarray, max_symbols_per_frame: int = 10):
+    """Standard RNN-T greedy loop over one utterance's (T, model_dim) encoder
+    rows (from `model.encode`): emit argmax labels until blank, with a
+    per-frame emission cap. Each frame's and each state's joint projection is
+    computed once."""
     state = model.pred_start_np()
     pred_proj = model.joint_pred_np(state)
     blank = model.blank_id

@@ -469,10 +469,13 @@ def cross_entropy(logits: Tensor, targets, ignore=None, lengths=None) -> Tensor:
     return _finish(out, backward, "cross_entropy")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
+              kv_lengths=None) -> Tensor:
     """Multi-head scaled dot-product attention on (time, dim) tensors as one
     node. With `lengths`, q, k and v hold consecutive segments of those many
-    rows (a packed batch) and each segment attends only within itself."""
+    rows (a packed batch) and each segment attends only within itself; with
+    `kv_lengths` too, the keys and values are segmented by those instead (the
+    i-th query segment attends to the i-th key segment)."""
     tq, d = q.data.shape
     tk = k.data.shape[0]
     if d % heads != 0:
@@ -480,7 +483,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tens
     if k.data.shape != (tk, d) or v.data.shape != (tk, d):
         raise ValueError("key/value shape mismatch")
     q_bounds = _segment_bounds(lengths, tq, "attention queries")
-    kv_bounds = _segment_bounds(lengths, tk, "attention keys")
+    kv_bounds = _segment_bounds(lengths if kv_lengths is None else kv_lengths, tk,
+                                "attention keys")
+    if len(q_bounds) != len(kv_bounds):
+        raise ValueError(f"attention: {len(q_bounds)} query segments but "
+                         f"{len(kv_bounds)} key segments")
     dh = d // heads
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
 
@@ -518,18 +525,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tens
     return _finish(out, backward, "attention")
 
 
-def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int, lengths=None) -> Tensor:
+def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int, lengths=None,
+        kv_lengths=None) -> Tensor:
     """Multi-head attention layer: queries from `x`, keys and values from `kv`
     (`x` itself for self-attention), through the `<prefix>.w{q,k,v,o}` maps in
     `params` and the biases `<prefix>.b{q,v,o}`. Keys have no bias: it would
-    add one score per query row, which the softmax cancels. `lengths`
-    segments a packed batch as in `attention`."""
+    add one score per query row, which the softmax cancels. `lengths` and
+    `kv_lengths` segment a packed batch as in `attention`."""
 
     def proj(t, m):
         return add(matmul(t, params[f"{prefix}.w{m}"]), params[f"{prefix}.b{m}"])
 
     keys = matmul(kv, params[f"{prefix}.wk"])
-    return proj(attention(proj(x, "q"), keys, proj(kv, "v"), heads, lengths), "o")
+    mixed = attention(proj(x, "q"), keys, proj(kv, "v"), heads, lengths, kv_lengths)
+    return proj(mixed, "o")
 
 
 # ---------------------------------------------------------------------------
@@ -565,30 +574,40 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     return _finish(out, backward, "conv1d")
 
 
-def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
+def depthwise_conv1d(x: Tensor, w: Tensor, lengths=None) -> Tensor:
     """Per-channel 1-D convolution with same padding, x:(T,D) w:(K,D). It has
-    no bias, since every caller normalises each channel right after."""
+    no bias, since every caller normalises each channel right after. With
+    `lengths` (as in `attention`), each segment is zero-padded at its own
+    edges, so its rows are those it would get alone."""
     t, d = x.data.shape
     kk = w.data.shape[0]
     if kk % 2 == 0:
         raise ValueError("depthwise kernel width must be odd")
     if w.data.shape != (kk, d):
         raise ValueError("depthwise weight shape mismatch")
+    bounds = _segment_bounds(lengths, t, "depthwise_conv1d")
     pad = (kk - 1) // 2
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    y = np.zeros((t, d), dtype=x.data.dtype)
+    # segment i sits at rows lo + (2i + 1) * pad .. of a zero array, with
+    # `pad` zero rows on either side; `rows` are its output rows
+    rows = np.concatenate([np.arange(lo, hi) + 2 * i * pad
+                           for i, (lo, hi) in enumerate(bounds)])
+    xp = np.zeros((t + 2 * pad * len(bounds), d), dtype=x.data.dtype)
+    xp[rows + pad] = x.data
+    n = xp.shape[0] - 2 * pad
+    y = np.zeros((n, d), dtype=x.data.dtype)
     for j in range(kk):
-        y += xp[j : j + t] * w.data[j]
-    out = _node(y, (x, w))
+        y += xp[j : j + n] * w.data[j]
+    out = _node(y[rows], (x, w))
 
     def backward():
-        g = out.grad
+        g = np.zeros((n, d), dtype=out.grad.dtype)
+        g[rows] = out.grad
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(w.data)
         for j in range(kk):
-            gxp[j : j + t] += g * w.data[j]
-            gw[j] = (xp[j : j + t] * g).sum(axis=0)
-        _accum(x, gxp[pad : pad + t])
+            gxp[j : j + n] += g * w.data[j]
+            gw[j] = (xp[j : j + n] * g).sum(axis=0)
+        _accum(x, gxp[rows + pad])
         _accum(w, gw)
 
     return _finish(out, backward, "depthwise_conv1d")
@@ -598,30 +617,37 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
 # transducer prediction and joint layers
 
 
-def rnn_tanh(x: Tensor, w_rec: Tensor) -> Tensor:
+def rnn_tanh(x: Tensor, w_rec: Tensor, lengths=None) -> Tensor:
     """Elman recurrence h_u = tanh(x_u + h_{u-1} @ w_rec), h_{-1} = 0, over
-    the N >= 1 rows of x:(N,H) as one node. The backward is its own
-    backpropagation-through-time loop; the w_rec gradient is one matmul."""
+    the N >= 1 rows of x:(N,H) as one node. With `lengths` (as in
+    `attention`), the state restarts at 0 at each segment's first row. The
+    backward is its own backpropagation-through-time loop; the w_rec gradient
+    is one matmul."""
     n, hdim = x.data.shape
     if w_rec.data.shape != (hdim, hdim):
         raise ValueError(f"rnn_tanh weight {w_rec.data.shape} does not match width {hdim}")
+    bounds = _segment_bounds(lengths, n, "rnn_tanh")
     h = np.empty_like(x.data)
-    h[0] = np.tanh(x.data[0])
-    for u in range(1, n):
-        h[u] = np.tanh(x.data[u] + h[u - 1] @ w_rec.data)
+    for lo, hi in bounds:
+        h[lo] = np.tanh(x.data[lo])
+        for u in range(lo + 1, hi):
+            h[u] = np.tanh(x.data[u] + h[u - 1] @ w_rec.data)
     out = _node(h, (x, w_rec))
 
     def backward():
         g = out.grad
         w_t = w_rec.data.T
         dz = np.empty_like(h)
-        carry = g[n - 1]
-        for u in range(n - 1, -1, -1):
-            dz[u] = carry * (1.0 - h[u] * h[u])
-            if u:
-                carry = g[u - 1] + dz[u] @ w_t
+        for lo, hi in bounds:
+            carry = g[hi - 1]
+            for u in range(hi - 1, lo - 1, -1):
+                dz[u] = carry * (1.0 - h[u] * h[u])
+                if u > lo:
+                    carry = g[u - 1] + dz[u] @ w_t
         _accum(x, dz)
-        _accum(w_rec, h[:-1].T @ dz[1:])
+        follow = np.ones(n, dtype=bool)  # rows with a predecessor in their segment
+        follow[[lo for lo, _ in bounds]] = False
+        _accum(w_rec, h[np.flatnonzero(follow) - 1].T @ dz[follow])
 
     return _finish(out, backward, "rnn_tanh")
 

@@ -120,10 +120,12 @@ class EnvEmbeddings:
 class EnvEncoder:
     """The pretraining model. All parameters live in a ParameterSet."""
 
-    def __init__(self, config: EnvEncoderConfig, seed: int = 0):
+    def __init__(self, config: EnvEncoderConfig, seed: int | None = 0):
+        """Parameters drawn from `seed`'s init substream; with seed None, all
+        zeros, a layout for `restore_params` to fill."""
         self.config = config
         self.np_dtype = np.float32 if config.dtype == "f32" else np.float64
-        rng = substream(seed, "env-init")
+        rng = None if seed is None else substream(seed, "env-init")
         d = config.model_dim
         arrays = {}
         add = partial(init_param, arrays, dtype=self.np_dtype)

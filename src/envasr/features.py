@@ -13,6 +13,7 @@ import wave as wave_mod
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SAMPLE_RATE = 16000
 FRAME_LENGTH = 400   # 25 ms at 16 kHz
@@ -101,6 +102,7 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
 
 
 _MEL_WEIGHTS = mel_filterbank()
+_WINDOW = np.hanning(FRAME_LENGTH)
 
 
 def compute_lfbe(wave: AudioWave) -> LfbeFrames:
@@ -108,10 +110,7 @@ def compute_lfbe(wave: AudioWave) -> LfbeFrames:
     x = wave.samples
     if x.size < FRAME_LENGTH:
         raise ValueError(f"waveform too short: {x.size} < {FRAME_LENGTH} samples")
-    n_frames = (x.size - FRAME_LENGTH) // FRAME_SHIFT + 1
-    window = np.hanning(FRAME_LENGTH)
-    idx = np.arange(FRAME_LENGTH)[None, :] + FRAME_SHIFT * np.arange(n_frames)[:, None]
-    frames = x[idx] * window
+    frames = sliding_window_view(x, FRAME_LENGTH)[::FRAME_SHIFT] * _WINDOW
     spec = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = spec.real**2 + spec.imag**2
     energies = power @ _MEL_WEIGHTS

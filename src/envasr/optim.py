@@ -99,10 +99,11 @@ def init_param(arrays: dict, rng, name: str, shape, dtype, zero=False,
     """Add to `arrays` a parameter of zeros, ones, a 0.02-scaled normal table,
     or a weight drawn N(0, 1) / sqrt(prod(shape[:-1])). Only tables and
     weights draw from `rng`, so the order of those names fixes every
-    parameter's values."""
+    parameter's values. With `rng` None every parameter is zeros: the layout
+    of a model whose values come from a checkpoint."""
     if name in arrays:
         raise ValueError(f"duplicate parameter name: {name}")
-    if zero:
+    if zero or rng is None:
         data = np.zeros(shape)
     elif one:
         data = np.ones(shape)

@@ -12,22 +12,28 @@ every ``eval_every`` steps and the last step. Pretraining stops after
 ``patience`` evals (0: never) without a training-loss gain of 1e-6, ASR once
 its WER is at most ``asr.early_stop_wer``. A resumed run keeps its log's
 lines from before its first step and appends.
+
+An ASR step is one packed graph over its batch (`asr_step`). Eval, inside
+training and in `run_eval`, encodes consecutive utterances in packed no-grad
+passes of at most `ENCODE_ROWS` encoder rows, then greedy-decodes each
+utterance's rows. Models loaded from a checkpoint are built without drawing
+an init.
 """
 
 import math
 from pathlib import Path
 
-from ..asr.augment import specaugment
-from ..asr.conformer import CROSS, AsrModel, Utterance
+import numpy as np
+
+from .. import autodiff as ad
+from ..asr.conformer import CROSS, AsrModel, Utterance, asr_step
 from ..asr.metrics import corpus_wer, format_wer_report
 from ..asr.transducer import greedy_decode
 from ..env_encoder import (EnvEncoder, masked_accuracy, parameter_hash,
                            pretrain_step)
 from ..features import whiten_clip
 from ..masking import mask_params_at
-from ..optim import minimize_mean
 from ..quantize import assign_tokens, unified_vocab_size
-from ..rng import substream
 from ..serialize import atomic_write
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import (RunConfig, config_lines, conformer_config,
@@ -35,6 +41,11 @@ from .config import (RunConfig, config_lines, conformer_config,
 from .corpus import SYMBOLS
 from .data import (cached_env_embeddings, ensure_codebooks, ensure_whitener,
                    load_corpus, load_whitener, make_pretrain_batch)
+
+
+# Encoder rows per packed no-grad pass in eval: bounds the activations held at
+# once on a big eval set, while a pass still spans many utterances.
+ENCODE_ROWS = 4096
 
 
 def _write_lines(path, lines) -> None:
@@ -166,9 +177,9 @@ def _load_model(ckpt_path, asr: bool = False):
     ckpt = load_checkpoint(ckpt_path)
     snap = parse_config_lines(ckpt.config_lines, check_paths=False)
     if asr:
-        model = AsrModel(conformer_config(snap, vocab_size=len(SYMBOLS)), seed=snap.seed)
+        model = AsrModel(conformer_config(snap, vocab_size=len(SYMBOLS)), seed=None)
     else:
-        model = EnvEncoder(env_encoder_config(snap), seed=snap.seed)
+        model = EnvEncoder(env_encoder_config(snap), seed=None)
     restore_params(model.params, ckpt)
     return model
 
@@ -196,12 +207,25 @@ def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int):
 
 
 def _decode_corpus(model, utts, examples):
+    """(reference, hypothesis) word pairs and hypothesis lines, greedy-decoded
+    from no-grad packed encoder passes over consecutive utterances of at most
+    `ENCODE_ROWS` encoder rows in all (or one longer utterance)."""
+    lengths = model.encoded_lengths([ex.features for ex in examples])
     pairs = []
     hyps = []
-    for utt, ex in zip(utts, examples):
-        hyp = [SYMBOLS[k] for k in greedy_decode(model, ex.features, ex.env)]
-        pairs.append((utt.label_names, hyp))
-        hyps.append(" ".join(hyp))
+    lo = 0
+    while lo < len(examples):
+        hi, rows = lo + 1, lengths[lo]
+        while hi < len(examples) and rows + lengths[hi] <= ENCODE_ROWS:
+            rows, hi = rows + lengths[hi], hi + 1
+        with ad.no_grad():
+            enc = model.encode([ex.features for ex in examples[lo:hi]],
+                               [ex.env for ex in examples[lo:hi]]).data
+        for utt, utt_enc in zip(utts[lo:hi], np.split(enc, np.cumsum(lengths[lo:hi])[:-1])):
+            hyp = [SYMBOLS[k] for k in greedy_decode(model, utt_enc)]
+            pairs.append((utt.label_names, hyp))
+            hyps.append(" ".join(hyp))
+        lo = hi
     return pairs, hyps
 
 
@@ -231,12 +255,7 @@ def run_asr_training(cfg: RunConfig) -> dict:
     latest_wer = None
 
     def train_step(step, items):
-        losses = []
-        for i in items:
-            ex = examples[i]
-            aug = specaugment(ex.features, policy, substream(cfg.seed, "specaug", step, i))
-            losses.append(model.loss(aug, ex.labels, ex.env))
-        loss = minimize_mean(model.params, losses, cfg.optimizer)
+        loss = asr_step(model, examples, items, policy, cfg.optimizer, step, cfg.seed)
         return loss, f"step={step} loss={loss:.6f}"
 
     def evaluate(step, _loss):

@@ -23,7 +23,11 @@ norms as chains of small nodes, which the one-node ``layer_norm`` and
 ``instance_norm`` must match; and ``embed_per_utterance`` and
 ``masked_predictions_per_utterance``, the pretraining front end and the
 masked-accuracy pass one utterance at a time, which the packed ``embed`` and
-``masked_accuracy`` must match.
+``masked_accuracy`` must match; and ``asr_losses_per_utterance`` and
+``asr_step_per_utterance``, ASR training's losses and step with one graph per
+utterance (each a packed pass of one), which the packed step must match; and
+``align_counts_loop``, the WER alignment's DP as a double loop, which the
+row-at-a-time ``align_counts`` must match.
 """
 
 import math
@@ -32,6 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from envasr import autodiff as ad
+from envasr.asr.augment import specaugment
+from envasr.asr.metrics import EditCounts
 from envasr.asr.transducer import (_check_lattice_inputs, rnnt_alphas, rnnt_betas,
                                    rnnt_loss)
 from envasr.env_encoder import AUDIO, VIDEO, draw_batch_mask
@@ -306,10 +312,24 @@ def joint_log_probs_chain(model, enc, pred):
 
 
 def asr_loss_unfused(model, features, labels, env=None):
-    """`AsrModel.loss` through the two oracles above."""
-    enc = model.encode(features, env)
+    """One utterance's `AsrModel.losses` through the two oracles above."""
+    enc = model.encode([features], [env])
     pred = predict_states_loop(model, labels)
     return rnnt_loss(joint_log_probs_chain(model, enc, pred), labels)
+
+
+def asr_losses_per_utterance(model, batch):
+    """Each `Utterance`'s transducer loss from its own graph."""
+    return [model.losses([u])[0] for u in batch]
+
+
+def asr_step_per_utterance(model, examples, items, policy, hyper, step, seed=0):
+    """`asr_step` with one graph per utterance: SpecAugment from the same
+    substreams, per-utterance losses, then the mean's backward and Adam.
+    Returns the mean loss."""
+    batch = [replace(examples[i], features=specaugment(
+        examples[i].features, policy, substream(seed, "specaug", step, i))) for i in items]
+    return minimize_mean(model.params, asr_losses_per_utterance(model, batch), hyper)
 
 
 def attention_composite(q, k, v, heads):
@@ -535,6 +555,37 @@ def make_lattice(log_probs, labels) -> TransducerLattice:
     alpha, ll_f = rnnt_alphas(log_probs, labels)
     beta, _ = rnnt_betas(log_probs, labels)
     return TransducerLattice(log_probs, labels, alpha, beta, float(ll_f))
+
+
+def align_counts_loop(reference, hypothesis):
+    """``align_counts`` with its DP table filled cell by cell (same ties:
+    match/sub, then deletion, then insertion)."""
+    ref, hyp = list(reference), list(hypothesis)
+    n, m = len(ref), len(hyp)
+    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
+    cost[:, 0] = np.arange(n + 1)
+    cost[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            same = ref[i - 1] == hyp[j - 1]
+            cost[i, j] = min(cost[i - 1, j - 1] + (0 if same else 1),
+                             cost[i - 1, j] + 1,
+                             cost[i, j - 1] + 1)
+    counts = EditCounts()
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + (
+                0 if ref[i - 1] == hyp[j - 1] else 1):
+            if ref[i - 1] != hyp[j - 1]:
+                counts.substitutions += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
+            counts.deletions += 1
+            i -= 1
+        else:
+            counts.insertions += 1
+            j -= 1
+    return counts
 
 
 def edit_distance_dp(ref, hyp):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from envasr import autodiff as ad
-from envasr.asr.conformer import AsrModel, ConformerConfig
+from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance
 from envasr.autodiff import Tensor, debug_checks, no_grad
 from envasr.env_encoder import (EnvEmbeddings, EnvEncoder, EnvEncoderConfig,
                                 MultimodalBatch, pretrain_step)
@@ -16,6 +16,15 @@ from oracles import (attention_composite, check_gradients, cross_entropy_logsume
 
 def t(data, grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
+
+
+def value_and_grads(fn, arrays, mix):
+    """fn's output on fresh leaves of `arrays`, then each leaf's gradient of
+    sum(output * mix)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    sum_(ad.mul(out, Tensor(mix))).backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
 
 
 class TestMatmul:
@@ -333,6 +342,43 @@ class TestFusedAttention:
             lambda: sum_(ad.mul(ad.attention(q, k, v, 3, [3, 1, 4]), Tensor(w))),
             [q, k, v], rtol=1e-4)
 
+    def test_key_segments_match_separate_calls(self, rng):
+        # cross-attention: 8 query rows in segments [3, 1, 4] over 7 key rows
+        # in segments [2, 4, 1]; each segment is bit-identical to its own call
+        q, k, v = (rng.standard_normal((n, 6)) for n in (8, 7, 7))
+        mix = rng.standard_normal((8, 6))
+        packed = value_and_grads(lambda *a: ad.attention(*a, 3, [3, 1, 4], [2, 4, 1]),
+                                 [q, k, v], mix)
+        for (qlo, qhi), (klo, khi) in zip([(0, 3), (3, 4), (4, 8)], [(0, 2), (2, 6), (6, 7)]):
+            alone = value_and_grads(lambda *a: ad.attention(*a, 3),
+                                    [q[qlo:qhi], k[klo:khi], v[klo:khi]], mix[qlo:qhi])
+            np.testing.assert_array_equal(packed[0][qlo:qhi], alone[0])
+            np.testing.assert_array_equal(packed[1][qlo:qhi], alone[1])
+            np.testing.assert_array_equal(packed[2][klo:khi], alone[2])
+            np.testing.assert_array_equal(packed[3][klo:khi], alone[3])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_key_segment_is_bit_identical_to_unsegmented(self, rng, dtype):
+        q, k, v = (rng.standard_normal((n, 8)).astype(dtype) for n in (5, 3, 3))
+        mix = rng.standard_normal((5, 8)).astype(dtype)
+        segmented = value_and_grads(lambda *a: ad.attention(*a, 2, [5], [3]), [q, k, v], mix)
+        plain = value_and_grads(lambda *a: ad.attention(*a, 2), [q, k, v], mix)
+        for got, want in zip(segmented, plain):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradcheck_key_segments_one_of_length_1(self, rng):
+        q = t(rng.standard_normal((6, 4)), grad=True)
+        k, v = (t(rng.standard_normal((5, 4)), grad=True) for _ in range(2))
+        w = rng.standard_normal((6, 4))
+        check_gradients(
+            lambda: sum_(ad.mul(ad.attention(q, k, v, 2, [1, 3, 2], [2, 1, 2]), Tensor(w))),
+            [q, k, v], rtol=1e-4)
+
+    def test_key_segment_count_must_match(self, rng):
+        q, kv = t(rng.standard_normal((5, 4))), t(rng.standard_normal((4, 4)))
+        with pytest.raises(ValueError, match="2 query segments but 3 key segments"):
+            ad.attention(q, kv, kv, 2, [2, 3], [1, 1, 2])
+
     def test_debug_checks_name_the_op(self):
         x = t(np.ones((3, 4)))
         nan = t(np.array([[0.5, np.nan, 0.1, 0.2]] * 3))
@@ -608,6 +654,64 @@ class TestFusedTransducerLayers:
                 ad.joint_tanh(t(nan), t(np.ones((3, 2))), t(np.zeros(2)))
 
 
+class TestSegmentedConvAndRecurrence:
+    """`depthwise_conv1d` and `rnn_tanh` with segment `lengths` treat each
+    segment as if it ran alone: zero padding at its own edges, and the
+    recurrence restarting at its first row."""
+
+    LENGTHS = [4, 1, 6, 2]
+
+    def conv(self, x, w, lengths=None):
+        return ad.depthwise_conv1d(x, w, lengths)
+
+    def rnn(self, x, w, lengths=None):
+        return ad.rnn_tanh(x, w, lengths)
+
+    def inputs(self, rng, op, dtype=np.float64):
+        x = rng.standard_normal((sum(self.LENGTHS), 3)).astype(dtype)
+        w = rng.standard_normal((5, 3) if op == "conv" else (3, 3)).astype(dtype)
+        return x, w, rng.standard_normal(x.shape).astype(dtype)
+
+    @pytest.mark.parametrize("op", ["conv", "rnn"])
+    def test_segments_are_bit_identical_to_separate_calls(self, rng, op):
+        fn = getattr(self, op)
+        x, w, mix = self.inputs(rng, op)
+        packed = value_and_grads(lambda a, b: fn(a, b, self.LENGTHS), [x, w], mix)
+        w_grad = np.zeros_like(w)
+        lo = 0
+        for n in self.LENGTHS:
+            alone = value_and_grads(fn, [x[lo:lo + n], w], mix[lo:lo + n])
+            np.testing.assert_array_equal(packed[0][lo:lo + n], alone[0])
+            np.testing.assert_array_equal(packed[1][lo:lo + n], alone[1])
+            w_grad += alone[2]
+            lo += n
+        np.testing.assert_allclose(packed[2], w_grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["conv", "rnn"])
+    def test_one_segment_is_bit_identical_to_unsegmented(self, rng, op, dtype):
+        fn = getattr(self, op)
+        x, w, mix = self.inputs(rng, op, dtype)
+        segmented = value_and_grads(lambda a, b: fn(a, b, [x.shape[0]]), [x, w], mix)
+        for got, want in zip(segmented, value_and_grads(fn, [x, w], mix)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("op", ["conv", "rnn"])
+    def test_gradcheck_with_a_segment_of_length_1(self, rng, op):
+        fn = getattr(self, op)
+        x, w, mix = self.inputs(rng, op)
+        x, w = t(x, grad=True), t(0.5 * w, grad=True)
+        check_gradients(lambda: sum_(ad.mul(fn(x, w, self.LENGTHS), Tensor(mix))), [x, w],
+                        rtol=1e-4)
+
+    @pytest.mark.parametrize("op", ["conv", "rnn"])
+    def test_bad_lengths_rejected(self, rng, op):
+        x, w, _ = self.inputs(rng, op)
+        with pytest.raises(ValueError, match=r"segment lengths \[4, 4\] must be positive "
+                                             r"and sum to the 13 rows"):
+            getattr(self, op)(t(x), t(w), [4, 4])
+
+
 class TestToposort:
     """The engine's tape sort visits nodes in the oracle DFS's order."""
 
@@ -651,8 +755,8 @@ class TestToposort:
         cfg = ConformerConfig(model_dim=8, num_blocks=3, heads=2, conv_kernel=3,
                               env_dim=4, feature_dim=6, vocab_size=3)
         model = AsrModel(cfg, seed=0)
-        loss = model.loss(rng.standard_normal((11, 6)), np.array([1, 0, 2]),
-                          EnvEmbeddings(rng.standard_normal((4, 4))))
+        loss, = model.losses([Utterance(rng.standard_normal((11, 6)), np.array([1, 0, 2]),
+                                         EnvEmbeddings(rng.standard_normal((4, 4))))])
         assert self.assert_same_order(loss) > 300
 
 

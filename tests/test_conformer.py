@@ -3,12 +3,14 @@ import pytest
 
 from envasr import autodiff as ad
 from envasr.autodiff import Tensor
+from envasr.asr.augment import SpecAugmentPolicy
 from envasr.asr.conformer import (BASELINE, CROSS, AsrModel, ConformerConfig,
-                                  build_models, subsample_length)
+                                  Utterance, asr_step, build_models, subsample_length)
 from envasr.env_encoder import EnvEmbeddings
-from envasr.optim import adam_step, count_parameters
+from envasr.optim import AdamHyper, adam_step, count_parameters
 
-from oracles import asr_loss_unfused, check_gradients, sum_
+from oracles import (asr_loss_unfused, asr_losses_per_utterance, asr_step_per_utterance,
+                     check_gradients, sum_)
 
 
 def micro_config(**kw):
@@ -20,6 +22,11 @@ def micro_config(**kw):
 
 def toy_env(rng, length=4, dim=4):
     return EnvEmbeddings(rng.standard_normal((length, dim)))
+
+
+def one_loss(model, feats, labels, env):
+    """The transducer loss of one utterance, a batch of one."""
+    return model.losses([Utterance(feats, labels, env)])[0]
 
 
 class TestSubsample:
@@ -73,7 +80,7 @@ class TestConformerBlock:
         env = toy_env(rng)
         feats = rng.standard_normal((7, 6))
         labels = np.array([0, 2])
-        worst = check_gradients(lambda: model.loss(feats, labels, env),
+        worst = check_gradients(lambda: one_loss(model, feats, labels, env),
                                 [p for _, p in model.params.items()], rtol=1e-3)
         assert worst < 1e-3
 
@@ -129,7 +136,7 @@ class TestFusionAttention:
     def test_cross_mode_requires_env(self, rng):
         model = AsrModel(micro_config(), seed=0)
         with pytest.raises(ValueError, match="needs env"):
-            model.loss(rng.standard_normal((7, 6)), np.array([1]), None)
+            one_loss(model, rng.standard_normal((7, 6)), np.array([1]), None)
 
     def test_output_reads_env_content(self, rng):
         model = AsrModel(micro_config(), seed=2)
@@ -137,8 +144,8 @@ class TestFusionAttention:
         env = toy_env(rng, length=5)
         flat = EnvEmbeddings(np.tile(env.vectors.mean(axis=0), (5, 1)))
         with ad.no_grad():
-            a = model.encode(feats, env).data
-            b = model.encode(feats, flat).data
+            a = model.encode([feats], [env]).data
+            b = model.encode([feats], [flat]).data
         assert np.linalg.norm(a - b) > 1e-6
 
 
@@ -155,8 +162,8 @@ class TestBuildModels:
         feats = rng.standard_normal((9, 6))
         env = toy_env(rng)
         with ad.no_grad():
-            a = fusion.encode(feats, env).data
-            b = baseline.encode(feats, None).data
+            a = fusion.encode([feats], [env]).data
+            b = baseline.encode([feats], None).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_toy_count_matches_layer_inventory(self):
@@ -181,13 +188,13 @@ class TestBuildModels:
 
     def test_baseline_runs_without_env(self, rng):
         _, baseline = build_models(micro_config(), seed=0)
-        out = baseline.encode(rng.standard_normal((8, 6)), None)
+        out = baseline.encode([rng.standard_normal((8, 6))], None)
         assert out.data.shape == (3, 8)
 
     def test_cross_needs_env(self, rng):
         fusion, _ = build_models(micro_config(), seed=0)
         with pytest.raises(ValueError, match="needs env"):
-            fusion.encode(rng.standard_normal((8, 6)), None)
+            fusion.encode([rng.standard_normal((8, 6))], None)
 
 
 class TestFreezeContract:
@@ -206,7 +213,7 @@ class TestFreezeContract:
         asr = AsrModel(micro_config(env_dim=4), seed=1)
         labels = np.array([1, 0, 2])
         for _ in range(5):
-            asr.loss(rng.standard_normal((9, 6)), labels, env).backward()
+            one_loss(asr, rng.standard_normal((9, 6)), labels, env).backward()
             adam_step(asr.params, 1e-3)
         assert parameter_hash(env_model.params) == before
 
@@ -237,7 +244,7 @@ class TestFusedPredictionAndJoint:
         return feats, labels, toy_env(rng, length=5, dim=model.config.env_dim)
 
     def compare(self, model, feats, labels, env):
-        loss, grads = loss_and_grads(model, lambda: model.loss(feats, labels, env))
+        loss, grads = loss_and_grads(model, lambda: one_loss(model, feats, labels, env))
         ref, ref_grads = loss_and_grads(
             model, lambda: asr_loss_unfused(model, feats, labels, env))
         scale = max(np.abs(g).max() for g in ref_grads.values())
@@ -267,7 +274,7 @@ class TestFusedPredictionAndJoint:
 
     def test_graph_size_does_not_grow_with_labels(self, rng):
         model = AsrModel(micro_config(), seed=0)
-        sizes = {len(ad._toposort(model.predict_states(rng.integers(0, 3, u))))
+        sizes = {len(ad._toposort(model.predict_states([rng.integers(0, 3, u)])))
                  for u in (0, 1, 5, 40)}
         assert len(sizes) == 1
 
@@ -277,8 +284,8 @@ class TestFusedPredictionAndJoint:
         model = AsrModel(ConformerConfig(vocab_size=8, dtype="f64"), seed=2)
         feats, labels, env = self.utterance(rng, 12, 31, model)
         with ad.no_grad():
-            enc = model.encode(feats, env)
-            pred = model.predict_states(labels)
+            enc = model.encode([feats], [env])
+            pred = model.predict_states([labels])
             log_probs = model.joint_log_probs(enc, pred).data
         states = [model.pred_start_np()]
         for k in labels:
@@ -292,3 +299,118 @@ class TestFusedPredictionAndJoint:
                 lp -= np.log(np.exp(lp).sum())
                 np.testing.assert_allclose(lp, log_probs[ti, ui], rtol=0, atol=1e-12)
 
+
+
+def mixed_batch(rng, model, shapes=((9, 2, 5), (3, 1, 1), (31, 6, 7), (12, 0, 3))):
+    """Utterances of (feature frames, labels, env rows): 4, 1, 15 and 5
+    encoder rows, one without labels."""
+    cfg = model.config
+    return [Utterance(rng.standard_normal((frames, cfg.feature_dim)),
+                      rng.integers(0, cfg.vocab_size, u),
+                      toy_env(rng, length=env_rows, dim=cfg.env_dim))
+            for frames, u, env_rows in shapes]
+
+
+def mean_loss_and_grads(model, losses_fn):
+    """The mean loss over `losses_fn()` and its gradients, as `minimize_mean`
+    builds it."""
+    def mean():
+        losses = losses_fn()
+        return ad.mul(sum(losses[1:], losses[0]), 1.0 / len(losses))
+
+    return loss_and_grads(model, mean)
+
+
+class TestPackedAsr:
+    """`AsrModel.losses` packs a batch into one encoder and prediction pass;
+    each utterance alone is its oracle."""
+
+    @pytest.mark.parametrize("mode", [CROSS, BASELINE])
+    def test_f64_loss_and_gradients_match_per_utterance(self, rng, mode):
+        model = AsrModel(micro_config(fusion_mode=mode, model_dim=16, num_blocks=2,
+                                      conv_kernel=5), seed=4)
+        batch = mixed_batch(rng, model)
+        loss, grads = mean_loss_and_grads(model, lambda: model.losses(batch))
+        ref, ref_grads = mean_loss_and_grads(
+            model, lambda: asr_losses_per_utterance(model, batch))
+        assert abs(loss - ref) <= 1e-10 * abs(ref)
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        assert sorted(grads) == sorted(ref_grads)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=1e-10,
+                                       atol=1e-10 * scale, err_msg=name)
+
+    def test_f64_step_matches_per_utterance_step(self, rng):
+        cfg = micro_config(model_dim=16, num_blocks=2, conv_kernel=5)
+        packed, oracle = AsrModel(cfg, seed=6), AsrModel(cfg, seed=6)
+        batch = [u.require_labels() for u in mixed_batch(
+            rng, packed, ((9, 2, 5), (12, 1, 1), (31, 6, 7), (15, 3, 3)))]
+        policy = SpecAugmentPolicy(freq_masks=1, freq_width=2, time_masks=1, time_width=3)
+        for step in range(3):
+            items = [(step + j) % 4 for j in range(3)]
+            loss = asr_step(packed, batch, items, policy, AdamHyper(), step, seed=2)
+            ref = asr_step_per_utterance(oracle, batch, items, policy, AdamHyper(), step,
+                                         seed=2)
+            assert abs(loss - ref) <= 1e-10 * abs(ref)
+        assert packed.params.t == oracle.params.t == 3
+        np.testing.assert_allclose(packed.params.flat.data, oracle.params.flat.data,
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("mode", [CROSS, BASELINE])
+    def test_other_utterances_rows_ignore_a_perturbation(self, rng, dtype, mode):
+        model = AsrModel(micro_config(dtype=dtype, fusion_mode=mode), seed=1)
+        batch = mixed_batch(rng, model)
+        lengths = model.encoded_lengths([u.features for u in batch])
+        bounds = np.cumsum([0] + lengths)
+        for changed in range(len(batch)):
+            feats = [u.features.copy() for u in batch]
+            feats[changed] += 0.1 * rng.standard_normal(feats[changed].shape)
+            with ad.no_grad():
+                before = model.encode([u.features for u in batch], [u.env for u in batch]).data
+                after = model.encode(feats, [u.env for u in batch]).data
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if i == changed:
+                    assert not np.array_equal(before[lo:hi], after[lo:hi])
+                else:
+                    np.testing.assert_array_equal(before[lo:hi], after[lo:hi])
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_packed_rows_match_per_utterance_encode(self, rng, dtype):
+        model = AsrModel(micro_config(dtype=dtype), seed=2)
+        batch = mixed_batch(rng, model)
+        with ad.no_grad():
+            packed = model.encode([u.features for u in batch], [u.env for u in batch]).data
+            alone = np.concatenate([model.encode([u.features], [u.env]).data for u in batch])
+        tol = 1e-5 if dtype == "f32" else 1e-12
+        np.testing.assert_allclose(packed, alone, rtol=0, atol=tol)
+
+    def test_batch_of_one_builds_no_concat_or_narrow(self, rng):
+        model = AsrModel(micro_config(num_blocks=2), seed=0)
+        loss, = model.losses(mixed_batch(rng, model)[:1])
+        ops = [node._backward.__qualname__.split(".")[0] for node in ad._toposort(loss)
+               if node._backward is not None]
+        assert "concat" not in ops
+        assert ops.count("narrow") == 2 * 2  # the conv modules' GLU halves
+
+    def test_packed_prediction_states_restart_per_sequence(self, rng):
+        model = AsrModel(micro_config(), seed=3)
+        labels = [rng.integers(0, 3, u) for u in (0, 4, 1)]
+        with ad.no_grad():
+            packed = model.predict_states(labels).data
+            alone = [model.predict_states([u]).data for u in labels]
+        # the input projection is one matmul over all tokens, so rows may
+        # differ from a lone sequence's in the last bit
+        np.testing.assert_allclose(packed, np.concatenate(alone), rtol=0, atol=1e-15)
+
+    def test_checkpoint_layout_draws_nothing(self, monkeypatch):
+        from envasr.env_encoder import EnvEncoder, EnvEncoderConfig
+
+        def no_draws(*args):
+            raise AssertionError("a layout-only model drew an init")
+
+        for module in ("envasr.asr.conformer", "envasr.env_encoder"):
+            monkeypatch.setattr(f"{module}.substream", no_draws)
+        for model in (AsrModel(micro_config(), seed=None),
+                      EnvEncoder(EnvEncoderConfig(), seed=None)):
+            assert not model.params.flat.data.any()

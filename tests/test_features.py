@@ -37,6 +37,19 @@ class TestLfbe:
         assert above.any()
         np.testing.assert_allclose((b - a)[above], np.log(4.0), atol=1e-9)
 
+    @pytest.mark.parametrize("n", [400, 401, 559, 560, 16000, 16161])
+    def test_frames_equal_index_gather_byte_for_byte(self, n):
+        # framing by strided view must give the features an explicit
+        # (frame, sample) index gather gives
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        count = (n - ft.FRAME_LENGTH) // ft.FRAME_SHIFT + 1
+        idx = np.arange(ft.FRAME_LENGTH)[None, :] + ft.FRAME_SHIFT * np.arange(count)[:, None]
+        spec = np.fft.rfft(x[idx] * np.hanning(ft.FRAME_LENGTH), n=ft.N_FFT, axis=1)
+        energies = (spec.real**2 + spec.imag**2) @ ft.mel_filterbank()
+        want = np.log(np.maximum(energies, ft.LOG_FLOOR))
+        got = ft.compute_lfbe(ft.AudioWave(x)).frames
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="too short"):
             ft.compute_lfbe(ft.AudioWave(np.zeros(399)))

@@ -4,7 +4,7 @@ import pytest
 from envasr.asr.metrics import (EditCounts, align_counts, corpus_wer,
                                 format_wer_report, wer)
 
-from oracles import edit_distance_dp
+from oracles import align_counts_loop, edit_distance_dp
 
 # printed reference/hypothesis pair from the qualitative examples
 LONG_REF = "should i buy from the princess starfrost set royale high".split()
@@ -54,6 +54,21 @@ class TestAlignCounts:
             hyp = [str(i) for i in rng.integers(0, 5, rng.integers(0, 10))]
             counts = align_counts(ref, hyp)
             assert counts.total == edit_distance_dp(ref, hyp)
+
+    def test_counts_equal_cell_by_cell_dp(self, rng):
+        # two- and three-word alphabets make ties between moves common
+        pairs = [([], []), (["a"], []), ([], ["a", "b"]), ("a b".split(), "b a".split())]
+        for _ in range(300):
+            k = int(rng.integers(2, 4))
+            ref = [str(i) for i in rng.integers(0, k, rng.integers(0, 12))]
+            hyp = [str(i) for i in rng.integers(0, k, rng.integers(0, 12))]
+            pairs.append((ref, hyp))
+        for _ in range(20):  # long hypotheses, as an undertrained model emits
+            ref = [str(i) for i in rng.integers(0, 8, rng.integers(1, 30))]
+            hyp = [str(i) for i in rng.integers(0, 8, rng.integers(0, 200))]
+            pairs.append((ref, hyp))
+        for ref, hyp in pairs:
+            assert align_counts(ref, hyp) == align_counts_loop(ref, hyp), (ref, hyp)
 
     def test_pure_deletions(self):
         counts = align_counts("a b c d".split(), ["a"])

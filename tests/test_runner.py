@@ -5,12 +5,15 @@ import os
 import re
 import shutil
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from envasr.asr.conformer import AsrModel
-from envasr.env_encoder import EnvEncoder, extract_env_embeddings
+from envasr import autodiff as ad
+from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance
+from envasr.asr.transducer import greedy_decode
+from envasr.env_encoder import EnvEmbeddings, EnvEncoder, extract_env_embeddings
 from envasr.features import whiten_clip
 from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, conformer_config,
@@ -421,3 +424,43 @@ class TestEnvCacheAcrossRuns:
                f"but the ASR model's pretrain.model_dim is 32$")
         with pytest.raises(ValueError, match=msg):
             run_eval(cfg)
+
+
+class TestPackedDecode:
+    """`_decode_corpus` encodes consecutive utterances in packed no-grad
+    passes of at most `ENCODE_ROWS` rows; decoding each utterance's encoder
+    rows alone is its oracle."""
+
+    FRAMES = [9, 3, 31, 12, 20, 5]  # 4, 1, 15, 5, 9 and 2 encoder rows
+
+    def corpus(self, dtype, mode):
+        rng = np.random.default_rng(5)
+        model = AsrModel(ConformerConfig(model_dim=8, num_blocks=2, heads=2, conv_kernel=3,
+                                         env_dim=4, feature_dim=6, vocab_size=len(SYMBOLS),
+                                         dtype=dtype, fusion_mode=mode), seed=3)
+        examples = [Utterance(rng.standard_normal((n, 6)), [],
+                              EnvEmbeddings(rng.standard_normal((n // 3 + 1, 4))))
+                    for n in self.FRAMES]
+        utts = [SimpleNamespace(label_names=["a"]) for _ in examples]
+        return model, utts, examples
+
+    @pytest.mark.parametrize("cap,passes", [(4096, 1), (10, 5), (1, 6)])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("mode", ["cross_attention", "self_attention_baseline"])
+    def test_hypotheses_equal_per_utterance_decoding(self, monkeypatch, cap, passes,
+                                                     dtype, mode):
+        model, utts, examples = self.corpus(dtype, mode)
+        want = []
+        for ex in examples:
+            with ad.no_grad():
+                enc = model.encode([ex.features], [ex.env]).data
+            want.append(" ".join(SYMBOLS[k] for k in greedy_decode(model, enc)))
+        calls = []
+        encode = model.encode
+        monkeypatch.setattr(model, "encode", lambda f, e: calls.append(len(f)) or encode(f, e))
+        monkeypatch.setattr(runner, "ENCODE_ROWS", cap)
+        pairs, hyps = runner._decode_corpus(model, utts, examples)
+        assert hyps == want
+        assert any(hyps)
+        assert [hyp for _, hyp in pairs] == [h.split() for h in hyps]
+        assert len(calls) == passes and sum(calls) == len(examples)

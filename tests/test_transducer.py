@@ -124,6 +124,12 @@ class TestLattice:
             rnnt_loss(Tensor(lp), np.array([2]))  # blank id is not a label
 
 
+def encoded(model, feats, env):
+    """One utterance's encoder rows, as decoding takes them."""
+    with ad.no_grad():
+        return model.encode([feats], [env]).data
+
+
 class TestGreedyDecode:
     def make_model(self):
         return AsrModel(ConformerConfig(model_dim=8, num_blocks=1, heads=2,
@@ -136,13 +142,14 @@ class TestGreedyDecode:
         model.params["joint.b_out"].data[:] = 0.0
         model.params["joint.b_out"].data[model.blank_id] = 10.0
         env = EnvEmbeddings(rng.standard_normal((3, 4)))
-        assert greedy_decode(model, rng.standard_normal((9, 6)), env) == []
+        assert greedy_decode(model, encoded(model, rng.standard_normal((9, 6)), env)) == []
 
     def test_deterministic(self, rng):
         model = self.make_model()
         env = EnvEmbeddings(rng.standard_normal((3, 4)))
         feats = rng.standard_normal((9, 6))
-        assert greedy_decode(model, feats, env) == greedy_decode(model, feats, env)
+        assert (greedy_decode(model, encoded(model, feats, env))
+                == greedy_decode(model, encoded(model, feats, env)))
 
     def test_per_frame_cap(self, rng):
         model = self.make_model()
@@ -151,6 +158,6 @@ class TestGreedyDecode:
         model.params["joint.b_out"].data[:] = 0.0
         model.params["joint.b_out"].data[1] = 10.0
         env = EnvEmbeddings(rng.standard_normal((3, 4)))
-        out = greedy_decode(model, rng.standard_normal((9, 6)), env,
+        out = greedy_decode(model, encoded(model, rng.standard_normal((9, 6)), env),
                             max_symbols_per_frame=10)
         assert len(out) == 10 * 4  # 4 encoder frames from 9 inputs
