@@ -51,8 +51,9 @@ class ParameterSet:
     (`flat`), plus one Adam step count `t` for every trained parameter.
 
     Built from all of a model's `{name: array}` at once, laid out in name
-    order: each `Tensor.data` and gradient slot (`_grad_buf`) is a view of
-    the set's buffers, and `views` gives a parameter's slices of all four.
+    order: `layout[name]` is `(lo, hi, shape)`, its slice of every buffer.
+    Each `Tensor.data` and gradient slot (`_grad_buf`) is a view of the set's
+    buffers, and `views` gives a parameter's slices of all four.
     Iteration is in name order, so updates, checkpoints, and hashes are
     deterministic.
     """
@@ -66,11 +67,11 @@ class ParameterSet:
         self.flat = FlatBuffers(*(np.zeros(total, dtype=dtype) for _ in range(4)))
         self.t = 0
         self._params = {}
-        self._layout = {}
+        self.layout = {}
         lo = 0
         for name in sorted(arrays):
             hi = lo + arrays[name].size
-            self._layout[name] = (lo, hi, arrays[name].shape)
+            self.layout[name] = (lo, hi, arrays[name].shape)
             views = self.views(name)
             views.data[...] = arrays[name]
             p = self._params[name] = Tensor(views.data, requires_grad=True)
@@ -81,7 +82,7 @@ class ParameterSet:
 
     def views(self, name: str) -> FlatBuffers:
         """One parameter's slices of the four flat buffers."""
-        lo, hi, shape = self._layout[name]
+        lo, hi, shape = self.layout[name]
         return FlatBuffers(*(buf[lo:hi].reshape(shape) for buf in self.flat))
 
     def names(self):
@@ -134,7 +135,7 @@ def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,
         if p.grad is not p._grad_buf:  # assigned by the caller, not by backward
             np.copyto(p._grad_buf, p.grad)
         p.grad = None
-        lo, hi, _ = params._layout[name]
+        lo, hi, _ = params.layout[name]
         if runs and runs[-1][1] == lo:
             runs[-1][1] = hi
         else:

@@ -1,120 +1,113 @@
-"""Checkpoint files: text manifest plus concatenated tensor payload.
+"""Checkpoint files (``envasr-checkpoint 2``): a text header and layout
+table, then a parameter set's flat buffers as they are.
 
-A checkpoint stores every parameter and its Adam moments, the Adam step of
-each parameter (the set's `t`, or 0 for a frozen one), the optimization step
-(written twice, as `step` and `schedule_step`, which must agree), and a
-snapshot of the run config, so that save -> load -> save is byte-identical
-and training resumes exactly.
+The header holds the optimization ``step``, the set's one Adam step
+``adam_t``, the training loop's state (``loop``: text the stage driver
+writes and reads, empty when it keeps none) and the run's config snapshot.
+The layout table is ``params <count> <f32|f64>`` and one ``name shape``
+line per parameter in name order. The payload is the flat parameter, m and
+v buffers, little-endian, back to back. Save -> load -> save is
+byte-identical, and training resumes exactly.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..optim import ParameterSet
-from ..serialize import atomic_write, pack_tensors, unpack_tensors
+from ..serialize import DTYPE_TOKENS, TOKEN_FOR, atomic_write, parse_shape, shape_token
 
-_MAGIC = "envasr-checkpoint 1"
+_MAGIC = "envasr-checkpoint 2"
 
 
 @dataclass
 class Checkpoint:
     step: int
+    t: int
+    loop: str
     config_lines: list
-    tensors: dict
-    adam_t: dict
+    layout: list  # (name, shape) per parameter, in name order
+    flat: tuple   # parameters, m and v: read-only views of the payload
 
 
-def save_checkpoint(path, params: ParameterSet, step: int, config_lines) -> None:
-    named = []
-    adam_lines = []
-    for name, p in params.items():
-        views = params.views(name)
-        named += [(f"p.{name}", views.data), (f"m.{name}", views.m), (f"v.{name}", views.v)]
-        adam_lines.append(f"{name} {params.t if p.requires_grad else 0}")
-    manifest, payload = pack_tensors(named)
-    head = [_MAGIC, f"step {int(step)}", f"schedule_step {int(step)}",
-            f"adam_t {len(adam_lines)}", *adam_lines,
-            f"config {len(list(config_lines))}", *config_lines,
-            f"tensors {len(manifest)}", *manifest,
-            f"payload {len(payload)}"]
+def save_checkpoint(path, params: ParameterSet, step: int, config_lines,
+                    loop: str = "") -> None:
+    data, _, m, v = params.flat
+    token = TOKEN_FOR[data.dtype]
+    layout = [f"{name} {shape_token(shape)}" for name, (_, _, shape) in params.layout.items()]
+    head = [_MAGIC, f"step {int(step)}", f"adam_t {params.t}", f"loop {loop}".rstrip(" "),
+            f"config {len(config_lines)}", *config_lines,
+            f"params {len(layout)} {token}", *layout]
     with atomic_write(path) as fh:
         fh.write(("\n".join(head) + "\n").encode("utf-8"))
-        fh.write(payload)
+        for buf in (data, m, v):
+            fh.write(buf.astype(DTYPE_TOKENS[token], copy=False))
 
 
-def _expect(line: str, tag: str) -> str:
-    parts = line.split(" ", 1)
-    if parts[0] != tag or len(parts) != 2:
-        raise ValueError(f"corrupt checkpoint manifest: expected '{tag} ...', got {line!r}")
-    return parts[1]
+def _field(fh, tag: str) -> str:
+    """The value of the next header line, which must be ``<tag>[ <value>]``."""
+    line = fh.readline().decode("utf-8").rstrip("\n")
+    name, _, value = line.partition(" ")
+    if name != tag:
+        raise ValueError(f"expected '{tag} ...', got {line!r}")
+    return value
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        # manifest is everything before the payload; its length is declared
-        head_end = 0
-        lines = []
-        while True:
-            nl = raw.index(b"\n", head_end)
-            line = raw[head_end:nl].decode("utf-8")
-            lines.append(line)
-            head_end = nl + 1
-            if line.startswith("payload "):
-                break
-    except ValueError as exc:
-        raise ValueError("corrupt checkpoint manifest: no payload marker") from exc
-    it = iter(lines)
-    if next(it) != _MAGIC:
-        raise ValueError("corrupt checkpoint manifest: bad magic line")
-    step = int(_expect(next(it), "step"))
-    schedule_step = int(_expect(next(it), "schedule_step"))
-    if schedule_step != step:
-        raise ValueError(f"corrupt checkpoint: step {step} but schedule_step "
-                         f"{schedule_step}; the two must agree")
-    adam_t = {}
-    for _ in range(int(_expect(next(it), "adam_t"))):
-        name, t = next(it).rsplit(" ", 1)
-        adam_t[name] = int(t)
-    config_lines = [next(it) for _ in range(int(_expect(next(it), "config")))]
-    manifest = [next(it) for _ in range(int(_expect(next(it), "tensors")))]
-    payload_len = int(_expect(next(it), "payload"))
-    payload = raw[head_end : head_end + payload_len]
-    if len(payload) != payload_len:
-        raise ValueError("corrupt checkpoint: truncated payload")
-    tensors = unpack_tensors(manifest, payload)
-    return Checkpoint(step, config_lines, tensors, adam_t)
+        magic = fh.readline().decode("utf-8", "replace").rstrip("\n")
+        if magic.startswith("envasr-checkpoint ") and magic != _MAGIC:
+            raise ValueError(f"{path} is checkpoint format {magic.split(' ', 1)[1]}, "
+                             f"which is no longer read; re-run the stage that wrote it")
+        if magic != _MAGIC:
+            raise ValueError("corrupt checkpoint manifest: bad magic line")
+        try:
+            step = int(_field(fh, "step"))
+            t = int(_field(fh, "adam_t"))
+            loop = _field(fh, "loop")
+            config_lines = [fh.readline().decode("utf-8").rstrip("\n")
+                            for _ in range(int(_field(fh, "config")))]
+            count, token = _field(fh, "params").split(" ")
+            if token not in DTYPE_TOKENS:
+                raise ValueError(f"unknown dtype token {token!r}")
+            layout = []
+            for _ in range(int(count)):
+                name, shape = fh.readline().decode("utf-8").rstrip("\n").split(" ")
+                layout.append((name, parse_shape(shape)))
+        except ValueError as exc:
+            raise ValueError(f"corrupt checkpoint manifest: {exc}") from None
+        dtype = DTYPE_TOKENS[token]
+        n = sum(int(np.prod(shape)) for _, shape in layout)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 3 * n * dtype.itemsize:
+            raise ValueError(f"corrupt checkpoint: the payload holds {size} bytes, "
+                             f"its layout table needs {3 * n * dtype.itemsize}")
+        payload = fh.read(size)
+    flat = tuple(np.frombuffer(payload, dtype, count=n, offset=i * n * dtype.itemsize)
+                 for i in range(3))
+    return Checkpoint(step, t, loop, config_lines, layout, flat)
 
 
 def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
-    """Load parameters, Adam moments and the set's Adam step in place; shapes
-    must match, and every trained parameter must have the same Adam step."""
-    steps = {}
-    for name, p in params.items():
-        views = params.views(name)
-        for prefix, target in (("p", views.data), ("m", views.m), ("v", views.v)):
-            key = f"{prefix}.{name}"
-            if key not in ckpt.tensors:
-                raise ValueError(f"checkpoint is missing tensor {key}")
-            arr = ckpt.tensors[key]
-            if arr.shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {key}: checkpoint {arr.shape}, "
-                    f"model {p.data.shape}")
-            np.copyto(target, arr, casting="unsafe")
-        if name not in ckpt.adam_t:
-            raise ValueError(f"checkpoint is missing Adam step for {name}")
-        if p.requires_grad:
-            steps.setdefault(ckpt.adam_t[name], name)
-        p.grad = None
-    if len(steps) > 1:
-        (t1, a), (t2, b) = sorted(steps.items())[:2]
-        raise ValueError(f"checkpoint's trained parameters disagree on their Adam "
-                         f"step: {a} at {t1}, {b} at {t2}")
-    params.t = next(iter(steps), 0)
-    extra = sorted({k.split(".", 1)[1] for k in ckpt.tensors} - set(params.names()))
+    """Copy parameters, Adam moments and the Adam step into `params` in
+    place; the checkpoint must hold exactly the set's names and shapes."""
+    shapes = dict(ckpt.layout)
+    for name, (_, _, shape) in params.layout.items():
+        if name not in shapes:
+            raise ValueError(f"checkpoint is missing tensor p.{name}")
+        if shapes[name] != shape:
+            raise ValueError(f"shape mismatch for p.{name}: checkpoint {shapes[name]}, "
+                             f"model {shape}")
+    extra = sorted(shapes.keys() - params.layout.keys())
     if extra:
         raise ValueError(f"checkpoint holds parameters unknown to the model: "
                          f"{', '.join(extra)}")
+    if ckpt.layout != [(name, shape) for name, (_, _, shape) in params.layout.items()]:
+        raise ValueError("corrupt checkpoint: its layout table is not in name order")
+    data, _, m, v = params.flat
+    for target, source in zip((data, m, v), ckpt.flat):
+        np.copyto(target, source, casting="unsafe")
+    params.t = ckpt.t
+    for _, p in params.items():
+        p.grad = None

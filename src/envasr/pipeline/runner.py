@@ -10,8 +10,8 @@ Both training stages run `_train_loop`. Step ``n`` trains on items
 ``checkpoint_every`` steps, the last step and an early stop; an eval follows
 every ``eval_every`` steps and the last step. Pretraining stops after
 ``patience`` evals (0: never) without a training-loss gain of 1e-6, ASR once
-its WER is at most ``asr.early_stop_wer``. A resumed run keeps its log's
-lines from before its first step and appends.
+its WER is at most ``asr.early_stop_wer``. A resumed run restores its patience
+count and keeps its log's lines from before its first step, then appends.
 
 An ASR step is one packed graph over its batch (`asr_step`). Eval, inside
 training and in `run_eval`, encodes consecutive utterances in packed no-grad
@@ -96,11 +96,11 @@ def _check_positions(env_cfg, utts, video: bool) -> None:
 
 
 def _train_loop(cfg: RunConfig, log_name: str, n_items: int, step_fn, eval_fn,
-                params, ckpt_path, start: int = 0) -> dict:
+                params, ckpt_path, start: int = 0, loop_state=lambda: "") -> dict:
     """Steps `start` .. max_steps - 1 at the cadence above, each log line also
     printed. `step_fn(step, items)` makes one optimizer step on those item
     indices and returns (loss, step line); `eval_fn(step, loss)` returns
-    (``#`` lines, early-stop reason or None)."""
+    (``#`` lines, early-stop reason or None); checkpoints store `loop_state()`."""
     log_path = cfg.out_path() / log_name
     kept = []
     if start and log_path.is_file():
@@ -128,7 +128,7 @@ def _train_loop(cfg: RunConfig, log_name: str, n_items: int, step_fn, eval_fn,
                 for text in lines + ([f"# early stop: {stop}"] if stop else []):
                     line(text)
             if done % cfg.checkpoint_every == 0 or done == cfg.max_steps or stop:
-                save_checkpoint(ckpt_path, params, done, config_lines(cfg))
+                save_checkpoint(ckpt_path, params, done, config_lines(cfg), loop_state())
             if stop:
                 break
     return {"steps_run": done - start, "final_loss": loss,
@@ -145,12 +145,16 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     batches = [make_pretrain_batch(u, whitener, cb_audio, cb_video) for u in utts]
 
     model = EnvEncoder(env_cfg, seed=cfg.seed)
-    start = 0
+    start, best, misses = 0, math.inf, 0
     if resume is not None:
         ckpt = load_checkpoint(resume)
         restore_params(model.params, ckpt)
         start = ckpt.step
-    best, misses = math.inf, 0
+        if ckpt.loop:
+            best_hex, misses = ckpt.loop.split(" ")
+            best, misses = float.fromhex(best_hex), int(misses)
+        if cfg.patience and misses >= cfg.patience:  # it stopped early: nothing to run
+            start = cfg.max_steps
 
     def train_step(step, items):
         loss, ppl = pretrain_step(model, [batches[i] for i in items], cfg.optimizer,
@@ -166,7 +170,8 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
         return [], f"no improvement in {misses} evals" if stop else None
 
     summary = _train_loop(cfg, "pretrain.log", len(batches), train_step, patience,
-                          model.params, cfg.pretrain_ckpt_path(), start)
+                          model.params, cfg.pretrain_ckpt_path(), start,
+                          lambda: f"{best.hex()} {misses}")
     return {**summary, "masked_accuracy": masked_accuracy(model, batches, seed=cfg.seed),
             "model": model}
 

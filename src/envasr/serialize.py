@@ -4,7 +4,7 @@ Two formats live here:
 
 * tensor records: a text manifest line ``name shape dtype byte_offset`` per
   tensor followed by a concatenated little-endian row-major payload. Used by
-  checkpoints and codebook files.
+  codebook and whitener files; checkpoints share its shape and dtype tokens.
 * raw arrays: a single text header ``ndim d0 d1 ... dn`` followed by a
   little-endian float32 payload. Used for video clips and cached embeddings.
 
@@ -18,17 +18,17 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-_DTYPE_TOKENS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-_TOKEN_FOR = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+DTYPE_TOKENS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+TOKEN_FOR = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
-def _shape_token(shape) -> str:
+def shape_token(shape) -> str:
     if len(shape) == 0:
         raise ValueError("0-d tensors are not serializable")
     return "x".join(str(int(d)) for d in shape)
 
 
-def _parse_shape(token: str):
+def parse_shape(token: str):
     return tuple(int(d) for d in token.split("x"))
 
 
@@ -41,11 +41,11 @@ def pack_tensors(named):
         if " " in name:
             raise ValueError(f"tensor name may not contain spaces: {name!r}")
         arr = np.ascontiguousarray(arr)
-        if arr.dtype not in _TOKEN_FOR:
+        if arr.dtype not in TOKEN_FOR:
             raise ValueError(f"unsupported dtype {arr.dtype} for tensor {name}")
-        token = _TOKEN_FOR[arr.dtype]
-        raw = arr.astype(_DTYPE_TOKENS[token], copy=False).tobytes()
-        lines.append(f"{name} {_shape_token(arr.shape)} {token} {offset}")
+        token = TOKEN_FOR[arr.dtype]
+        raw = arr.astype(DTYPE_TOKENS[token], copy=False).tobytes()
+        lines.append(f"{name} {shape_token(arr.shape)} {token} {offset}")
         chunks.append(raw)
         offset += len(raw)
     return lines, b"".join(chunks)
@@ -59,10 +59,10 @@ def unpack_tensors(lines, payload: bytes) -> dict:
         if len(fields) != 4:
             raise ValueError(f"malformed tensor manifest line: {line!r}")
         name, shape_tok, dtype_tok, off_tok = fields
-        if dtype_tok not in _DTYPE_TOKENS:
+        if dtype_tok not in DTYPE_TOKENS:
             raise ValueError(f"unknown dtype token {dtype_tok!r}")
-        shape = _parse_shape(shape_tok)
-        dt = _DTYPE_TOKENS[dtype_tok]
+        shape = parse_shape(shape_tok)
+        dt = DTYPE_TOKENS[dtype_tok]
         offset = int(off_tok)
         count = int(np.prod(shape))
         end = offset + count * dt.itemsize

@@ -18,7 +18,10 @@ The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
   stops early;
 - ``baseline``: f64 ``self_attention_baseline`` ASR training without early
   stop, 95 steps with ``eval_every = 40`` (not a multiple), then eval;
-- ``resume``: pretraining to step 150, then resumed from its checkpoint to 300.
+- ``resume``: pretraining to step 150, then resumed from its checkpoint to 300;
+- ``batch4``: cross-attention ASR training at ``batch_size = 4`` (the packed
+  step), 100 steps with ``eval_every = 50``, then eval, on ``toy``'s
+  pretraining checkpoint and codebooks.
 
 Only the runner's public entry points are used, so any commit can be hashed.
 Output lines are ``<sha256>  <path relative to the work directory>``. When a
@@ -62,6 +65,11 @@ def run_all(work: Path) -> None:
     run_eval(baseline)
     run_pretraining(config(work, "resume", max_steps=150))
     run_pretraining(config(work, "resume"), resume=str(work / "resume" / "pretrain.ckpt"))
+    batched = config(work, "batch4", batch_size=4, max_steps=100, eval_every=50,
+                     **{"paths.pretrain_checkpoint": work / "toy" / "pretrain.ckpt",
+                        "paths.codebook_dir": work / "toy" / "codebooks"})
+    run_asr_training(batched)
+    run_eval(batched)
 
 
 def main(argv=None) -> int:

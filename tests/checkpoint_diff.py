@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python tests/checkpoint_diff.py A.ckpt B.ckpt
 
-Header fields (the ``step``, each parameter's Adam step ``adam_t <name>``
+Header fields (``step``, the Adam step ``adam_t``, the loop state ``loop``
 and each config key ``config <key>``) that differ are printed first, with
 their value in A and in B (``None`` when a file lacks the field). Each
 checkpoint tensor (``p.<name>`` parameter, ``m.<name>`` / ``v.<name>``
-Adam moments) is matched by name. For a tensor in both files the script
+Adam moments), a slice of a flat buffer through the layout table, is
+matched by name. For a tensor in both files the script
 prints ``identical`` when dtype, shape and bytes agree, and otherwise the
 size of the difference, max|a - b| / max|a| (``inf`` when A is all zeros or
 the shapes differ).
@@ -32,12 +33,23 @@ def relative_diff(a: np.ndarray, b: np.ndarray):
     return diff / scale if scale else np.inf
 
 
+def tensors(ckpt) -> dict:
+    """Each ``p.``/``m.``/``v.`` tensor, sliced from the flat buffers through
+    the layout table."""
+    out, lo = {}, 0
+    for name, shape in ckpt.layout:
+        hi = lo + int(np.prod(shape))
+        for prefix, buf in zip("pmv", ckpt.flat):
+            out[f"{prefix}.{name}"] = buf[lo:hi].reshape(shape)
+        lo = hi
+    return out
+
+
 def header_diffs(a, b):
     """(field, value in A, value in B) for every header field that differs."""
     def fields(ckpt):
         config = dict(line.partition(" = ")[::2] for line in ckpt.config_lines)
-        return {"step": ckpt.step,
-                **{f"adam_t {name}": t for name, t in ckpt.adam_t.items()},
+        return {"step": ckpt.step, "adam_t": ckpt.t, "loop": ckpt.loop,
                 **{f"config {key}": value for key, value in config.items()}}
 
     fa, fb = fields(a), fields(b)
@@ -54,7 +66,7 @@ def main(argv=None) -> int:
     header = header_diffs(a, b)
     for key, va, vb in header:
         print(f"{'header':<12}  {key}: {va!r} in A, {vb!r} in B")
-    ta, tb = a.tensors, b.tensors
+    ta, tb = tensors(a), tensors(b)
     common = sorted(ta.keys() & tb.keys())
     rel = {name: relative_diff(ta[name], tb[name]) for name in common}
     for name in common:

@@ -5,7 +5,6 @@ from envasr import autodiff as ad
 from envasr.autodiff import Tensor
 from envasr.optim import (ADAM_CHUNK, AdamHyper, ParameterSet, adam_step,
                           count_parameters, init_param, minimize_mean)
-from envasr.pipeline.checkpoint import Checkpoint, restore_params
 
 from oracles import adam_scalar_trajectory, adam_step_per_tensor, sum_
 
@@ -73,23 +72,22 @@ class TestAdamMatchesPerTensorOracle:
     START_T = 4
 
     def two_sets(self, dtype, rng):
-        """The set under test, restored from a checkpoint at step `START_T`,
-        and the oracle's tensors and moments with the same values."""
+        """The set under test, its flat buffers and Adam step written as at
+        step `START_T`, and the oracle's tensors and moments with the same
+        values."""
         values = {n: rng.standard_normal(s).astype(dtype) for n, s in self.SHAPES.items()}
-        tensors, moments = {}, {}
-        for name, shape in self.SHAPES.items():
-            tensors[f"p.{name}"] = values[name] + 1.0
-            tensors[f"m.{name}"] = 0.1 * rng.standard_normal(shape)
-            tensors[f"v.{name}"] = 0.01 * rng.random(shape)
-            if name != "b.frozen":
-                moments[name] = (tensors[f"m.{name}"].astype(dtype),
-                                 tensors[f"v.{name}"].astype(dtype), self.START_T)
-        adam_t = {name: self.START_T * (name != "b.frozen") for name in self.SHAPES}
         packed = ParameterSet(values)
         packed["b.frozen"].requires_grad = False
-        restore_params(packed, Checkpoint(0, [], tensors, adam_t))
-        oracle = {name: Tensor(tensors[f"p.{name}"].astype(dtype),
-                               requires_grad=name != "b.frozen") for name in self.SHAPES}
+        packed.t = self.START_T
+        oracle, moments = {}, {}
+        for name, shape in self.SHAPES.items():
+            views = packed.views(name)
+            views.data[...] = values[name] + 1.0
+            views.m[...] = 0.1 * rng.standard_normal(shape)
+            views.v[...] = 0.01 * rng.random(shape)
+            oracle[name] = Tensor(views.data.copy(), requires_grad=name != "b.frozen")
+            if name != "b.frozen":
+                moments[name] = (views.m.copy(), views.v.copy(), self.START_T)
         return packed, oracle, moments
 
     @staticmethod

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from envasr.asr.conformer import AsrModel, ConformerConfig
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, extract_env_embeddings,
                                 parameter_hash)
 from envasr.features import read_wav
@@ -70,38 +71,69 @@ class TestConfig:
                                 "stage = finetune"])
 
 
-def micro_env_model(seed=0):
+def micro_env_model(seed=0, dtype="f32"):
     cfg = EnvEncoderConfig(model_dim=8, num_blocks=1, heads=2, vocab_size=6,
                            audio_patch_dim=6, video_patch_dim=12,
                            max_audio_positions=8, max_video_steps=2,
-                           max_grid_rows=2, max_grid_cols=2, dtype="f32")
+                           max_grid_rows=2, max_grid_cols=2, dtype=dtype)
     return EnvEncoder(cfg, seed=seed)
 
 
-def save_trained(path, rng, frozen=()):
-    """A micro env model after one Adam step on random gradients, with the
-    `frozen` parameters frozen, saved at step 1 to `path`."""
+def train_one_step(params, rng):
+    """One Adam step of every trained parameter on random gradients."""
+    for _, p in params.items():
+        if p.requires_grad:
+            p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+    adam_step(params, 1e-3)
+
+
+def save_trained(path, rng):
+    """A micro env model after one Adam step on random gradients, saved at
+    step 1 to `path`."""
     model = micro_env_model()
-    for name in frozen:
-        model.params[name].requires_grad = False
-    for _, p in model.params.items():
-        p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
-    adam_step(model.params, 1e-3)
+    train_one_step(model.params, rng)
     save_checkpoint(path, model.params, 1, [])
     return model
 
 
 class TestCheckpoint:
-    def test_save_load_save_byte_identical(self, tmp_path):
-        model = micro_env_model()
-        lines = ["seed = 3", "optimizer.lr = 0.0003"]
-        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, model.params, 17, lines)
-        ckpt = load_checkpoint(p1)
-        fresh = micro_env_model(seed=9)
-        restore_params(fresh.params, ckpt)
-        save_checkpoint(p2, fresh.params, ckpt.step, ckpt.config_lines)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_save_load_save_byte_identical(self, tmp_path, rng):
+        for dtype in ("f32", "f64"):
+            model = micro_env_model(dtype=dtype)
+            train_one_step(model.params, rng)
+            lines = ["seed = 3", "optimizer.lr = 0.0003"]
+            p1, p2 = tmp_path / f"a.{dtype}.ckpt", tmp_path / f"b.{dtype}.ckpt"
+            save_checkpoint(p1, model.params, 17, lines, "0x1.8p-1 2")
+            ckpt = load_checkpoint(p1)
+            assert (ckpt.step, ckpt.t, ckpt.loop) == (17, 1, "0x1.8p-1 2")
+            assert ckpt.flat[0].dtype == np.dtype("<f4" if dtype == "f32" else "<f8")
+            fresh = micro_env_model(seed=9, dtype=dtype)
+            restore_params(fresh.params, ckpt)
+            save_checkpoint(p2, fresh.params, ckpt.step, ckpt.config_lines, ckpt.loop)
+            assert p1.read_bytes() == p2.read_bytes(), dtype
+
+    def test_payload_is_the_flat_buffers(self, tmp_path, rng):
+        model = save_trained(tmp_path / "c.ckpt", rng)
+        flat = model.params.flat
+        payload = np.concatenate([flat.data, flat.m, flat.v]).astype("<f4").tobytes()
+        raw = (tmp_path / "c.ckpt").read_bytes()
+        assert raw.endswith(b"\n" + payload)
+        assert raw[:-len(payload)].decode().splitlines()[:6] == [
+            "envasr-checkpoint 2", "step 1", "adam_t 1", "loop", "config 0",
+            f"params {len(model.params.names())} f32"]
+
+    def test_save_makes_no_copy_of_the_buffers(self, tmp_path):
+        import tracemalloc
+        model = EnvEncoder(EnvEncoderConfig(model_dim=64, num_blocks=2, heads=2), seed=0)
+        path = tmp_path / "c.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, model.params, 1, ["seed = 0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1_000_000
+        assert peak < path.stat().st_size / 10
 
     def test_restore_recovers_values_and_state(self, tmp_path, rng):
         model = save_trained(tmp_path / "c.ckpt", rng)
@@ -151,34 +183,65 @@ class TestCheckpoint:
                         ckpt.config_lines)
         assert (tmp_path / "again.ckpt").read_bytes() == good
 
-    def test_step_and_schedule_step_must_agree(self, tmp_path, rng):
-        path = tmp_path / "c.ckpt"
-        save_trained(path, rng)
-        path.write_bytes(path.read_bytes().replace(b"\nschedule_step 1\n",
-                                                   b"\nschedule_step 2\n", 1))
-        msg = "^corrupt checkpoint: step 1 but schedule_step 2; the two must agree$"
-        with pytest.raises(ValueError, match=msg):
+    def test_restore_into_baseline_restores_every_moment_and_t(self, tmp_path, rng):
+        cfg = ConformerConfig(model_dim=8, num_blocks=1, heads=2, conv_kernel=3,
+                              env_dim=4, feature_dim=6, vocab_size=3,
+                              fusion_mode="self_attention_baseline")
+        model = AsrModel(cfg, seed=0)
+        assert not model.params["env_adapter.w"].requires_grad
+        for _ in range(2):
+            train_one_step(model.params, rng)
+        save_checkpoint(tmp_path / "c.ckpt", model.params, 2, [])
+        fresh = AsrModel(cfg, seed=None)
+        for buf in fresh.params.flat:
+            buf[...] = 7.0
+        restore_params(fresh.params, load_checkpoint(tmp_path / "c.ckpt"))
+        assert fresh.params.t == 2
+        for name in ("data", "m", "v"):
+            np.testing.assert_array_equal(getattr(fresh.params.flat, name),
+                                          getattr(model.params.flat, name))
+        assert not fresh.params.views("env_adapter.w").m.any()
+
+    def test_format_1_rejected_naming_the_format(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"envasr-checkpoint 1\nstep 3\nschedule_step 3\n")
+        with pytest.raises(ValueError) as err:
             load_checkpoint(path)
+        assert str(err.value) == (f"{path} is checkpoint format 1, which is no longer "
+                                  f"read; re-run the stage that wrote it")
 
-    def test_trained_parameters_must_agree_on_adam_step(self, tmp_path, rng):
+    @pytest.mark.parametrize("head_b, cut, extra", [("6", 4, 0), ("7", 0, 1),
+                                                    ("5", 0, -1)])
+    def test_payload_length_must_match_layout(self, tmp_path, rng, head_b, cut, extra):
+        """A truncated payload, or a layout table whose sizes disagree with
+        the payload, is rejected."""
+        path = tmp_path / "c.ckpt"
+        n = save_trained(path, rng).params.flat.data.size
+        raw = path.read_bytes().replace(b"\nhead.b 6\n", f"\nhead.b {head_b}\n".encode(), 1)
+        path.write_bytes(raw[:len(raw) - cut])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"corrupt checkpoint: the payload holds {12 * n - cut} "
+                                  f"bytes, its layout table needs {12 * (n + extra)}")
+
+    def test_layout_out_of_name_order_rejected(self, tmp_path, rng):
         path = tmp_path / "c.ckpt"
         save_trained(path, rng)
-        path.write_bytes(path.read_bytes().replace(b"\nhead.w 1\n", b"\nhead.w 3\n", 1))
-        ckpt = load_checkpoint(path)
-        msg = ("^checkpoint's trained parameters disagree on their Adam step: "
-               "block0.attn.bo at 1, head.w at 3$")
+        raw = path.read_bytes()
+        swapped = raw.replace(b"\nhead.b 6\nhead.w 8x6\n", b"\nhead.w 8x6\nhead.b 6\n", 1)
+        assert swapped != raw
+        path.write_bytes(swapped)
+        msg = "^corrupt checkpoint: its layout table is not in name order$"
         with pytest.raises(ValueError, match=msg):
-            restore_params(micro_env_model().params, ckpt)
+            restore_params(micro_env_model().params, load_checkpoint(path))
 
-    def test_frozen_parameter_saves_adam_step_0(self, tmp_path, rng):
-        save_trained(tmp_path / "c.ckpt", rng, frozen=["head.b"])
-        ckpt = load_checkpoint(tmp_path / "c.ckpt")
-        assert ckpt.adam_t["head.b"] == 0
-        assert {t for name, t in ckpt.adam_t.items() if name != "head.b"} == {1}
-        fresh = micro_env_model(seed=9)
-        fresh.params["head.b"].requires_grad = False
-        restore_params(fresh.params, ckpt)
-        assert fresh.params.t == 1
+    def test_unknown_dtype_token_rejected(self, tmp_path, rng):
+        path = tmp_path / "c.ckpt"
+        save_trained(path, rng)
+        path.write_bytes(path.read_bytes().replace(b" f32\n", b" f16\n", 1))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == "corrupt checkpoint manifest: unknown dtype token 'f16'"
 
     def test_diff_reports_header_differences(self, tmp_path, capsys):
         import checkpoint_diff
@@ -186,15 +249,16 @@ class TestCheckpoint:
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(a, params, 1, ["seed = 3", "max_steps = 5"])
         params.t = 4
-        save_checkpoint(b, params, 2, ["seed = 4", "max_steps = 5"])
+        save_checkpoint(b, params, 2, ["seed = 4", "max_steps = 5"], "inf 1")
         checkpoint_diff.main([a, b])
         out = capsys.readouterr().out.splitlines()
         n = len(params.names())
-        assert out[0] == "header        step: 1 in A, 2 in B"
-        assert out[1] == "header        adam_t block0.attn.bo: 0 in A, 4 in B"
-        assert out[n + 1] == "header        config seed: '3' in A, '4' in B"
+        assert out[:4] == ["header        step: 1 in A, 2 in B",
+                           "header        adam_t: 0 in A, 4 in B",
+                           "header        loop: '' in A, 'inf 1' in B",
+                           "header        config seed: '3' in A, '4' in B"]
         assert out[-1] == (f"{3 * n} identical, 0 differ, 0 only in A, 0 only in B, "
-                           f"{n + 2} header fields differ")
+                           f"4 header fields differ")
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,9 @@ from envasr.pipeline import runner
 from envasr.pipeline.runner import _load_model
 from envasr.quantize import load_codebook
 from envasr.serialize import read_raw_array
+
+
+TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +140,24 @@ class TestPretrainingRunner:
         assert run_pretraining(cfg, resume=str(ckpt_path))["steps_run"] == 0
         assert log_path.read_bytes() == resumed[0]
 
+    def test_resume_at_every_eval_keeps_the_patience_count(self, tmp_path, corpus16,
+                                                           capsys):
+        cfg = parse_config_lines(TOY_CFG.read_text().splitlines() + [
+            f"paths.data_dir = {corpus16}", f"paths.out_dir = {tmp_path / 'out'}",
+            "patience = 2", "eval_every = 3", "checkpoint_every = 3", "max_steps = 60"])
+        log_path, ckpt_path = cfg.out_path() / "pretrain.log", cfg.pretrain_ckpt_path()
+        assert run_pretraining(cfg)["steps_run"] == 33  # stops after step 32
+        straight = log_path.read_bytes(), ckpt_path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for k in range(3, 31, 3):
+            run_pretraining(replace(cfg, max_steps=k))
+            shutil.copy(ckpt_path, cut)
+            assert run_pretraining(cfg, resume=str(cut))["steps_run"] == 33 - k, k
+            assert (log_path.read_bytes(), ckpt_path.read_bytes()) == straight, k
+        # resuming the early stop makes no step and keeps the log
+        assert run_pretraining(cfg, resume=str(ckpt_path))["steps_run"] == 0
+        assert (log_path.read_bytes(), ckpt_path.read_bytes()) == straight
+
     def test_patience_stops_early_and_checkpoints_the_stop(self, tmp_path, corpus16,
                                                            capsys):
         cfg = toy_cfg(corpus16, tmp_path / "patience", max_steps=40,
@@ -173,7 +195,7 @@ class TestTrainLoop:
     def run(self, tmp_path, monkeypatch, stop_at=None):
         saves, items, evals = [], [], []
         monkeypatch.setattr(runner, "save_checkpoint",
-                            lambda path, params, step, lines:
+                            lambda path, params, step, lines, loop:
                             saves.append(step))
 
         def step_fn(step, batch):
