@@ -5,7 +5,7 @@ Audio: 16 kHz mono waveforms -> 64-dim log mel-filterbank energies
 frames (192-dim patches), whitened with global statistics and clipped to
 [-1.2, 1.2].
 
-Video: float [0,1] clips at 256x256 (after center_crop_resize) -> flattened
+Video: float [0,1] clips (3k frames, sides multiples of 16) -> flattened
 non-overlapping tubelets of 3 frames x 16x16 pixels x RGB (2304-dim patches).
 """
 
@@ -71,6 +71,7 @@ class VideoPatchSeq:
 class Whitener:
     mean: np.ndarray
     std: np.ndarray
+    key: str = ""                 # what it was fitted on; see pipeline.data
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -157,34 +158,6 @@ def extract_video_patches(clip: VideoClip) -> VideoPatchSeq:
     x = x.reshape(t, TUBE_FRAMES, r, TUBE_PIXELS, cols, TUBE_PIXELS, c)
     x = x.transpose(0, 2, 4, 1, 3, 5, 6)
     return VideoPatchSeq(x.reshape(t * r * cols, VIDEO_PATCH_DIM), grid=(t, r, cols))
-
-
-def center_crop_resize(frames: np.ndarray, size: int = 256) -> VideoClip:
-    """Resize the short side to `size` (bilinear) then center-crop size x size."""
-    x = np.asarray(frames, dtype=np.float64)
-    f, h, w, _ = x.shape
-    scale = size / min(h, w)
-    nh, nw = max(size, round(h * scale)), max(size, round(w * scale))
-    if (nh, nw) != (h, w):
-        x = _bilinear_resize(x, nh, nw)
-    top = (nh - size) // 2
-    left = (nw - size) // 2
-    return VideoClip(x[:, top : top + size, left : left + size, :])
-
-
-def _bilinear_resize(x: np.ndarray, nh: int, nw: int) -> np.ndarray:
-    f, h, w, c = x.shape
-    ys = (np.arange(nh) + 0.5) * h / nh - 0.5
-    xs = (np.arange(nw) + 0.5) * w / nw - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :, None]
-    top = x[:, y0][:, :, x0] * (1 - wx) + x[:, y0][:, :, x1] * wx
-    bot = x[:, y1][:, :, x0] * (1 - wx) + x[:, y1][:, :, x1] * wx
-    return top * (1 - wy) + bot * wy
 
 
 def resample_linear(samples: np.ndarray, rate_in: int, rate_out: int = SAMPLE_RATE) -> np.ndarray:

@@ -88,12 +88,3 @@ def sample_segmented_mask(segment_lengths, width: int, prob: float,
         _mark_spans(mask, centers[lo:hi], width, lo, hi)
         lo = hi
     return MaskPlan(width, prob, mask, centers)
-
-
-def expected_coverage(prob: float, width: int) -> float:
-    """Masking probability of an interior position: 1 - (1 - p)^w."""
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError("prob must be a probability")
-    if width < 1:
-        raise ValueError("width must be positive")
-    return 1.0 - (1.0 - prob) ** width

@@ -1,24 +1,26 @@
-"""Checkpoint files (``envasr-checkpoint 2``): a text header and layout
-table, then a parameter set's flat buffers as they are.
+"""Checkpoint files: the tensor container of ``serialize``, kind
+``envasr-checkpoint 3``, holding a parameter set's flat buffers as they are.
 
-The header holds the optimization ``step``, the set's one Adam step
+The header lines are the optimization ``step``, the set's one Adam step
 ``adam_t``, the training loop's state (``loop``: text the stage driver
-writes and reads, empty when it keeps none) and the run's config snapshot.
-The layout table is ``params <count> <f32|f64>`` and one ``name shape``
-line per parameter in name order. The payload is the flat parameter, m and
-v buffers, little-endian, back to back. Save -> load -> save is
-byte-identical, and training resumes exactly.
+writes and reads, empty when it keeps none), ``keys``: the key of each
+derived file the run trained on as ``<kind>=<key>`` (``whitener``, and for
+pretraining ``codebooks``), ``config <n>`` and the run's config snapshot,
+then ``params <count>`` and one ``name shape`` line per parameter in name
+order. The arrays are the flat parameter, m and v buffers: ``data``, ``m``
+and ``v``. Save -> load -> save is byte-identical, and training resumes
+exactly.
 """
 
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..optim import ParameterSet
-from ..serialize import DTYPE_TOKENS, TOKEN_FOR, atomic_write, parse_shape, shape_token
+from ..serialize import header_field, parse_shape, read_tensors, shape_token, write_tensors
 
-_MAGIC = "envasr-checkpoint 2"
+_MAGIC = "envasr-checkpoint 3"
 
 
 @dataclass
@@ -26,67 +28,43 @@ class Checkpoint:
     step: int
     t: int
     loop: str
+    keys: dict    # derived-file kind -> key of the file the run trained on
     config_lines: list
     layout: list  # (name, shape) per parameter, in name order
     flat: tuple   # parameters, m and v: read-only views of the payload
 
 
 def save_checkpoint(path, params: ParameterSet, step: int, config_lines,
-                    loop: str = "") -> None:
+                    loop: str = "", keys=None) -> None:
     data, _, m, v = params.flat
-    token = TOKEN_FOR[data.dtype]
+    keyed = " ".join(f"{kind}={key}" for kind, key in (keys or {}).items())
     layout = [f"{name} {shape_token(shape)}" for name, (_, _, shape) in params.layout.items()]
-    head = [_MAGIC, f"step {int(step)}", f"adam_t {params.t}", f"loop {loop}".rstrip(" "),
-            f"config {len(config_lines)}", *config_lines,
-            f"params {len(layout)} {token}", *layout]
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(head) + "\n").encode("utf-8"))
-        for buf in (data, m, v):
-            fh.write(buf.astype(DTYPE_TOKENS[token], copy=False))
-
-
-def _field(fh, tag: str) -> str:
-    """The value of the next header line, which must be ``<tag>[ <value>]``."""
-    line = fh.readline().decode("utf-8").rstrip("\n")
-    name, _, value = line.partition(" ")
-    if name != tag:
-        raise ValueError(f"expected '{tag} ...', got {line!r}")
-    return value
+    header = [f"step {int(step)}", f"adam_t {params.t}", f"loop {loop}".rstrip(" "),
+              f"keys {keyed}".rstrip(" "), f"config {len(config_lines)}", *config_lines,
+              f"params {len(layout)}", *layout]
+    write_tensors(path, _MAGIC, header, [("data", data), ("m", m), ("v", v)])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode("utf-8", "replace").rstrip("\n")
-        if magic.startswith("envasr-checkpoint ") and magic != _MAGIC:
-            raise ValueError(f"{path} is checkpoint format {magic.split(' ', 1)[1]}, "
-                             f"which is no longer read; re-run the stage that wrote it")
-        if magic != _MAGIC:
-            raise ValueError("corrupt checkpoint manifest: bad magic line")
-        try:
-            step = int(_field(fh, "step"))
-            t = int(_field(fh, "adam_t"))
-            loop = _field(fh, "loop")
-            config_lines = [fh.readline().decode("utf-8").rstrip("\n")
-                            for _ in range(int(_field(fh, "config")))]
-            count, token = _field(fh, "params").split(" ")
-            if token not in DTYPE_TOKENS:
-                raise ValueError(f"unknown dtype token {token!r}")
-            layout = []
-            for _ in range(int(count)):
-                name, shape = fh.readline().decode("utf-8").rstrip("\n").split(" ")
-                layout.append((name, parse_shape(shape)))
-        except ValueError as exc:
-            raise ValueError(f"corrupt checkpoint manifest: {exc}") from None
-        dtype = DTYPE_TOKENS[token]
-        n = sum(int(np.prod(shape)) for _, shape in layout)
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != 3 * n * dtype.itemsize:
-            raise ValueError(f"corrupt checkpoint: the payload holds {size} bytes, "
-                             f"its layout table needs {3 * n * dtype.itemsize}")
-        payload = fh.read(size)
-    flat = tuple(np.frombuffer(payload, dtype, count=n, offset=i * n * dtype.itemsize)
-                 for i in range(3))
-    return Checkpoint(step, t, loop, config_lines, layout, flat)
+    header, arrays = read_tensors(path, _MAGIC)
+    lines = iter(header)
+    try:
+        step = int(header_field(lines, "step"))
+        t = int(header_field(lines, "adam_t"))
+        loop = header_field(lines, "loop")
+        keys = dict(item.split("=") for item in header_field(lines, "keys").split())
+        config_lines = [next(lines, "") for _ in range(int(header_field(lines, "config")))]
+        layout = [next(lines, "").split(" ")
+                  for _ in range(int(header_field(lines, "params")))]
+        layout = [(name, parse_shape(shape)) for name, shape in layout]
+        n = sum(math.prod(shape) for _, shape in layout)
+        flat = tuple(arrays.get(name) for name in ("data", "m", "v"))
+        if len(arrays) != 3 or any(a is None or a.shape != (n,) for a in flat):
+            raise ValueError(f"its arrays are not data, m and v of the {n} values "
+                             f"its parameter layout needs")
+    except ValueError as exc:
+        raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
+    return Checkpoint(step, t, loop, keys, config_lines, layout, flat)
 
 
 def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:

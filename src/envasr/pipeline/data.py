@@ -15,8 +15,8 @@ from ..features import (VideoClip, Whitener, compute_lfbe, extract_video_patches
 from ..quantize import (Codebook, assign_tokens, load_codebook, reservoir_sample,
                         save_codebook, train_kmeans)
 from ..rng import derive_seed, substream
-from ..serialize import (atomic_write, pack_tensors, read_raw_array, unpack_tensors,
-                         write_raw_array)
+from ..serialize import (atomic_write, header_field, read_raw_array, read_tensors,
+                         write_raw_array, write_tensors)
 from .corpus import labels_to_ids, load_manifest
 
 
@@ -56,34 +56,45 @@ def load_corpus(manifest_path) -> list:
 # whitener persistence -------------------------------------------------------
 
 
+_WHITENER_MAGIC = "envasr-whitener 1"
+
+
 def save_whitener(path, whitener: Whitener) -> None:
-    lines, payload = pack_tensors([("mean", whitener.mean), ("std", whitener.std)])
-    with atomic_write(path) as fh:
-        fh.write((f"whitener {len(lines)}\n").encode())
-        fh.write(("\n".join(lines) + "\n").encode())
-        fh.write(payload)
+    """Header line ``key``, arrays ``mean`` and ``std``."""
+    write_tensors(path, _WHITENER_MAGIC, [f"key {whitener.key}"],
+                  [("mean", whitener.mean), ("std", whitener.std)])
 
 
 def load_whitener(path) -> Whitener:
-    with open(path, "rb") as fh:
-        head = fh.readline().decode().split()
-        if len(head) != 2 or head[0] != "whitener":
-            raise ValueError(f"malformed whitener file: {path}")
-        lines = [fh.readline().decode().strip() for _ in range(int(head[1]))]
-        tensors = unpack_tensors(lines, fh.read())
-    return Whitener(tensors["mean"], tensors["std"])
+    header, arrays = read_tensors(path, _WHITENER_MAGIC)
+    return Whitener(arrays["mean"], arrays["std"], key=header_field(iter(header), "key"))
+
+
+def _stored(load, path, key):
+    """`load(path)`, or None when the file is missing, unreadable or holds
+    another key than `key`."""
+    try:
+        stored = load(path)
+    except (FileNotFoundError, KeyError, ValueError):
+        return None
+    return stored if stored.key == key else None
 
 
 def ensure_whitener(codebook_dir, utts) -> Whitener:
-    """Load the stored whitener, or fit one on this corpus and store it."""
-    codebook_dir = Path(codebook_dir)
-    path = codebook_dir / "whitener.bin"
-    if path.is_file():
-        return load_whitener(path)
-    rows = np.concatenate([u.raw_patches for u in utts], axis=0)
-    whitener = fit_whitener(rows)
-    codebook_dir.mkdir(parents=True, exist_ok=True)
-    save_whitener(path, whitener)
+    """The whitener of these utterances, keyed by the SHA-256 of their patch
+    bytes: the stored one while it holds that key, else a refit, which
+    replaces it."""
+    digest = hashlib.sha256()
+    for u in utts:
+        digest.update(u.raw_patches)
+    key = digest.hexdigest()
+    path = Path(codebook_dir) / "whitener.bin"
+    whitener = _stored(load_whitener, path, key)
+    if whitener is None:
+        whitener = fit_whitener(np.concatenate([u.raw_patches for u in utts], axis=0))
+        whitener.key = key
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_whitener(path, whitener)
     return whitener
 
 
@@ -112,16 +123,22 @@ def train_corpus_codebooks(cfg, utts, whitener: Whitener):
 
 
 def ensure_codebooks(cfg, utts, whitener: Whitener):
-    """Load codebooks from codebook_dir, or train and save them."""
+    """Both codebooks, keyed by the SHA-256 of the whitener key, the tokenize
+    config and the seed: the stored pair while both files hold that key, else
+    a retrained pair, which replaces it."""
+    key = hashlib.sha256(f"{whitener.key} {cfg.tokenize!r} seed={cfg.seed}"
+                         .encode("utf-8")).hexdigest()
     cb_dir = cfg.codebook_path()
-    audio_path, video_path = cb_dir / "audio.cb", cb_dir / "video.cb"
-    if audio_path.is_file() and video_path.is_file():
-        return load_codebook(audio_path), load_codebook(video_path)
-    cb_audio, cb_video = train_corpus_codebooks(cfg, utts, whitener)
+    paths = cb_dir / "audio.cb", cb_dir / "video.cb"
+    stored = [_stored(load_codebook, path, key) for path in paths]
+    if None not in stored:
+        return tuple(stored)
+    codebooks = train_corpus_codebooks(cfg, utts, whitener)
     cb_dir.mkdir(parents=True, exist_ok=True)
-    save_codebook(audio_path, cb_audio)
-    save_codebook(video_path, cb_video)
-    return cb_audio, cb_video
+    for path, cb in zip(paths, codebooks):
+        cb.key = key
+        save_codebook(path, cb)
+    return codebooks
 
 
 # batches and caches -----------------------------------------------------------
@@ -151,12 +168,12 @@ def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
     path = cache_dir / f"{utt_name}.env"
     key_path = cache_dir / f"{utt_name}.key"
     key = (f"{model_hash} "
-           f"{hashlib.sha256(np.asarray(audio_patches).tobytes()).hexdigest()}\n")
+           f"{hashlib.sha256(np.ascontiguousarray(audio_patches)).hexdigest()}\n")
     if path.is_file() and key_path.is_file() and key_path.read_text() == key:
         return EnvEmbeddings(read_raw_array(path))
     key_path.unlink(missing_ok=True)  # an old key must not vouch for the new entry
-    env = extract_env_embeddings(model, audio_patches)
-    write_raw_array(path, env.vectors.astype(np.float32))
+    vectors = extract_env_embeddings(model, audio_patches).vectors.astype(np.float32)
+    write_raw_array(path, vectors)
     with atomic_write(key_path) as fh:
         fh.write(key.encode("ascii"))
-    return EnvEmbeddings(read_raw_array(path))
+    return EnvEmbeddings(vectors)

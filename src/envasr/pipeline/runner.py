@@ -13,6 +13,10 @@ every ``eval_every`` steps and the last step. Pretraining stops after
 its WER is at most ``asr.early_stop_wer``. A resumed run restores its patience
 count and keeps its log's lines from before its first step, then appends.
 
+A checkpoint records the keys of the whitener and (pretraining) codebooks it
+was trained with; a resume, ASR training on a pretraining checkpoint and eval
+fail with one line when they differ from the files in use.
+
 An ASR step is one packed graph over its batch (`asr_step`). Eval, inside
 training and in `run_eval`, encodes consecutive utterances in packed no-grad
 passes of at most `ENCODE_ROWS` encoder rows, then greedy-decodes each
@@ -96,11 +100,13 @@ def _check_positions(env_cfg, utts, video: bool) -> None:
 
 
 def _train_loop(cfg: RunConfig, log_name: str, n_items: int, step_fn, eval_fn,
-                params, ckpt_path, start: int = 0, loop_state=lambda: "") -> dict:
+                params, ckpt_path, start: int = 0, loop_state=lambda: "",
+                keys=None) -> dict:
     """Steps `start` .. max_steps - 1 at the cadence above, each log line also
     printed. `step_fn(step, items)` makes one optimizer step on those item
     indices and returns (loss, step line); `eval_fn(step, loss)` returns
-    (``#`` lines, early-stop reason or None); checkpoints store `loop_state()`."""
+    (``#`` lines, early-stop reason or None); checkpoints store `loop_state()`
+    and the `keys` of the derived files the run trains on."""
     log_path = cfg.out_path() / log_name
     kept = []
     if start and log_path.is_file():
@@ -128,7 +134,8 @@ def _train_loop(cfg: RunConfig, log_name: str, n_items: int, step_fn, eval_fn,
                 for text in lines + ([f"# early stop: {stop}"] if stop else []):
                     line(text)
             if done % cfg.checkpoint_every == 0 or done == cfg.max_steps or stop:
-                save_checkpoint(ckpt_path, params, done, config_lines(cfg), loop_state())
+                save_checkpoint(ckpt_path, params, done, config_lines(cfg), loop_state(),
+                                keys=keys)
             if stop:
                 break
     return {"steps_run": done - start, "final_loss": loss,
@@ -143,12 +150,14 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     whitener = ensure_whitener(cfg.codebook_path(), utts)
     cb_audio, cb_video = ensure_codebooks(cfg, utts, whitener)
     batches = [make_pretrain_batch(u, whitener, cb_audio, cb_video) for u in utts]
+    keys = {"whitener": whitener.key, "codebooks": cb_audio.key}
 
     model = EnvEncoder(env_cfg, seed=cfg.seed)
     start, best, misses = 0, math.inf, 0
     if resume is not None:
         ckpt = load_checkpoint(resume)
         restore_params(model.params, ckpt)
+        _check_keys(cfg, resume, ckpt.keys, keys)
         start = ckpt.step
         if ckpt.loop:
             best_hex, misses = ckpt.loop.split(" ")
@@ -171,14 +180,14 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
 
     summary = _train_loop(cfg, "pretrain.log", len(batches), train_step, patience,
                           model.params, cfg.pretrain_ckpt_path(), start,
-                          lambda: f"{best.hex()} {misses}")
+                          lambda: f"{best.hex()} {misses}", keys)
     return {**summary, "masked_accuracy": masked_accuracy(model, batches, seed=cfg.seed),
             "model": model}
 
 
 def _load_model(ckpt_path, asr: bool = False):
     """The environment encoder (or, with `asr`, the ASR model) a checkpoint
-    holds, built from the config snapshot it stores."""
+    holds, built from the config snapshot it stores, and the checkpoint's keys."""
     ckpt = load_checkpoint(ckpt_path)
     snap = parse_config_lines(ckpt.config_lines, check_paths=False)
     if asr:
@@ -186,17 +195,29 @@ def _load_model(ckpt_path, asr: bool = False):
     else:
         model = EnvEncoder(env_encoder_config(snap), seed=None)
     restore_params(model.params, ckpt)
-    return model
+    return model, ckpt.keys
 
 
-def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int):
+def _check_keys(cfg: RunConfig, ckpt_path, ckpt_keys, keys) -> None:
+    """Fail, naming the checkpoint and the file, unless the checkpoint, whose
+    keys are `ckpt_keys`, was trained with the derived files keyed `keys`."""
+    for kind, key in keys.items():
+        if ckpt_keys.get(kind) != key:
+            name = "whitener.bin" if kind == "whitener" else "audio.cb"
+            path = cfg.codebook_path() / name
+            raise ValueError(f"checkpoint {ckpt_path} was not trained with {path} "
+                             f"(another {kind} key); re-run the stage that wrote it")
+
+
+def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int, keys):
     """(env model, its parameter hash, per-utterance embeddings) from the
-    pretraining checkpoint, which must be `env_dim` wide; embeddings go
-    through the cache under out_dir/env_cache."""
+    pretraining checkpoint, which must be `env_dim` wide and trained with the
+    derived files keyed `keys`; embeddings go through the cache under
+    out_dir/env_cache."""
     ckpt_path = cfg.pretrain_ckpt_path()
     if not Path(ckpt_path).is_file():
         raise ValueError(f"cross-attention needs a pretraining checkpoint at {ckpt_path}")
-    env_model = _load_model(ckpt_path)
+    env_model, ckpt_keys = _load_model(ckpt_path)
     if env_model.config.model_dim != env_dim:
         raise ValueError(
             f"pretraining checkpoint {ckpt_path} has model_dim "
@@ -204,6 +225,7 @@ def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int):
             f"pretrain.model_dim is {env_dim}")
     # env extraction is audio-only, so video grids never reach the tables here
     _check_positions(env_model.config, utts, video=False)
+    _check_keys(cfg, ckpt_path, ckpt_keys, keys)
     model_hash = parameter_hash(env_model.params)
     cache = cfg.out_path() / "env_cache"
     envs = [cached_env_embeddings(cache, u.name, env_model, f, model_hash)
@@ -250,9 +272,10 @@ def run_asr_training(cfg: RunConfig) -> dict:
 
     env_hash_before = env_hash_after = None
     envs = [None] * len(utts)
+    keys = {"whitener": whitener.key}
     if cfg.asr.fusion_mode == CROSS:
         env_model, env_hash_before, envs = _frozen_env(cfg, utts, feats,
-                                                       cfg.pretrain.model_dim)
+                                                       cfg.pretrain.model_dim, keys)
     examples = [Utterance(f, u.label_ids, e).require_labels()
                 for u, f, e in zip(utts, feats, envs)]
 
@@ -272,7 +295,7 @@ def run_asr_training(cfg: RunConfig) -> dict:
                 f"wer {latest_wer:.4f}" if stop else None)
 
     summary = _train_loop(cfg, "train_asr.log", len(examples), train_step, evaluate,
-                          model.params, cfg.asr_ckpt_path())
+                          model.params, cfg.asr_ckpt_path(), keys=keys)
     if cfg.asr.fusion_mode == CROSS:
         env_hash_after = parameter_hash(env_model.params)
     return {**summary, "final_wer": latest_wer, "env_hash_before": env_hash_before,
@@ -284,17 +307,19 @@ def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
     ckpt_path = Path(checkpoint) if checkpoint else cfg.asr_ckpt_path()
     if not ckpt_path.is_file():
         raise ValueError(f"ASR checkpoint not found: {ckpt_path}")
-    model = _load_model(ckpt_path, asr=True)
+    model, ckpt_keys = _load_model(ckpt_path, asr=True)
 
     utts = load_corpus(cfg.eval_manifest_path())
     whitener_path = cfg.codebook_path() / "whitener.bin"
     if not whitener_path.is_file():
         raise ValueError(f"whitener not found: {whitener_path} (run the training stages first)")
     whitener = load_whitener(whitener_path)
+    keys = {"whitener": whitener.key}
+    _check_keys(cfg, ckpt_path, ckpt_keys, keys)
     feats = [whiten_clip(u.raw_patches, whitener).patches for u in utts]
     envs = [None] * len(utts)
     if model.config.fusion_mode == CROSS:
-        envs = _frozen_env(cfg, utts, feats, model.config.env_dim)[2]
+        envs = _frozen_env(cfg, utts, feats, model.config.env_dim, keys)[2]
     examples = [Utterance(f, u.label_ids, e)
                 for u, f, e in zip(utts, feats, envs)]
     pairs, hyps = _decode_corpus(model, utts, examples)

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substream
-from .serialize import atomic_write, pack_tensors, unpack_tensors
+from .serialize import header_field, read_tensors, write_tensors
 
 MODALITIES = ("audio", "video")
+_MAGIC = "envasr-codebook 1"
 
 
 @dataclass
@@ -21,7 +22,7 @@ class Codebook:
     centers: np.ndarray          # (K, D)
     modality: str
     vocab_offset: int
-    seed: int = 0
+    key: str = ""                # what it was trained from; see pipeline.data
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
@@ -121,7 +122,7 @@ def train_kmeans(vectors: np.ndarray, k: int, max_iters: int = 50, seed: int = 0
                  modality: str = "audio", vocab_offset: int = 0) -> Codebook:
     rng = substream(seed, f"kmeans-{modality}")
     centers, _, _ = lloyd(np.asarray(vectors, dtype=np.float64), k, max_iters, rng)
-    return Codebook(centers, modality, vocab_offset, seed=seed)
+    return Codebook(centers, modality, vocab_offset)
 
 
 def assign_tokens(cb: Codebook, vectors: np.ndarray) -> TokenSeq:
@@ -159,22 +160,14 @@ def reservoir_sample(rows, cap: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def save_codebook(path, cb: Codebook) -> None:
-    lines, payload = pack_tensors([("centers", cb.centers)])
-    with atomic_write(path) as fh:
-        fh.write(f"{cb.modality} {cb.k} {cb.dim} {cb.vocab_offset} {cb.seed}\n".encode())
-        fh.write((lines[0] + "\n").encode())
-        fh.write(payload)
+    """Header lines ``modality``, ``vocab_offset`` and ``key``, array ``centers``."""
+    header = [f"modality {cb.modality}", f"vocab_offset {cb.vocab_offset}", f"key {cb.key}"]
+    write_tensors(path, _MAGIC, header, [("centers", cb.centers)])
 
 
 def load_codebook(path) -> Codebook:
-    with open(path, "rb") as fh:
-        head = fh.readline().decode().split()
-        if len(head) != 5:
-            raise ValueError(f"malformed codebook manifest in {path}")
-        modality, k, dim, offset, seed = head[0], *map(int, head[1:])
-        record = fh.readline().decode().strip()
-        payload = fh.read()
-    centers = unpack_tensors([record], payload)["centers"]
-    if centers.shape != (k, dim):
-        raise ValueError(f"codebook payload shape {centers.shape} != ({k}, {dim})")
-    return Codebook(centers, modality, offset, seed=seed)
+    header, arrays = read_tensors(path, _MAGIC)
+    lines = iter(header)
+    modality = header_field(lines, "modality")
+    offset = int(header_field(lines, "vocab_offset"))
+    return Codebook(arrays["centers"], modality, offset, key=header_field(lines, "key"))

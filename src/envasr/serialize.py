@@ -2,17 +2,18 @@
 
 Two formats live here:
 
-* tensor records: a text manifest line ``name shape dtype byte_offset`` per
-  tensor followed by a concatenated little-endian row-major payload. Used by
-  codebook and whitener files; checkpoints share its shape and dtype tokens.
+* the tensor container, for checkpoints, the whitener and the codebooks:
+  the magic line ``envasr-<kind> <version>``, ``header <n>`` and n lines the
+  kind defines, ``tensors <n> <f32|f64>`` and one ``name shape`` line per
+  array, then the arrays, little-endian and back to back.
 * raw arrays: a single text header ``ndim d0 d1 ... dn`` followed by a
   little-endian float32 payload. Used for video clips and cached embeddings.
 
-Checkpoints, codebooks, the whitener, raw arrays and env-cache keys are
-written through ``atomic_write``, so a failed write never leaves a truncated
-file behind.
+Every file here is written through ``atomic_write``, so a failed write never
+leaves a truncated file behind.
 """
 
+import math
 import os
 from contextlib import contextmanager, suppress
 
@@ -32,45 +33,61 @@ def parse_shape(token: str):
     return tuple(int(d) for d in token.split("x"))
 
 
-def pack_tensors(named):
-    """Serialize (name, array) pairs -> (manifest lines, payload bytes)."""
-    lines = []
-    chunks = []
-    offset = 0
-    for name, arr in named:
-        if " " in name:
-            raise ValueError(f"tensor name may not contain spaces: {name!r}")
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype not in TOKEN_FOR:
-            raise ValueError(f"unsupported dtype {arr.dtype} for tensor {name}")
-        token = TOKEN_FOR[arr.dtype]
-        raw = arr.astype(DTYPE_TOKENS[token], copy=False).tobytes()
-        lines.append(f"{name} {shape_token(arr.shape)} {token} {offset}")
-        chunks.append(raw)
-        offset += len(raw)
-    return lines, b"".join(chunks)
+def header_field(lines, tag: str) -> str:
+    """The value of the next of `lines`, an iterator: a ``<tag>[ <value>]`` line."""
+    line = next(lines, "")
+    name, _, value = line.partition(" ")
+    if name != tag:
+        raise ValueError(f"expected '{tag} ...', got {line!r}")
+    return value
 
 
-def unpack_tensors(lines, payload: bytes) -> dict:
-    """Inverse of pack_tensors; arrays come back in native byte order."""
-    out = {}
-    for line in lines:
-        fields = line.split()
-        if len(fields) != 4:
-            raise ValueError(f"malformed tensor manifest line: {line!r}")
-        name, shape_tok, dtype_tok, off_tok = fields
-        if dtype_tok not in DTYPE_TOKENS:
-            raise ValueError(f"unknown dtype token {dtype_tok!r}")
-        shape = parse_shape(shape_tok)
-        dt = DTYPE_TOKENS[dtype_tok]
-        offset = int(off_tok)
-        count = int(np.prod(shape))
-        end = offset + count * dt.itemsize
-        if end > len(payload):
-            raise ValueError(f"payload truncated for tensor {name}")
-        arr = np.frombuffer(payload, dtype=dt, count=count, offset=offset)
-        out[name] = arr.reshape(shape).astype(dt.newbyteorder("="), copy=True)
-    return out
+def write_tensors(path, magic: str, header_lines, named) -> None:
+    """Write a container file: `magic`, the `header_lines`, then the
+    `(name, array)` pairs in the first array's dtype, float32 or float64."""
+    token = TOKEN_FOR[np.dtype(named[0][1].dtype)]
+    head = [magic, f"header {len(header_lines)}", *header_lines,
+            f"tensors {len(named)} {token}",
+            *(f"{name} {shape_token(arr.shape)}" for name, arr in named)]
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(head) + "\n").encode("utf-8"))
+        for _, arr in named:
+            fh.write(np.ascontiguousarray(arr, DTYPE_TOKENS[token]))
+
+
+def read_tensors(path, magic: str):
+    """(header lines, {name: read-only view of one payload read}) of a file
+    `write_tensors` wrote with `magic`. Another version of the same kind, a
+    bad magic line, a malformed header or table, and a payload whose length
+    is not the table's each fail with one line naming the file."""
+    kind = magic.rpartition(" ")[0]
+    what = kind.removeprefix("envasr-")
+    with open(path, "rb") as fh:
+        first = fh.readline().decode("utf-8", "replace").rstrip("\n")
+        if first != magic and first.startswith(kind + " "):
+            raise ValueError(f"{path} is {what} format {first[len(kind) + 1:]}, "
+                             f"which is no longer read; re-run the stage that wrote it")
+        lines = (raw.decode("utf-8").rstrip("\n") for raw in iter(fh.readline, b""))
+        try:
+            if first != magic:
+                raise ValueError("bad magic line")
+            header = [next(lines, "") for _ in range(int(header_field(lines, "header")))]
+            count, token = header_field(lines, "tensors").split(" ")
+            if token not in DTYPE_TOKENS:
+                raise ValueError(f"unknown dtype token {token!r}")
+            table = [next(lines, "").split(" ") for _ in range(int(count))]
+            table = [(name, parse_shape(shape)) for name, shape in table]
+        except ValueError as exc:
+            raise ValueError(f"corrupt {what} {path}: {exc}") from None
+        dtype = DTYPE_TOKENS[token]
+        counts = [math.prod(shape) for _, shape in table]
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != sum(counts) * dtype.itemsize:
+            raise ValueError(f"corrupt {what} {path}: the payload holds {size} bytes, "
+                             f"its tensor table needs {sum(counts) * dtype.itemsize}")
+        flat = np.frombuffer(fh.read(size), dtype)
+    parts = np.split(flat, np.cumsum(counts)[:-1])
+    return header, {name: part.reshape(shape) for (name, shape), part in zip(table, parts)}
 
 
 @contextmanager
@@ -97,7 +114,7 @@ def write_raw_array(path, arr) -> None:
     header = " ".join([str(arr.ndim)] + [str(d) for d in arr.shape])
     with atomic_write(path) as fh:
         fh.write((header + "\n").encode("ascii"))
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def read_raw_array(path) -> np.ndarray:

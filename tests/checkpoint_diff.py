@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python tests/checkpoint_diff.py A.ckpt B.ckpt
 
-Header fields (``step``, the Adam step ``adam_t``, the loop state ``loop``
-and each config key ``config <key>``) that differ are printed first, with
-their value in A and in B (``None`` when a file lacks the field). Each
+Header fields (``step``, the Adam step ``adam_t``, the loop state ``loop``,
+each derived-file key ``key <kind>`` and each config key ``config <key>``)
+that differ are printed first, with their value in A and in B (``None`` when
+a file lacks the field). Each
 checkpoint tensor (``p.<name>`` parameter, ``m.<name>`` / ``v.<name>``
 Adam moments), a slice of a flat buffer through the layout table, is
 matched by name. For a tensor in both files the script
@@ -50,6 +51,7 @@ def header_diffs(a, b):
     def fields(ckpt):
         config = dict(line.partition(" = ")[::2] for line in ckpt.config_lines)
         return {"step": ckpt.step, "adam_t": ckpt.t, "loop": ckpt.loop,
+                **{f"key {kind}": key for kind, key in ckpt.keys.items()},
                 **{f"config {key}": value for key, value in config.items()}}
 
     fa, fb = fields(a), fields(b)

@@ -27,7 +27,9 @@ masked-accuracy pass one utterance at a time, which the packed ``embed`` and
 ``asr_step_per_utterance``, ASR training's losses and step with one graph per
 utterance (each a packed pass of one), which the packed step must match; and
 ``align_counts_loop``, the WER alignment's DP as a double loop, which the
-row-at-a-time ``align_counts`` must match.
+row-at-a-time ``align_counts`` must match; and ``expected_coverage``, the
+closed-form share of positions a span mask covers, which sampled masks must
+match.
 """
 
 import math
@@ -44,6 +46,15 @@ from envasr.env_encoder import AUDIO, VIDEO, draw_batch_mask
 from envasr.masking import mask_params_at
 from envasr.optim import minimize_mean
 from envasr.rng import substream
+
+
+def expected_coverage(prob: float, width: int) -> float:
+    """Masking probability of an interior position: 1 - (1 - p)^w."""
+    if not 0.0 <= prob <= 1.0:
+        raise ValueError("prob must be a probability")
+    if width < 1:
+        raise ValueError("width must be positive")
+    return 1.0 - (1.0 - prob) ** width
 
 
 def matmul_triple_loop(a, b):

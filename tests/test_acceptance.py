@@ -18,8 +18,7 @@ from envasr.asr.metrics import wer
 from envasr.asr.transducer import greedy_decode, rnnt_alphas, rnnt_betas, rnnt_loss
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, EnvEmbeddings,
                                 MultimodalBatch, parameter_hash)
-from envasr.masking import (MaskSchedule, expected_coverage, mask_params_at,
-                            sample_segmented_mask)
+from envasr.masking import MaskSchedule, mask_params_at, sample_segmented_mask
 from envasr.optim import count_parameters
 from envasr.pipeline import (generate_synthetic_corpus, load_checkpoint,
                              parse_config_lines, restore_params, run_asr_training,
@@ -28,8 +27,9 @@ from envasr.pipeline.corpus import SYMBOLS
 from envasr.quantize import assign_tokens, lloyd, train_kmeans
 from envasr.rng import substream
 
-from oracles import (check_gradients, edit_distance_dp, nearest_center_exhaustive,
-                     softmax, standardize, sum_, tanh, transducer_loglik_enumerate)
+from oracles import (check_gradients, edit_distance_dp, expected_coverage,
+                     nearest_center_exhaustive, softmax, standardize, sum_, tanh,
+                     transducer_loglik_enumerate)
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -309,7 +309,7 @@ class TestCriterion6AsrOverfit:
             feats = whiten_clip(u.raw_patches, whitener).patches
             if env_model is None:
                 from envasr.pipeline.runner import _load_model
-                env_model = _load_model(cfg.pretrain_ckpt_path())
+                env_model, _ = _load_model(cfg.pretrain_ckpt_path())
                 model_hash = parameter_hash(env_model.params)
             env = cached_env_embeddings(cfg.out_path() / "env_cache", u.name,
                                         env_model, feats, model_hash)

@@ -170,11 +170,6 @@ class TestVideoPatches:
                                       np.sort(frames.reshape(-1)))
         np.testing.assert_allclose(seq.patches.sum(), frames.sum())
 
-    def test_center_crop_resize(self, rng):
-        clip = ft.center_crop_resize(rng.random((3, 120, 160, 3)), size=64)
-        assert clip.frames.shape == (3, 64, 64, 3)
-        assert clip.frames.min() >= 0.0 and clip.frames.max() <= 1.0
-
 
 class TestWavIO:
     def test_roundtrip(self, tmp_path, rng):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from envasr.masking import (MaskSchedule, expected_coverage, mask_params_at,
-                            sample_segmented_mask)
+from envasr.masking import MaskSchedule, mask_params_at, sample_segmented_mask
 from envasr.rng import substream
+
+from oracles import expected_coverage
 
 
 class TestScheduleParams:

@@ -13,15 +13,36 @@ from envasr.pipeline import (config_lines, generate_synthetic_corpus,
                              parse_config_lines, restore_params, save_checkpoint,
                              save_config, write_corpus)
 from envasr.pipeline.corpus import SYMBOL_HZ, SYMBOLS
-from envasr.pipeline.data import (cached_env_embeddings, ensure_whitener,
-                                  load_corpus, load_whitener, save_whitener)
-from envasr.features import SAMPLE_RATE, Whitener
+from envasr.pipeline.data import (cached_env_embeddings, ensure_codebooks,
+                                  ensure_whitener, load_corpus, load_whitener,
+                                  save_whitener)
+from envasr.features import SAMPLE_RATE, Whitener, fit_whitener
 from envasr.quantize import Codebook, load_codebook, save_codebook
 from envasr.serialize import read_raw_array, write_raw_array
 
 
 def fail_replace(src, dst):
     raise OSError("injected failure before the rename")
+
+
+def write_old_whitener(path, w):
+    """`w` as whitener files were written before the container format."""
+    d = w.mean.size
+    path.write_bytes(f"whitener 2\nmean {d} f64 0\nstd {d} f64 {8 * d}\n".encode()
+                     + w.mean.astype("<f8").tobytes() + w.std.astype("<f8").tobytes())
+
+
+def write_old_codebook(path, cb):
+    """`cb` as codebook files were written before the container format."""
+    (k, dim), offset = cb.centers.shape, cb.vocab_offset
+    path.write_bytes(f"{cb.modality} {k} {dim} {offset} 0\ncenters {k}x{dim} f64 0\n"
+                     .encode() + cb.centers.astype("<f8").tobytes())
+
+
+def tokenize_cfg(out, k_audio=4):
+    return parse_config_lines([f"paths.out_dir = {out}", f"tokenize.k_audio = {k_audio}",
+                               "tokenize.k_video = 4", "tokenize.max_iters = 2"],
+                              check_paths=False)
 
 
 def lookup(cache_dir, name, model, audio):
@@ -118,9 +139,11 @@ class TestCheckpoint:
         payload = np.concatenate([flat.data, flat.m, flat.v]).astype("<f4").tobytes()
         raw = (tmp_path / "c.ckpt").read_bytes()
         assert raw.endswith(b"\n" + payload)
-        assert raw[:-len(payload)].decode().splitlines()[:6] == [
-            "envasr-checkpoint 2", "step 1", "adam_t 1", "loop", "config 0",
-            f"params {len(model.params.names())} f32"]
+        count, n = len(model.params.names()), flat.data.size
+        head = raw[:-len(payload)].decode().splitlines()
+        assert head[:8] == ["envasr-checkpoint 3", f"header {6 + count}", "step 1",
+                            "adam_t 1", "loop", "keys", "config 0", f"params {count}"]
+        assert head[8 + count:] == ["tensors 3 f32", f"data {n}", f"m {n}", f"v {n}"]
 
     def test_save_makes_no_copy_of_the_buffers(self, tmp_path):
         import tracemalloc
@@ -202,27 +225,41 @@ class TestCheckpoint:
                                           getattr(model.params.flat, name))
         assert not fresh.params.views("env_adapter.w").m.any()
 
-    def test_format_1_rejected_naming_the_format(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_formats_rejected_naming_the_format(self, tmp_path, version):
         path = tmp_path / "old.ckpt"
-        path.write_bytes(b"envasr-checkpoint 1\nstep 3\nschedule_step 3\n")
+        path.write_bytes(f"envasr-checkpoint {version}\nstep 3\n".encode())
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert str(err.value) == (f"{path} is checkpoint format 1, which is no longer "
-                                  f"read; re-run the stage that wrote it")
+        assert str(err.value) == (f"{path} is checkpoint format {version}, which is no "
+                                  f"longer read; re-run the stage that wrote it")
 
-    @pytest.mark.parametrize("head_b, cut, extra", [("6", 4, 0), ("7", 0, 1),
-                                                    ("5", 0, -1)])
-    def test_payload_length_must_match_layout(self, tmp_path, rng, head_b, cut, extra):
-        """A truncated payload, or a layout table whose sizes disagree with
+    @pytest.mark.parametrize("data_n, cut, extra", [(0, 4, 0), (1, 0, 4), (-1, 0, -4)])
+    def test_payload_length_must_match_table(self, tmp_path, rng, data_n, cut, extra):
+        """A truncated payload, or a tensor table whose sizes disagree with
         the payload, is rejected."""
         path = tmp_path / "c.ckpt"
         n = save_trained(path, rng).params.flat.data.size
-        raw = path.read_bytes().replace(b"\nhead.b 6\n", f"\nhead.b {head_b}\n".encode(), 1)
+        raw = path.read_bytes().replace(f"\ndata {n}\n".encode(),
+                                        f"\ndata {n + data_n}\n".encode(), 1)
         path.write_bytes(raw[:len(raw) - cut])
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert str(err.value) == (f"corrupt checkpoint: the payload holds {12 * n - cut} "
-                                  f"bytes, its layout table needs {12 * (n + extra)}")
+        assert str(err.value) == (f"corrupt checkpoint {path}: the payload holds "
+                                  f"{12 * n - cut} bytes, its tensor table needs "
+                                  f"{12 * n + extra}")
+
+    @pytest.mark.parametrize("head_b, extra", [("7", 1), ("5", -1)])
+    def test_parameter_layout_must_match_arrays(self, tmp_path, rng, head_b, extra):
+        path = tmp_path / "c.ckpt"
+        n = save_trained(path, rng).params.flat.data.size
+        path.write_bytes(path.read_bytes().replace(b"\nhead.b 6\n",
+                                                   f"\nhead.b {head_b}\n".encode(), 1))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"corrupt checkpoint {path}: its arrays are not data, "
+                                  f"m and v of the {n + extra} values its parameter "
+                                  f"layout needs")
 
     def test_layout_out_of_name_order_rejected(self, tmp_path, rng):
         path = tmp_path / "c.ckpt"
@@ -241,24 +278,28 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes().replace(b" f32\n", b" f16\n", 1))
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert str(err.value) == "corrupt checkpoint manifest: unknown dtype token 'f16'"
+        assert str(err.value) == f"corrupt checkpoint {path}: unknown dtype token 'f16'"
 
     def test_diff_reports_header_differences(self, tmp_path, capsys):
         import checkpoint_diff
         params = micro_env_model().params
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
-        save_checkpoint(a, params, 1, ["seed = 3", "max_steps = 5"])
+        save_checkpoint(a, params, 1, ["seed = 3", "max_steps = 5"],
+                        keys={"whitener": "aa"})
         params.t = 4
-        save_checkpoint(b, params, 2, ["seed = 4", "max_steps = 5"], "inf 1")
+        save_checkpoint(b, params, 2, ["seed = 4", "max_steps = 5"], "inf 1",
+                        keys={"whitener": "bb", "codebooks": "cc"})
         checkpoint_diff.main([a, b])
         out = capsys.readouterr().out.splitlines()
         n = len(params.names())
-        assert out[:4] == ["header        step: 1 in A, 2 in B",
+        assert out[:6] == ["header        step: 1 in A, 2 in B",
                            "header        adam_t: 0 in A, 4 in B",
                            "header        loop: '' in A, 'inf 1' in B",
-                           "header        config seed: '3' in A, '4' in B"]
+                           "header        key whitener: 'aa' in A, 'bb' in B",
+                           "header        config seed: '3' in A, '4' in B",
+                           "header        key codebooks: None in A, 'cc' in B"]
         assert out[-1] == (f"{3 * n} identical, 0 differ, 0 only in A, 0 only in B, "
-                           f"4 header fields differ")
+                           f"6 header fields differ")
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -371,6 +412,51 @@ class TestDataPlumbing:
         b = ensure_whitener(tmp_path / "cb", utts)  # second call loads the file
         np.testing.assert_array_equal(a.mean.astype(np.float32),
                                       b.mean.astype(np.float32))
+
+    def test_whitener_refitted_for_another_corpus(self, tmp_path, corpus_dir):
+        other = write_corpus(generate_synthetic_corpus(4, seed=5), tmp_path / "b")
+        utts_a, utts_b = load_corpus(corpus_dir / "manifest.tsv"), load_corpus(other)
+        a = ensure_whitener(tmp_path / "cb", utts_a)
+        b = ensure_whitener(tmp_path / "cb", utts_b)
+        want = fit_whitener(np.concatenate([u.raw_patches for u in utts_b]))
+        for w in (b, load_whitener(tmp_path / "cb" / "whitener.bin")):
+            np.testing.assert_array_equal(w.mean, want.mean)
+            np.testing.assert_array_equal(w.std, want.std)
+            assert w.key == b.key != a.key
+
+    def test_old_format_files_are_refitted(self, tmp_path, corpus_dir):
+        utts = load_corpus(corpus_dir / "manifest.tsv")
+        cfg = tokenize_cfg(tmp_path)
+        whitener = ensure_whitener(cfg.codebook_path(), utts)
+        codebooks = ensure_codebooks(cfg, utts, whitener)
+        path = cfg.codebook_path() / "whitener.bin"
+        write_old_whitener(path, whitener)
+        for cb in codebooks:
+            write_old_codebook(cfg.codebook_path() / f"{cb.modality}.cb", cb)
+        assert ensure_whitener(cfg.codebook_path(), utts).key == whitener.key
+        assert path.read_bytes().startswith(b"envasr-whitener 1\n")
+        for cb, again in zip(codebooks, ensure_codebooks(cfg, utts, whitener)):
+            np.testing.assert_array_equal(again.centers, cb.centers)
+            assert again.key == cb.key
+            raw = (cfg.codebook_path() / f"{cb.modality}.cb").read_bytes()
+            assert raw.startswith(b"envasr-codebook 1\n")
+
+    def test_mixed_codebook_pair_is_refitted(self, tmp_path, corpus_dir):
+        """A new audio.cb beside an old video.cb, as a rewrite cut short
+        between the two files leaves them, is trained again."""
+        utts = load_corpus(corpus_dir / "manifest.tsv")
+        small, big = tokenize_cfg(tmp_path), tokenize_cfg(tmp_path, k_audio=6)
+        whitener = ensure_whitener(small.codebook_path(), utts)
+        ensure_codebooks(small, utts, whitener)
+        video = small.codebook_path() / "video.cb"
+        old_video = video.read_bytes()
+        want = ensure_codebooks(big, utts, whitener)
+        video.write_bytes(old_video)
+        cb_audio, cb_video = ensure_codebooks(big, utts, whitener)
+        assert (cb_audio.k, cb_video.vocab_offset) == (6, 6)
+        assert cb_video.key == cb_audio.key == want[1].key
+        np.testing.assert_array_equal(cb_video.centers, want[1].centers)
+        assert video.read_bytes() != old_video
 
     def test_env_cache_bitwise_stable(self, tmp_path, rng):
         model = micro_env_model()

@@ -129,10 +129,10 @@ class TestTokenSeq:
 class TestPersistence:
     def test_roundtrip(self, tmp_path, rng):
         cb = vq.Codebook(rng.standard_normal((16, 192)).astype(np.float32),
-                         "video", 64, seed=9)
+                         "video", 64, key="9f" * 32)
         vq.save_codebook(tmp_path / "v.cb", cb)
         back = vq.load_codebook(tmp_path / "v.cb")
-        assert (back.modality, back.vocab_offset, back.seed) == ("video", 64, 9)
+        assert (back.modality, back.vocab_offset, back.key) == ("video", 64, "9f" * 32)
         np.testing.assert_array_equal(back.centers.astype(np.float32),
                                       cb.centers.astype(np.float32))
 

@@ -24,11 +24,13 @@ from envasr.pipeline import (config_lines, conformer_config,
                              run_tokenize, save_checkpoint, write_corpus)
 from envasr.pipeline.corpus import (SYMBOLS, SyntheticCorpus, SyntheticUtterance,
                                     synth_clip, synth_wave)
-from envasr.pipeline.data import ensure_whitener, load_corpus
+from envasr.pipeline.data import ensure_whitener, load_corpus, load_whitener
 from envasr.pipeline import runner
 from envasr.pipeline.runner import _load_model
 from envasr.quantize import load_codebook
 from envasr.serialize import read_raw_array
+
+from test_pipeline import write_old_whitener
 
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
@@ -115,7 +117,8 @@ class TestPretrainingRunner:
                             checkpoint_every=2)
         out = run_pretraining(cfg_short)
         model = out["model"]
-        save_checkpoint(cfg.pretrain_ckpt_path(), model.params, 10000, [])
+        keys = load_checkpoint(cfg.pretrain_ckpt_path()).keys
+        save_checkpoint(cfg.pretrain_ckpt_path(), model.params, 10000, [], keys=keys)
         capsys.readouterr()
         run_pretraining(cfg, resume=str(cfg.pretrain_ckpt_path()))
         log = (cfg.out_path() / "pretrain.log").read_text().splitlines()
@@ -195,7 +198,7 @@ class TestTrainLoop:
     def run(self, tmp_path, monkeypatch, stop_at=None):
         saves, items, evals = [], [], []
         monkeypatch.setattr(runner, "save_checkpoint",
-                            lambda path, params, step, lines, loop:
+                            lambda path, params, step, lines, loop, keys:
                             saves.append(step))
 
         def step_fn(step, batch):
@@ -361,9 +364,11 @@ class TestPositionTables:
 
     def save_untrained_env(self, cfg):
         cfg.out_path().mkdir()
+        utts = load_corpus(cfg.train_manifest_path())
+        whitener = ensure_whitener(cfg.codebook_path(), utts)
         save_checkpoint(cfg.pretrain_ckpt_path(),
                         EnvEncoder(env_encoder_config(cfg)).params, 0,
-                        config_lines(cfg))
+                        config_lines(cfg), keys={"whitener": whitener.key})
 
     def test_long_audio_rejected_before_step_0(self, tmp_path, capsys):
         data = self.write_one(tmp_path / "data", n_symbols=160)
@@ -426,8 +431,8 @@ class TestEnvCacheAcrossRuns:
                                          eval_manifest=str(root / "b" / "manifest.tsv")))
         run_eval(cfg)
         utts = load_corpus(cfg.eval_manifest_path())
-        whitener = ensure_whitener(cfg.codebook_path(), utts)
-        env_model = _load_model(cfg.pretrain_ckpt_path())
+        whitener = load_whitener(cfg.codebook_path() / "whitener.bin")
+        env_model, _ = _load_model(cfg.pretrain_ckpt_path())
         for u in utts:
             cached = read_raw_array(cfg.out_path() / "env_cache" / f"{u.name}.env")
             fresh = extract_env_embeddings(
@@ -446,6 +451,71 @@ class TestEnvCacheAcrossRuns:
                f"but the ASR model's pretrain.model_dim is 32$")
         with pytest.raises(ValueError, match=msg):
             run_eval(cfg)
+
+
+class TestDerivedFileKeys:
+    """A stale whitener or codebook pair is refitted by the stages that read
+    the training corpus, and a checkpoint trained on other ones is rejected
+    with one line naming it and the file."""
+
+    def test_retokenize_with_more_audio_centers_refits_the_codebooks(self, tmp_path,
+                                                                     corpus16):
+        lines = TOY_CFG.read_text().splitlines() + [
+            f"paths.data_dir = {corpus16}", f"paths.out_dir = {tmp_path / 'out'}"]
+        assert run_tokenize(parse_config_lines(lines))["vocab_size"] == 24
+        summary = run_tokenize(parse_config_lines(lines + ["tokenize.k_audio = 64"]))
+        assert summary["vocab_size"] == 80
+        assert load_codebook(summary["audio_codebook"]).centers.shape == (64, 192)
+        assert load_codebook(summary["video_codebook"]).vocab_offset == 64
+
+    def mismatch(self, ckpt, path, kind):
+        return (f"checkpoint {ckpt} was not trained with {path} (another {kind} key); "
+                f"re-run the stage that wrote it")
+
+    def test_resume_after_a_codebook_refit_is_rejected(self, tmp_path, corpus16, capsys):
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=2, checkpoint_every=2)
+        run_pretraining(cfg)
+        ckpt = tmp_path / "step2.ckpt"
+        shutil.copy(cfg.pretrain_ckpt_path(), ckpt)
+        # the vocabulary stays 8 + 16, so only the codebook key tells them apart
+        refit = replace(cfg, max_steps=4, tokenize=replace(cfg.tokenize, max_iters=3))
+        with pytest.raises(ValueError) as err:
+            run_pretraining(refit, resume=str(ckpt))
+        assert str(err.value) == self.mismatch(ckpt, cfg.codebook_path() / "audio.cb",
+                                               "codebooks")
+
+    def test_asr_training_rejects_env_checkpoint_of_another_whitener(self, tmp_path,
+                                                                     corpus16, capsys):
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=2, checkpoint_every=2)
+        run_pretraining(cfg)
+        other = tmp_path / "other"
+        write_corpus(generate_synthetic_corpus(4, seed=5), other)
+        cfg = replace(cfg, paths=replace(cfg.paths, data_dir=str(other)))
+        with pytest.raises(ValueError) as err:
+            run_asr_training(cfg)
+        assert str(err.value) == self.mismatch(cfg.pretrain_ckpt_path(),
+                                               cfg.codebook_path() / "whitener.bin",
+                                               "whitener")
+        assert not (cfg.out_path() / "train_asr.log").exists()
+
+    def test_eval_rejects_a_refitted_or_old_format_whitener(self, tmp_path, corpus16,
+                                                            capsys):
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=2, checkpoint_every=2,
+                      eval_every=2, **{"asr.fusion_mode": "self_attention_baseline"})
+        run_asr_training(cfg)
+        path = cfg.codebook_path() / "whitener.bin"
+        whitener = load_whitener(path)
+        # another corpus trains in the same codebook_dir
+        other = write_corpus(generate_synthetic_corpus(4, seed=5), tmp_path / "other")
+        ensure_whitener(cfg.codebook_path(), load_corpus(other))
+        with pytest.raises(ValueError) as err:
+            run_eval(cfg)
+        assert str(err.value) == self.mismatch(cfg.asr_ckpt_path(), path, "whitener")
+        write_old_whitener(path, whitener)
+        with pytest.raises(ValueError) as err:
+            run_eval(cfg)
+        assert str(err.value) == f"corrupt whitener {path}: bad magic line"
+        assert not (cfg.out_path() / "hypotheses.txt").exists()
 
 
 class TestPackedDecode:
