@@ -34,7 +34,6 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..env_encoder import EnvEmbeddings
 from ..features import AUDIO_PATCH_DIM
 from ..optim import AdamHyper, ParameterSet, init_param, minimize_mean
 from ..rng import substream
@@ -84,11 +83,11 @@ def subsample_length(t: int, kernel: int = 3, stride: int = 2) -> int:
 @dataclass
 class Utterance:
     """One ASR example: whitened feature patches, label ids, and (for the
-    fusion model) the frozen environment embeddings."""
+    fusion model) the frozen (L, env_dim) environment embeddings."""
 
     features: np.ndarray
     labels: np.ndarray
-    env: EnvEmbeddings | None = None
+    env: np.ndarray | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -170,10 +169,9 @@ class AsrModel:
         return ad.conv1d(x, self.params["subsample.w"], self.params["subsample.b"],
                          stride=self.config.subsample_stride)
 
-    def project_env(self, env: EnvEmbeddings) -> Tensor:
+    def project_env(self, env: np.ndarray) -> Tensor:
         """Shared adapter env_dim -> model_dim; env itself stays frozen."""
-        frozen = self._const(env.vectors)
-        return ad.add(ad.matmul(frozen, self.params["env_adapter.w"]),
+        return ad.add(ad.matmul(self._const(env), self.params["env_adapter.w"]),
                       self.params["env_adapter.b"])
 
     def _ff(self, x: Tensor, prefix: str) -> Tensor:
@@ -234,8 +232,8 @@ class AsrModel:
         lengths = [part.data.shape[0] for part in parts]
         env_proj = env_lengths = None
         if cross:
-            env_lengths = [e.vectors.shape[0] for e in envs]
-            env_proj = self.project_env(EnvEmbeddings(np.concatenate([e.vectors for e in envs])))
+            env_lengths = [e.shape[0] for e in envs]
+            env_proj = self.project_env(np.concatenate(envs))
         for i in range(self.config.num_blocks):
             x = self.block(i, x, env_proj, lengths, env_lengths)
         return x

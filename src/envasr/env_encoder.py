@@ -11,8 +11,9 @@ vocabulary scores masked positions.
 
 Masked positions have their embedded vector replaced by a learned
 per-modality mask embedding; the loss is cross-entropy at masked positions
-only. Once pretrained, the final block output over an audio-only sequence is
-the frozen embedding sequence consumed by the ASR stage.
+only. Once pretrained, the final block output over an audio-only sequence,
+a plain (T, model_dim) array from `extract_env_embeddings`, is the frozen
+embedding sequence consumed by the ASR stage.
 
 A training step packs its utterances rather than padding them. Each
 modality's patches of every utterance go through its stem at once: one
@@ -110,11 +111,6 @@ class PackedBatch:
     @property
     def seq_len(self) -> int:
         return sum(self.lengths)
-
-
-@dataclass
-class EnvEmbeddings:
-    vectors: np.ndarray          # (L, model_dim)
 
 
 class EnvEncoder:
@@ -287,9 +283,9 @@ def draw_batch_mask(batch: MultimodalBatch, width: int, prob: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Sample a non-empty segment-respecting mask (redraws the rare empty one)."""
     while True:
-        plan = sample_segmented_mask(batch.segment_lengths, width, prob, rng)
-        if plan.mask.any():
-            return plan.mask
+        mask, _ = sample_segmented_mask(batch.segment_lengths, width, prob, rng)
+        if mask.any():
+            return mask
 
 
 def pretrain_step(model: EnvEncoder, batches: list, hyper: AdamHyper, step: int,
@@ -304,15 +300,17 @@ def pretrain_step(model: EnvEncoder, batches: list, hyper: AdamHyper, step: int,
     return loss, math.exp(loss)
 
 
-def extract_env_embeddings(model: EnvEncoder, audio_patches: np.ndarray) -> EnvEmbeddings:
-    """Frozen audio-only forward pass (no video positions, no gradients)."""
+def extract_env_embeddings(model: EnvEncoder, audio_patches: np.ndarray) -> np.ndarray:
+    """The (T, model_dim) env embeddings of (T, patch_dim) whitened audio
+    patches: a frozen audio-only forward pass (no video positions, no
+    gradients)."""
     audio_patches = np.asarray(audio_patches)
     if audio_patches.ndim != 2 or audio_patches.shape[0] == 0:
         raise ValueError("need a non-empty (T, patch_dim) audio sequence")
     batch = MultimodalBatch(audio_patches=audio_patches)
     with ad.no_grad():
         encoded = model.encoder_forward(model.embed([batch], apply_mask=False))
-    return EnvEmbeddings(encoded.data.copy())
+    return encoded.data.copy()
 
 
 def masked_accuracy(model: EnvEncoder, batches, seed: int = 0, width: int = 1,

@@ -1,12 +1,14 @@
-"""Audio and video front ends.
+"""Audio and video front ends: each step takes and returns plain arrays.
 
-Audio: 16 kHz mono waveforms -> 64-dim log mel-filterbank energies
-(25 ms Hann window, 10 ms hop, 512-point FFT) -> non-overlapping stacks of 3
-frames (192-dim patches), whitened with global statistics and clipped to
-[-1.2, 1.2].
+Audio: `read_wav` gives 16 kHz mono samples in [-1, 1]; `compute_lfbe` turns
+them into (T, 64) log mel-filterbank energies (25 ms Hann window, 10 ms hop,
+512-point FFT); `stack_frames` concatenates non-overlapping stacks of 3
+frames into (T // 3, 192) patches; `whiten_clip` whitens patch rows with
+global statistics (a `Whitener`) and clips them to [-1.2, 1.2].
 
-Video: float [0,1] clips (3k frames, sides multiples of 16) -> flattened
-non-overlapping tubelets of 3 frames x 16x16 pixels x RGB (2304-dim patches).
+Video: `extract_video_patches` turns a float [0,1] clip (3k frames, sides
+multiples of 16) into flattened non-overlapping tubelets of 3 frames x 16x16
+pixels x RGB, (N, 2304) patches, and the (time, rows, cols) grid they tile.
 """
 
 import wave as wave_mod
@@ -28,43 +30,6 @@ TUBE_PIXELS = 16
 AUDIO_PATCH_DIM = STACK * N_MELS
 VIDEO_PATCH_DIM = TUBE_FRAMES * TUBE_PIXELS * TUBE_PIXELS * 3
 STD_FLOOR = 1e-6
-
-
-@dataclass
-class AudioWave:
-    samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"AudioWave must be {SAMPLE_RATE} Hz (resample first)")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("waveform contains non-finite samples")
-        if self.samples.size and (self.samples.min() < -1.0 or self.samples.max() > 1.0):
-            raise ValueError("waveform samples must lie in [-1, 1]")
-
-
-@dataclass
-class LfbeFrames:
-    frames: np.ndarray            # (T, 64)
-
-
-@dataclass
-class AudioPatchSeq:
-    patches: np.ndarray           # (T', 192)
-    whitened: bool = False
-
-
-@dataclass
-class VideoClip:
-    frames: np.ndarray            # (F, H, W, 3) in [0, 1]
-
-
-@dataclass
-class VideoPatchSeq:
-    patches: np.ndarray           # (N, 2304)
-    grid: tuple                   # (time_steps, rows, cols)
 
 
 @dataclass
@@ -106,26 +71,30 @@ _MEL_WEIGHTS = mel_filterbank()
 _WINDOW = np.hanning(FRAME_LENGTH)
 
 
-def compute_lfbe(wave: AudioWave) -> LfbeFrames:
-    """Log mel-filterbank energies from a 16 kHz waveform."""
-    x = wave.samples
+def compute_lfbe(samples: np.ndarray) -> np.ndarray:
+    """(T, 64) log mel-filterbank energies of 16 kHz samples in [-1, 1]."""
+    x = np.asarray(samples, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("waveform contains non-finite samples")
+    if x.size and (x.min() < -1.0 or x.max() > 1.0):
+        raise ValueError("waveform samples must lie in [-1, 1]")
     if x.size < FRAME_LENGTH:
         raise ValueError(f"waveform too short: {x.size} < {FRAME_LENGTH} samples")
     frames = sliding_window_view(x, FRAME_LENGTH)[::FRAME_SHIFT] * _WINDOW
     spec = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = spec.real**2 + spec.imag**2
     energies = power @ _MEL_WEIGHTS
-    return LfbeFrames(np.log(np.maximum(energies, LOG_FLOOR)))
+    return np.log(np.maximum(energies, LOG_FLOOR))
 
 
-def stack_frames(frames: LfbeFrames) -> AudioPatchSeq:
-    """Concatenate non-overlapping groups of 3 frames; remainder is dropped."""
-    f = frames.frames
-    t = f.shape[0]
+def stack_frames(frames: np.ndarray) -> np.ndarray:
+    """(T // 3, 192) patches: non-overlapping groups of 3 frames concatenated;
+    the remainder is dropped."""
+    t = frames.shape[0]
     if t < STACK:
         raise ValueError(f"need at least {STACK} frames, got {t}")
     n = t // STACK
-    return AudioPatchSeq(f[: n * STACK].reshape(n, STACK * f.shape[1]), whitened=False)
+    return frames[: n * STACK].reshape(n, STACK * frames.shape[1])
 
 
 def fit_whitener(rows: np.ndarray) -> Whitener:
@@ -136,17 +105,19 @@ def fit_whitener(rows: np.ndarray) -> Whitener:
     return Whitener(rows.mean(axis=0), rows.std(axis=0))
 
 
-def whiten_clip(rows: np.ndarray, whitener: Whitener) -> AudioPatchSeq:
+def whiten_clip(rows: np.ndarray, whitener: Whitener) -> np.ndarray:
     """(x - mean) / std of (T, d) patch rows, then clamp to [-1.2, 1.2]."""
     if rows.shape[-1] != whitener.mean.shape[0]:
         raise ValueError("whitener dimension mismatch")
     z = (rows - whitener.mean) / whitener.std
-    return AudioPatchSeq(np.clip(z, -CLIP_BOUND, CLIP_BOUND), whitened=True)
+    return np.clip(z, -CLIP_BOUND, CLIP_BOUND)
 
 
-def extract_video_patches(clip: VideoClip) -> VideoPatchSeq:
-    """Flatten non-overlapping 3x16x16 (x RGB) tubelets, time-major order."""
-    x = np.asarray(clip.frames, dtype=np.float64)
+def extract_video_patches(frames: np.ndarray):
+    """(patches, grid) of an (F, H, W, 3) clip: the (N, 2304) flattened
+    non-overlapping 3x16x16 (x RGB) tubelets in time-major order, and the
+    (time_steps, rows, cols) grid they tile."""
+    x = np.asarray(frames, dtype=np.float64)
     if x.ndim != 4 or x.shape[3] != 3:
         raise ValueError("clip must have shape (F, H, W, 3)")
     f, h, w, c = x.shape
@@ -157,7 +128,7 @@ def extract_video_patches(clip: VideoClip) -> VideoPatchSeq:
     t, r, cols = f // TUBE_FRAMES, h // TUBE_PIXELS, w // TUBE_PIXELS
     x = x.reshape(t, TUBE_FRAMES, r, TUBE_PIXELS, cols, TUBE_PIXELS, c)
     x = x.transpose(0, 2, 4, 1, 3, 5, 6)
-    return VideoPatchSeq(x.reshape(t * r * cols, VIDEO_PATCH_DIM), grid=(t, r, cols))
+    return x.reshape(t * r * cols, VIDEO_PATCH_DIM), (t, r, cols)
 
 
 def resample_linear(samples: np.ndarray, rate_in: int, rate_out: int = SAMPLE_RATE) -> np.ndarray:
@@ -169,8 +140,9 @@ def resample_linear(samples: np.ndarray, rate_in: int, rate_out: int = SAMPLE_RA
     return np.interp(t_out, np.arange(x.size), x)
 
 
-def read_wav(path) -> AudioWave:
-    """PCM16 mono WAV; resamples by linear interpolation if not 16 kHz."""
+def read_wav(path) -> np.ndarray:
+    """The float64 samples of a PCM16 mono WAV at 16 kHz, resampled by linear
+    interpolation from any other rate."""
     with wave_mod.open(str(path), "rb") as fh:
         if fh.getnchannels() != 1:
             raise ValueError(f"expected mono audio in {path}")
@@ -181,7 +153,7 @@ def read_wav(path) -> AudioWave:
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if rate != SAMPLE_RATE:
         samples = np.clip(resample_linear(samples, rate), -1.0, 1.0)
-    return AudioWave(samples)
+    return samples
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:

@@ -5,6 +5,10 @@ Every `stage_steps` optimization steps the span width grows by 2 (odd widths
 1 -> 11) and the probability resets to 0.15, then saturates toward 0.45
 within the stage: p(t) = p_init + (p_final - p_init) * (1 - exp(-lam*t/S)).
 With lam = ln(100) each stage ends within 1% of the target probability.
+
+`sample_segmented_mask` draws a mask at a (width, probability) pair as two
+boolean arrays over a sequence of segments: the masked positions and the
+span centers they grew from.
 """
 
 import math
@@ -41,18 +45,6 @@ class MaskSchedule:
                              f"got {self.stage_steps}")
 
 
-@dataclass
-class MaskPlan:
-    width: int
-    center_prob: float
-    mask: np.ndarray              # bool over sequence positions
-    centers: np.ndarray           # bool, the sampled span centers
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        self.centers = np.asarray(self.centers, dtype=bool)
-
-
 def mask_params_at(sched: MaskSchedule, step: int):
     """(span width, center probability) in effect at an optimization step."""
     if step < 0:
@@ -72,9 +64,10 @@ def _mark_spans(mask: np.ndarray, centers: np.ndarray, width: int, lo: int, hi: 
 
 
 def sample_segmented_mask(segment_lengths, width: int, prob: float,
-                          rng: np.random.Generator) -> MaskPlan:
-    """Independent Bernoulli centers over a concatenated sequence; each center
-    masks a span clipped to its own segment, so no span crosses a boundary."""
+                          rng: np.random.Generator):
+    """(mask, centers), boolean over a concatenated sequence: independent
+    Bernoulli span centers, each masking a span of `width` clipped to its own
+    segment, so no span crosses a boundary."""
     if width % 2 == 0:
         raise ValueError("mask width must be odd")
     total = int(sum(segment_lengths))
@@ -87,4 +80,4 @@ def sample_segmented_mask(segment_lengths, width: int, prob: float,
         hi = lo + int(n)
         _mark_spans(mask, centers[lo:hi], width, lo, hi)
         lo = hi
-    return MaskPlan(width, prob, mask, centers)
+    return mask, centers

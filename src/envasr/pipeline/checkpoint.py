@@ -46,24 +46,21 @@ def save_checkpoint(path, params: ParameterSet, step: int, config_lines,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    header, arrays = read_tensors(path, _MAGIC)
-    lines = iter(header)
-    try:
-        step = int(header_field(lines, "step"))
-        t = int(header_field(lines, "adam_t"))
-        loop = header_field(lines, "loop")
-        keys = dict(item.split("=") for item in header_field(lines, "keys").split())
-        config_lines = [next(lines, "") for _ in range(int(header_field(lines, "config")))]
-        layout = [next(lines, "").split(" ")
-                  for _ in range(int(header_field(lines, "params")))]
-        layout = [(name, parse_shape(shape)) for name, shape in layout]
-        n = sum(math.prod(shape) for _, shape in layout)
-        flat = tuple(arrays.get(name) for name in ("data", "m", "v"))
-        if len(arrays) != 3 or any(a is None or a.shape != (n,) for a in flat):
-            raise ValueError(f"its arrays are not data, m and v of the {n} values "
-                             f"its parameter layout needs")
-    except ValueError as exc:
-        raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
+    return read_tensors(path, _MAGIC, ("data", "m", "v"), _parse)
+
+
+def _parse(lines, flat) -> Checkpoint:
+    step = int(header_field(lines, "step"))
+    t = int(header_field(lines, "adam_t"))
+    loop = header_field(lines, "loop")
+    keys = dict(item.split("=") for item in header_field(lines, "keys").split())
+    config_lines = [next(lines, "") for _ in range(int(header_field(lines, "config")))]
+    layout = [next(lines, "").split(" ") for _ in range(int(header_field(lines, "params")))]
+    layout = [(name, parse_shape(shape)) for name, shape in layout]
+    n = sum(math.prod(shape) for _, shape in layout)
+    if any(a.shape != (n,) for a in flat):
+        raise ValueError(f"its arrays are not data, m and v of the {n} values "
+                         f"its parameter layout needs")
     return Checkpoint(step, t, loop, keys, config_lines, layout, flat)
 
 

@@ -8,12 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..env_encoder import (EnvEmbeddings, EnvEncoder, MultimodalBatch,
-                           extract_env_embeddings)
-from ..features import (VideoClip, Whitener, compute_lfbe, extract_video_patches,
-                        fit_whitener, read_wav, stack_frames, whiten_clip)
-from ..quantize import (Codebook, assign_tokens, load_codebook, reservoir_sample,
-                        save_codebook, train_kmeans)
+from ..env_encoder import EnvEncoder, MultimodalBatch, extract_env_embeddings
+from ..features import (Whitener, compute_lfbe, extract_video_patches, fit_whitener,
+                        read_wav, stack_frames, whiten_clip)
+from ..quantize import (Codebook, assign_tokens, load_codebook, sample_rows, save_codebook,
+                        train_kmeans)
 from ..rng import derive_seed, substream
 from ..serialize import (atomic_write, header_field, read_raw_array, read_tensors,
                          write_raw_array, write_tensors)
@@ -30,16 +29,26 @@ class LoadedUtterance:
     video_grid: tuple | None
 
 
+def _extract(path, features, data):
+    """`features(data)`, whose ValueError is re-raised as one line naming
+    `path`, the input file `data` was read from."""
+    try:
+        return features(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_corpus(manifest_path) -> list:
-    """Read every utterance of a manifest into memory as patch sequences."""
+    """Read every utterance of a manifest into memory as patch sequences; a
+    WAV or clip the front end rejects fails naming its file."""
     utts = []
     for wav_path, clip_path, labels in load_manifest(manifest_path):
-        wave = read_wav(wav_path)
-        patches = stack_frames(compute_lfbe(wave)).patches
+        patches = _extract(wav_path, lambda x: stack_frames(compute_lfbe(x)),
+                           read_wav(wav_path))
         video_patches = video_grid = None
         if clip_path is not None:
-            seq = extract_video_patches(VideoClip(read_raw_array(clip_path)))
-            video_patches, video_grid = seq.patches, seq.grid
+            video_patches, video_grid = _extract(clip_path, extract_video_patches,
+                                                 read_raw_array(clip_path))
         utts.append(LoadedUtterance(
             name=wav_path.stem,
             label_names=labels,
@@ -66,8 +75,8 @@ def save_whitener(path, whitener: Whitener) -> None:
 
 
 def load_whitener(path) -> Whitener:
-    header, arrays = read_tensors(path, _WHITENER_MAGIC)
-    return Whitener(arrays["mean"], arrays["std"], key=header_field(iter(header), "key"))
+    return read_tensors(path, _WHITENER_MAGIC, ("mean", "std"),
+                        lambda lines, arrays: Whitener(*arrays, key=header_field(lines, "key")))
 
 
 def _stored(load, path, key):
@@ -75,7 +84,7 @@ def _stored(load, path, key):
     another key than `key`."""
     try:
         stored = load(path)
-    except (FileNotFoundError, KeyError, ValueError):
+    except (FileNotFoundError, ValueError):
         return None
     return stored if stored.key == key else None
 
@@ -103,19 +112,17 @@ def ensure_whitener(codebook_dir, utts) -> Whitener:
 
 def train_corpus_codebooks(cfg, utts, whitener: Whitener):
     """Fit audio/video codebooks on (capped samples of) the corpus patches."""
-    audio_rows = np.concatenate(
-        [whiten_clip(u.raw_patches, whitener).patches for u in utts], axis=0)
+    audio_rows = np.concatenate([whiten_clip(u.raw_patches, whitener) for u in utts], axis=0)
     tok = cfg.tokenize
-    audio_rows = reservoir_sample(audio_rows, tok.sample_cap,
-                                  substream(cfg.seed, "sample-audio"))
+    audio_rows = sample_rows(audio_rows, tok.sample_cap, substream(cfg.seed, "sample-audio"))
     cb_audio = train_kmeans(audio_rows, tok.k_audio, max_iters=tok.max_iters,
                             seed=derive_seed(cfg.seed, "kmeans-audio"),
                             modality="audio", vocab_offset=0)
     video_parts = [u.video_patches for u in utts if u.video_patches is not None]
     if not video_parts:
         raise ValueError("corpus has no video clips to train the video codebook")
-    video_rows = reservoir_sample(np.concatenate(video_parts, axis=0),
-                                  tok.sample_cap, substream(cfg.seed, "sample-video"))
+    video_rows = sample_rows(np.concatenate(video_parts, axis=0), tok.sample_cap,
+                             substream(cfg.seed, "sample-video"))
     cb_video = train_kmeans(video_rows, tok.k_video, max_iters=tok.max_iters,
                             seed=derive_seed(cfg.seed, "kmeans-video"),
                             modality="video", vocab_offset=tok.k_audio)
@@ -147,10 +154,10 @@ def ensure_codebooks(cfg, utts, whitener: Whitener):
 def make_pretrain_batch(utt: LoadedUtterance, whitener: Whitener,
                         cb_audio: Codebook, cb_video: Codebook) -> MultimodalBatch:
     """Raw inputs, quantized labels; video tokens first to match the layout."""
-    audio = whiten_clip(utt.raw_patches, whitener).patches
-    audio_ids = assign_tokens(cb_audio, audio).ids
+    audio = whiten_clip(utt.raw_patches, whitener)
+    audio_ids = assign_tokens(cb_audio, audio)
     if utt.video_patches is not None:
-        video_ids = assign_tokens(cb_video, utt.video_patches).ids
+        video_ids = assign_tokens(cb_video, utt.video_patches)
         labels = np.concatenate([video_ids, audio_ids])
     else:
         labels = audio_ids
@@ -159,8 +166,9 @@ def make_pretrain_batch(utt: LoadedUtterance, whitener: Whitener,
 
 
 def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
-                          audio_patches: np.ndarray, model_hash: str) -> EnvEmbeddings:
-    """Extract-once cache `<utt_name>.env`, reused only while `<utt_name>.key`
+                          audio_patches: np.ndarray, model_hash: str) -> np.ndarray:
+    """The float32 env embeddings of `audio_patches`, from the extract-once
+    cache `<utt_name>.env`, reused only while `<utt_name>.key`
     holds `model_hash` (the env model's `parameter_hash`) and the hash of these
     patch bytes; otherwise it is rewritten."""
     cache_dir = Path(cache_dir)
@@ -170,10 +178,10 @@ def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
     key = (f"{model_hash} "
            f"{hashlib.sha256(np.ascontiguousarray(audio_patches)).hexdigest()}\n")
     if path.is_file() and key_path.is_file() and key_path.read_text() == key:
-        return EnvEmbeddings(read_raw_array(path))
+        return read_raw_array(path)
     key_path.unlink(missing_ok=True)  # an old key must not vouch for the new entry
-    vectors = extract_env_embeddings(model, audio_patches).vectors.astype(np.float32)
+    vectors = extract_env_embeddings(model, audio_patches).astype(np.float32)
     write_raw_array(path, vectors)
     with atomic_write(key_path) as fh:
         fh.write(key.encode("ascii"))
-    return EnvEmbeddings(vectors)
+    return vectors

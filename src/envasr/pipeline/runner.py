@@ -68,11 +68,10 @@ def run_tokenize(cfg: RunConfig) -> dict:
     audio_lines = []
     video_lines = []
     for utt in utts:
-        patches = whiten_clip(utt.raw_patches, whitener).patches
-        ids = assign_tokens(cb_audio, patches).ids
+        ids = assign_tokens(cb_audio, whiten_clip(utt.raw_patches, whitener))
         audio_lines.append(utt.name + "\t" + " ".join(map(str, ids)))
         if utt.video_patches is not None:
-            vids = assign_tokens(cb_video, utt.video_patches).ids
+            vids = assign_tokens(cb_video, utt.video_patches)
             video_lines.append(utt.name + "\t" + " ".join(map(str, vids)))
     _write_lines(cb_dir / "tokens_audio.tsv", audio_lines)
     if video_lines:
@@ -260,7 +259,7 @@ def run_asr_training(cfg: RunConfig) -> dict:
     """Transducer training over frozen environment embeddings."""
     utts = load_corpus(cfg.train_manifest_path())
     whitener = ensure_whitener(cfg.codebook_path(), utts)
-    feats = [whiten_clip(u.raw_patches, whitener).patches for u in utts]
+    feats = [whiten_clip(u.raw_patches, whitener) for u in utts]
     frames, shortest = min((f.shape[0], u.name) for u, f in zip(utts, feats))
     policy = cfg.augment
     if policy.time_width > frames:
@@ -316,7 +315,7 @@ def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
     whitener = load_whitener(whitener_path)
     keys = {"whitener": whitener.key}
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
-    feats = [whiten_clip(u.raw_patches, whitener).patches for u in utts]
+    feats = [whiten_clip(u.raw_patches, whitener) for u in utts]
     envs = [None] * len(utts)
     if model.config.fusion_mode == CROSS:
         envs = _frozen_env(cfg, utts, feats, model.config.env_dim, keys)[2]

@@ -46,17 +46,6 @@ class Codebook:
         return self.centers.shape[1]
 
 
-@dataclass
-class TokenSeq:
-    ids: np.ndarray
-    segments: list               # [(modality, length), ...] in sequence order
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if sum(n for _, n in self.segments) != self.ids.size:
-            raise ValueError("segment lengths do not cover the id sequence")
-
-
 def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(N, K) squared Euclidean distances, clamped at zero."""
     d2 = (
@@ -125,13 +114,13 @@ def train_kmeans(vectors: np.ndarray, k: int, max_iters: int = 50, seed: int = 0
     return Codebook(centers, modality, vocab_offset)
 
 
-def assign_tokens(cb: Codebook, vectors: np.ndarray) -> TokenSeq:
-    """Nearest center by squared Euclidean distance; ties pick the lowest id."""
+def assign_tokens(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
+    """The unified-vocabulary id of each vector: its nearest center by
+    squared Euclidean distance, ties picking the lowest id."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cb.dim:
         raise ValueError(f"expected (N, {cb.dim}) vectors, got {x.shape}")
-    ids = _squared_distances(x, cb.centers).argmin(axis=1) + cb.vocab_offset
-    return TokenSeq(ids, [(cb.modality, x.shape[0])])
+    return _squared_distances(x, cb.centers).argmin(axis=1) + cb.vocab_offset
 
 
 def unified_vocab_size(cb_audio: Codebook, cb_video: Codebook) -> int:
@@ -144,19 +133,15 @@ def unified_vocab_size(cb_audio: Codebook, cb_video: Codebook) -> int:
     return cb_audio.k + cb_video.k
 
 
-def reservoir_sample(rows, cap: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of at most `cap` rows from an iterable of vectors."""
-    kept = []
-    for i, row in enumerate(rows):
-        if i < cap:
-            kept.append(np.asarray(row, dtype=np.float64))
-        else:
-            j = int(rng.integers(i + 1))
-            if j < cap:
-                kept[j] = np.asarray(row, dtype=np.float64)
-    if not kept:
+def sample_rows(rows: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """A float64 copy of at most `cap` of the (n, d) `rows`: all of them when
+    n <= cap (drawing nothing from `rng`), else `cap` distinct rows drawn
+    uniformly, kept in their input order."""
+    if rows.shape[0] == 0:
         raise ValueError("no vectors to sample")
-    return np.stack(kept)
+    if rows.shape[0] > cap:
+        rows = rows[np.sort(rng.choice(rows.shape[0], cap, replace=False))]
+    return rows.astype(np.float64)
 
 
 def save_codebook(path, cb: Codebook) -> None:
@@ -166,8 +151,9 @@ def save_codebook(path, cb: Codebook) -> None:
 
 
 def load_codebook(path) -> Codebook:
-    header, arrays = read_tensors(path, _MAGIC)
-    lines = iter(header)
-    modality = header_field(lines, "modality")
-    offset = int(header_field(lines, "vocab_offset"))
-    return Codebook(arrays["centers"], modality, offset, key=header_field(lines, "key"))
+    def parse(lines, arrays):
+        modality = header_field(lines, "modality")
+        offset = int(header_field(lines, "vocab_offset"))
+        return Codebook(*arrays, modality, offset, key=header_field(lines, "key"))
+
+    return read_tensors(path, _MAGIC, ("centers",), parse)

@@ -55,11 +55,14 @@ def write_tensors(path, magic: str, header_lines, named) -> None:
             fh.write(np.ascontiguousarray(arr, DTYPE_TOKENS[token]))
 
 
-def read_tensors(path, magic: str):
-    """(header lines, {name: read-only view of one payload read}) of a file
-    `write_tensors` wrote with `magic`. Another version of the same kind, a
-    bad magic line, a malformed header or table, and a payload whose length
-    is not the table's each fail with one line naming the file."""
+def read_tensors(path, magic: str, names, parse):
+    """`parse(header, arrays)` of a file `write_tensors` wrote with `magic`
+    and the arrays `names`: `header` iterates its header lines, `arrays`
+    holds read-only views of one payload read, in `names` order. Another
+    version of the same kind fails with one line naming the file, and so do
+    a bad magic line, a malformed table, other arrays than `names`, a payload
+    whose length is not the table's and any ValueError of `parse`, as
+    ``corrupt <kind> <path>: ...``."""
     kind = magic.rpartition(" ")[0]
     what = kind.removeprefix("envasr-")
     with open(path, "rb") as fh:
@@ -77,17 +80,20 @@ def read_tensors(path, magic: str):
                 raise ValueError(f"unknown dtype token {token!r}")
             table = [next(lines, "").split(" ") for _ in range(int(count))]
             table = [(name, parse_shape(shape)) for name, shape in table]
+            if [name for name, _ in table] != list(names):
+                raise ValueError(f"its arrays are {', '.join(n for n, _ in table)}, "
+                                 f"not {', '.join(names)}")
+            dtype = DTYPE_TOKENS[token]
+            counts = [math.prod(shape) for _, shape in table]
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != sum(counts) * dtype.itemsize:
+                raise ValueError(f"the payload holds {size} bytes, "
+                                 f"its tensor table needs {sum(counts) * dtype.itemsize}")
+            parts = np.split(np.frombuffer(fh.read(size), dtype), np.cumsum(counts)[:-1])
+            return parse(iter(header), tuple(part.reshape(shape)
+                                             for (_, shape), part in zip(table, parts)))
         except ValueError as exc:
             raise ValueError(f"corrupt {what} {path}: {exc}") from None
-        dtype = DTYPE_TOKENS[token]
-        counts = [math.prod(shape) for _, shape in table]
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != sum(counts) * dtype.itemsize:
-            raise ValueError(f"corrupt {what} {path}: the payload holds {size} bytes, "
-                             f"its tensor table needs {sum(counts) * dtype.itemsize}")
-        flat = np.frombuffer(fh.read(size), dtype)
-    parts = np.split(flat, np.cumsum(counts)[:-1])
-    return header, {name: part.reshape(shape) for (name, shape), part in zip(table, parts)}
 
 
 @contextmanager

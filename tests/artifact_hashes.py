@@ -21,7 +21,11 @@ The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
 - ``resume``: pretraining to step 150, then resumed from its checkpoint to 300;
 - ``batch4``: cross-attention ASR training at ``batch_size = 4`` (the packed
   step), 100 steps with ``eval_every = 50``, then eval, on ``toy``'s
-  pretraining checkpoint and codebooks.
+  pretraining checkpoint and codebooks;
+- ``pretrain4``: pretraining at ``batch_size = 4`` (packed embedding, masks
+  drawn over each utterance's video and audio segments, masked
+  cross-entropy per utterance), 100 steps with ``schedule.stage_steps = 20``
+  so the span width grows to 9.
 
 Only the runner's public entry points are used, so any commit can be hashed.
 Output lines are ``<sha256>  <path relative to the work directory>``. When a
@@ -70,6 +74,8 @@ def run_all(work: Path) -> None:
                         "paths.codebook_dir": work / "toy" / "codebooks"})
     run_asr_training(batched)
     run_eval(batched)
+    run_pretraining(config(work, "pretrain4", batch_size=4, max_steps=100,
+                           **{"schedule.stage_steps": 20}))
 
 
 def main(argv=None) -> int:

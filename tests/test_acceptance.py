@@ -16,8 +16,8 @@ from envasr.autodiff import Tensor
 from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance, build_models
 from envasr.asr.metrics import wer
 from envasr.asr.transducer import greedy_decode, rnnt_alphas, rnnt_betas, rnnt_loss
-from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, EnvEmbeddings,
-                                MultimodalBatch, parameter_hash)
+from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, MultimodalBatch,
+                                parameter_hash)
 from envasr.masking import MaskSchedule, mask_params_at, sample_segmented_mask
 from envasr.optim import count_parameters
 from envasr.pipeline import (generate_synthetic_corpus, load_checkpoint,
@@ -165,7 +165,7 @@ class TestCriterion1Gradchecks:
         asr = AsrModel(ConformerConfig(model_dim=8, num_blocks=1, heads=2,
                                        conv_kernel=3, env_dim=4, feature_dim=6,
                                        vocab_size=3), seed=2)
-        env = EnvEmbeddings(rng.standard_normal((3, 4)))
+        env = rng.standard_normal((3, 4))
         feats = rng.standard_normal((7, 6))
         labels = np.array([0, 2])
         worst = max(worst, check_gradients(
@@ -209,7 +209,7 @@ class TestCriterion3Kmeans:
         # k = N gives zero distortion
         x = rng.standard_normal((6, 3)) * 10
         cb = train_kmeans(x, k=6, seed=0)
-        ids = assign_tokens(cb, x).ids
+        ids = assign_tokens(cb, x)
         zero_distortion = float(((x - cb.centers[ids]) ** 2).sum()) == 0.0
 
         # assignments match exhaustive search on 50 random vectors
@@ -217,7 +217,7 @@ class TestCriterion3Kmeans:
         from envasr.quantize import Codebook
         cb2 = Codebook(centers, "audio", 0)
         vecs = rng.standard_normal((50, 6))
-        matches = np.array_equal(assign_tokens(cb2, vecs).ids,
+        matches = np.array_equal(assign_tokens(cb2, vecs),
                                  nearest_center_exhaustive(vecs, centers))
 
         # distortion trace non-increasing on every tested run
@@ -257,7 +257,7 @@ class TestCriterion4MaskSchedule:
             trials, seq_len = 10000, 64
             pos = seq_len // 2
             gen = substream(99, "acc-coverage", width)
-            hits = sum(bool(sample_segmented_mask([seq_len], width, prob, gen).mask[pos])
+            hits = sum(bool(sample_segmented_mask([seq_len], width, prob, gen)[0][pos])
                        for _ in range(trials))
             expect = expected_coverage(prob, width)
             sigma = math.sqrt(expect * (1 - expect) / trials)
@@ -306,7 +306,7 @@ class TestCriterion6AsrOverfit:
         exact = True
         env_model = None
         for u in utts:
-            feats = whiten_clip(u.raw_patches, whitener).patches
+            feats = whiten_clip(u.raw_patches, whitener)
             if env_model is None:
                 from envasr.pipeline.runner import _load_model
                 env_model, _ = _load_model(cfg.pretrain_ckpt_path())

@@ -4,8 +4,7 @@ import pytest
 from envasr import autodiff as ad
 from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance
 from envasr.autodiff import Tensor, debug_checks, no_grad
-from envasr.env_encoder import (EnvEmbeddings, EnvEncoder, EnvEncoderConfig,
-                                MultimodalBatch, pretrain_step)
+from envasr.env_encoder import EnvEncoder, EnvEncoderConfig, MultimodalBatch, pretrain_step
 from envasr.optim import AdamHyper
 
 from oracles import (attention_composite, check_gradients, cross_entropy_logsumexp,
@@ -756,7 +755,7 @@ class TestToposort:
                               env_dim=4, feature_dim=6, vocab_size=3)
         model = AsrModel(cfg, seed=0)
         loss, = model.losses([Utterance(rng.standard_normal((11, 6)), np.array([1, 0, 2]),
-                                         EnvEmbeddings(rng.standard_normal((4, 4))))])
+                                         rng.standard_normal((4, 4)))])
         assert self.assert_same_order(loss) > 300
 
 

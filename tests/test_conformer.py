@@ -6,7 +6,6 @@ from envasr.autodiff import Tensor
 from envasr.asr.augment import SpecAugmentPolicy
 from envasr.asr.conformer import (BASELINE, CROSS, AsrModel, ConformerConfig,
                                   Utterance, asr_step, build_models, subsample_length)
-from envasr.env_encoder import EnvEmbeddings
 from envasr.optim import AdamHyper, adam_step, count_parameters
 
 from oracles import (asr_loss_unfused, asr_losses_per_utterance, asr_step_per_utterance,
@@ -21,7 +20,7 @@ def micro_config(**kw):
 
 
 def toy_env(rng, length=4, dim=4):
-    return EnvEmbeddings(rng.standard_normal((length, dim)))
+    return rng.standard_normal((length, dim))
 
 
 def one_loss(model, feats, labels, env):
@@ -112,7 +111,7 @@ class TestFusionAttention:
     def test_env_gradient_slot_stays_empty(self, rng):
         model = AsrModel(micro_config(), seed=1)
         env = toy_env(rng)
-        frozen = Tensor(env.vectors)  # what the adapter consumes
+        frozen = Tensor(env)  # what the adapter consumes
         env_proj = ad.add(ad.matmul(frozen, model.params["env_adapter.w"]),
                           model.params["env_adapter.b"])
         x = Tensor(rng.standard_normal((4, 8)))
@@ -142,7 +141,7 @@ class TestFusionAttention:
         model = AsrModel(micro_config(), seed=2)
         feats = rng.standard_normal((7, 6))
         env = toy_env(rng, length=5)
-        flat = EnvEmbeddings(np.tile(env.vectors.mean(axis=0), (5, 1)))
+        flat = np.tile(env.mean(axis=0), (5, 1))
         with ad.no_grad():
             a = model.encode([feats], [env]).data
             b = model.encode([feats], [flat]).data

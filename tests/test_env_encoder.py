@@ -291,21 +291,21 @@ class TestExtraction:
         model = EnvEncoder(cfg, seed=0)
         audio = rng.standard_normal((9, cfg.audio_patch_dim))
         env = extract_env_embeddings(model, audio)
-        assert env.vectors.shape == (9, cfg.model_dim)
+        assert env.shape == (9, cfg.model_dim)
 
     def test_bitwise_repeatable(self, rng):
         cfg = toy_config()
         model = EnvEncoder(cfg, seed=0)
         audio = rng.standard_normal((6, cfg.audio_patch_dim))
-        a = extract_env_embeddings(model, audio).vectors
-        b = extract_env_embeddings(model, audio).vectors
+        a = extract_env_embeddings(model, audio)
+        b = extract_env_embeddings(model, audio)
         np.testing.assert_array_equal(a, b)
 
     def test_audio_only_no_video_required(self, rng):
         cfg = toy_config()
         model = EnvEncoder(cfg, seed=0)
         env = extract_env_embeddings(model, rng.standard_normal((4, cfg.audio_patch_dim)))
-        assert env.vectors.shape[0] == 4
+        assert env.shape[0] == 4
 
     def test_does_not_mutate_parameters(self, rng):
         cfg = toy_config()

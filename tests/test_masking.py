@@ -58,23 +58,23 @@ class TestScheduleParams:
 
 class TestSampleMask:
     def test_prob_zero_all_false(self):
-        plan = sample_segmented_mask([50], 3, 0.0, substream(0, "m"))
-        assert not plan.mask.any()
+        mask, _ = sample_segmented_mask([50], 3, 0.0, substream(0, "m"))
+        assert not mask.any()
 
     def test_prob_one_all_true(self):
         for width in (1, 5, 11):
-            plan = sample_segmented_mask([50], width, 1.0, substream(0, "m"))
-            assert plan.mask.all()
+            mask, _ = sample_segmented_mask([50], width, 1.0, substream(0, "m"))
+            assert mask.all()
 
     def test_masked_fraction_binomial_bound(self):
-        plan = sample_segmented_mask([10000], 1, 0.15, substream(7, "m"))
-        frac = plan.mask.mean()
+        mask, _ = sample_segmented_mask([10000], 1, 0.15, substream(7, "m"))
+        frac = mask.mean()
         assert abs(frac - 0.15) < 3 * math.sqrt(0.15 * 0.85 / 10000)
 
     def test_deterministic_given_seed(self):
-        a = sample_segmented_mask([200], 5, 0.3, substream(3, "m"))
-        b = sample_segmented_mask([200], 5, 0.3, substream(3, "m"))
-        np.testing.assert_array_equal(a.mask, b.mask)
+        a, _ = sample_segmented_mask([200], 5, 0.3, substream(3, "m"))
+        b, _ = sample_segmented_mask([200], 5, 0.3, substream(3, "m"))
+        np.testing.assert_array_equal(a, b)
 
     def test_even_width_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -82,22 +82,22 @@ class TestSampleMask:
 
     def test_every_masked_position_near_a_center(self):
         for seed in range(10):
-            plan = sample_segmented_mask([64], 7, 0.2, substream(seed, "m"))
-            centers = np.flatnonzero(plan.centers)
-            for pos in np.flatnonzero(plan.mask):
+            mask, drawn = sample_segmented_mask([64], 7, 0.2, substream(seed, "m"))
+            centers = np.flatnonzero(drawn)
+            for pos in np.flatnonzero(mask):
                 assert centers.size and np.abs(centers - pos).min() <= 3
 
     def test_spans_clipped_at_bounds(self):
-        plan = sample_segmented_mask([5], 11, 1.0, substream(0, "m"))
-        assert plan.mask.shape == (5,) and plan.mask.all()
+        mask, _ = sample_segmented_mask([5], 11, 1.0, substream(0, "m"))
+        assert mask.shape == (5,) and mask.all()
 
 
 class TestSegmentedMask:
     def test_spans_do_not_cross_the_seam(self):
         for seed in range(30):
-            plan = sample_segmented_mask([6, 6], 5, 0.3, substream(seed, "m"))
-            centers = np.flatnonzero(plan.centers)
-            for pos in np.flatnonzero(plan.mask):
+            mask, drawn = sample_segmented_mask([6, 6], 5, 0.3, substream(seed, "m"))
+            centers = np.flatnonzero(drawn)
+            for pos in np.flatnonzero(mask):
                 lo, hi = (0, 6) if pos < 6 else (6, 12)
                 own = centers[(centers >= lo) & (centers < hi)]
                 assert own.size and np.abs(own - pos).min() <= 2
@@ -105,15 +105,15 @@ class TestSegmentedMask:
     def test_center_at_segment_edge_stays_inside(self):
         # force a center on the last slot of segment one
         for seed in range(200):
-            plan = sample_segmented_mask([4, 4], 3, 0.3, substream(seed, "e"))
-            if plan.centers[3] and not plan.centers[4:].any():
-                assert plan.mask[3] and not plan.mask[4]
+            mask, centers = sample_segmented_mask([4, 4], 3, 0.3, substream(seed, "e"))
+            if centers[3] and not centers[4:].any():
+                assert mask[3] and not mask[4]
                 return
         pytest.fail("no draw exercised the seam")
 
     def test_total_length(self):
-        plan = sample_segmented_mask([3, 5, 2], 1, 1.0, substream(0, "m"))
-        assert plan.mask.shape == (10,) and plan.mask.all()
+        mask, _ = sample_segmented_mask([3, 5, 2], 1, 1.0, substream(0, "m"))
+        assert mask.shape == (10,) and mask.all()
 
 
 class TestExpectedCoverage:
@@ -134,7 +134,7 @@ class TestExpectedCoverage:
         seq_len = 64
         pos = seq_len // 2
         rng = substream(99, "coverage", width)
-        hits = sum(bool(sample_segmented_mask([seq_len], width, prob, rng).mask[pos])
+        hits = sum(bool(sample_segmented_mask([seq_len], width, prob, rng)[0][pos])
                    for _ in range(trials))
         expect = expected_coverage(prob, width)
         sigma = math.sqrt(expect * (1 - expect) / trials)

@@ -6,7 +6,7 @@ import pytest
 from envasr.asr.conformer import AsrModel, ConformerConfig
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, extract_env_embeddings,
                                 parameter_hash)
-from envasr.features import read_wav
+from envasr.features import read_wav, write_wav
 from envasr.optim import adam_step
 from envasr.pipeline import (config_lines, generate_synthetic_corpus,
                              load_config, load_checkpoint, load_manifest,
@@ -352,8 +352,8 @@ class TestSyntheticCorpus:
         corpus = generate_synthetic_corpus(2, seed=5)
         manifest = write_corpus(corpus, tmp_path / "c")
         wav, _, _ = load_manifest(manifest)[0]
-        wave = read_wav(wav)
-        np.testing.assert_allclose(wave.samples, corpus.utterances[0].wave,
+        samples = read_wav(wav)
+        np.testing.assert_allclose(samples, corpus.utterances[0].wave,
                                    atol=1.0 / 32768)
 
 
@@ -383,6 +383,26 @@ class TestRawArrays:
         assert path.read_bytes() == good
         read(path)
 
+    @pytest.mark.parametrize("write,read,field,edit,message", [
+        (lambda p, a: save_whitener(p, Whitener(a[0], a[1], key="ab")), load_whitener,
+         b"\nkey ab\n", b"\nkex ab\n", "whitener {}: expected 'key ...', got 'kex ab'"),
+        (lambda p, a: save_whitener(p, Whitener(a[0], a[1], key="ab")), load_whitener,
+         b"\nmean 3\n", b"\nmeam 3\n", "whitener {}: its arrays are meam, std, not mean, std"),
+        (lambda p, a: save_codebook(p, Codebook(a, "video", 4)), load_codebook,
+         b"\nmodality video\n", b"\nmodalty video\n",
+         "codebook {}: expected 'modality ...', got 'modalty video'"),
+    ], ids=["whitener-header", "whitener-arrays", "codebook-header"])
+    def test_malformed_container_names_the_file(self, tmp_path, rng, write, read, field,
+                                                edit, message):
+        path = tmp_path / "artifact"
+        write(path, rng.standard_normal((2, 3)))
+        raw = path.read_bytes()
+        assert field in raw
+        path.write_bytes(raw.replace(field, edit, 1))
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value) == "corrupt " + message.format(path)
+
     def test_header_validation(self, tmp_path):
         (tmp_path / "bad.arr").write_bytes(b"2 3\n")
         with pytest.raises(ValueError, match="header"):
@@ -398,6 +418,21 @@ class TestDataPlumbing:
             assert u.video_patches.shape == (4, 2304)
             assert u.video_grid == (1, 2, 2)
             assert u.label_ids.size == len(u.label_names)
+
+    @pytest.mark.parametrize("suffix,write,message", [
+        (".wav", lambda p: write_wav(p, np.zeros(100)),
+         "waveform too short: 100 < 400 samples"),
+        (".clip", lambda p: write_raw_array(p, np.zeros((4, 16, 16, 3))),
+         "frame count 4 not divisible by 3"),
+    ], ids=["wav", "clip"])
+    def test_load_corpus_names_the_bad_input_file(self, tmp_path, suffix, write, message):
+        corpus = generate_synthetic_corpus(2, seed=5)
+        manifest = write_corpus(corpus, tmp_path)
+        path = tmp_path / f"{corpus.utterances[1].name}{suffix}"
+        write(path)
+        with pytest.raises(ValueError) as err:
+            load_corpus(manifest)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_whitener_roundtrip(self, tmp_path, rng):
         w = Whitener(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))
@@ -463,7 +498,7 @@ class TestDataPlumbing:
         audio = rng.standard_normal((5, 6)).astype(np.float32)
         a = lookup(tmp_path / "cache", "u0", model, audio)
         b = lookup(tmp_path / "cache", "u0", model, audio)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(a, b)
 
     def test_env_cache_rewrites_entry_for_other_patches_or_model(self, tmp_path, rng):
         cache = tmp_path / "cache"
@@ -471,9 +506,9 @@ class TestDataPlumbing:
         lookup(cache, "u0", micro_env_model(), first)
         other = rng.standard_normal((7, 6))  # same name, another utterance
         env = lookup(cache, "u0", micro_env_model(), other)
-        assert env.vectors.shape == (7, 8)
+        assert env.shape == (7, 8)
         retrained = micro_env_model(seed=1)  # same patches, other weights
         env = lookup(cache, "u0", retrained, other)
-        want = extract_env_embeddings(retrained, other).vectors.astype(np.float32)
-        np.testing.assert_array_equal(env.vectors, want)
+        want = extract_env_embeddings(retrained, other).astype(np.float32)
+        np.testing.assert_array_equal(env, want)
         np.testing.assert_array_equal(read_raw_array(cache / "u0.env"), want)

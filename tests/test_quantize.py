@@ -17,7 +17,7 @@ class TestTrainKmeans:
     def test_k_equals_n_zero_distortion(self, rng):
         x = rng.standard_normal((6, 3)) * 10
         cb = vq.train_kmeans(x, k=6, seed=0)
-        ids = vq.assign_tokens(cb, x).ids
+        ids = vq.assign_tokens(cb, x)
         d = ((x - cb.centers[ids]) ** 2).sum()
         assert d == 0.0
         np.testing.assert_allclose(np.sort(cb.centers, axis=0), np.sort(x, axis=0))
@@ -61,25 +61,25 @@ class TestAssignTokens:
     def test_exact_center_hit(self, rng):
         centers = rng.standard_normal((9, 4))
         cb = vq.Codebook(centers, "video", vocab_offset=3)
-        ids = vq.assign_tokens(cb, centers[5][None, :]).ids
+        ids = vq.assign_tokens(cb, centers[5][None, :])
         assert ids.tolist() == [5 + 3]
 
     def test_tie_breaks_to_lowest_index(self):
         cb = self.make_codebook(offset=4)
-        ids = vq.assign_tokens(cb, np.array([[1.0, 0.0]])).ids
+        ids = vq.assign_tokens(cb, np.array([[1.0, 0.0]]))
         assert ids.tolist() == [2 + 4]
 
     def test_matches_exhaustive_search(self, rng):
         centers = rng.standard_normal((12, 6))
         cb = vq.Codebook(centers, "audio", 0)
         x = rng.standard_normal((50, 6))
-        np.testing.assert_array_equal(vq.assign_tokens(cb, x).ids,
+        np.testing.assert_array_equal(vq.assign_tokens(cb, x),
                                       nearest_center_exhaustive(x, centers))
 
     def test_centers_map_to_identity(self, rng):
         centers = rng.standard_normal((10, 3))
         cb = vq.Codebook(centers, "video", vocab_offset=6)
-        ids = vq.assign_tokens(cb, centers).ids
+        ids = vq.assign_tokens(cb, centers)
         np.testing.assert_array_equal(ids, np.arange(10) + 6)
 
     def test_dim_mismatch(self, rng):
@@ -103,7 +103,7 @@ class TestUnifiedVocab:
         cb_a = vq.Codebook(rng.standard_normal((8, 2)), "audio", 0)
         cb_v = vq.Codebook(rng.standard_normal((16, 2)), "video", 8)
         size = vq.unified_vocab_size(cb_a, cb_v)
-        top = vq.assign_tokens(cb_v, cb_v.centers[-1][None, :]).ids[0]
+        top = vq.assign_tokens(cb_v, cb_v.centers[-1][None, :])[0]
         assert top == size - 1
 
     def test_overlapping_ranges_rejected(self, rng):
@@ -115,15 +115,9 @@ class TestUnifiedVocab:
     def test_ranges_disjoint_and_contiguous(self, rng):
         cb_a = vq.Codebook(rng.standard_normal((8, 3)), "audio", 0)
         cb_v = vq.Codebook(rng.standard_normal((16, 3)), "video", 8)
-        a_ids = vq.assign_tokens(cb_a, rng.standard_normal((30, 3))).ids
-        v_ids = vq.assign_tokens(cb_v, rng.standard_normal((30, 3))).ids
+        a_ids = vq.assign_tokens(cb_a, rng.standard_normal((30, 3)))
+        v_ids = vq.assign_tokens(cb_v, rng.standard_normal((30, 3)))
         assert a_ids.max() < 8 <= v_ids.min() and v_ids.max() < 24
-
-
-class TestTokenSeq:
-    def test_segment_cover_checked(self):
-        with pytest.raises(ValueError, match="segment"):
-            vq.TokenSeq(np.arange(4), [("audio", 3)])
 
 
 class TestPersistence:
@@ -141,19 +135,25 @@ class TestPersistence:
         cb = vq.train_kmeans(x, 6, seed=2)
         vq.save_codebook(tmp_path / "a.cb", cb)
         back = vq.load_codebook(tmp_path / "a.cb")
-        np.testing.assert_array_equal(vq.assign_tokens(cb, x).ids,
-                                      vq.assign_tokens(back, x).ids)
+        np.testing.assert_array_equal(vq.assign_tokens(cb, x),
+                                      vq.assign_tokens(back, x))
 
 
-class TestReservoir:
+class TestSampleRows:
     def test_cap_respected_and_deterministic(self, rng):
         rows = rng.standard_normal((500, 3))
-        a = vq.reservoir_sample(rows, 100, substream(4, "s"))
-        b = vq.reservoir_sample(rows, 100, substream(4, "s"))
+        a = vq.sample_rows(rows, 100, substream(4, "s"))
+        b = vq.sample_rows(rows, 100, substream(4, "s"))
         assert a.shape == (100, 3)
         np.testing.assert_array_equal(a, b)
+        picked = [int(np.flatnonzero((rows == row).all(axis=1))[0]) for row in a]
+        assert len(set(picked)) == 100 and picked == sorted(picked)
 
     def test_small_input_passthrough(self, rng):
         rows = rng.standard_normal((5, 2))
-        out = vq.reservoir_sample(rows, 100, substream(0, "s"))
+        gen = substream(0, "s")
+        state = gen.bit_generator.state
+        out = vq.sample_rows(rows, 100, gen)
         np.testing.assert_array_equal(out, rows)
+        assert out.dtype == np.float64 and out is not rows
+        assert gen.bit_generator.state == state

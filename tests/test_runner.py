@@ -14,7 +14,7 @@ import pytest
 from envasr import autodiff as ad
 from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance
 from envasr.asr.transducer import greedy_decode
-from envasr.env_encoder import EnvEmbeddings, EnvEncoder, extract_env_embeddings
+from envasr.env_encoder import EnvEncoder, extract_env_embeddings
 from envasr.features import whiten_clip
 from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, conformer_config,
@@ -436,7 +436,7 @@ class TestEnvCacheAcrossRuns:
         for u in utts:
             cached = read_raw_array(cfg.out_path() / "env_cache" / f"{u.name}.env")
             fresh = extract_env_embeddings(
-                env_model, whiten_clip(u.raw_patches, whitener).patches).vectors
+                env_model, whiten_clip(u.raw_patches, whitener))
             np.testing.assert_array_equal(cached, fresh.astype(np.float32))
 
     def test_eval_rejects_pretraining_checkpoint_of_other_width(self, trained,
@@ -531,7 +531,7 @@ class TestPackedDecode:
                                          env_dim=4, feature_dim=6, vocab_size=len(SYMBOLS),
                                          dtype=dtype, fusion_mode=mode), seed=3)
         examples = [Utterance(rng.standard_normal((n, 6)), [],
-                              EnvEmbeddings(rng.standard_normal((n // 3 + 1, 4))))
+                              rng.standard_normal((n // 3 + 1, 4)))
                     for n in self.FRAMES]
         utts = [SimpleNamespace(label_names=["a"]) for _ in examples]
         return model, utts, examples

@@ -6,7 +6,6 @@ from envasr.autodiff import Tensor
 from envasr.asr.conformer import AsrModel, ConformerConfig
 from envasr.asr.transducer import (greedy_decode, rnnt_alphas, rnnt_betas,
                                    rnnt_grad, rnnt_loss)
-from envasr.env_encoder import EnvEmbeddings
 
 from oracles import (check_gradients, make_lattice, transducer_alphas_loop,
                      transducer_betas_loop, transducer_grad_loop,
@@ -141,12 +140,12 @@ class TestGreedyDecode:
         model.params["joint.w_out"].data[:] = 0.0
         model.params["joint.b_out"].data[:] = 0.0
         model.params["joint.b_out"].data[model.blank_id] = 10.0
-        env = EnvEmbeddings(rng.standard_normal((3, 4)))
+        env = rng.standard_normal((3, 4))
         assert greedy_decode(model, encoded(model, rng.standard_normal((9, 6)), env)) == []
 
     def test_deterministic(self, rng):
         model = self.make_model()
-        env = EnvEmbeddings(rng.standard_normal((3, 4)))
+        env = rng.standard_normal((3, 4))
         feats = rng.standard_normal((9, 6))
         assert (greedy_decode(model, encoded(model, feats, env))
                 == greedy_decode(model, encoded(model, feats, env)))
@@ -157,7 +156,7 @@ class TestGreedyDecode:
         model.params["joint.w_out"].data[:] = 0.0
         model.params["joint.b_out"].data[:] = 0.0
         model.params["joint.b_out"].data[1] = 10.0
-        env = EnvEmbeddings(rng.standard_normal((3, 4)))
+        env = rng.standard_normal((3, 4))
         out = greedy_decode(model, encoded(model, rng.standard_normal((9, 6)), env),
                             max_symbols_per_frame=10)
         assert len(out) == 10 * 4  # 4 encoder frames from 9 inputs
