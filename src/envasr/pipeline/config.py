@@ -58,7 +58,8 @@ class PathsConfig:
 
 @dataclass
 class TokenizeConfig:
-    """Codebook sizes and the k-means budget."""
+    """Codebook sizes and the k-means budget; each codebook is fitted on at
+    most ``sample_cap`` patch rows, so the cap may not be below either size."""
 
     k_audio: int = 64
     k_video: int = 128
@@ -67,6 +68,11 @@ class TokenizeConfig:
 
     def __post_init__(self):
         _require_positive("tokenize.", self, vars(self))
+        for name in ("k_audio", "k_video"):
+            k = getattr(self, name)
+            if self.sample_cap < k:
+                raise ValueError(f"tokenize.sample_cap = {self.sample_cap} is below "
+                                 f"tokenize.{name} = {k}")
 
 
 @dataclass

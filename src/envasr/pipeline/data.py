@@ -10,7 +10,7 @@ import numpy as np
 
 from ..env_encoder import EnvEncoder, MultimodalBatch, extract_env_embeddings
 from ..features import (Whitener, compute_lfbe, extract_video_patches, fit_whitener,
-                        read_wav, stack_frames, whiten_clip)
+                        read_wav, stack_frames)
 from ..quantize import (Codebook, assign_tokens, load_codebook, sample_rows, save_codebook,
                         train_kmeans)
 from ..rng import derive_seed, substream
@@ -110,37 +110,44 @@ def ensure_whitener(codebook_dir, utts) -> Whitener:
 # codebooks -------------------------------------------------------------------
 
 
-def train_corpus_codebooks(cfg, utts, whitener: Whitener):
-    """Fit audio/video codebooks on (capped samples of) the corpus patches."""
-    audio_rows = np.concatenate([whiten_clip(u.raw_patches, whitener) for u in utts], axis=0)
+def train_corpus_codebooks(cfg, utts, audio):
+    """Fit audio/video codebooks on (capped samples of) the corpus patches;
+    `audio` holds each utterance's whitened audio patches. A modality with
+    fewer patch rows than its codebook size fails before k-means runs."""
     tok = cfg.tokenize
-    audio_rows = sample_rows(audio_rows, tok.sample_cap, substream(cfg.seed, "sample-audio"))
-    cb_audio = train_kmeans(audio_rows, tok.k_audio, max_iters=tok.max_iters,
-                            seed=derive_seed(cfg.seed, "kmeans-audio"),
-                            modality="audio", vocab_offset=0)
-    video_parts = [u.video_patches for u in utts if u.video_patches is not None]
-    if not video_parts:
+    video = [u.video_patches for u in utts if u.video_patches is not None]
+    if not video:
         raise ValueError("corpus has no video clips to train the video codebook")
-    video_rows = sample_rows(np.concatenate(video_parts, axis=0), tok.sample_cap,
-                             substream(cfg.seed, "sample-video"))
-    cb_video = train_kmeans(video_rows, tok.k_video, max_iters=tok.max_iters,
-                            seed=derive_seed(cfg.seed, "kmeans-video"),
-                            modality="video", vocab_offset=tok.k_audio)
-    return cb_audio, cb_video
+    fits = (("audio", audio, tok.k_audio, 0), ("video", video, tok.k_video, tok.k_audio))
+    for modality, parts, k, _ in fits:
+        n = sum(part.shape[0] for part in parts)
+        if n < k:
+            raise ValueError(f"corpus has {n} {modality} patch rows, "
+                             f"fewer than tokenize.k_{modality} = {k}")
+    codebooks = []
+    for modality, parts, k, offset in fits:
+        rows = sample_rows(np.concatenate(parts, axis=0), tok.sample_cap,
+                           substream(cfg.seed, f"sample-{modality}"))
+        codebooks.append(train_kmeans(rows, k, max_iters=tok.max_iters,
+                                      seed=derive_seed(cfg.seed, f"kmeans-{modality}"),
+                                      modality=modality, vocab_offset=offset))
+    return tuple(codebooks)
 
 
-def ensure_codebooks(cfg, utts, whitener: Whitener):
-    """Both codebooks, keyed by the SHA-256 of the whitener key, the tokenize
-    config and the seed: the stored pair while both files hold that key, else
-    a retrained pair, which replaces it."""
-    key = hashlib.sha256(f"{whitener.key} {cfg.tokenize!r} seed={cfg.seed}"
+def ensure_codebooks(cfg, utts, audio, whitener_key: str):
+    """Both codebooks of the corpus `utts`, whose audio patches whitened by
+    the whitener keyed `whitener_key` are `audio`, one array per utterance.
+    They are keyed by the SHA-256 of the whitener key, the tokenize config
+    and the seed: the stored pair while both files hold that key, else a
+    retrained pair, which replaces it."""
+    key = hashlib.sha256(f"{whitener_key} {cfg.tokenize!r} seed={cfg.seed}"
                          .encode("utf-8")).hexdigest()
     cb_dir = cfg.codebook_path()
     paths = cb_dir / "audio.cb", cb_dir / "video.cb"
     stored = [_stored(load_codebook, path, key) for path in paths]
     if None not in stored:
         return tuple(stored)
-    codebooks = train_corpus_codebooks(cfg, utts, whitener)
+    codebooks = train_corpus_codebooks(cfg, utts, audio)
     cb_dir.mkdir(parents=True, exist_ok=True)
     for path, cb in zip(paths, codebooks):
         cb.key = key
@@ -151,10 +158,10 @@ def ensure_codebooks(cfg, utts, whitener: Whitener):
 # batches and caches -----------------------------------------------------------
 
 
-def make_pretrain_batch(utt: LoadedUtterance, whitener: Whitener,
+def make_pretrain_batch(utt: LoadedUtterance, audio: np.ndarray,
                         cb_audio: Codebook, cb_video: Codebook) -> MultimodalBatch:
-    """Raw inputs, quantized labels; video tokens first to match the layout."""
-    audio = whiten_clip(utt.raw_patches, whitener)
+    """Inputs and quantized labels of `utt`, whose whitened audio patches are
+    `audio`; video tokens first to match the layout."""
     audio_ids = assign_tokens(cb_audio, audio)
     if utt.video_patches is not None:
         video_ids = assign_tokens(cb_video, utt.video_patches)

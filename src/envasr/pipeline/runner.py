@@ -63,12 +63,13 @@ def run_tokenize(cfg: RunConfig) -> dict:
     utts = load_corpus(cfg.train_manifest_path())
     cb_dir = cfg.codebook_path()
     whitener = ensure_whitener(cb_dir, utts)
-    cb_audio, cb_video = ensure_codebooks(cfg, utts, whitener)
+    audio = [whiten_clip(u.raw_patches, whitener) for u in utts]
+    cb_audio, cb_video = ensure_codebooks(cfg, utts, audio, whitener.key)
     vocab = unified_vocab_size(cb_audio, cb_video)
     audio_lines = []
     video_lines = []
-    for utt in utts:
-        ids = assign_tokens(cb_audio, whiten_clip(utt.raw_patches, whitener))
+    for utt, rows in zip(utts, audio):
+        ids = assign_tokens(cb_audio, rows)
         audio_lines.append(utt.name + "\t" + " ".join(map(str, ids)))
         if utt.video_patches is not None:
             vids = assign_tokens(cb_video, utt.video_patches)
@@ -147,8 +148,10 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     env_cfg = env_encoder_config(cfg)
     _check_positions(env_cfg, utts, video=True)
     whitener = ensure_whitener(cfg.codebook_path(), utts)
-    cb_audio, cb_video = ensure_codebooks(cfg, utts, whitener)
-    batches = [make_pretrain_batch(u, whitener, cb_audio, cb_video) for u in utts]
+    audio = [whiten_clip(u.raw_patches, whitener) for u in utts]
+    cb_audio, cb_video = ensure_codebooks(cfg, utts, audio, whitener.key)
+    batches = [make_pretrain_batch(u, rows, cb_audio, cb_video)
+               for u, rows in zip(utts, audio)]
     keys = {"whitener": whitener.key, "codebooks": cb_audio.key}
 
     model = EnvEncoder(env_cfg, seed=cfg.seed)

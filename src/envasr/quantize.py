@@ -3,7 +3,10 @@
 Audio and video patches are quantized by separate codebooks whose id ranges
 are disjoint and contiguous: audio ids start at 0, video ids at K_audio.
 Training is Lloyd's algorithm with k-means++ seeding; empty clusters are
-re-seeded to the point currently farthest from its assigned center.
+re-seeded to the point currently farthest from its assigned center. Each
+row's squared norm is computed once per fit and reused by every distance
+pass of the seeding and the Lloyd iterations; `assign_tokens` computes them
+once per call.
 """
 
 from dataclasses import dataclass
@@ -46,21 +49,24 @@ class Codebook:
         return self.centers.shape[1]
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, K) squared Euclidean distances, clamped at zero."""
+def _squared_distances(x: np.ndarray, x_norms: np.ndarray,
+                       centers: np.ndarray) -> np.ndarray:
+    """(N, K) squared Euclidean distances of the rows `x`, whose squared
+    norms are `x_norms`, to `centers`, clamped at zero."""
     d2 = (
-        (x * x).sum(axis=1)[:, None]
+        x_norms[:, None]
         - 2.0 * (x @ centers.T)
         + (centers * centers).sum(axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(x: np.ndarray, x_norms: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    best = _squared_distances(x, centers[:1]).ravel()
+    best = _squared_distances(x, x_norms, centers[:1]).ravel()
     for j in range(1, k):
         total = best.sum()
         if total <= 0.0:
@@ -68,7 +74,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             pick = rng.choice(n, p=best / total)
         centers[j] = x[pick]
-        best = np.minimum(best, _squared_distances(x, centers[j : j + 1]).ravel())
+        best = np.minimum(best, _squared_distances(x, x_norms, centers[j : j + 1]).ravel())
     return centers
 
 
@@ -82,8 +88,9 @@ def lloyd(x: np.ndarray, k: int, max_iters: int, rng: np.random.Generator):
     n = x.shape[0]
     if n < k:
         raise ValueError(f"k-means needs at least k={k} vectors, got {n}")
-    centers = _kmeans_pp_init(x, k, rng)
-    d2 = _squared_distances(x, centers)
+    x_norms = (x * x).sum(axis=1)
+    centers = _kmeans_pp_init(x, x_norms, k, rng)
+    d2 = _squared_distances(x, x_norms, centers)
     assign = d2.argmin(axis=1)
     trace = [float(d2[np.arange(n), assign].mean())]
     for _ in range(max_iters):
@@ -97,7 +104,7 @@ def lloyd(x: np.ndarray, k: int, max_iters: int, rng: np.random.Generator):
                 far = int(current.argmax())
                 centers[j] = x[far]
                 current[far] = 0.0
-        d2 = _squared_distances(x, centers)
+        d2 = _squared_distances(x, x_norms, centers)
         new_assign = d2.argmin(axis=1)
         trace.append(float(d2[np.arange(n), new_assign].mean()))
         if np.array_equal(new_assign, assign):
@@ -120,7 +127,8 @@ def assign_tokens(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cb.dim:
         raise ValueError(f"expected (N, {cb.dim}) vectors, got {x.shape}")
-    return _squared_distances(x, cb.centers).argmin(axis=1) + cb.vocab_offset
+    d2 = _squared_distances(x, (x * x).sum(axis=1), cb.centers)
+    return d2.argmin(axis=1) + cb.vocab_offset
 
 
 def unified_vocab_size(cb_audio: Codebook, cb_video: Codebook) -> int:

@@ -25,7 +25,10 @@ The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
 - ``pretrain4``: pretraining at ``batch_size = 4`` (packed embedding, masks
   drawn over each utterance's video and audio segments, masked
   cross-entropy per utterance), 100 steps with ``schedule.stage_steps = 20``
-  so the span width grows to 9.
+  so the span width grows to 9;
+- ``sampled``: tokenize with ``tokenize.sample_cap = 48``, below the
+  corpus's 363 audio and 64 video patch rows, so both codebooks are fitted on
+  a drawn sample.
 
 Only the runner's public entry points are used, so any commit can be hashed.
 Output lines are ``<sha256>  <path relative to the work directory>``. When a
@@ -76,6 +79,7 @@ def run_all(work: Path) -> None:
     run_eval(batched)
     run_pretraining(config(work, "pretrain4", batch_size=4, max_steps=100,
                            **{"schedule.stage_steps": 20}))
+    run_tokenize(config(work, "sampled", **{"tokenize.sample_cap": 48}))
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,10 @@ utterance (each a packed pass of one), which the packed step must match; and
 ``align_counts_loop``, the WER alignment's DP as a double loop, which the
 row-at-a-time ``align_counts`` must match; and ``expected_coverage``, the
 closed-form share of positions a span mask covers, which sampled masks must
-match.
+match; and ``squared_distances_direct``, ``kmeans_pp_init_direct`` and
+``lloyd_direct``, k-means recomputing every row's squared norm in each
+distance pass, which `quantize.lloyd`, computing them once per fit, must
+match byte for byte.
 """
 
 import math
@@ -467,6 +470,67 @@ def nearest_center_exhaustive(vectors, centers):
                 best, best_d = j, d
         ids.append(best)
     return np.array(ids)
+
+
+def squared_distances_direct(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(N, K) squared Euclidean distances, clamped at zero."""
+    d2 = (
+        (x * x).sum(axis=1)[:, None]
+        - 2.0 * (x @ centers.T)
+        + (centers * centers).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def kmeans_pp_init_direct(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    best = squared_distances_direct(x, centers[:1]).ravel()
+    for j in range(1, k):
+        total = best.sum()
+        if total <= 0.0:
+            pick = rng.integers(n)
+        else:
+            pick = rng.choice(n, p=best / total)
+        centers[j] = x[pick]
+        best = np.minimum(best, squared_distances_direct(x, centers[j : j + 1]).ravel())
+    return centers
+
+
+def lloyd_direct(x: np.ndarray, k: int, max_iters: int, rng: np.random.Generator):
+    """Lloyd iterations. Returns (centers, assignments, distortion trace).
+
+    The trace starts at the distortion of the k-means++ initialization and
+    appends one value per iteration; it is non-increasing.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    if n < k:
+        raise ValueError(f"k-means needs at least k={k} vectors, got {n}")
+    centers = kmeans_pp_init_direct(x, k, rng)
+    d2 = squared_distances_direct(x, centers)
+    assign = d2.argmin(axis=1)
+    trace = [float(d2[np.arange(n), assign].mean())]
+    for _ in range(max_iters):
+        current = d2[np.arange(n), assign].copy()
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centers[j] = x[members].mean(axis=0)
+            else:
+                # re-seed the empty cluster to the farthest point
+                far = int(current.argmax())
+                centers[j] = x[far]
+                current[far] = 0.0
+        d2 = squared_distances_direct(x, centers)
+        new_assign = d2.argmin(axis=1)
+        trace.append(float(d2[np.arange(n), new_assign].mean()))
+        if np.array_equal(new_assign, assign):
+            assign = new_assign
+            break
+        assign = new_assign
+    return centers, assign, trace
 
 
 def transducer_loglik_enumerate(log_probs, labels):

@@ -148,6 +148,17 @@ def test_model_shape_rejected_at_load(lines, msg):
         parse_config_lines(lines, check_paths=False)
 
 
+# each of these loaded, and tokenize failed only when k-means trained
+@pytest.mark.parametrize("cap,msg", [
+    (4, "tokenize.sample_cap = 4 is below tokenize.k_audio = 8"),
+    (12, "tokenize.sample_cap = 12 is below tokenize.k_video = 16"),
+], ids=["k_audio", "k_video"])
+def test_sample_cap_below_a_codebook_size_rejected_at_load(cap, msg):
+    lines = (ROOT / "configs" / "toy.cfg").read_text().splitlines()
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        parse_config_lines(lines + [f"tokenize.sample_cap = {cap}"], check_paths=False)
+
+
 # each of these parsed once and made the loss NaN within two steps
 @pytest.mark.parametrize("key", ["optimizer.lr", "optimizer.eps"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import pytest
 from envasr.asr.conformer import AsrModel, ConformerConfig
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, extract_env_embeddings,
                                 parameter_hash)
-from envasr.features import read_wav, write_wav
+from envasr.features import read_wav, whiten_clip, write_wav
 from envasr.optim import adam_step
 from envasr.pipeline import (config_lines, generate_synthetic_corpus,
                              load_config, load_checkpoint, load_manifest,
-                             parse_config_lines, restore_params, save_checkpoint,
-                             save_config, write_corpus)
+                             parse_config_lines, restore_params, run_tokenize,
+                             save_checkpoint, save_config, write_corpus)
 from envasr.pipeline.corpus import SYMBOL_HZ, SYMBOLS
 from envasr.pipeline.data import (cached_env_embeddings, ensure_codebooks,
                                   ensure_whitener, load_corpus, load_whitener,
@@ -19,6 +20,9 @@ from envasr.pipeline.data import (cached_env_embeddings, ensure_codebooks,
 from envasr.features import SAMPLE_RATE, Whitener, fit_whitener
 from envasr.quantize import Codebook, load_codebook, save_codebook
 from envasr.serialize import read_raw_array, write_raw_array
+
+
+TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 
 
 def fail_replace(src, dst):
@@ -43,6 +47,11 @@ def tokenize_cfg(out, k_audio=4):
     return parse_config_lines([f"paths.out_dir = {out}", f"tokenize.k_audio = {k_audio}",
                                "tokenize.k_video = 4", "tokenize.max_iters = 2"],
                               check_paths=False)
+
+
+def fit_codebooks(cfg, utts, whitener):
+    audio = [whiten_clip(u.raw_patches, whitener) for u in utts]
+    return ensure_codebooks(cfg, utts, audio, whitener.key)
 
 
 def lookup(cache_dir, name, model, audio):
@@ -463,14 +472,14 @@ class TestDataPlumbing:
         utts = load_corpus(corpus_dir / "manifest.tsv")
         cfg = tokenize_cfg(tmp_path)
         whitener = ensure_whitener(cfg.codebook_path(), utts)
-        codebooks = ensure_codebooks(cfg, utts, whitener)
+        codebooks = fit_codebooks(cfg, utts, whitener)
         path = cfg.codebook_path() / "whitener.bin"
         write_old_whitener(path, whitener)
         for cb in codebooks:
             write_old_codebook(cfg.codebook_path() / f"{cb.modality}.cb", cb)
         assert ensure_whitener(cfg.codebook_path(), utts).key == whitener.key
         assert path.read_bytes().startswith(b"envasr-whitener 1\n")
-        for cb, again in zip(codebooks, ensure_codebooks(cfg, utts, whitener)):
+        for cb, again in zip(codebooks, fit_codebooks(cfg, utts, whitener)):
             np.testing.assert_array_equal(again.centers, cb.centers)
             assert again.key == cb.key
             raw = (cfg.codebook_path() / f"{cb.modality}.cb").read_bytes()
@@ -482,16 +491,33 @@ class TestDataPlumbing:
         utts = load_corpus(corpus_dir / "manifest.tsv")
         small, big = tokenize_cfg(tmp_path), tokenize_cfg(tmp_path, k_audio=6)
         whitener = ensure_whitener(small.codebook_path(), utts)
-        ensure_codebooks(small, utts, whitener)
+        fit_codebooks(small, utts, whitener)
         video = small.codebook_path() / "video.cb"
         old_video = video.read_bytes()
-        want = ensure_codebooks(big, utts, whitener)
+        want = fit_codebooks(big, utts, whitener)
         video.write_bytes(old_video)
-        cb_audio, cb_video = ensure_codebooks(big, utts, whitener)
+        cb_audio, cb_video = fit_codebooks(big, utts, whitener)
         assert (cb_audio.k, cb_video.vocab_offset) == (6, 6)
         assert cb_video.key == cb_audio.key == want[1].key
         np.testing.assert_array_equal(cb_video.centers, want[1].centers)
         assert video.read_bytes() != old_video
+
+    @pytest.mark.parametrize("override, message", [
+        ("tokenize.k_audio = 12",
+         "corpus has 9 audio patch rows, fewer than tokenize.k_audio = 12"),
+        ("", "corpus has 4 video patch rows, fewer than tokenize.k_video = 16"),
+    ], ids=["audio", "video"])
+    def test_corpus_too_small_for_its_codebooks_names_the_key(self, tmp_path, override,
+                                                              message):
+        write_corpus(generate_synthetic_corpus(1, seed=11), tmp_path / "data")
+        lines = TOY_CFG.read_text().splitlines() + [
+            f"paths.data_dir = {tmp_path / 'data'}", f"paths.out_dir = {tmp_path / 'out'}",
+            override]
+        cfg = parse_config_lines(lines)
+        with pytest.raises(ValueError) as err:
+            run_tokenize(cfg)
+        assert str(err.value) == message
+        assert not (cfg.codebook_path() / "audio.cb").exists()  # no k-means ran
 
     def test_env_cache_bitwise_stable(self, tmp_path, rng):
         model = micro_env_model()

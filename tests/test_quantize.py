@@ -4,7 +4,7 @@ import pytest
 from envasr import quantize as vq
 from envasr.rng import substream
 
-from oracles import nearest_center_exhaustive
+from oracles import lloyd_direct, nearest_center_exhaustive
 
 
 def blobs(rng, n_per=60, sep=20.0, dim=5):
@@ -45,6 +45,35 @@ class TestTrainKmeans:
     def test_needs_enough_vectors(self, rng):
         with pytest.raises(ValueError, match="at least"):
             vq.train_kmeans(rng.standard_normal((3, 2)), k=4)
+
+
+def lloyd_cases():
+    rng = np.random.default_rng(7)
+    distinct = rng.standard_normal((5, 3))
+    return {
+        "random-f64": (rng.standard_normal((500, 192)), 32),
+        "video-f32": ((rng.random((64, 2304)) * 255.0).astype(np.float32), 16),
+        # 5 distinct rows, 8 centers: duplicate centers leave clusters empty
+        "duplicates": (np.repeat(distinct, 4, axis=0), 8),
+        "k-equals-n": (rng.standard_normal((12, 4)), 12),
+    }
+
+
+class TestLloydMatchesOracle:
+    """`lloyd`, computing each row's squared norm once per fit, returns the
+    bytes that recomputing them in every distance pass returns."""
+
+    @pytest.mark.parametrize("case", list(lloyd_cases()))
+    def test_byte_identical(self, case):
+        x, k = lloyd_cases()[case]
+        centers, assign, trace = vq.lloyd(x, k, max_iters=25, rng=substream(3, case))
+        want_centers, want_assign, want_trace = lloyd_direct(x, k, max_iters=25,
+                                                             rng=substream(3, case))
+        assert centers.tobytes() == want_centers.tobytes()
+        assert assign.tobytes() == want_assign.tobytes()
+        assert trace == want_trace
+        if case == "duplicates":
+            assert len(np.unique(assign)) < k  # the re-seed branch ran
 
 
 class TestAssignTokens:

@@ -5,7 +5,6 @@ import os
 import re
 import shutil
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,10 +29,7 @@ from envasr.pipeline.runner import _load_model
 from envasr.quantize import load_codebook
 from envasr.serialize import read_raw_array
 
-from test_pipeline import write_old_whitener
-
-
-TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+from test_pipeline import TOY_CFG, write_old_whitener
 
 
 @pytest.fixture(scope="module")
