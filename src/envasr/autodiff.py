@@ -660,11 +660,15 @@ def joint_tanh(e: Tensor, g: Tensor, b: Tensor) -> Tensor:
     if g.data.shape != (u, j) or b.data.shape != (j,):
         raise ValueError(f"joint_tanh shape mismatch: {e.data.shape}, {g.data.shape}, "
                          f"{b.data.shape}")
-    h = np.tanh(e.data[:, None] + g.data[None] + b.data).reshape(t * u, j)
+    z = e.data[:, None] + g.data[None]  # the one (T, U, J) buffer of the forward
+    z += b.data
+    h = np.tanh(z, out=z).reshape(t * u, j)
     out = _node(h, (e, g, b))
 
     def backward():
-        dz = (out.grad * (1.0 - h * h)).reshape(t, u, j)
+        dz = np.multiply(h, h)  # out.grad * (1 - h * h), in one buffer
+        np.subtract(1.0, dz, out=dz)
+        dz = np.multiply(out.grad, dz, out=dz).reshape(t, u, j)
         dg = dz.sum(axis=0)
         _accum(e, dz.sum(axis=1))
         _accum(g, dg)

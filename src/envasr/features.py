@@ -6,6 +6,14 @@ them into (T, 64) log mel-filterbank energies (25 ms Hann window, 10 ms hop,
 frames into (T // 3, 192) patches; `whiten_clip` whitens patch rows with
 global statistics (a `Whitener`) and clips them to [-1.2, 1.2].
 
+`compute_lfbe` windows, transforms and squares `LFBE_BLOCK` = 128 frames at a
+time in two reused buffers, so no (T, 400) frame matrix or (T, 257) complex
+spectrum of a whole utterance is built; each of those steps is per row, so
+the result does not depend on the block size. The mel projection stays one
+(T, 257) @ (257, 64) matmul per utterance: a BLAS matmul's rounding can
+depend on its row count, so splitting it into blocks could change the
+features' bytes.
+
 Video: `extract_video_patches` turns a float [0,1] clip (3k frames, sides
 multiples of 16) into flattened non-overlapping tubelets of 3 frames x 16x16
 pixels x RGB, (N, 2304) patches, and the (time, rows, cols) grid they tile.
@@ -30,6 +38,7 @@ TUBE_PIXELS = 16
 AUDIO_PATCH_DIM = STACK * N_MELS
 VIDEO_PATCH_DIM = TUBE_FRAMES * TUBE_PIXELS * TUBE_PIXELS * 3
 STD_FLOOR = 1e-6
+LFBE_BLOCK = 128     # frames per FFT block in compute_lfbe
 
 
 @dataclass
@@ -74,17 +83,27 @@ _WINDOW = np.hanning(FRAME_LENGTH)
 def compute_lfbe(samples: np.ndarray) -> np.ndarray:
     """(T, 64) log mel-filterbank energies of 16 kHz samples in [-1, 1]."""
     x = np.asarray(samples, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("waveform contains non-finite samples")
-    if x.size and (x.min() < -1.0 or x.max() > 1.0):
+    if x.size and not (-1.0 <= x.min() and x.max() <= 1.0):  # NaN fails both
+        if not np.all(np.isfinite(x)):
+            raise ValueError("waveform contains non-finite samples")
         raise ValueError("waveform samples must lie in [-1, 1]")
     if x.size < FRAME_LENGTH:
         raise ValueError(f"waveform too short: {x.size} < {FRAME_LENGTH} samples")
-    frames = sliding_window_view(x, FRAME_LENGTH)[::FRAME_SHIFT] * _WINDOW
-    spec = np.fft.rfft(frames, n=N_FFT, axis=1)
-    power = spec.real**2 + spec.imag**2
+    frames = sliding_window_view(x, FRAME_LENGTH)[::FRAME_SHIFT]
+    n = frames.shape[0]
+    padded = np.zeros((min(n, LFBE_BLOCK), N_FFT))  # columns 400: stay zero
+    spec = np.empty((padded.shape[0], N_FFT // 2 + 1), dtype=np.complex128)
+    power = np.empty((n, N_FFT // 2 + 1))
+    for lo in range(0, n, LFBE_BLOCK):
+        rows = min(LFBE_BLOCK, n - lo)
+        np.multiply(frames[lo:lo + rows], _WINDOW, out=padded[:rows, :FRAME_LENGTH])
+        np.fft.rfft(padded[:rows], axis=1, out=spec[:rows])
+        parts = spec[:rows].view(np.float64)  # real and imaginary parts interleaved
+        np.multiply(parts, parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power[lo:lo + rows])
     energies = power @ _MEL_WEIGHTS
-    return np.log(np.maximum(energies, LOG_FLOOR))
+    np.maximum(energies, LOG_FLOOR, out=energies)
+    return np.log(energies, out=energies)
 
 
 def stack_frames(frames: np.ndarray) -> np.ndarray:
@@ -150,7 +169,7 @@ def read_wav(path) -> np.ndarray:
             raise ValueError(f"expected 16-bit PCM in {path}")
         rate = fh.getframerate()
         raw = fh.readframes(fh.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.divide(np.frombuffer(raw, dtype="<i2"), 32768.0, dtype=np.float64)
     if rate != SAMPLE_RATE:
         samples = np.clip(resample_linear(samples, rate), -1.0, 1.0)
     return samples

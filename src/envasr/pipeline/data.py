@@ -126,8 +126,7 @@ def train_corpus_codebooks(cfg, utts, audio):
                              f"fewer than tokenize.k_{modality} = {k}")
     codebooks = []
     for modality, parts, k, offset in fits:
-        rows = sample_rows(np.concatenate(parts, axis=0), tok.sample_cap,
-                           substream(cfg.seed, f"sample-{modality}"))
+        rows = sample_rows(parts, tok.sample_cap, substream(cfg.seed, f"sample-{modality}"))
         codebooks.append(train_kmeans(rows, k, max_iters=tok.max_iters,
                                       seed=derive_seed(cfg.seed, f"kmeans-{modality}"),
                                       modality=modality, vocab_offset=offset))

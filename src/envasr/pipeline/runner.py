@@ -84,19 +84,26 @@ def run_tokenize(cfg: RunConfig) -> dict:
             "video_codebook": str(cb_dir / "video.cb"), "utterances": len(utts)}
 
 
-def _check_positions(env_cfg, utts, video: bool) -> None:
-    """Fail before step 0, naming the utterance, if one outgrows the env
-    encoder's position tables; `EnvEncoder.embed` would fail only at its step."""
-    for u in utts:
-        sizes = [("audio patches", "max_audio_positions", u.raw_patches.shape[0])]
-        if video and u.video_grid:
-            sizes += zip(("video steps", "grid rows", "grid cols"),
-                         ("max_video_steps", "max_grid_rows", "max_grid_cols"),
-                         u.video_grid)
-        for what, key, size in sizes:
-            if size > getattr(env_cfg, key):
-                raise ValueError(f"utterance {u.name} has {size} {what}, more than "
-                                 f"{key} = {getattr(env_cfg, key)}")
+def _whiten_corpus(utts, whitener):
+    """(names, reference words, label ids, whitened audio patches) of `utts`,
+    one entry per utterance. A stage keeps these and drops `utts`: whitening
+    is the last reader of the unwhitened patch rows."""
+    return ([u.name for u in utts], [u.label_names for u in utts], [u.label_ids for u in utts],
+            [whiten_clip(u.raw_patches, whitener) for u in utts])
+
+
+def _check_positions(env_cfg, name: str, audio_patches: int, video_grid) -> None:
+    """Fail before step 0, naming utterance `name`, if its audio patch count
+    or video grid (None: not checked) outgrows the env encoder's position
+    tables; `EnvEncoder.embed` would fail only at its step."""
+    sizes = [("audio patches", "max_audio_positions", audio_patches)]
+    if video_grid:
+        sizes += zip(("video steps", "grid rows", "grid cols"),
+                     ("max_video_steps", "max_grid_rows", "max_grid_cols"), video_grid)
+    for what, key, size in sizes:
+        if size > getattr(env_cfg, key):
+            raise ValueError(f"utterance {name} has {size} {what}, more than "
+                             f"{key} = {getattr(env_cfg, key)}")
 
 
 def _train_loop(cfg: RunConfig, log_name: str, n_items: int, step_fn, eval_fn,
@@ -146,12 +153,14 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     """Masked multimodal pretraining on the corpus; returns a summary dict."""
     utts = load_corpus(cfg.train_manifest_path())
     env_cfg = env_encoder_config(cfg)
-    _check_positions(env_cfg, utts, video=True)
+    for u in utts:
+        _check_positions(env_cfg, u.name, u.raw_patches.shape[0], u.video_grid)
     whitener = ensure_whitener(cfg.codebook_path(), utts)
     audio = [whiten_clip(u.raw_patches, whitener) for u in utts]
     cb_audio, cb_video = ensure_codebooks(cfg, utts, audio, whitener.key)
     batches = [make_pretrain_batch(u, rows, cb_audio, cb_video)
                for u, rows in zip(utts, audio)]
+    del utts  # whitening was the raw rows' last reader; the batches hold the rest
     keys = {"whitener": whitener.key, "codebooks": cb_audio.key}
 
     model = EnvEncoder(env_cfg, seed=cfg.seed)
@@ -211,10 +220,11 @@ def _check_keys(cfg: RunConfig, ckpt_path, ckpt_keys, keys) -> None:
                              f"(another {kind} key); re-run the stage that wrote it")
 
 
-def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int, keys):
+def _frozen_env(cfg: RunConfig, names, feats, env_dim: int, keys):
     """(env model, its parameter hash, per-utterance embeddings) from the
     pretraining checkpoint, which must be `env_dim` wide and trained with the
-    derived files keyed `keys`; embeddings go through the cache under
+    derived files keyed `keys`; the embeddings of the utterances `names`,
+    whose whitened audio patches are `feats`, go through the cache under
     out_dir/env_cache."""
     ckpt_path = cfg.pretrain_ckpt_path()
     if not Path(ckpt_path).is_file():
@@ -226,19 +236,21 @@ def _frozen_env(cfg: RunConfig, utts, feats, env_dim: int, keys):
             f"{env_model.config.model_dim}, but the ASR model's "
             f"pretrain.model_dim is {env_dim}")
     # env extraction is audio-only, so video grids never reach the tables here
-    _check_positions(env_model.config, utts, video=False)
+    for name, f in zip(names, feats):
+        _check_positions(env_model.config, name, f.shape[0], None)
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
     model_hash = parameter_hash(env_model.params)
     cache = cfg.out_path() / "env_cache"
-    envs = [cached_env_embeddings(cache, u.name, env_model, f, model_hash)
-            for u, f in zip(utts, feats)]
+    envs = [cached_env_embeddings(cache, name, env_model, f, model_hash)
+            for name, f in zip(names, feats)]
     return env_model, model_hash, envs
 
 
-def _decode_corpus(model, utts, examples):
-    """(reference, hypothesis) word pairs and hypothesis lines, greedy-decoded
-    from no-grad packed encoder passes over consecutive utterances of at most
-    `ENCODE_ROWS` encoder rows in all (or one longer utterance)."""
+def _decode_corpus(model, refs, examples):
+    """(reference, hypothesis) word pairs, the references being `refs`, and
+    hypothesis lines, greedy-decoded from no-grad packed encoder passes over
+    consecutive utterances of at most `ENCODE_ROWS` encoder rows in all (or
+    one longer utterance)."""
     lengths = model.encoded_lengths([ex.features for ex in examples])
     pairs = []
     hyps = []
@@ -250,9 +262,9 @@ def _decode_corpus(model, utts, examples):
         with ad.no_grad():
             enc = model.encode([ex.features for ex in examples[lo:hi]],
                                [ex.env for ex in examples[lo:hi]]).data
-        for utt, utt_enc in zip(utts[lo:hi], np.split(enc, np.cumsum(lengths[lo:hi])[:-1])):
+        for ref, utt_enc in zip(refs[lo:hi], np.split(enc, np.cumsum(lengths[lo:hi])[:-1])):
             hyp = [SYMBOLS[k] for k in greedy_decode(model, utt_enc)]
-            pairs.append((utt.label_names, hyp))
+            pairs.append((ref, hyp))
             hyps.append(" ".join(hyp))
         lo = hi
     return pairs, hyps
@@ -262,8 +274,9 @@ def run_asr_training(cfg: RunConfig) -> dict:
     """Transducer training over frozen environment embeddings."""
     utts = load_corpus(cfg.train_manifest_path())
     whitener = ensure_whitener(cfg.codebook_path(), utts)
-    feats = [whiten_clip(u.raw_patches, whitener) for u in utts]
-    frames, shortest = min((f.shape[0], u.name) for u, f in zip(utts, feats))
+    names, refs, label_ids, feats = _whiten_corpus(utts, whitener)
+    del utts
+    frames, shortest = min(zip((f.shape[0] for f in feats), names))
     policy = cfg.augment
     if policy.time_width > frames:
         raise ValueError(f"augment.time_width = {policy.time_width} exceeds the "
@@ -273,13 +286,13 @@ def run_asr_training(cfg: RunConfig) -> dict:
                          f"{feats[0].shape[1]} feature dims")
 
     env_hash_before = env_hash_after = None
-    envs = [None] * len(utts)
+    envs = [None] * len(names)
     keys = {"whitener": whitener.key}
     if cfg.asr.fusion_mode == CROSS:
-        env_model, env_hash_before, envs = _frozen_env(cfg, utts, feats,
+        env_model, env_hash_before, envs = _frozen_env(cfg, names, feats,
                                                        cfg.pretrain.model_dim, keys)
-    examples = [Utterance(f, u.label_ids, e).require_labels()
-                for u, f, e in zip(utts, feats, envs)]
+    examples = [Utterance(f, ids, e).require_labels()
+                for f, ids, e in zip(feats, label_ids, envs)]
 
     model = AsrModel(conformer_config(cfg, vocab_size=len(SYMBOLS)), seed=cfg.seed)
     latest_wer = None
@@ -290,7 +303,7 @@ def run_asr_training(cfg: RunConfig) -> dict:
 
     def evaluate(step, _loss):
         nonlocal latest_wer
-        pairs, _ = _decode_corpus(model, utts, examples)
+        pairs, _ = _decode_corpus(model, refs, examples)
         latest_wer, counts, _ = corpus_wer(pairs)
         stop = latest_wer <= cfg.asr.early_stop_wer  # WER >= 0: never when negative
         return ([f"# eval step={step} {format_wer_report(latest_wer, counts)}"],
@@ -318,13 +331,13 @@ def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
     whitener = load_whitener(whitener_path)
     keys = {"whitener": whitener.key}
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
-    feats = [whiten_clip(u.raw_patches, whitener) for u in utts]
-    envs = [None] * len(utts)
+    names, refs, label_ids, feats = _whiten_corpus(utts, whitener)
+    del utts
+    envs = [None] * len(names)
     if model.config.fusion_mode == CROSS:
-        envs = _frozen_env(cfg, utts, feats, model.config.env_dim, keys)[2]
-    examples = [Utterance(f, u.label_ids, e)
-                for u, f, e in zip(utts, feats, envs)]
-    pairs, hyps = _decode_corpus(model, utts, examples)
+        envs = _frozen_env(cfg, names, feats, model.config.env_dim, keys)[2]
+    examples = [Utterance(f, ids, e) for f, ids, e in zip(feats, label_ids, envs)]
+    pairs, hyps = _decode_corpus(model, refs, examples)
     rate, counts, ref_words = corpus_wer(pairs)
     out_dir = cfg.out_path()
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -141,15 +141,17 @@ def unified_vocab_size(cb_audio: Codebook, cb_video: Codebook) -> int:
     return cb_audio.k + cb_video.k
 
 
-def sample_rows(rows: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
-    """A float64 copy of at most `cap` of the (n, d) `rows`: all of them when
-    n <= cap (drawing nothing from `rng`), else `cap` distinct rows drawn
-    uniformly, kept in their input order."""
+def sample_rows(parts, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """A new float64 array of at most `cap` of the n rows of the (n_i, d)
+    arrays `parts`, concatenated: all of them when n <= cap (drawing nothing
+    from `rng`), else `cap` distinct rows drawn uniformly, kept in their input
+    order."""
+    rows = np.concatenate(parts, axis=0, dtype=np.float64)
     if rows.shape[0] == 0:
         raise ValueError("no vectors to sample")
     if rows.shape[0] > cap:
         rows = rows[np.sort(rng.choice(rows.shape[0], cap, replace=False))]
-    return rows.astype(np.float64)
+    return rows
 
 
 def save_codebook(path, cb: Codebook) -> None:

@@ -28,7 +28,12 @@ The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
   so the span width grows to 9;
 - ``sampled``: tokenize with ``tokenize.sample_cap = 48``, below the
   corpus's 363 audio and 64 video patch rows, so both codebooks are fitted on
-  a drawn sample.
+  a drawn sample;
+- ``long``: tokenize, 40 steps of pretraining, 40 steps of ASR training and
+  eval on a corpus of its own: 8 utterances of 13-60 symbols, built from the
+  corpus module's synthesizers. Its longest utterances have about 600 LFBE
+  frames, which span several front-end blocks; gen-corpus stops at 10
+  symbols, 98 frames.
 
 Only the runner's public entry points are used, so any commit can be hashed.
 Output lines are ``<sha256>  <path relative to the work directory>``. When a
@@ -43,11 +48,16 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from envasr.pipeline import (generate_synthetic_corpus, run_asr_training, run_eval,
                              run_pretraining, run_tokenize, write_corpus)
 from envasr.pipeline.config import parse_config_lines
+from envasr.pipeline.corpus import (ENV_KINDS, SYMBOLS, SyntheticCorpus, SyntheticUtterance,
+                                    synth_clip, synth_wave)
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+LONG_LENGTHS = (13, 60, 20, 53, 27, 47, 34, 40)  # symbols per ``long`` utterance
 
 
 def config(work: Path, case: str, **overrides):
@@ -80,6 +90,19 @@ def run_all(work: Path) -> None:
     run_pretraining(config(work, "pretrain4", batch_size=4, max_steps=100,
                            **{"schedule.stage_steps": 20}))
     run_tokenize(config(work, "sampled", **{"tokenize.sample_cap": 48}))
+    rng = np.random.default_rng(7)
+    utts = []
+    for i, n_symbols in enumerate(LONG_LENGTHS):
+        labels = rng.integers(0, len(SYMBOLS), n_symbols)
+        env_id = i % len(ENV_KINDS)
+        utts.append(SyntheticUtterance(f"long{i}", labels, env_id,
+                                       synth_wave(labels, env_id, rng), synth_clip(env_id, rng)))
+    write_corpus(SyntheticCorpus(utts, seed=7), work / "long-data")
+    long = config(work, "long", max_steps=40, **{"paths.data_dir": work / "long-data"})
+    run_tokenize(long)
+    run_pretraining(long)
+    run_asr_training(long)
+    run_eval(long)
 
 
 def main(argv=None) -> int:

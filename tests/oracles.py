@@ -32,7 +32,9 @@ closed-form share of positions a span mask covers, which sampled masks must
 match; and ``squared_distances_direct``, ``kmeans_pp_init_direct`` and
 ``lloyd_direct``, k-means recomputing every row's squared norm in each
 distance pass, which `quantize.lloyd`, computing them once per fit, must
-match byte for byte.
+match byte for byte; and ``joint_tanh_direct``, the joint hidden layer node
+building each of its values from fresh temporaries, which ``joint_tanh``,
+computing in one buffer, must match byte for byte.
 """
 
 import math
@@ -106,6 +108,27 @@ def tanh(a):
         ad._accum(a, out.grad * (1.0 - out.data * out.data))
 
     return ad._finish(out, backward, "tanh")
+
+
+def joint_tanh_direct(e, g, b):
+    """tanh(e[:, None] + g[None] + b) flattened to (T*U, J) as one node, for
+    e:(T,J), g:(U,J) and b:(J,)."""
+    t, j = e.data.shape
+    u = g.data.shape[0]
+    if g.data.shape != (u, j) or b.data.shape != (j,):
+        raise ValueError(f"joint_tanh shape mismatch: {e.data.shape}, {g.data.shape}, "
+                         f"{b.data.shape}")
+    h = np.tanh(e.data[:, None] + g.data[None] + b.data).reshape(t * u, j)
+    out = ad._node(h, (e, g, b))
+
+    def backward():
+        dz = (out.grad * (1.0 - h * h)).reshape(t, u, j)
+        dg = dz.sum(axis=0)
+        ad._accum(e, dz.sum(axis=1))
+        ad._accum(g, dg)
+        ad._accum(b, dg.sum(axis=0))
+
+    return ad._finish(out, backward, "joint_tanh")
 
 
 def sum_(a, axis=None, keepdims=False):

@@ -8,7 +8,7 @@ from envasr.env_encoder import EnvEncoder, EnvEncoderConfig, MultimodalBatch, pr
 from envasr.optim import AdamHyper
 
 from oracles import (attention_composite, check_gradients, cross_entropy_logsumexp,
-                     gelu_composite, instance_norm_chain, layer_norm_chain,
+                     gelu_composite, instance_norm_chain, joint_tanh_direct, layer_norm_chain,
                      matmul_triple_loop, softmax, softmax_direct, standardize, sub, sum_,
                      tanh, toposort_dfs, transpose)
 
@@ -617,6 +617,24 @@ class TestFusedTransducerLayers:
         h = ad.joint_tanh(t(e0), t(g0), t(b0)).data
         want = [np.tanh(e + g + b0) for e in e0 for g in g0]
         np.testing.assert_allclose(h, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(81, 51, 64), (4, 2, 3)])
+    def test_joint_tanh_is_bit_identical_to_direct(self, shape, dtype, rng):
+        # the one-buffer forward and backward round exactly as the node
+        # built from fresh temporaries did
+        n_t, n_u, j = shape
+        e0, g0, b0 = (rng.standard_normal(s) for s in ((n_t, j), (n_u, j), (j,)))
+        mix = Tensor(rng.standard_normal((n_t * n_u, j)), dtype=dtype)
+        got = []
+        for node in (ad.joint_tanh, joint_tanh_direct):
+            e, g, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in (e0, g0, b0))
+            h = node(e, g, b)
+            sum_(ad.mul(h, mix)).backward()
+            got.append([h.data, e.grad, g.grad, b.grad])
+        for fast, direct in zip(*got):
+            assert fast.dtype == direct.dtype == dtype and fast.shape == direct.shape
+            assert fast.tobytes() == direct.tobytes()
 
     def test_single_nodes(self, rng):
         x, w = t(rng.standard_normal((4, 3)), grad=True), t(np.eye(3), grad=True)

@@ -37,10 +37,14 @@ class TestLfbe:
         assert above.any()
         np.testing.assert_allclose((b - a)[above], np.log(4.0), atol=1e-9)
 
-    @pytest.mark.parametrize("n", [400, 401, 559, 560, 16000, 16161])
+    # 400 + 160 * (f - 1) samples make f frames: 127-129, 257 and 498 frames
+    # end just before, at and after a block edge, one frame into the third
+    # block and inside the fourth
+    @pytest.mark.parametrize("n", [400, 401, 559, 560, 16000, 16161,
+                                   20560, 20720, 20880, 41360, 80080])
     def test_frames_equal_index_gather_byte_for_byte(self, n):
-        # framing by strided view must give the features an explicit
-        # (frame, sample) index gather gives
+        # framing by strided view, in blocks of LFBE_BLOCK frames, must give
+        # the features an explicit (frame, sample) index gather gives
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         count = (n - ft.FRAME_LENGTH) // ft.FRAME_SHIFT + 1
         idx = np.arange(ft.FRAME_LENGTH)[None, :] + ft.FRAME_SHIFT * np.arange(count)[:, None]
@@ -55,8 +59,12 @@ class TestLfbe:
             ft.compute_lfbe(np.zeros(399))
 
     def test_wave_invariants(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                ft.compute_lfbe(np.full(100, bad))
+        # a non-finite sample is named even beside an out-of-range one
         with pytest.raises(ValueError, match="non-finite"):
-            ft.compute_lfbe(np.full(100, np.nan))
+            ft.compute_lfbe(np.array([0.0, 2.0, np.nan, 0.5] * 100))
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             ft.compute_lfbe(np.full(100, 2.0))
 

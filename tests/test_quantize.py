@@ -171,18 +171,26 @@ class TestPersistence:
 class TestSampleRows:
     def test_cap_respected_and_deterministic(self, rng):
         rows = rng.standard_normal((500, 3))
-        a = vq.sample_rows(rows, 100, substream(4, "s"))
-        b = vq.sample_rows(rows, 100, substream(4, "s"))
+        a = vq.sample_rows([rows], 100, substream(4, "s"))
+        b = vq.sample_rows([rows], 100, substream(4, "s"))
         assert a.shape == (100, 3)
         np.testing.assert_array_equal(a, b)
         picked = [int(np.flatnonzero((rows == row).all(axis=1))[0]) for row in a]
         assert len(set(picked)) == 100 and picked == sorted(picked)
+        # the draw is over the concatenated rows, however they are split
+        parts = [rows[:123], rows[123:].astype(np.float32)]
+        split = vq.sample_rows(parts, 100, substream(4, "s"))
+        assert split.dtype == np.float64
+        np.testing.assert_array_equal(split, np.concatenate(parts)[picked])
 
     def test_small_input_passthrough(self, rng):
         rows = rng.standard_normal((5, 2))
         gen = substream(0, "s")
         state = gen.bit_generator.state
-        out = vq.sample_rows(rows, 100, gen)
+        out = vq.sample_rows([rows[:2], rows[2:]], 100, gen)
         np.testing.assert_array_equal(out, rows)
         assert out.dtype == np.float64 and out is not rows
         assert gen.bit_generator.state == state
+        single = vq.sample_rows([rows], 100, gen)
+        np.testing.assert_array_equal(single, rows)
+        assert single is not rows and not np.shares_memory(single, rows)

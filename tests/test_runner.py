@@ -379,6 +379,15 @@ class TestPositionTables:
             run_asr_training(cfg)
         assert not (cfg.out_path() / "train_asr.log").exists()
         assert not (cfg.out_path() / "env_cache").exists()
+        # so does eval, on the eval manifest (here the same utterance)
+        whitener = load_whitener(cfg.codebook_path() / "whitener.bin")
+        save_checkpoint(cfg.asr_ckpt_path(),
+                        AsrModel(conformer_config(cfg, vocab_size=len(SYMBOLS))).params, 0,
+                        config_lines(cfg), keys={"whitener": whitener.key})
+        with pytest.raises(ValueError, match=msg):
+            run_eval(cfg)
+        assert not (cfg.out_path() / "hypotheses.txt").exists()
+        assert not (cfg.out_path() / "env_cache").exists()
 
     def test_long_video_rejected_by_pretraining_only(self, tmp_path, capsys):
         data = self.write_one(tmp_path / "data", n_symbols=4, clip_steps=65)
