@@ -171,26 +171,23 @@ class AsrModel:
 
     def project_env(self, env: np.ndarray) -> Tensor:
         """Shared adapter env_dim -> model_dim; env itself stays frozen."""
-        return ad.add(ad.matmul(self._const(env), self.params["env_adapter.w"]),
-                      self.params["env_adapter.b"])
+        return ad.matmul(self._const(env), self.params["env_adapter.w"],
+                         self.params["env_adapter.b"])
 
     def _ff(self, x: Tensor, prefix: str) -> Tensor:
         p = self.params
         h = ad.layer_norm(x, p[f"{prefix}.norm.g"], p[f"{prefix}.norm.b"])
-        h = ad.swish(ad.add(ad.matmul(h, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        return ad.add(ad.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        h = ad.swish(ad.matmul(h, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        return ad.matmul(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def _conv_module(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
         p = self.params
-        d = self.config.model_dim
         h = ad.layer_norm(x, p[f"{prefix}.norm.g"], p[f"{prefix}.norm.b"])
-        h = ad.add(ad.matmul(h, p[f"{prefix}.pw1.w"]), p[f"{prefix}.pw1.b"])
-        gate = ad.sigmoid(ad.narrow(h, 1, d, d))
-        h = ad.mul(ad.narrow(h, 1, 0, d), gate)
+        h = ad.glu(ad.matmul(h, p[f"{prefix}.pw1.w"], p[f"{prefix}.pw1.b"]))
         h = ad.depthwise_conv1d(h, p[f"{prefix}.dw.w"], lengths)
         h = ad.swish(ad.instance_norm(h, p[f"{prefix}.inorm.g"], p[f"{prefix}.inorm.b"],
                                       lengths))
-        return ad.add(ad.matmul(h, p[f"{prefix}.pw2.w"]), p[f"{prefix}.pw2.b"])
+        return ad.matmul(h, p[f"{prefix}.pw2.w"], p[f"{prefix}.pw2.b"])
 
     def block(self, i: int, x: Tensor, env_proj: Tensor | None, lengths=None,
               env_lengths=None) -> Tensor:
@@ -200,7 +197,7 @@ class AsrModel:
         p = self.params
         pre = f"block{i}"
         heads = self.config.heads
-        x = ad.add(x, ad.mul(self._ff(x, f"{pre}.ff1"), 0.5))
+        x = ad.scaled_add(x, self._ff(x, f"{pre}.ff1"), 0.5)
         h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
         x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, heads, lengths))
         h = ad.layer_norm(x, p[f"{pre}.fusion.norm.g"], p[f"{pre}.fusion.norm.b"])
@@ -210,7 +207,7 @@ class AsrModel:
             fused = ad.mha(p, f"{pre}.fusion", h, h, heads, lengths)
         x = ad.add(x, fused)
         x = ad.add(x, self._conv_module(x, f"{pre}.conv", lengths))
-        x = ad.add(x, ad.mul(self._ff(x, f"{pre}.ff2"), 0.5))
+        x = ad.scaled_add(x, self._ff(x, f"{pre}.ff2"), 0.5)
         return ad.layer_norm(x, p[f"{pre}.out_norm.g"], p[f"{pre}.out_norm.b"])
 
     def encoded_lengths(self, features) -> list:
@@ -248,16 +245,16 @@ class AsrModel:
         p = self.params
         tokens = [np.concatenate([[self.blank_id], np.asarray(u, dtype=np.int64)])
                   for u in labels]
-        x = ad.matmul(ad.embedding(p["pred.embed"], np.concatenate(tokens)), p["pred.w_in"])
-        return ad.rnn_tanh(ad.add(x, p["pred.b"]), p["pred.w_rec"],
-                           [t.size for t in tokens])
+        x = ad.matmul(ad.embedding(p["pred.embed"], np.concatenate(tokens)), p["pred.w_in"],
+                      p["pred.b"])
+        return ad.rnn_tanh(x, p["pred.w_rec"], [t.size for t in tokens])
 
     def joint_log_probs(self, enc: Tensor, pred: Tensor) -> Tensor:
         """(T, U+1, V+1) log-probabilities from the tanh joint network."""
         p = self.params
         h = ad.joint_tanh(ad.matmul(enc, p["joint.w_enc"]),
                           ad.matmul(pred, p["joint.w_pred"]), p["joint.b"])
-        logits = ad.add(ad.matmul(h, p["joint.w_out"]), p["joint.b_out"])
+        logits = ad.matmul(h, p["joint.w_out"], p["joint.b_out"])
         return ad.log_softmax(ad.reshape(
             logits, (enc.data.shape[0], pred.data.shape[0], self.config.vocab_size + 1)))
 

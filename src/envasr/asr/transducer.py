@@ -115,7 +115,7 @@ def rnnt_loss(log_probs: Tensor, labels) -> Tensor:
     def backward():
         beta, _ = rnnt_betas(lp, labels)
         g = rnnt_grad(lp, labels, alpha, beta, loglik)
-        ad._accum(log_probs, out.grad * g)
+        ad._accum(log_probs, out.grad * g, owned=True)
 
     return ad._finish(out, backward, "rnnt_loss")
 

@@ -7,6 +7,17 @@ gradients into the leaves, and frees the graph.
 
 Arithmetic runs in float64 by default (the precision the numeric checks
 assume); models may opt into float32 per tensor for training speed.
+
+The nodes: ``add``, ``mul``, ``scaled_add``, ``gelu``, ``swish``, ``glu``,
+``matmul`` (with an optional bias), ``reshape``, ``concat``, ``narrow``,
+``embedding``, ``log_softmax``, ``layer_norm``, ``instance_norm``,
+``cross_entropy``, ``attention``, ``conv1d``, ``depthwise_conv1d``,
+``rnn_tanh`` and ``joint_tanh``. Most stand for a chain of smaller nodes,
+one node per layer, since at the models' shapes a node costs more than its
+arithmetic. A fused node runs the chain's numpy operations on the same
+operands in the same order and sums each input's gradient terms in the
+chain's order, so at each call site it is bit-identical to the chain, which
+``tests/oracles.py`` keeps and tests it against byte for byte.
 """
 
 import math
@@ -156,15 +167,20 @@ def _finish(out: Tensor, backward, op: str) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add `g` into `t`'s gradient. `owned` promises that nothing else
+    references `g` (a temporary of the op, or its out.grad at its last use),
+    so a first gradient keeps an array of `t`'s dtype instead of a copy."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        if t._grad_buf is None:
-            t.grad = np.array(g, dtype=t.data.dtype)
-        else:
+        if t._grad_buf is not None:
             np.copyto(t._grad_buf, g)
             t.grad = t._grad_buf
+        elif owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -198,9 +214,21 @@ def add(a: Tensor, b) -> Tensor:
 
     def backward():
         _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(out.grad, b.data.shape))
+        _accum(b, _unbroadcast(out.grad, b.data.shape), owned=True)  # out.grad's last use
 
     return _finish(out, backward, "add")
+
+
+def scaled_add(x: Tensor, f: Tensor, scale: float) -> Tensor:
+    """x + f * scale as one node (the chain ``add(x, mul(f, scale))``)."""
+    c = np.asarray(scale, dtype=f.data.dtype)
+    out = _node(x.data + f.data * c, (x, f))
+
+    def backward():
+        _accum(f, out.grad * c, owned=True)
+        _accum(x, out.grad, owned=True)
+
+    return _finish(out, backward, "scaled_add")
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -209,20 +237,11 @@ def mul(a: Tensor, b) -> Tensor:
 
     def backward():
         if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape), owned=True)
 
     return _finish(out, backward, "mul")
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _node(1.0 / (1.0 + np.exp(-a.data)), (a,))
-
-    def backward():
-        _accum(a, out.grad * out.data * (1.0 - out.data))
-
-    return _finish(out, backward, "sigmoid")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -242,35 +261,78 @@ def gelu(a: Tensor) -> Tensor:
 
     def backward():
         slope = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        _accum(a, out.grad * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * slope))
+        _accum(a, out.grad * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * slope),
+               owned=True)
 
     return _finish(out, backward, "gelu")
 
 
 def swish(a: Tensor) -> Tensor:
-    return mul(a, sigmoid(a))
+    """x * sigmoid(x) as one node (the chain ``mul(a, sigmoid(a))``)."""
+    x = a.data
+    s = 1.0 / (1.0 + np.exp(-x))
+    out = _node(x * s, (a,))
+
+    def backward():
+        g = out.grad  # the mul's term plus the sigmoid's
+        _accum(a, g * s + g * x * s * (1.0 - s), owned=True)
+
+    return _finish(out, backward, "swish")
+
+
+def glu(a: Tensor) -> Tensor:
+    """The first half of the last axis times the sigmoid of the second half,
+    as one node (the chain of two ``narrow``s, a ``sigmoid`` and a ``mul``)."""
+    x = a.data
+    d = x.shape[-1] // 2
+    if x.shape[-1] != 2 * d:
+        raise ValueError(f"glu needs an even last axis, got {x.shape[-1]}")
+    lin = x[..., :d]
+    s = 1.0 / (1.0 + np.exp(-x[..., d:]))
+    out = _node(lin * s, (a,))
+
+    def backward():
+        g = out.grad
+        # added into zeros, as the narrows' zero-padded gradients were, so
+        # even the sign of a zero is the chain's
+        ga = np.zeros_like(x)
+        ga[..., :d] += g * s
+        ga[..., d:] += g * lin * s * (1.0 - s)
+        _accum(a, ga, owned=True)
+
+    return _finish(out, backward, "glu")
 
 
 # ---------------------------------------------------------------------------
 # shape ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus a 1-D `bias` over the last axis if given, as one node (the
+    chain ``add(matmul(a, b), bias)``)."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul shape mismatch: {a.data.shape} x {b.data.shape}"
         )
-    out = _node(np.matmul(a.data, b.data), (a, b))
+    y = np.matmul(a.data, b.data)
+    if bias is not None:
+        if bias.data.shape != y.shape[-1:] or bias.data.dtype != y.dtype:
+            raise ValueError(f"matmul bias {bias.data.shape} {bias.data.dtype} does not "
+                             f"match the product's last axis {y.shape[-1:]} {y.dtype}")
+        y += bias.data
+    out = _node(y, (a, b) if bias is None else (a, b, bias))
 
     def backward():
+        if bias is not None and bias.requires_grad:
+            _accum(bias, _unbroadcast(out.grad, bias.data.shape), owned=True)
         if a.requires_grad:
             _accum(a, _unbroadcast(np.matmul(out.grad, np.swapaxes(b.data, -1, -2)),
-                                   a.data.shape))
+                                   a.data.shape), owned=True)
         if b.requires_grad:
             _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), out.grad),
-                                   b.data.shape))
+                                   b.data.shape), owned=True)
 
     return _finish(out, backward, "matmul")
 
@@ -279,7 +341,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = _node(a.data.reshape(shape), (a,))
 
     def backward():
-        _accum(a, out.grad.reshape(a.data.shape))
+        _accum(a, out.grad.reshape(a.data.shape), owned=True)  # out.grad's last use
 
     return _finish(out, backward, "reshape")
 
@@ -310,7 +372,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     def backward():
         g = np.zeros_like(a.data)
         g[idx] = out.grad
-        _accum(a, g)
+        _accum(a, g, owned=True)
 
     return _finish(out, backward, "narrow")
 
@@ -332,7 +394,7 @@ def embedding(table: Tensor, ids) -> Tensor:
             g[ids] = out.grad
         else:
             np.add.at(g, ids, out.grad)
-        _accum(table, g)
+        _accum(table, g, owned=True)
 
     return _finish(out, backward, "embedding")
 
@@ -341,17 +403,32 @@ def embedding(table: Tensor, ids) -> Tensor:
 # normalization and losses
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.data.shape[axis] == 0:
+def _mean(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.mean(axis, keepdims=True)`` bit for bit without its Python wrapper
+    (a float32 quotient is the rounded float64 one that ``mean`` makes)."""
+    s = np.add.reduce(x, axis=axis, keepdims=True)
+    s /= x.shape[axis]
+    return s
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis as one node."""
+    x = a.data
+    if x.shape[-1] == 0:
         raise ValueError("log_softmax over an empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    # the row max by elementwise passes over the last axis's slices: a max is
+    # exact in any order, and numpy's along a short axis costs ten times more
+    m = x[..., 0].copy()
+    for i in range(1, x.shape[-1]):
+        np.maximum(m, x[..., i], out=m)
+    shifted = x - m[..., None]
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
     out = _node(y, (a,))
 
     def backward():
         g = out.grad
-        _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True), owned=True)
 
     return _finish(out, backward, "log_softmax")
 
@@ -360,9 +437,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Per-vector normalization over the last axis, then affine, as one node."""
     if gamma.data.shape != (x.data.shape[-1],) or beta.data.shape != (x.data.shape[-1],):
         raise ValueError("layer_norm affine parameters must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    centered = x.data - _mean(x.data, -1)
+    var = _mean(centered * centered, -1)
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
     out = _node(y * gamma.data + beta.data, (x, gamma, beta))
@@ -372,9 +448,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         _accum(beta, _unbroadcast(g, beta.data.shape))
         _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
         g = g * gamma.data
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
-        _accum(x, (g - gm - y * gy) * inv)
+        gm = _mean(g, -1)
+        gy = _mean(g * y, -1)
+        _accum(x, (g - gm - y * gy) * inv, owned=True)
 
     return _finish(out, backward, "layer_norm")
 
@@ -394,8 +470,8 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, lengths=None,
     invs = []
     for lo, hi in bounds:
         seg = x.data[lo:hi]
-        centered = seg - seg.mean(axis=0, keepdims=True)
-        inv = 1.0 / np.sqrt((centered * centered).mean(axis=0, keepdims=True) + eps)
+        centered = seg - _mean(seg, 0)
+        inv = 1.0 / np.sqrt(_mean(centered * centered, 0) + eps)
         y[lo:hi] = centered * inv
         invs.append(inv)
     out = _node(y * gamma.data + beta.data, (x, gamma, beta))
@@ -408,10 +484,10 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, lengths=None,
         gx = np.empty_like(g)
         for (lo, hi), inv in zip(bounds, invs):
             gs, ys = g[lo:hi], y[lo:hi]
-            gm = gs.mean(axis=0, keepdims=True)
-            gy = (gs * ys).mean(axis=0, keepdims=True)
+            gm = _mean(gs, 0)
+            gy = _mean(gs * ys, 0)
             gx[lo:hi] = (gs - gm - ys * gy) * inv
-        _accum(x, gx)
+        _accum(x, gx, owned=True)
 
     return _finish(out, backward, "instance_norm")
 
@@ -464,7 +540,7 @@ def cross_entropy(logits: Tensor, targets, ignore=None, lengths=None) -> Tensor:
         probs = np.exp(shifted - lse[:, None])
         probs[np.arange(n), targets] -= 1.0
         probs[~keep] = 0.0
-        _accum(logits, out.grad * inv * probs / row_counts)
+        _accum(logits, out.grad * inv * probs / row_counts, owned=True)
 
     return _finish(out, backward, "cross_entropy")
 
@@ -497,9 +573,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
     heads_views, weights, mixed = [], [], []
     for (qlo, qhi), (klo, khi) in zip(q_bounds, kv_bounds):
         qh, kh, vh = split(q.data, qlo, qhi), split(k.data, klo, khi), split(v.data, klo, khi)
-        scores = np.matmul(qh, np.transpose(kh, (0, 2, 1))) * scale
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        w = e / e.sum(axis=-1, keepdims=True)
+        w = np.matmul(qh, np.transpose(kh, (0, 2, 1)))
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
         mixed.append(np.transpose(np.matmul(w, vh), (1, 0, 2)).reshape(qhi - qlo, d))
         heads_views.append((qh, kh, vh))
         weights.append(w)
@@ -518,9 +596,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
             gv.append(np.transpose(gvh, (1, 0, 2)).reshape(-1, d))
         # v, k, q: attention_composite's order, so q = k = v on one tensor
         # sums its three gradients bit-identically
-        _accum(v, np.concatenate(gv))
-        _accum(k, np.concatenate(gk))
-        _accum(q, np.concatenate(gq))
+        _accum(v, np.concatenate(gv), owned=True)
+        _accum(k, np.concatenate(gk), owned=True)
+        _accum(q, np.concatenate(gq), owned=True)
 
     return _finish(out, backward, "attention")
 
@@ -534,7 +612,7 @@ def mha(params, prefix: str, x: Tensor, kv: Tensor, heads: int, lengths=None,
     `kv_lengths` segment a packed batch as in `attention`."""
 
     def proj(t, m):
-        return add(matmul(t, params[f"{prefix}.w{m}"]), params[f"{prefix}.b{m}"])
+        return matmul(t, params[f"{prefix}.w{m}"], params[f"{prefix}.b{m}"])
 
     keys = matmul(kv, params[f"{prefix}.wk"])
     mixed = attention(proj(x, "q"), keys, proj(kv, "v"), heads, lengths, kv_lengths)
@@ -566,7 +644,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             gx = np.zeros_like(x.data)
             for j, sl in enumerate(rows):
                 gx[sl] += np.matmul(g, w.data[j].T)
-            _accum(x, gx)
+            _accum(x, gx, owned=True)
         if w.requires_grad:
             _accum(w, np.stack([np.matmul(x.data[sl].T, g) for sl in rows]))
         _accum(b, g.sum(axis=0))
@@ -607,7 +685,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, lengths=None) -> Tensor:
         for j in range(kk):
             gxp[j : j + n] += g * w.data[j]
             gw[j] = (xp[j : j + n] * g).sum(axis=0)
-        _accum(x, gxp[rows + pad])
+        _accum(x, gxp[rows + pad], owned=True)
         _accum(w, gw)
 
     return _finish(out, backward, "depthwise_conv1d")
@@ -644,10 +722,10 @@ def rnn_tanh(x: Tensor, w_rec: Tensor, lengths=None) -> Tensor:
                 dz[u] = carry * (1.0 - h[u] * h[u])
                 if u > lo:
                     carry = g[u - 1] + dz[u] @ w_t
-        _accum(x, dz)
         follow = np.ones(n, dtype=bool)  # rows with a predecessor in their segment
         follow[[lo for lo, _ in bounds]] = False
         _accum(w_rec, h[np.flatnonzero(follow) - 1].T @ dz[follow])
+        _accum(x, dz, owned=True)
 
     return _finish(out, backward, "rnn_tanh")
 
@@ -670,8 +748,8 @@ def joint_tanh(e: Tensor, g: Tensor, b: Tensor) -> Tensor:
         np.subtract(1.0, dz, out=dz)
         dz = np.multiply(out.grad, dz, out=dz).reshape(t, u, j)
         dg = dz.sum(axis=0)
-        _accum(e, dz.sum(axis=1))
-        _accum(g, dg)
+        _accum(e, dz.sum(axis=1), owned=True)
         _accum(b, dg.sum(axis=0))
+        _accum(g, dg, owned=True)
 
     return _finish(out, backward, "joint_tanh")

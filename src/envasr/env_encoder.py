@@ -252,13 +252,12 @@ class EnvEncoder:
             h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
             x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, cfg.heads, lengths))
             h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
-            h = ad.gelu(ad.add(ad.matmul(h, p[f"{pre}.ff.w1"]), p[f"{pre}.ff.b1"]))
-            h = ad.add(ad.matmul(h, p[f"{pre}.ff.w2"]), p[f"{pre}.ff.b2"])
-            x = ad.add(x, h)
+            h = ad.gelu(ad.matmul(h, p[f"{pre}.ff.w1"], p[f"{pre}.ff.b1"]))
+            x = ad.add(x, ad.matmul(h, p[f"{pre}.ff.w2"], p[f"{pre}.ff.b2"]))
         return ad.layer_norm(x, p["final_norm.g"], p["final_norm.b"])
 
     def mlm_logits(self, encoded: Tensor) -> Tensor:
-        return ad.add(ad.matmul(encoded, self.params["head.w"]), self.params["head.b"])
+        return ad.matmul(encoded, self.params["head.w"], self.params["head.b"])
 
     def mlm_loss(self, encoded: Tensor, labels: np.ndarray, mask: np.ndarray,
                  lengths=None) -> Tensor:

@@ -174,7 +174,7 @@ def make_pretrain_batch(utt: LoadedUtterance, audio: np.ndarray,
 def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
                           audio_patches: np.ndarray, model_hash: str) -> np.ndarray:
     """The float32 env embeddings of `audio_patches`, from the extract-once
-    cache `<utt_name>.env`, reused only while `<utt_name>.key`
+    cache `<utt_name>.env`, reused only while it reads and `<utt_name>.key`
     holds `model_hash` (the env model's `parameter_hash`) and the hash of these
     patch bytes; otherwise it is rewritten."""
     cache_dir = Path(cache_dir)
@@ -183,8 +183,11 @@ def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
     key_path = cache_dir / f"{utt_name}.key"
     key = (f"{model_hash} "
            f"{hashlib.sha256(np.ascontiguousarray(audio_patches)).hexdigest()}\n")
-    if path.is_file() and key_path.is_file() and key_path.read_text() == key:
-        return read_raw_array(path)
+    try:
+        if key_path.read_text() == key:
+            return read_raw_array(path)
+    except (FileNotFoundError, ValueError):
+        pass  # a missing or unreadable entry is recomputed, like a stale one
     key_path.unlink(missing_ok=True)  # an old key must not vouch for the new entry
     vectors = extract_env_embeddings(model, audio_patches).astype(np.float32)
     write_raw_array(path, vectors)

@@ -136,4 +136,6 @@ def read_raw_array(path) -> np.ndarray:
         raw = fh.read(count * 4)
         if len(raw) != count * 4:
             raise ValueError(f"raw-array payload truncated in {path}")
+        if fh.read(1):
+            raise ValueError(f"raw-array payload longer than its header says in {path}")
         return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)

@@ -3,10 +3,10 @@
 These deliberately avoid the library's own code paths: naive loops,
 exhaustive enumeration, and plain DP recurrences. The exceptions are
 ``make_lattice``, a test helper that bundles the library's transducer sums;
-``sub``, ``tanh``, ``sum_``, ``softmax`` and ``power``, autodiff nodes that
-no model uses, which the chains below and the gradient checks build on;
-``gelu_composite``, GELU spelled out as a chain of the engine's elementwise
-ops and those nodes; ``check_gradients``, which compares the engine's
+``sub``, ``tanh``, ``sigmoid``, ``sum_``, ``softmax`` and ``power``,
+autodiff nodes that no model uses, which the chains below and the gradient
+checks build on; ``gelu_composite``, GELU spelled out as a chain of the
+engine's elementwise ops and those nodes; ``check_gradients``, which compares the engine's
 reverse-mode gradients with central differences; and
 ``adam_step_per_tensor`` and ``toposort_dfs``, the engine's earlier Adam
 update and tape sort, which the flat-buffer update and the loop-based sort
@@ -34,7 +34,14 @@ match; and ``squared_distances_direct``, ``kmeans_pp_init_direct`` and
 distance pass, which `quantize.lloyd`, computing them once per fit, must
 match byte for byte; and ``joint_tanh_direct``, the joint hidden layer node
 building each of its values from fresh temporaries, which ``joint_tanh``,
-computing in one buffer, must match byte for byte.
+computing in one buffer, must match byte for byte; and ``matmul_add``,
+``swish_chain``, ``glu_chain``, ``scaled_add_chain`` and
+``log_softmax_max``, the chains the one-node ``matmul`` with a bias,
+``swish``, ``glu``, ``scaled_add`` and ``log_softmax`` replaced (the last
+one the node that took its row max with ``ndarray.max``), which they must
+match byte for byte, as ``layer_norm`` must match ``layer_norm_chain``, whose
+statistics come from ``ndarray.mean``, and ``attention`` must match
+``attention_composite``, whose softmax allocates each temporary.
 """
 
 import math
@@ -108,6 +115,50 @@ def tanh(a):
         ad._accum(a, out.grad * (1.0 - out.data * out.data))
 
     return ad._finish(out, backward, "tanh")
+
+
+def sigmoid(a):
+    out = ad._node(1.0 / (1.0 + np.exp(-a.data)), (a,))
+
+    def backward():
+        ad._accum(a, out.grad * out.data * (1.0 - out.data))
+
+    return ad._finish(out, backward, "sigmoid")
+
+
+def matmul_add(a, w, b):
+    """``ad.matmul(a, w, b)`` as a matmul node and an add node."""
+    return ad.add(ad.matmul(a, w), b)
+
+
+def swish_chain(a):
+    return ad.mul(a, sigmoid(a))
+
+
+def glu_chain(h):
+    """``ad.glu`` of a (rows, 2d) tensor as narrow, sigmoid, narrow, mul."""
+    d = h.data.shape[1] // 2
+    gate = sigmoid(ad.narrow(h, 1, d, d))
+    return ad.mul(ad.narrow(h, 1, 0, d), gate)
+
+
+def scaled_add_chain(x, f, scale):
+    return ad.add(x, ad.mul(f, scale))
+
+
+def log_softmax_max(a):
+    """Log-softmax over the last axis as one node, its row max from
+    ``ndarray.max``."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    y = shifted - lse
+    out = ad._node(y, (a,))
+
+    def backward():
+        g = out.grad
+        ad._accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+
+    return ad._finish(out, backward, "log_softmax")
 
 
 def joint_tanh_direct(e, g, b):

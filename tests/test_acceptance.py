@@ -28,8 +28,8 @@ from envasr.quantize import assign_tokens, lloyd, train_kmeans
 from envasr.rng import substream
 
 from oracles import (check_gradients, edit_distance_dp, expected_coverage,
-                     nearest_center_exhaustive, softmax, standardize, sum_, tanh,
-                     transducer_loglik_enumerate)
+                     nearest_center_exhaustive, sigmoid, softmax, standardize, sum_,
+                     tanh, transducer_loglik_enumerate)
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -137,7 +137,7 @@ class TestCriterion1Gradchecks:
             lambda: sum_(ad.mul(ad.depthwise_conv1d(xv, wd), mix5)),
             [xv, wd], rtol=1e-3))
 
-        for op in (tanh, ad.sigmoid, ad.gelu, ad.swish,
+        for op in (tanh, sigmoid, ad.gelu, ad.swish,
                    softmax, ad.log_softmax, standardize):
             xe = Tensor(rng.uniform(0.2, 1.5, (3, 4)), requires_grad=True)
             mixe = Tensor(rng.standard_normal((3, 4)))

@@ -8,9 +8,10 @@ from envasr.env_encoder import EnvEncoder, EnvEncoderConfig, MultimodalBatch, pr
 from envasr.optim import AdamHyper
 
 from oracles import (attention_composite, check_gradients, cross_entropy_logsumexp,
-                     gelu_composite, instance_norm_chain, joint_tanh_direct, layer_norm_chain,
-                     matmul_triple_loop, softmax, softmax_direct, standardize, sub, sum_,
-                     tanh, toposort_dfs, transpose)
+                     gelu_composite, glu_chain, instance_norm_chain, joint_tanh_direct,
+                     layer_norm_chain, log_softmax_max, matmul_add, matmul_triple_loop,
+                     scaled_add_chain, sigmoid, softmax, softmax_direct, standardize, sub,
+                     sum_, swish_chain, tanh, toposort_dfs, transpose)
 
 
 def t(data, grad=False):
@@ -24,6 +25,21 @@ def value_and_grads(fn, arrays, mix):
     out = fn(*leaves)
     sum_(ad.mul(out, Tensor(mix))).backward()
     return [out.data] + [leaf.grad for leaf in leaves]
+
+
+# One training step's shapes in the two benchmark workloads: (rows, model
+# width, feed-forward width) and the lattice. asr-long is batch 1 with about
+# 82 encoder rows of width 64 and a lattice over 51 label rows and 9 symbols;
+# pretrain-mid packs 4 utterances of about 25 rows each at width 128.
+WORKLOAD_SHAPES = {"asr-long": (82, 64, 256), "pretrain-mid": (98, 128, 512)}
+LATTICES = [(82, 51, 9), (12, 6, 9)]
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestMatmul:
@@ -306,7 +322,8 @@ class TestFusedAttention:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("tq,tk,d,heads", [(7, 7, 8, 2), (5, 3, 12, 4), (1, 1, 4, 1),
-                                               (6, "shared", 8, 2)])
+                                               (6, "shared", 8, 2), (82, 79, 64, 4),
+                                               (82, "shared", 64, 4), (25, "shared", 128, 4)])
     def test_one_segment_matches_composite_bit_for_bit(self, rng, dtype, tq, tk, d, heads):
         # the same numpy ops on the same memory layouts, so toy (batch 1)
         # artifacts stay byte-identical to the composite chain's
@@ -318,8 +335,7 @@ class TestFusedAttention:
         fused = self.run(lambda *a: ad.attention(*a, heads), q, k, v, wo.astype(dtype))
         chain = self.run(lambda *a: attention_composite(*a, heads), q, k, v,
                          wo.astype(dtype))
-        for got, want in zip(fused, chain):
-            np.testing.assert_array_equal(got, want)
+        assert_same_bytes(fused, chain)
 
     def test_segments_match_separate_calls(self, rng):
         lengths = [3, 1, 4]
@@ -509,8 +525,8 @@ class TestElementwiseGradients:
     """Every differentiable primitive against central differences."""
 
     @pytest.mark.parametrize("op", [
-        tanh, ad.sigmoid, ad.gelu, ad.swish, lambda x: standardize(x),
-        lambda x: softmax(x, axis=-1), lambda x: ad.log_softmax(x, axis=-1),
+        tanh, sigmoid, ad.gelu, ad.swish, lambda x: standardize(x),
+        lambda x: softmax(x, axis=-1), lambda x: ad.log_softmax(x),
     ])
     def test_unary(self, op, rng):
         x = t(rng.uniform(0.3, 2.0, size=(3, 4)), grad=True)
@@ -596,6 +612,143 @@ class TestFusedGelu:
         with debug_checks():
             with pytest.raises(FloatingPointError, match="'gelu'"):
                 ad.gelu(t([1.0, np.nan]))
+
+
+class TestFusedLayerNodes:
+    """Each one-node layer against the chain it replaced (tests/oracles.py):
+    the value and every gradient, byte for byte."""
+
+    @staticmethod
+    def compare(fused, chain, arrays, mix):
+        assert_same_bytes(value_and_grads(fused, arrays, mix),
+                          value_and_grads(chain, arrays, mix))
+
+    @staticmethod
+    def draw(rng, dtype, *shapes):
+        return [(3.0 * rng.standard_normal(s)).astype(dtype) for s in shapes]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_matmul_with_bias(self, rng, dtype, workload):
+        rows, d, ff = WORKLOAD_SHAPES[workload]
+        for din, dout in ((d, ff), (ff, d), (d, 24)):
+            self.compare(ad.matmul, matmul_add,
+                         self.draw(rng, dtype, (rows, din), (din, dout), (dout,)),
+                         *self.draw(rng, dtype, (rows, dout)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_swish(self, rng, dtype, workload):
+        rows, d, ff = WORKLOAD_SHAPES[workload]
+        for width in (d, ff):
+            x, mix = self.draw(rng, dtype, (rows, width), (rows, width))
+            self.compare(ad.swish, swish_chain, [x], mix)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_glu(self, rng, dtype, workload):
+        rows, d, _ = WORKLOAD_SHAPES[workload]
+        x, mix = self.draw(rng, dtype, (rows, 2 * d), (rows, d))
+        mix[0, :4] = 0.0  # zero gradients, whose sign must be the chain's too
+        x[1, :4] = 0.0
+        x[2, d:d + 4] = -200.0  # a gate of 0
+        mix[2, :4] = -1.0
+        with np.errstate(over="ignore"):
+            self.compare(ad.glu, glu_chain, [x], mix)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_half_step_residual(self, rng, dtype, workload):
+        rows, d, _ = WORKLOAD_SHAPES[workload]
+        self.compare(lambda x, f: ad.scaled_add(x, f, 0.5),
+                     lambda x, f: scaled_add_chain(x, f, 0.5),
+                     self.draw(rng, dtype, (rows, d), (rows, d)),
+                     *self.draw(rng, dtype, (rows, d)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_layer_norm_statistics(self, rng, dtype, workload):
+        rows, d, _ = WORKLOAD_SHAPES[workload]
+        x, g, b, mix = self.draw(rng, dtype, (rows, d), (d,), (d,), (rows, d))
+        self.compare(ad.layer_norm, layer_norm_chain, [x + 1.0, g, b], mix)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", LATTICES)
+    def test_log_softmax_row_max(self, rng, dtype, shape):
+        x, mix = self.draw(rng, dtype, shape, shape)
+        x[0, 0] = x[0, 0, 3]  # a row whose max is taken twice
+        self.compare(ad.log_softmax, log_softmax_max, [x], mix)
+
+    def test_each_is_one_node(self, rng):
+        x, w, b = t(rng.standard_normal((3, 4)), grad=True), t(rng.standard_normal((4, 4))), \
+            t(rng.standard_normal(4), grad=True)
+        assert ad.matmul(x, w, b)._parents == (x, w, b)
+        assert ad.matmul(x, w)._parents == (x, w)
+        assert ad.swish(x)._parents == ad.glu(x)._parents == (x,)
+        assert ad.scaled_add(x, b, 0.5)._parents == (x, b)
+
+    def test_gradchecks(self, rng):
+        x = t(rng.standard_normal((3, 6)), grad=True)
+        w, b = t(rng.standard_normal((6, 4)), grad=True), t(rng.standard_normal(4), grad=True)
+        f = t(rng.standard_normal((3, 4)), grad=True)
+        mix3, mix4 = Tensor(rng.standard_normal((3, 3))), Tensor(rng.standard_normal((3, 4)))
+        check_gradients(lambda: sum_(ad.mul(ad.matmul(x, w, b), mix4)), [x, w, b])
+        check_gradients(lambda: sum_(ad.mul(ad.glu(x), mix3)), [x])
+        check_gradients(lambda: sum_(ad.mul(ad.scaled_add(f, ad.matmul(x, w), 0.5), mix4)),
+                        [f, x, w])
+
+    def test_bad_operands_fail_in_one_line(self, rng):
+        x, w = t(rng.standard_normal((3, 4))), t(rng.standard_normal((4, 5)))
+        with pytest.raises(ValueError, match="matmul bias"):
+            ad.matmul(x, w, t(np.zeros(4)))
+        with pytest.raises(ValueError, match="matmul bias"):
+            ad.matmul(x, w, Tensor(np.zeros(5), dtype=np.float32))
+        with pytest.raises(ValueError, match="glu needs an even last axis"):
+            ad.glu(t(np.zeros((2, 5))))
+
+
+class TestGradientOwnership:
+    """A tensor with two consumers gets, byte for byte, the sum of the
+    gradients two copies of it, one per consumer, get: an op may keep an
+    array as a gradient only where nothing else holds it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_queries_keys_and_values_from_one_tensor(self, rng, dtype):
+        x0, wo = (rng.standard_normal((82, 64)).astype(dtype),
+                  rng.standard_normal((64, 64)).astype(dtype))
+        # four tensors on one array, so that numpy computes the same products
+        x, q, k, v = (Tensor(x0, requires_grad=True) for _ in range(4))
+        for q, k, v in ((x, x, x), (q, k, v)):
+            out = ad.matmul(ad.attention(q, k, v, 4), Tensor(wo))
+            sum_(ad.mul(out, out)).backward()
+        # attention hands over the value, key and query gradients in that order
+        assert_same_bytes([x.grad], [(v.grad + k.grad) + q.grad])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("residual", ["add", "scaled_add"])
+    @pytest.mark.parametrize("branch", ["layer_norm", "matmul"])
+    def test_residual_read_by_two_consumers(self, rng, dtype, residual, branch):
+        x0, mix = (rng.standard_normal((82, 64)).astype(dtype) for _ in range(2))
+        params = [Tensor(a.astype(dtype), requires_grad=True)
+                  for a in (rng.standard_normal((64, 64)) / 8, rng.standard_normal(64),
+                            rng.standard_normal(64), rng.standard_normal(64))]
+        w, b, g, beta = params
+
+        def layer(x_res, x_in):
+            h = ad.layer_norm(x_in, g, beta) if branch == "layer_norm" else x_in
+            f = ad.matmul(h, w, b)
+            y = ad.add(x_res, f) if residual == "add" else ad.scaled_add(x_res, f, 0.5)
+            sum_(ad.mul(y, Tensor(mix))).backward()
+            return [p.grad.copy() for p in params if p.grad is not None]
+
+        x, x_res, x_in = (Tensor(x0.copy(), requires_grad=True) for _ in range(3))
+        shared = layer(x, x)
+        for p in params:
+            p.grad = None
+        split = layer(x_res, x_in)
+        assert_same_bytes(shared, split)
+        # the residual's gradient comes first, the branch's is added to it
+        assert_same_bytes([x.grad], [x_res.grad + x_in.grad])
 
 
 class TestFusedTransducerLayers:
@@ -742,14 +895,14 @@ class TestToposort:
     def test_diamond_with_shared_subgraph(self, rng):
         x, w = t(rng.standard_normal(3), grad=True), t(rng.standard_normal(3), grad=True)
         shared = tanh(ad.mul(x, w))
-        left, right = ad.mul(shared, x), ad.sigmoid(ad.add(shared, w))
+        left, right = ad.mul(shared, x), sigmoid(ad.add(shared, w))
         root = sum_(ad.add(ad.mul(left, right), ad.mul(shared, shared)))
         assert self.assert_same_order(root) == 11
 
     def test_pretrain_step_graph_at_batch_4(self, rng, monkeypatch):
         # a packed step's graph does not grow with the batch, so the depth
         # keeps it above 400 nodes
-        cfg = EnvEncoderConfig(model_dim=16, num_blocks=12, heads=4, vocab_size=24,
+        cfg = EnvEncoderConfig(model_dim=16, num_blocks=14, heads=4, vocab_size=24,
                                audio_patch_dim=12, video_patch_dim=20,
                                max_audio_positions=32, max_video_steps=8,
                                max_grid_rows=4, max_grid_cols=4)
@@ -769,7 +922,7 @@ class TestToposort:
         assert len(sizes) == 1 and sizes[0] > 400
 
     def test_asr_loss_graph(self, rng):
-        cfg = ConformerConfig(model_dim=8, num_blocks=3, heads=2, conv_kernel=3,
+        cfg = ConformerConfig(model_dim=8, num_blocks=4, heads=2, conv_kernel=3,
                               env_dim=4, feature_dim=6, vocab_size=3)
         model = AsrModel(cfg, seed=0)
         loss, = model.losses([Utterance(rng.standard_normal((11, 6)), np.array([1, 0, 2]),

@@ -389,8 +389,8 @@ class TestPackedAsr:
         loss, = model.losses(mixed_batch(rng, model)[:1])
         ops = [node._backward.__qualname__.split(".")[0] for node in ad._toposort(loss)
                if node._backward is not None]
-        assert "concat" not in ops
-        assert ops.count("narrow") == 2 * 2  # the conv modules' GLU halves
+        assert "concat" not in ops and "narrow" not in ops
+        assert ops.count("glu") == 2  # one per conv module
 
     def test_packed_prediction_states_restart_per_sequence(self, rng):
         model = AsrModel(micro_config(), seed=3)

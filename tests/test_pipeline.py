@@ -417,6 +417,14 @@ class TestRawArrays:
         with pytest.raises(ValueError, match="header"):
             read_raw_array(tmp_path / "bad.arr")
 
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "a.arr"
+        write_raw_array(path, rng.standard_normal((3, 2)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError) as err:
+            read_raw_array(path)
+        assert str(err.value) == f"raw-array payload longer than its header says in {path}"
+
 
 class TestDataPlumbing:
     def test_load_corpus_shapes(self, corpus_dir):
@@ -538,3 +546,25 @@ class TestDataPlumbing:
         want = extract_env_embeddings(retrained, other).astype(np.float32)
         np.testing.assert_array_equal(env, want)
         np.testing.assert_array_equal(read_raw_array(cache / "u0.env"), want)
+
+    @pytest.mark.parametrize("damage", ["trailing bytes", "truncated", "bad header",
+                                        "no entry", "unreadable key"])
+    def test_env_cache_recomputes_an_unreadable_entry(self, tmp_path, rng, damage):
+        cache, model = tmp_path / "cache", micro_env_model()
+        audio = rng.standard_normal((5, 6)).astype(np.float32)
+        want = lookup(cache, "u0", model, audio)
+        entry, key = cache / "u0.env", cache / "u0.key"
+        good = entry.read_bytes()
+        if damage == "trailing bytes":
+            entry.write_bytes(good + bytes(8))
+        elif damage == "truncated":
+            entry.write_bytes(good[:-4])
+        elif damage == "bad header":
+            entry.write_bytes(b"x" + good)
+        elif damage == "no entry":
+            entry.unlink()
+        else:
+            key.write_bytes(b"\xff\xfe")
+        np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
+        assert entry.read_bytes() == good  # rewritten
+        np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
