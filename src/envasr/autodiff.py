@@ -3,7 +3,9 @@
 A Tensor wraps an ndarray plus an optional gradient. Every operation records
 a backward closure on its output node; calling ``backward()`` on a scalar
 walks the recorded graph once in reverse topological order, accumulates
-gradients into the leaves, and frees the graph.
+gradients into the leaves, and frees the graph. A parameter of a
+``ParameterSet`` gets its gradient in place: the op that feeds it writes it
+straight into the parameter's slice of the set's flat gradient buffer.
 
 Arithmetic runs in float64 by default (the precision the numeric checks
 assume); models may opt into float32 per tensor for training speed.
@@ -170,7 +172,9 @@ def _finish(out: Tensor, backward, op: str) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add `g` into `t`'s gradient. `owned` promises that nothing else
     references `g` (a temporary of the op, or its out.grad at its last use),
-    so a first gradient keeps an array of `t`'s dtype instead of a copy."""
+    so a first gradient keeps an array of `t`'s dtype instead of a copy. A
+    parameter's first gradient is copied into its `_grad_buf`; the ops that
+    feed parameters write it there directly instead, through `_accum_into`."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -183,6 +187,40 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
             t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
+
+
+def _accum_into(t: Tensor, fn, *args, **kwargs) -> None:
+    """Add ``fn(*args, **kwargs)``, a new array of `t`'s shape and dtype, into
+    `t`'s gradient. A parameter's first gradient is written by `fn` into its
+    slice of the flat gradient buffer (``out=t._grad_buf``), so it is
+    computed once and never copied; numpy writes the same bits there as into
+    a new array."""
+    if not t.requires_grad:
+        return
+    if t.grad is None and t._grad_buf is not None:
+        fn(*args, **kwargs, out=t._grad_buf)
+        t.grad = t._grad_buf
+    else:
+        _accum(t, fn(*args, **kwargs), owned=True)
+
+
+def _sum_rows(g: np.ndarray, out=None) -> np.ndarray:
+    """`g` summed over every axis but the last: ``_unbroadcast(g, g.shape[-1:])``."""
+    return np.add.reduce(g, axis=tuple(range(g.ndim - 1)), out=out)
+
+
+def _scatter(like: np.ndarray, idx, values, repeats: bool = False, out=None) -> np.ndarray:
+    """Zeros shaped like `like` (or `out`, zeroed) with `values` put at `idx`,
+    or added there when `repeats`: an index may repeat."""
+    if out is None:
+        out = np.zeros_like(like)
+    else:
+        out.fill(0)
+    if repeats:
+        np.add.at(out, idx, values)
+    else:
+        out[idx] = values
+    return out
 
 
 def _coerce(x, like: Tensor) -> Tensor:
@@ -325,12 +363,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     out = _node(y, (a, b) if bias is None else (a, b, bias))
 
     def backward():
-        if bias is not None and bias.requires_grad:
-            _accum(bias, _unbroadcast(out.grad, bias.data.shape), owned=True)
+        if bias is not None:
+            _accum_into(bias, _sum_rows, out.grad)
         if a.requires_grad:
             _accum(a, _unbroadcast(np.matmul(out.grad, np.swapaxes(b.data, -1, -2)),
                                    a.data.shape), owned=True)
-        if b.requires_grad:
+        if out.grad.ndim == 2:  # a 2-D product: b's gradient has b's shape
+            _accum_into(b, np.matmul, a.data.T, out.grad)
+        elif b.requires_grad:
             _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), out.grad),
                                    b.data.shape), owned=True)
 
@@ -370,9 +410,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = _node(a.data[idx], (a,))
 
     def backward():
-        g = np.zeros_like(a.data)
-        g[idx] = out.grad
-        _accum(a, g, owned=True)
+        _accum_into(a, _scatter, a.data, idx, out.grad)
 
     return _finish(out, backward, "narrow")
 
@@ -389,12 +427,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     distinct = bool(out._parents) and np.bincount(ids).max(initial=0) <= 1
 
     def backward():
-        g = np.zeros_like(table.data)
-        if distinct:
-            g[ids] = out.grad
-        else:
-            np.add.at(g, ids, out.grad)
-        _accum(table, g, owned=True)
+        _accum_into(table, _scatter, table.data, ids, out.grad, not distinct)
 
     return _finish(out, backward, "embedding")
 
@@ -411,6 +444,30 @@ def _mean(x: np.ndarray, axis: int) -> np.ndarray:
     return s
 
 
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x, axis=-1)`` bit for bit, and several times faster
+    along a short axis: elementwise adds of the last axis's slices in the
+    order of numpy's pairwise sum. Below 8 elements that is a running sum
+    from 0; from 8 to 15 it is a fixed tree over the first 8, then the rest
+    in turn, then + 0 (the reduction's identity, which turns -0 into 0).
+    Longer or non-contiguous axes, where numpy's loop is as fast or its order
+    differs, go to numpy."""
+    n = x.shape[-1]
+    if n >= 16 or not x.flags.c_contiguous:
+        return np.add.reduce(x, axis=-1)
+    c = [x[..., i] for i in range(n)]
+    if n < 8:
+        s = c[0] + 0.0
+        for ci in c[1:]:
+            s += ci
+        return s
+    s = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    for ci in c[8:]:
+        s += ci
+    s += 0.0
+    return s
+
+
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis as one node."""
     x = a.data
@@ -422,13 +479,13 @@ def log_softmax(a: Tensor) -> Tensor:
     for i in range(1, x.shape[-1]):
         np.maximum(m, x[..., i], out=m)
     shifted = x - m[..., None]
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    lse = np.log(_sum_last(np.exp(shifted)))[..., None]
     y = shifted - lse
     out = _node(y, (a,))
 
     def backward():
         g = out.grad
-        _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True), owned=True)
+        _accum(a, g - np.exp(y) * _sum_last(g)[..., None], owned=True)
 
     return _finish(out, backward, "log_softmax")
 
@@ -445,8 +502,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def backward():
         g = out.grad
-        _accum(beta, _unbroadcast(g, beta.data.shape))
-        _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
+        _accum_into(beta, _sum_rows, g)
+        _accum_into(gamma, _sum_rows, g * y)
         g = g * gamma.data
         gm = _mean(g, -1)
         gy = _mean(g * y, -1)
@@ -478,8 +535,8 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, lengths=None,
 
     def backward():
         g = out.grad
-        _accum(beta, g.sum(axis=0))
-        _accum(gamma, (g * y).sum(axis=0))
+        _accum_into(beta, np.add.reduce, g, axis=0)
+        _accum_into(gamma, np.add.reduce, g * y, axis=0)
         g = g * gamma.data
         gx = np.empty_like(g)
         for (lo, hi), inv in zip(bounds, invs):
@@ -645,9 +702,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             for j, sl in enumerate(rows):
                 gx[sl] += np.matmul(g, w.data[j].T)
             _accum(x, gx, owned=True)
-        if w.requires_grad:
-            _accum(w, np.stack([np.matmul(x.data[sl].T, g) for sl in rows]))
-        _accum(b, g.sum(axis=0))
+
+        def kernel_grad(out=None):  # one tap's slice at a time
+            out = np.empty_like(w.data) if out is None else out
+            for j, sl in enumerate(rows):
+                np.matmul(x.data[sl].T, g, out=out[j])
+            return out
+
+        _accum_into(w, kernel_grad)
+        _accum_into(b, np.add.reduce, g, axis=0)
 
     return _finish(out, backward, "conv1d")
 
@@ -681,12 +744,17 @@ def depthwise_conv1d(x: Tensor, w: Tensor, lengths=None) -> Tensor:
         g = np.zeros((n, d), dtype=out.grad.dtype)
         g[rows] = out.grad
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
         for j in range(kk):
             gxp[j : j + n] += g * w.data[j]
-            gw[j] = (xp[j : j + n] * g).sum(axis=0)
         _accum(x, gxp[rows + pad], owned=True)
-        _accum(w, gw)
+
+        def kernel_grad(out=None):  # one tap's row at a time
+            out = np.empty_like(w.data) if out is None else out
+            for j in range(kk):
+                np.add.reduce(xp[j : j + n] * g, axis=0, out=out[j])
+            return out
+
+        _accum_into(w, kernel_grad)
 
     return _finish(out, backward, "depthwise_conv1d")
 
@@ -724,7 +792,7 @@ def rnn_tanh(x: Tensor, w_rec: Tensor, lengths=None) -> Tensor:
                     carry = g[u - 1] + dz[u] @ w_t
         follow = np.ones(n, dtype=bool)  # rows with a predecessor in their segment
         follow[[lo for lo, _ in bounds]] = False
-        _accum(w_rec, h[np.flatnonzero(follow) - 1].T @ dz[follow])
+        _accum_into(w_rec, np.matmul, h[np.flatnonzero(follow) - 1].T, dz[follow])
         _accum(x, dz, owned=True)
 
     return _finish(out, backward, "rnn_tanh")
@@ -749,7 +817,7 @@ def joint_tanh(e: Tensor, g: Tensor, b: Tensor) -> Tensor:
         dz = np.multiply(out.grad, dz, out=dz).reshape(t, u, j)
         dg = dz.sum(axis=0)
         _accum(e, dz.sum(axis=1), owned=True)
-        _accum(b, dg.sum(axis=0))
+        _accum_into(b, np.add.reduce, dg, axis=0)
         _accum(g, dg, owned=True)
 
     return _finish(out, backward, "joint_tanh")

@@ -53,7 +53,10 @@ class ParameterSet:
     Built from all of a model's `{name: array}` at once, laid out in name
     order: `layout[name]` is `(lo, hi, shape)`, its slice of every buffer.
     Each `Tensor.data` and gradient slot (`_grad_buf`) is a view of the set's
-    buffers, and `views` gives a parameter's slices of all four.
+    buffers, and `views` gives a parameter's slices of all four. Backward
+    writes each parameter's first gradient in place, into its slot, and adds
+    any later one there, so `adam_step` reads the gradients where they were
+    computed.
     Iteration is in name order, so updates, checkpoints, and hashes are
     deterministic.
     """

@@ -7,7 +7,11 @@ directory (checkpoints store the config, paths included), and compare:
     PYTHONPATH=<parent>/src python tests/artifact_hashes.py /tmp/hashes > parent.txt
     rm -rf /tmp/hashes
     PYTHONPATH=src python tests/artifact_hashes.py /tmp/hashes > change.txt
-    diff parent.txt change.txt
+    python tests/artifact_hashes.py --compare parent.txt change.txt
+
+``--compare`` prints identical/total for each case (the first path
+component) and over all, then names each file whose hash differs or that
+only one listing has; it exits 1 when any does.
 
 The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
 --seed 11``, one out_dir each:
@@ -105,10 +109,45 @@ def run_all(work: Path) -> None:
     run_eval(long)
 
 
+def read_listing(path) -> dict:
+    """path relative to the work directory -> sha256, from a listing."""
+    listing = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        digest, name = line.split("  ", 1)
+        listing[name] = digest
+    return listing
+
+
+def compare(a_path, b_path) -> int:
+    """Print identical/total per case and over all, then every file that
+    differs or is only in one listing; 1 if there is any, else 0."""
+    a, b = read_listing(a_path), read_listing(b_path)
+    names = sorted(a.keys() | b.keys())
+    same = {name: a.get(name) == b.get(name) for name in names}
+    cases = sorted({name.split("/")[0] for name in names})
+    width = max(len(case) for case in cases + ["all"])
+    for case in cases + ["all"]:
+        members = [n for n in names if case == "all" or n.split("/")[0] == case]
+        print(f"{case:<{width}}  {sum(same[n] for n in members)}/{len(members)} identical")
+    for name in names:
+        if name not in a or name not in b:
+            print(f"only in {a_path if name in a else b_path}: {name}")
+        elif not same[name]:
+            print(f"differs: {name}")
+    return 0 if all(same.values()) else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("work", help="work directory; must be missing or empty")
-    work = Path(parser.parse_args(argv).work).resolve()
+    parser.add_argument("work", nargs="?", help="work directory; must be missing or empty")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two listings this script printed instead")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.work is None:
+        parser.error("give a work directory or --compare A B")
+    work = Path(args.work).resolve()
     if work.exists() and any(work.iterdir()):
         parser.error(f"{work} is not empty")
     work.mkdir(parents=True, exist_ok=True)

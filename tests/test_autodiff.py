@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from envasr import autodiff as ad
-from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance
+from envasr import optim
+from envasr.asr.augment import SpecAugmentPolicy
+from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance, asr_step
 from envasr.autodiff import Tensor, debug_checks, no_grad
 from envasr.env_encoder import EnvEncoder, EnvEncoderConfig, MultimodalBatch, pretrain_step
-from envasr.optim import AdamHyper
+from envasr.optim import AdamHyper, ParameterSet
 
 from oracles import (attention_composite, check_gradients, cross_entropy_logsumexp,
                      gelu_composite, glu_chain, instance_norm_chain, joint_tanh_direct,
@@ -749,6 +751,118 @@ class TestGradientOwnership:
         assert_same_bytes(shared, split)
         # the residual's gradient comes first, the branch's is added to it
         assert_same_bytes([x.grad], [x_res.grad + x_in.grad])
+
+
+def parameter_consumers(rng, dtype):
+    """Name -> (shape, fn): `fn(p)` is an op output read from a parameter of
+    that shape, for every op that hands a parameter its gradient; the other
+    operands are fixed."""
+    x, w, e, g, k, c3, c4, c5 = (Tensor((3.0 * rng.standard_normal(s)).astype(dtype))
+                                 for s in ((7, 4), (4, 3), (4, 3), (2, 3), (3, 4, 5),
+                                           (3,), (4,), (5,)))
+    return {
+        "matmul weight": ((4, 3), lambda p: ad.matmul(x, p)),
+        "matmul bias": ((3,), lambda p: ad.matmul(x, w, p)),
+        "layer_norm gain": ((4,), lambda p: ad.layer_norm(x, p, c4)),
+        "layer_norm shift": ((4,), lambda p: ad.layer_norm(x, c4, p)),
+        "instance_norm gain": ((4,), lambda p: ad.instance_norm(x, p, c4, [3, 4])),
+        "instance_norm shift": ((4,), lambda p: ad.instance_norm(x, c4, p, [3, 4])),
+        "embedding": ((5, 3), lambda p: ad.embedding(p, [4, 0, 2])),
+        "embedding repeated ids": ((5, 3), lambda p: ad.embedding(p, [1, 3, 1, 1])),
+        "narrow": ((2, 4), lambda p: ad.add(x, ad.narrow(p, 0, 1, 1))),
+        "conv1d kernel": ((3, 4, 5), lambda p: ad.conv1d(x, p, c5, stride=2)),
+        "conv1d bias": ((5,), lambda p: ad.conv1d(x, k, p)),
+        "depthwise kernel": ((3, 4), lambda p: ad.depthwise_conv1d(x, p, [3, 4])),
+        "recurrence": ((4, 4), lambda p: ad.rnn_tanh(x, p, [3, 4])),
+        "joint bias": ((3,), lambda p: ad.joint_tanh(e, g, p)),
+    }
+
+
+def no_copy_into(monkeypatch, buf):
+    """Fail any `np.copyto` into `buf` while the test runs."""
+    copyto = np.copyto
+
+    def checked(dst, src, *args, **kwargs):
+        assert not np.shares_memory(dst, buf), "a gradient was copied into the flat buffer"
+        return copyto(dst, src, *args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", checked)
+
+
+class TestGradientsInPlace:
+    """Each op that feeds a parameter writes its first gradient straight into
+    the parameter's slice of the flat gradient buffer: no temporary is copied
+    there, and the bytes are those a plain tensor of the same values gets."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("uses", [1, 2])
+    @pytest.mark.parametrize("op", sorted(parameter_consumers(np.random.default_rng(0),
+                                                              np.float64)))
+    def test_same_bytes_as_a_plain_tensor(self, rng, monkeypatch, dtype, uses, op):
+        shape, fn = parameter_consumers(rng, dtype)[op]
+        init = rng.standard_normal(shape).astype(dtype)
+        params = ParameterSet({"p": init})
+        plain = Tensor(init.copy(), requires_grad=True)
+        no_copy_into(monkeypatch, params.flat.grad)
+        for p in (params["p"], plain):
+            # a second consumer adds its gradient to the first one's
+            out = fn(p) if uses == 1 else ad.add(fn(p), ad.mul(fn(p), 0.5))
+            sum_(ad.mul(out, out)).backward()
+        assert params["p"].grad is params["p"]._grad_buf
+        assert_same_bytes([params["p"].grad], [plain.grad])
+
+    def test_training_steps_write_every_gradient_in_place(self, rng, monkeypatch):
+        asr = AsrModel(ConformerConfig(model_dim=8, num_blocks=1, heads=2, conv_kernel=3,
+                                       env_dim=4, feature_dim=6, vocab_size=3), seed=0)
+        env = EnvEncoder(EnvEncoderConfig(model_dim=8, num_blocks=2, heads=2, vocab_size=6,
+                                          audio_patch_dim=6, video_patch_dim=12,
+                                          max_audio_positions=8, max_video_steps=4,
+                                          max_grid_rows=2, max_grid_cols=2), seed=0)
+        utts = [Utterance(rng.standard_normal((n, 6)), np.array([1, 0, 2]),
+                          rng.standard_normal((4, 4))) for n in (11, 13)]
+        batches = [MultimodalBatch(audio_patches=rng.standard_normal((4, 6)),
+                                   video_patches=rng.standard_normal((2, 12)),
+                                   video_grid=(1, 2, 1), labels=rng.integers(0, 6, 6))
+                   for _ in range(2)]
+        seen = []
+
+        def check(params):
+            seen.append(len(params.names()))
+            for name, p in params.items():
+                assert p.grad is p._grad_buf, name
+
+        adam_step = optim.adam_step
+        monkeypatch.setattr(optim, "adam_step",
+                            lambda params, *args: (check(params), adam_step(params, *args)))
+        for model in (asr, env):
+            no_copy_into(monkeypatch, model.params.flat.grad)
+        asr_step(asr, utts, [0, 1], SpecAugmentPolicy(1, 2, 1, 2), AdamHyper(), step=0)
+        pretrain_step(env, batches, AdamHyper(), step=0)
+        assert seen == [len(asr.params.names()), len(env.params.names())]
+
+
+class TestShortAxisSum:
+    """``_sum_last``, log_softmax's sum over the last axis, against
+    ``np.add.reduce`` byte for byte: finite values of mixed scale, signed
+    zeros, all-zero rows of either sign, and infinities."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", LATTICES + [(7,), (40, 1), (3, 5, 2), (6, 7), (6, 8),
+                                                  (2, 3, 12), (6, 15), (6, 16), (4, 33)])
+    def test_bytes_match_numpy(self, rng, dtype, shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+        kind = rng.integers(0, 8, shape)
+        x[kind == 0] = 0.0
+        x[kind == 1] = -0.0
+        x = np.stack([x, np.where(kind < 4, -0.0, 0.0), np.full(shape, -0.0),
+                      np.where(kind == 2, -np.inf, x), np.where(kind == 3, np.inf, x)])
+        x = x.astype(dtype)
+        with np.errstate(invalid="ignore"):
+            want = np.add.reduce(x, axis=-1)
+            assert_same_bytes([np.asarray(ad._sum_last(x))], [want])
+            # a transposed view takes numpy's own path
+            y = np.swapaxes(x, 0, -1)
+            assert_same_bytes([ad._sum_last(y)], [np.add.reduce(y, axis=-1)])
 
 
 class TestFusedTransducerLayers:

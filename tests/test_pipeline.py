@@ -568,3 +568,16 @@ class TestDataPlumbing:
         np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
         assert entry.read_bytes() == good  # rewritten
         np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
+
+
+class TestArtifactHashListings:
+    def test_compare_counts_identical_files_per_case(self, tmp_path, capsys):
+        import artifact_hashes
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("11  toy/x.ckpt\n22  toy/y.log\n33  long/z.cb\n")
+        b.write_text("11  toy/x.ckpt\n99  toy/y.log\n33  long/z.cb\n44  long/w.tsv\n")
+        assert artifact_hashes.main(["--compare", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "long  1/2 identical", "toy   1/2 identical", "all   2/4 identical",
+            f"only in {b}: long/w.tsv", "differs: toy/y.log"]
+        assert artifact_hashes.main(["--compare", str(a), str(a)]) == 0
