@@ -5,7 +5,8 @@ The header lines are the optimization ``step``, the set's one Adam step
 ``adam_t``, the training loop's state (``loop``: text the stage driver
 writes and reads, empty when it keeps none), ``keys``: the key of each
 derived file the run trained on as ``<kind>=<key>`` (``whitener``, and for
-pretraining ``codebooks``), ``config <n>`` and the run's config snapshot,
+pretraining ``audio_codebook`` and, when the corpus has clips,
+``video_codebook``), ``config <n>`` and the run's config snapshot,
 then ``params <count>`` and one ``name shape`` line per parameter in name
 order. The arrays are the flat parameter, m and v buffers: ``data``, ``m``
 and ``v``. Save -> load -> save is byte-identical, and training resumes

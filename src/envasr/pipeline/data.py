@@ -110,48 +110,53 @@ def ensure_whitener(codebook_dir, utts) -> Whitener:
 # codebooks -------------------------------------------------------------------
 
 
-def train_corpus_codebooks(cfg, utts, audio):
-    """Fit audio/video codebooks on (capped samples of) the corpus patches;
-    `audio` holds each utterance's whitened audio patches. A modality with
-    fewer patch rows than its codebook size fails before k-means runs."""
+def ensure_codebooks(cfg, utts, audio, whitener_key: str):
+    """The audio codebook of the corpus `utts`, whose audio patches whitened
+    by the whitener keyed `whitener_key` are `audio` (one array per
+    utterance), and its video codebook, or None when no utterance has a clip:
+    such a corpus needs no video.cb. Each file is keyed by what it is fitted
+    from, the tokenize config and the seed: audio.cb by the SHA-256 of those
+    and the whitener key, video.cb by the SHA-256 of those and of the video
+    patch bytes. A stored file is used while it holds its key; any other is
+    refitted on (a capped sample of) the modality's patch rows and replaced.
+    A modality with fewer patch rows than its codebook size fails before
+    k-means runs."""
     tok = cfg.tokenize
+    config = f"{tok!r} seed={cfg.seed}"
     video = [u.video_patches for u in utts if u.video_patches is not None]
-    if not video:
-        raise ValueError("corpus has no video clips to train the video codebook")
-    fits = (("audio", audio, tok.k_audio, 0), ("video", video, tok.k_video, tok.k_audio))
-    for modality, parts, k, _ in fits:
+    # modality -> (patch rows per utterance, codebook size, vocab offset, key)
+    fits = {"audio": (audio, tok.k_audio, 0, _sha256(f"{whitener_key} {config}"))}
+    if video:
+        digest = hashlib.sha256()
+        for part in video:
+            digest.update(part)
+        fits["video"] = (video, tok.k_video, tok.k_audio,
+                         _sha256(f"video {digest.hexdigest()} {config}"))
+    cb_dir = cfg.codebook_path()
+    codebooks = {modality: _stored(load_codebook, cb_dir / f"{modality}.cb", fit[3])
+                 for modality, fit in fits.items()}
+    stale = [modality for modality, cb in codebooks.items() if cb is None]
+    for modality in stale:
+        parts, k = fits[modality][:2]
         n = sum(part.shape[0] for part in parts)
         if n < k:
             raise ValueError(f"corpus has {n} {modality} patch rows, "
                              f"fewer than tokenize.k_{modality} = {k}")
-    codebooks = []
-    for modality, parts, k, offset in fits:
+    for modality in stale:
+        parts, k, offset, key = fits[modality]
         rows = sample_rows(parts, tok.sample_cap, substream(cfg.seed, f"sample-{modality}"))
-        codebooks.append(train_kmeans(rows, k, max_iters=tok.max_iters,
-                                      seed=derive_seed(cfg.seed, f"kmeans-{modality}"),
-                                      modality=modality, vocab_offset=offset))
-    return tuple(codebooks)
-
-
-def ensure_codebooks(cfg, utts, audio, whitener_key: str):
-    """Both codebooks of the corpus `utts`, whose audio patches whitened by
-    the whitener keyed `whitener_key` are `audio`, one array per utterance.
-    They are keyed by the SHA-256 of the whitener key, the tokenize config
-    and the seed: the stored pair while both files hold that key, else a
-    retrained pair, which replaces it."""
-    key = hashlib.sha256(f"{whitener_key} {cfg.tokenize!r} seed={cfg.seed}"
-                         .encode("utf-8")).hexdigest()
-    cb_dir = cfg.codebook_path()
-    paths = cb_dir / "audio.cb", cb_dir / "video.cb"
-    stored = [_stored(load_codebook, path, key) for path in paths]
-    if None not in stored:
-        return tuple(stored)
-    codebooks = train_corpus_codebooks(cfg, utts, audio)
-    cb_dir.mkdir(parents=True, exist_ok=True)
-    for path, cb in zip(paths, codebooks):
+        cb = train_kmeans(rows, k, max_iters=tok.max_iters,
+                          seed=derive_seed(cfg.seed, f"kmeans-{modality}"),
+                          modality=modality, vocab_offset=offset)
         cb.key = key
-        save_codebook(path, cb)
-    return codebooks
+        cb_dir.mkdir(parents=True, exist_ok=True)
+        save_codebook(cb_dir / f"{modality}.cb", cb)
+        codebooks[modality] = cb
+    return codebooks["audio"], codebooks.get("video")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # batches and caches -----------------------------------------------------------

@@ -13,9 +13,9 @@ every ``eval_every`` steps and the last step. Pretraining stops after
 its WER is at most ``asr.early_stop_wer``. A resumed run restores its patience
 count and keeps its log's lines from before its first step, then appends.
 
-A checkpoint records the keys of the whitener and (pretraining) codebooks it
-was trained with; a resume, ASR training on a pretraining checkpoint and eval
-fail with one line when they differ from the files in use.
+A checkpoint records the keys of the whitener and (pretraining) each codebook
+it was trained with; a resume, ASR training on a pretraining checkpoint and
+eval fail with one line when they differ from the files in use.
 
 An ASR step is one packed graph over its batch (`asr_step`). Eval, inside
 training and in `run_eval`, encodes consecutive utterances in packed no-grad
@@ -47,6 +47,10 @@ from .data import (cached_env_embeddings, ensure_codebooks, ensure_whitener,
                    load_corpus, load_whitener, make_pretrain_batch)
 
 
+# kind of derived file, as a checkpoint's keys name it -> its file in codebook_dir
+_DERIVED_FILES = {"whitener": "whitener.bin", "audio_codebook": "audio.cb",
+                 "video_codebook": "video.cb"}
+
 # Encoder rows per packed no-grad pass in eval: bounds the activations held at
 # once on a big eval set, while a pass still spans many utterances.
 ENCODE_ROWS = 4096
@@ -59,13 +63,15 @@ def _write_lines(path, lines) -> None:
 
 
 def run_tokenize(cfg: RunConfig) -> dict:
-    """Train both codebooks offline and write per-utterance token manifests."""
+    """Fit the codebooks offline (video only for a corpus with clips) and
+    write per-utterance token manifests."""
     utts = load_corpus(cfg.train_manifest_path())
     cb_dir = cfg.codebook_path()
     whitener = ensure_whitener(cb_dir, utts)
     audio = [whiten_clip(u.raw_patches, whitener) for u in utts]
     cb_audio, cb_video = ensure_codebooks(cfg, utts, audio, whitener.key)
-    vocab = unified_vocab_size(cb_audio, cb_video)
+    vocab = (cb_audio.k + cfg.tokenize.k_video if cb_video is None
+             else unified_vocab_size(cb_audio, cb_video))
     audio_lines = []
     video_lines = []
     for utt, rows in zip(utts, audio):
@@ -81,7 +87,8 @@ def run_tokenize(cfg: RunConfig) -> dict:
         (cb_dir / "tokens_video.tsv").unlink(missing_ok=True)
     return {"vocab_size": vocab, "codebook_dir": str(cb_dir),
             "audio_codebook": str(cb_dir / "audio.cb"),
-            "video_codebook": str(cb_dir / "video.cb"), "utterances": len(utts)}
+            "video_codebook": None if cb_video is None else str(cb_dir / "video.cb"),
+            "utterances": len(utts)}
 
 
 def _whiten_corpus(utts, whitener):
@@ -161,7 +168,9 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     batches = [make_pretrain_batch(u, rows, cb_audio, cb_video)
                for u, rows in zip(utts, audio)]
     del utts  # whitening was the raw rows' last reader; the batches hold the rest
-    keys = {"whitener": whitener.key, "codebooks": cb_audio.key}
+    keys = {"whitener": whitener.key, "audio_codebook": cb_audio.key}
+    if cb_video is not None:
+        keys["video_codebook"] = cb_video.key
 
     model = EnvEncoder(env_cfg, seed=cfg.seed)
     start, best, misses = 0, math.inf, 0
@@ -214,8 +223,7 @@ def _check_keys(cfg: RunConfig, ckpt_path, ckpt_keys, keys) -> None:
     keys are `ckpt_keys`, was trained with the derived files keyed `keys`."""
     for kind, key in keys.items():
         if ckpt_keys.get(kind) != key:
-            name = "whitener.bin" if kind == "whitener" else "audio.cb"
-            path = cfg.codebook_path() / name
+            path = cfg.codebook_path() / _DERIVED_FILES[kind]
             raise ValueError(f"checkpoint {ckpt_path} was not trained with {path} "
                              f"(another {kind} key); re-run the stage that wrote it")
 

@@ -495,7 +495,8 @@ class TestDataPlumbing:
 
     def test_mixed_codebook_pair_is_refitted(self, tmp_path, corpus_dir):
         """A new audio.cb beside an old video.cb, as a rewrite cut short
-        between the two files leaves them, is trained again."""
+        between the two files leaves them: the video codebook is trained
+        again, and the audio one is kept."""
         utts = load_corpus(corpus_dir / "manifest.tsv")
         small, big = tokenize_cfg(tmp_path), tokenize_cfg(tmp_path, k_audio=6)
         whitener = ensure_whitener(small.codebook_path(), utts)
@@ -506,7 +507,7 @@ class TestDataPlumbing:
         video.write_bytes(old_video)
         cb_audio, cb_video = fit_codebooks(big, utts, whitener)
         assert (cb_audio.k, cb_video.vocab_offset) == (6, 6)
-        assert cb_video.key == cb_audio.key == want[1].key
+        assert (cb_audio.key, cb_video.key) == (want[0].key, want[1].key)
         np.testing.assert_array_equal(cb_video.centers, want[1].centers)
         assert video.read_bytes() != old_video
 

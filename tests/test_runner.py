@@ -27,7 +27,7 @@ from envasr.pipeline.data import ensure_whitener, load_corpus, load_whitener
 from envasr.pipeline import runner
 from envasr.pipeline.runner import _load_model
 from envasr.quantize import load_codebook
-from envasr.serialize import read_raw_array
+from envasr.serialize import read_raw_array, write_raw_array
 
 from test_pipeline import TOY_CFG, write_old_whitener
 
@@ -81,6 +81,18 @@ class TestTokenize:
         run_tokenize(toy_cfg(audio_only, tmp_path / "out", **{"paths.codebook_dir": cb_dir}))
         assert (cb_dir / "tokens_audio.tsv").is_file()
         assert not (cb_dir / "tokens_video.tsv").exists()
+
+
+    def test_corpus_without_clips_fits_only_the_audio_codebook(self, tmp_path, corpus16):
+        audio_only = tmp_path / "audio_only"
+        shutil.copytree(corpus16, audio_only)
+        for clip in audio_only.rglob("*.clip"):
+            clip.unlink()
+        cfg = toy_cfg(audio_only, tmp_path / "out")
+        summary = run_tokenize(cfg)
+        assert (summary["vocab_size"], summary["video_codebook"]) == (24, None)
+        assert sorted(p.name for p in cfg.codebook_path().iterdir()) == [
+            "audio.cb", "tokens_audio.tsv", "whitener.bin"]
 
 
 class TestPretrainingRunner:
@@ -487,7 +499,31 @@ class TestDerivedFileKeys:
         with pytest.raises(ValueError) as err:
             run_pretraining(refit, resume=str(ckpt))
         assert str(err.value) == self.mismatch(ckpt, cfg.codebook_path() / "audio.cb",
-                                               "codebooks")
+                                               "audio_codebook")
+
+    def test_other_clips_refit_the_video_codebook_and_reject_a_resume(self, tmp_path,
+                                                                      corpus16, capsys):
+        """Corpus B is corpus A with every clip x replaced by clip(1 - x, 0, 1):
+        the same audio, other video. Its video codebook is refitted, and a
+        checkpoint trained on A's is rejected."""
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=2, checkpoint_every=2)
+        run_pretraining(cfg)
+        audio, video = cfg.codebook_path() / "audio.cb", cfg.codebook_path() / "video.cb"
+        before = audio.read_bytes(), video.read_bytes()
+        other = tmp_path / "other"
+        shutil.copytree(corpus16, other)
+        for clip in other.rglob("*.clip"):
+            write_raw_array(clip, np.clip(1.0 - read_raw_array(clip), 0.0, 1.0))
+        ckpt = cfg.pretrain_ckpt_path()
+        with pytest.raises(ValueError) as err:
+            run_pretraining(replace(cfg, paths=replace(cfg.paths, data_dir=str(other))),
+                            resume=str(ckpt))
+        assert str(err.value) == self.mismatch(ckpt, video, "video_codebook")
+        fresh = toy_cfg(other, tmp_path / "fresh")
+        run_tokenize(fresh)
+        assert audio.read_bytes() == before[0]
+        assert video.read_bytes() == (fresh.codebook_path() / "video.cb").read_bytes()
+        assert video.read_bytes() != before[1]
 
     def test_asr_training_rejects_env_checkpoint_of_another_whitener(self, tmp_path,
                                                                      corpus16, capsys):
