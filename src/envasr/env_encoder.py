@@ -26,6 +26,19 @@ encoder stack, final norm and head run once over the packed rows, and
 attention takes the utterance lengths and attends within each utterance
 only. The loss is the mean over utterances of each one's masked
 cross-entropy, as if each had its own graph.
+
+The loss reads only the masked rows, so the training step's last block
+computes only those: its keys and values still come from every row of each
+utterance, but its queries, residual, feed-forward layer, the final norm,
+the head and the cross-entropy run on the masked rows alone, gathered once
+from the block's input and its normed input. Every op after the attention
+is row-wise, and attention computes each query row from that row and all of
+its utterance's keys and values, so those rows are exactly what the
+all-rows graph computes, and the rows left out had gradient zero. Only the
+rounding moves: a weight gradient's sum over rows now has fewer terms, so
+BLAS groups it differently. At a mask rate of about 0.16, the first
+curriculum stage's, that skips most of the last block. Extraction and
+`masked_accuracy` still run every row.
 """
 
 import hashlib
@@ -66,6 +79,8 @@ class EnvEncoderConfig:
             self.ff_dim = 4 * self.model_dim
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
+        if self.num_blocks < 1:
+            raise ValueError("num_blocks must be at least 1")
         if self.dtype not in ("f32", "f64"):
             raise ValueError("dtype must be f32 or f64")
 
@@ -241,41 +256,60 @@ class EnvEncoder:
         order = np.where(from_video, np.cumsum(from_video) - 1, n_v + np.cumsum(~from_video) - 1)
         return h if np.array_equal(order, np.arange(order.size)) else ad.embedding(h, order)
 
-    def encoder_forward(self, embedded: Tensor, lengths=None) -> Tensor:
-        """Pre-norm transformer stack; every position attends to every other
-        position of its segment (`lengths`, as in `ad.attention`)."""
+    def _block(self, i: int, x: Tensor, lengths=None, rows=None, row_lengths=None) -> Tensor:
+        """Pre-norm transformer block `i` over the rows `x`; every row attends
+        to every row of its segment (`lengths`, as in `ad.attention`). With
+        `rows`, only those rows come out, `row_lengths` of them per segment:
+        keys and values still come from every row, while the queries, the
+        residual and the feed-forward layer see only the selected rows."""
         p = self.params
-        cfg = self.config
+        pre = f"block{i}"
+        h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
+        queries = h
+        if rows is not None:
+            x, queries = ad.embedding(x, rows), ad.embedding(h, rows)
+        x = ad.add(x, ad.mha(p, f"{pre}.attn", queries, h, self.config.heads,
+                             lengths if rows is None else row_lengths, lengths))
+        h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
+        h = ad.gelu(ad.matmul(h, p[f"{pre}.ff.w1"], p[f"{pre}.ff.b1"]))
+        return ad.add(x, ad.matmul(h, p[f"{pre}.ff.w2"], p[f"{pre}.ff.b2"]))
+
+    def _final_norm(self, x: Tensor) -> Tensor:
+        return ad.layer_norm(x, self.params["final_norm.g"], self.params["final_norm.b"])
+
+    def encoder_forward(self, embedded: Tensor, lengths=None) -> Tensor:
+        """Pre-norm transformer stack over every row, then the final norm;
+        every row attends to every row of its segment (`lengths`, as in
+        `ad.attention`)."""
         x = embedded
-        for i in range(cfg.num_blocks):
-            pre = f"block{i}"
-            h = ad.layer_norm(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-            x = ad.add(x, ad.mha(p, f"{pre}.attn", h, h, cfg.heads, lengths))
-            h = ad.layer_norm(x, p[f"{pre}.ff.norm.g"], p[f"{pre}.ff.norm.b"])
-            h = ad.gelu(ad.matmul(h, p[f"{pre}.ff.w1"], p[f"{pre}.ff.b1"]))
-            x = ad.add(x, ad.matmul(h, p[f"{pre}.ff.w2"], p[f"{pre}.ff.b2"]))
-        return ad.layer_norm(x, p["final_norm.g"], p["final_norm.b"])
+        for i in range(self.config.num_blocks):
+            x = self._block(i, x, lengths)
+        return self._final_norm(x)
 
     def mlm_logits(self, encoded: Tensor) -> Tensor:
         return ad.matmul(encoded, self.params["head.w"], self.params["head.b"])
 
-    def mlm_loss(self, encoded: Tensor, labels: np.ndarray, mask: np.ndarray,
-                 lengths=None) -> Tensor:
-        """Cross-entropy over the unified vocabulary at masked positions only;
-        with `lengths`, the mean over segments of each one's."""
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("mlm_loss requires at least one masked position")
-        return ad.cross_entropy(self.mlm_logits(encoded), labels, ignore=~mask,
-                                lengths=lengths)
-
     def forward_loss(self, batch: MultimodalBatch | PackedBatch) -> Tensor:
-        """The mean over the batch's utterances of each one's masked
-        cross-entropy, from one packed forward pass."""
+        """The mean over the batch's utterances of each one's cross-entropy
+        over the unified vocabulary at its masked positions, from one packed
+        forward pass whose last block computes only the masked rows."""
         packed = batch if isinstance(batch, PackedBatch) else PackedBatch([batch])
-        encoded = self.encoder_forward(self.embed(packed.items), packed.lengths)
-        return self.mlm_loss(encoded, np.concatenate([b.labels for b in packed.items]),
-                             np.concatenate([b.mask for b in packed.items]), packed.lengths)
+        x = self.embed(packed.items)
+        masks = [np.asarray(b.mask, dtype=bool).reshape(-1) for b in packed.items]
+        counts = [int(m.sum()) for m in masks]
+        if 0 in counts:
+            raise ValueError(f"forward_loss: utterance {counts.index(0)} of {len(counts)} "
+                             f"has no masked position")
+        rows = np.flatnonzero(np.concatenate(masks))
+        labels = np.concatenate([b.labels for b in packed.items])
+        if labels.shape != (packed.seq_len,):
+            raise ValueError("labels do not match the sequence length")
+        last = self.config.num_blocks - 1
+        for i in range(last):
+            x = self._block(i, x, packed.lengths)
+        x = self._block(last, x, packed.lengths, rows, counts)
+        return ad.cross_entropy(self.mlm_logits(self._final_norm(x)), labels[rows],
+                                lengths=counts)
 
 
 def draw_batch_mask(batch: MultimodalBatch, width: int, prob: float,

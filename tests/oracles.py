@@ -41,7 +41,10 @@ computing in one buffer, must match byte for byte; and ``matmul_add``,
 one the node that took its row max with ``ndarray.max``), which they must
 match byte for byte, as ``layer_norm`` must match ``layer_norm_chain``, whose
 statistics come from ``ndarray.mean``, and ``attention`` must match
-``attention_composite``, whose softmax allocates each temporary.
+``attention_composite``, whose softmax allocates each temporary; and
+``pretrain_losses_all_rows``, the pretraining losses with every row through
+the last block, the final norm and the head, which the packed step, computing
+only the masked rows there, must match to rounding in f64.
 """
 
 import math
@@ -473,10 +476,11 @@ def embed_per_utterance(model, batch, apply_mask=True):
     return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
 
 
-def encoder_forward_composite(model, embedded):
+def encoder_forward_composite(model, embedded, rows=None):
     """`EnvEncoder.encoder_forward` over one utterance, with its attention
     layers through ``attention_composite`` and its norms through
-    ``layer_norm_chain``."""
+    ``layer_norm_chain``. With `rows`, the last block and the final norm
+    compute only those rows, as in `EnvEncoder.forward_loss`."""
     p = model.params
     cfg = model.config
 
@@ -487,7 +491,10 @@ def encoder_forward_composite(model, embedded):
     for i in range(cfg.num_blocks):
         pre = f"block{i}"
         h = layer_norm_chain(x, p[f"{pre}.attn.norm.g"], p[f"{pre}.attn.norm.b"])
-        att = attention_composite(proj(h, f"{pre}.attn", "q"),
+        queries = h
+        if rows is not None and i == cfg.num_blocks - 1:
+            x, queries = ad.embedding(x, rows), ad.embedding(h, rows)
+        att = attention_composite(proj(queries, f"{pre}.attn", "q"),
                                   ad.matmul(h, p[f"{pre}.attn.wk"]),
                                   proj(h, f"{pre}.attn", "v"), cfg.heads)
         x = ad.add(x, proj(att, f"{pre}.attn", "o"))
@@ -497,12 +504,25 @@ def encoder_forward_composite(model, embedded):
     return layer_norm_chain(x, p["final_norm.g"], p["final_norm.b"])
 
 
-def pretrain_losses_per_utterance(model, batches):
-    """One masked cross-entropy per masked batch, each from its own graph."""
+def pretrain_losses_all_rows(model, batches):
+    """One masked cross-entropy per masked batch, each from its own graph
+    over every row: the loss ignores the unmasked rows' logits."""
     losses = []
     for b in batches:
         encoded = encoder_forward_composite(model, embed_per_utterance(model, b))
         losses.append(ad.cross_entropy(model.mlm_logits(encoded), b.labels, ignore=~b.mask))
+    return losses
+
+
+def pretrain_losses_per_utterance(model, batches):
+    """One masked cross-entropy per masked batch, each from its own graph
+    whose last block computes only the masked rows, as the packed step's
+    does."""
+    losses = []
+    for b in batches:
+        rows = np.flatnonzero(b.mask)
+        encoded = encoder_forward_composite(model, embed_per_utterance(model, b), rows)
+        losses.append(ad.cross_entropy(model.mlm_logits(encoded), b.labels[rows]))
     return losses
 
 

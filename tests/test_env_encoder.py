@@ -12,8 +12,8 @@ from envasr.masking import MaskSchedule, mask_params_at
 from envasr.optim import AdamHyper
 
 from oracles import (check_gradients, embed_per_utterance,
-                     masked_predictions_per_utterance, pretrain_losses_per_utterance,
-                     pretrain_step_per_utterance)
+                     masked_predictions_per_utterance, pretrain_losses_all_rows,
+                     pretrain_losses_per_utterance, pretrain_step_per_utterance)
 
 
 def toy_config(**kw):
@@ -219,6 +219,69 @@ class TestPackedStep:
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-10,
                                        atol=1e-10 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("masks", ["drawn", "one row each", "every row"])
+    def test_loss_and_gradients_match_all_rows_graphs(self, rng, masks):
+        """The last block computes only the masked rows: in f64 that is the
+        all-rows graph's loss and gradients up to rounding."""
+        cfg = toy_config()
+        model = EnvEncoder(cfg, seed=2)
+        batches = with_masks(mixed_batches(rng, cfg))
+        if masks != "drawn":
+            for b in batches:
+                b.mask = np.full(b.seq_len, masks == "every row")
+                b.mask[rng.integers(b.seq_len)] = True
+        packed = model.forward_loss(PackedBatch(batches))
+        losses = pretrain_losses_all_rows(model, batches)
+        oracle = ad.mul(sum(losses[1:], losses[0]), 1.0 / len(losses))
+        assert float(packed.data) == pytest.approx(float(oracle.data), rel=1e-10, abs=0)
+        got, want = gradients(model, packed), gradients(model, oracle)
+        scale = max(np.abs(g).max() for g in want.values())
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10,
+                                       atol=1e-10 * scale, err_msg=name)
+
+    def test_other_utterances_losses_ignore_a_perturbed_one(self, rng, monkeypatch):
+        cfg = toy_config()
+        model = EnvEncoder(cfg, seed=0)
+        batches = with_masks(mixed_batches(rng, cfg))
+        mlm_logits, seen = model.mlm_logits, []
+
+        def recording(encoded):
+            seen.append(mlm_logits(encoded))
+            return seen[-1]
+
+        monkeypatch.setattr(model, "mlm_logits", recording)
+
+        def per_utterance_losses(items):
+            model.forward_loss(PackedBatch(items))
+            logits, losses, lo = seen.pop().data, [], 0
+            for b in items:
+                rows = np.flatnonzero(b.mask)
+                losses.append(ad.cross_entropy(Tensor(logits[lo : lo + rows.size]),
+                                               b.labels[rows]).data)
+                lo += rows.size
+            assert lo == logits.shape[0]
+            return losses
+
+        before = per_utterance_losses(batches)
+        changed = list(batches)
+        noise = rng.standard_normal(batches[1].video_patches.shape)
+        changed[1] = replace(batches[1], video_patches=batches[1].video_patches + noise)
+        after = per_utterance_losses(changed)
+        for i, (a, b) in enumerate(zip(after, before)):
+            if i == 1:
+                assert abs(a - b) > 1e-6
+            else:
+                assert a.tobytes() == b.tobytes(), i
+
+    def test_forward_loss_names_an_utterance_without_masked_rows(self, rng):
+        cfg = toy_config()
+        batches = with_masks(mixed_batches(rng, cfg))
+        batches[2].mask = np.zeros(batches[2].seq_len, bool)
+        with pytest.raises(ValueError, match="^forward_loss: utterance 2 of 4 has no "
+                                             "masked position$"):
+            EnvEncoder(cfg, seed=0).forward_loss(PackedBatch(batches))
 
     def test_step_draws_masks_like_the_per_utterance_step(self, rng):
         cfg = toy_config()
