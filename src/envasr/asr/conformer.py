@@ -41,6 +41,8 @@ from .augment import SpecAugmentPolicy, specaugment
 
 CROSS = "cross_attention"
 BASELINE = "self_attention_baseline"
+SUBSAMPLE_KERNEL = 3   # feature patches per window of the subsampling conv
+SUBSAMPLE_STRIDE = 2
 
 
 @dataclass
@@ -49,21 +51,13 @@ class ConformerConfig:
     num_blocks: int = 2
     heads: int = 4
     conv_kernel: int = 7
-    subsample_kernel: int = 3
-    subsample_stride: int = 2
     fusion_mode: str = CROSS
     env_dim: int = 32
     feature_dim: int = AUDIO_PATCH_DIM
     vocab_size: int = 8          # label symbols; blank is appended internally
-    pred_dim: int = 0            # 0 -> model_dim
-    joint_dim: int = 0           # 0 -> model_dim
     dtype: str = "f64"
 
     def __post_init__(self):
-        if self.pred_dim == 0:
-            self.pred_dim = self.model_dim
-        if self.joint_dim == 0:
-            self.joint_dim = self.model_dim
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
         if self.fusion_mode not in (CROSS, BASELINE):
@@ -74,10 +68,10 @@ class ConformerConfig:
             raise ValueError("dtype must be f32 or f64")
 
 
-def subsample_length(t: int, kernel: int = 3, stride: int = 2) -> int:
-    if t < kernel:
-        raise ValueError(f"need at least {kernel} frames to subsample, got {t}")
-    return (t - kernel) // stride + 1
+def subsample_length(t: int) -> int:
+    if t < SUBSAMPLE_KERNEL:
+        raise ValueError(f"need at least {SUBSAMPLE_KERNEL} frames to subsample, got {t}")
+    return (t - SUBSAMPLE_KERNEL) // SUBSAMPLE_STRIDE + 1
 
 
 @dataclass
@@ -99,8 +93,10 @@ class Utterance:
 
 
 class AsrModel:
-    """Conformer transducer: subsampling stem, fusion blocks, prediction
-    network, and joint network. Blank id is `vocab_size` (last logit)."""
+    """Conformer transducer: subsampling stem (a conv over
+    `SUBSAMPLE_KERNEL` feature patches at stride `SUBSAMPLE_STRIDE`), fusion
+    blocks, prediction network, and joint network, all `model_dim` wide.
+    Blank id is `vocab_size` (last logit)."""
 
     def __init__(self, config: ConformerConfig, seed: int | None = 0):
         """Parameters drawn from `seed`'s init substream; with seed None, all
@@ -112,7 +108,7 @@ class AsrModel:
         d = config.model_dim
         arrays = {}
         add = partial(init_param, arrays, dtype=self.np_dtype)
-        add(rng, "subsample.w", (config.subsample_kernel, config.feature_dim, d))
+        add(rng, "subsample.w", (SUBSAMPLE_KERNEL, config.feature_dim, d))
         add(rng, "subsample.b", (d,), zero=True)
         add(rng, "env_adapter.w", (config.env_dim, d))
         add(rng, "env_adapter.b", (d,), zero=True)
@@ -144,14 +140,14 @@ class AsrModel:
             add(rng, f"{pre}.out_norm.g", (d,), one=True)
             add(rng, f"{pre}.out_norm.b", (d,), zero=True)
         v1 = config.vocab_size + 1
-        add(rng, "pred.embed", (v1, config.pred_dim), table=True)  # row V = start
-        add(rng, "pred.w_in", (config.pred_dim, config.pred_dim))
-        add(rng, "pred.w_rec", (config.pred_dim, config.pred_dim))
-        add(rng, "pred.b", (config.pred_dim,), zero=True)
-        add(rng, "joint.w_enc", (d, config.joint_dim))
-        add(rng, "joint.w_pred", (config.pred_dim, config.joint_dim))
-        add(rng, "joint.b", (config.joint_dim,), zero=True)
-        add(rng, "joint.w_out", (config.joint_dim, v1))
+        add(rng, "pred.embed", (v1, d), table=True)  # row V = start
+        add(rng, "pred.w_in", (d, d))
+        add(rng, "pred.w_rec", (d, d))
+        add(rng, "pred.b", (d,), zero=True)
+        add(rng, "joint.w_enc", (d, d))
+        add(rng, "joint.w_pred", (d, d))
+        add(rng, "joint.b", (d,), zero=True)
+        add(rng, "joint.w_out", (d, v1))
         add(rng, "joint.b_out", (v1,), zero=True)
         self.params = ParameterSet(arrays)
         if config.fusion_mode == BASELINE:
@@ -167,7 +163,7 @@ class AsrModel:
         """Strided 1-D convolution projecting feature patches to model_dim."""
         x = features if isinstance(features, Tensor) else self._const(features)
         return ad.conv1d(x, self.params["subsample.w"], self.params["subsample.b"],
-                         stride=self.config.subsample_stride)
+                         stride=SUBSAMPLE_STRIDE)
 
     def project_env(self, env: np.ndarray) -> Tensor:
         """Shared adapter env_dim -> model_dim; env itself stays frozen."""
@@ -212,9 +208,7 @@ class AsrModel:
 
     def encoded_lengths(self, features) -> list:
         """Encoder rows of each utterance's (T, feature_dim) features."""
-        cfg = self.config
-        return [subsample_length(f.shape[0], cfg.subsample_kernel, cfg.subsample_stride)
-                for f in features]
+        return [subsample_length(f.shape[0]) for f in features]
 
     def encode(self, features, envs=None) -> Tensor:
         """Encoder rows of the utterances in `features`, packed end to end:

@@ -35,6 +35,7 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 
 NEG_INF = -np.inf
+MAX_SYMBOLS_PER_FRAME = 10   # greedy decoding's emission cap per encoder frame
 
 
 def _check_lattice_inputs(log_probs: np.ndarray, labels: np.ndarray):
@@ -120,11 +121,11 @@ def rnnt_loss(log_probs: Tensor, labels) -> Tensor:
     return ad._finish(out, backward, "rnnt_loss")
 
 
-def greedy_decode(model, enc: np.ndarray, max_symbols_per_frame: int = 10):
+def greedy_decode(model, enc: np.ndarray):
     """Standard RNN-T greedy loop over one utterance's (T, model_dim) encoder
-    rows (from `model.encode`): emit argmax labels until blank, with a
-    per-frame emission cap. Each frame's and each state's joint projection is
-    computed once."""
+    rows (from `model.encode`): emit argmax labels until blank, at most
+    `MAX_SYMBOLS_PER_FRAME` per frame. Each frame's and each state's joint
+    projection is computed once."""
     state = model.pred_start_np()
     pred_proj = model.joint_pred_np(state)
     blank = model.blank_id
@@ -132,7 +133,7 @@ def greedy_decode(model, enc: np.ndarray, max_symbols_per_frame: int = 10):
     for t in range(enc.shape[0]):
         enc_proj = model.joint_enc_np(enc[t])
         emitted = 0
-        while emitted < max_symbols_per_frame:
+        while emitted < MAX_SYMBOLS_PER_FRAME:
             k = int(model.joint_logits_np(enc_proj, pred_proj).argmax())
             if k == blank:
                 break

@@ -172,16 +172,14 @@ def _finish(out: Tensor, backward, op: str) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add `g` into `t`'s gradient. `owned` promises that nothing else
     references `g` (a temporary of the op, or its out.grad at its last use),
-    so a first gradient keeps an array of `t`'s dtype instead of a copy. A
-    parameter's first gradient is copied into its `_grad_buf`; the ops that
-    feed parameters write it there directly instead, through `_accum_into`."""
+    so a first gradient keeps an array of `t`'s dtype instead of a copy. The
+    ops that feed parameters write a parameter's first gradient into its
+    `_grad_buf` instead, through `_accum_into`; `adam_step` copies one that
+    landed elsewhere."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        if t._grad_buf is not None:
-            np.copyto(t._grad_buf, g)
-            t.grad = t._grad_buf
-        elif owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype:
+        if owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype:
             t.grad = g
         else:
             t.grad = np.array(g, dtype=t.data.dtype)
@@ -562,41 +560,33 @@ def _segment_bounds(lengths, rows: int, op: str):
     return list(zip([0] + ends[:-1], ends))
 
 
-def cross_entropy(logits: Tensor, targets, ignore=None, lengths=None) -> Tensor:
-    """Mean negative log-likelihood over rows not flagged in `ignore`. With
-    `lengths` the rows are consecutive segments (a packed batch), and the value
-    is the mean over segments of each segment's mean over its kept rows."""
-    if logits.data.ndim != 2:
-        raise ValueError("cross_entropy expects (n, vocab) logits")
+def cross_entropy(logits: Tensor, targets, lengths=None) -> Tensor:
+    """Mean negative log-likelihood over the rows. With `lengths` the rows are
+    consecutive segments (a packed batch), and the value is the mean over
+    segments of each segment's mean over its rows."""
+    if logits.data.ndim != 2 or logits.data.shape[0] == 0:
+        raise ValueError("cross_entropy expects (n, vocab) logits with n > 0")
     n, v = logits.data.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (n,):
         raise ValueError("targets must have one class id per logit row")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
+    if targets.min() < 0 or targets.max() >= v:
         raise ValueError("target id out of range")
-    if ignore is None:
-        keep = np.ones(n, dtype=bool)
-    else:
-        keep = ~np.asarray(ignore, dtype=bool)
     bounds = _segment_bounds(lengths, n, "cross_entropy")
-    counts = [int(keep[lo:hi].sum()) for lo, hi in bounds]
-    if 0 in counts:
-        raise ValueError(f"cross_entropy: every position of segment {counts.index(0)} "
-                         f"of {len(bounds)} is ignored")
 
     dtype = logits.data.dtype
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
     nll = lse - shifted[np.arange(n), targets]
-    means = [nll[lo:hi][keep[lo:hi]].mean() for lo, hi in bounds]
+    means = [nll[lo:hi].mean() for lo, hi in bounds]
     inv = np.asarray(1.0 / len(bounds), dtype=dtype)
     out = _node(np.asarray(sum(means[1:], means[0]) * inv, dtype=dtype), (logits,))
-    row_counts = np.repeat(counts, [hi - lo for lo, hi in bounds]).astype(dtype)[:, None]
+    counts = [hi - lo for lo, hi in bounds]
+    row_counts = np.repeat(counts, counts).astype(dtype)[:, None]
 
     def backward():
         probs = np.exp(shifted - lse[:, None])
         probs[np.arange(n), targets] -= 1.0
-        probs[~keep] = 0.0
         _accum(logits, out.grad * inv * probs / row_counts, owned=True)
 
     return _finish(out, backward, "cross_entropy")

@@ -6,8 +6,9 @@ normalization over the sequence, which would cancel a bias), tagged with
 modality and position embeddings, concatenated (video block first, then
 audio), and encoded by a stack of pre-norm transformer blocks with
 unrestricted attention, whose key projections have no bias either (the
-softmax cancels it). A single linear head over the unified audio+video token
-vocabulary scores masked positions.
+softmax cancels it), and a GELU feed-forward layer 4 x model_dim wide. A
+single linear head over the unified audio+video token vocabulary scores
+masked positions.
 
 Masked positions have their embedded vector replaced by a learned
 per-modality mask embedding; the loss is cross-entropy at masked positions
@@ -63,7 +64,6 @@ class EnvEncoderConfig:
     model_dim: int = 32
     num_blocks: int = 2
     heads: int = 4
-    ff_dim: int = 0                  # 0 -> 4 * model_dim
     vocab_size: int = 24
     audio_patch_dim: int = AUDIO_PATCH_DIM
     video_patch_dim: int = VIDEO_PATCH_DIM
@@ -75,8 +75,6 @@ class EnvEncoderConfig:
     schedule: MaskSchedule = field(default_factory=MaskSchedule)
 
     def __post_init__(self):
-        if self.ff_dim == 0:
-            self.ff_dim = 4 * self.model_dim
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
         if self.num_blocks < 1:
@@ -162,9 +160,9 @@ class EnvEncoder:
                     add(rng, f"{pre}.attn.b{mat}", (d,), zero=True)
             add(rng, f"{pre}.ff.norm.g", (d,), one=True)
             add(rng, f"{pre}.ff.norm.b", (d,), zero=True)
-            add(rng, f"{pre}.ff.w1", (d, config.ff_dim))
-            add(rng, f"{pre}.ff.b1", (config.ff_dim,), zero=True)
-            add(rng, f"{pre}.ff.w2", (config.ff_dim, d))
+            add(rng, f"{pre}.ff.w1", (d, 4 * d))
+            add(rng, f"{pre}.ff.b1", (4 * d,), zero=True)
+            add(rng, f"{pre}.ff.w2", (4 * d, d))
             add(rng, f"{pre}.ff.b2", (d,), zero=True)
         add(rng, "final_norm.g", (d,), one=True)
         add(rng, "final_norm.b", (d,), zero=True)
@@ -195,9 +193,10 @@ class EnvEncoder:
         return ad.add(ad.mul(content, self._const(1.0 - col)),
                       ad.mul(fill, self._const(col)))
 
-    def embed(self, items, apply_mask: bool = True) -> Tensor:
-        """Patch projection + mask replacement + modality/position embeddings
-        of every utterance in `items`, packed end to end (each one's video
+    def embed(self, items) -> Tensor:
+        """Patch projection + mask replacement (of the rows each item's `mask`
+        flags; None masks none) + modality/position embeddings of every
+        utterance in `items`, packed end to end (each one's video
         block, if any, then its audio block). Each modality runs once over all
         utterances; one row gather then restores the packed order."""
         cfg = self.config
@@ -208,7 +207,7 @@ class EnvEncoder:
         for b in items:
             n_v = 0 if b.video_patches is None else b.video_patches.shape[0]
             n_a = b.audio_patches.shape[0]
-            if apply_mask and b.mask is not None:
+            if b.mask is not None:
                 flags.append(np.asarray(b.mask, dtype=bool))
                 if flags[-1].shape[0] != b.seq_len:
                     raise ValueError("mask length does not match sequence length")
@@ -342,16 +341,16 @@ def extract_env_embeddings(model: EnvEncoder, audio_patches: np.ndarray) -> np.n
         raise ValueError("need a non-empty (T, patch_dim) audio sequence")
     batch = MultimodalBatch(audio_patches=audio_patches)
     with ad.no_grad():
-        encoded = model.encoder_forward(model.embed([batch], apply_mask=False))
+        encoded = model.encoder_forward(model.embed([batch]))
     return encoded.data.copy()
 
 
-def masked_accuracy(model: EnvEncoder, batches, seed: int = 0, width: int = 1,
-                    prob: float = 0.3) -> float:
+def masked_accuracy(model: EnvEncoder, batches, seed: int = 0) -> float:
     """Fraction of masked tokens predicted correctly under fixed eval masks
-    (utterance i's drawn from `substream(seed, "eval-mask", i)`), from one
-    packed no-grad pass over all utterances."""
-    masked = PackedBatch([replace(b, mask=draw_batch_mask(b, width, prob,
+    of span width 1 and probability 0.3 (utterance i's drawn from
+    `substream(seed, "eval-mask", i)`), from one packed no-grad pass over all
+    utterances."""
+    masked = PackedBatch([replace(b, mask=draw_batch_mask(b, 1, 0.3,
                                                           substream(seed, "eval-mask", i)))
                           for i, b in enumerate(batches)])
     if not masked.items:

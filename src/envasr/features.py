@@ -2,9 +2,10 @@
 
 Audio: `read_wav` gives 16 kHz mono samples in [-1, 1]; `compute_lfbe` turns
 them into (T, 64) log mel-filterbank energies (25 ms Hann window, 10 ms hop,
-512-point FFT); `stack_frames` concatenates non-overlapping stacks of 3
-frames into (T // 3, 192) patches; `whiten_clip` whitens patch rows with
-global statistics (a `Whitener`) and clips them to [-1.2, 1.2].
+512-point FFT, 64 triangular filters from 0 Hz to 8 kHz); `stack_frames`
+concatenates non-overlapping stacks of 3 frames into (T // 3, 192) patches;
+`whiten_clip` whitens patch rows with global statistics (a `Whitener`) and
+clips them to [-1.2, 1.2].
 
 `compute_lfbe` windows, transforms and squares `LFBE_BLOCK` = 128 frames at a
 time in two reused buffers, so no (T, 400) frame matrix or (T, 257) complex
@@ -60,15 +61,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
-                   sample_rate: int = SAMPLE_RATE, fmin: float = 0.0,
-                   fmax: float = 8000.0):
-    """Triangular mel filter weights, (bins, n_mels)."""
-    points = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
-    bins = n_fft // 2 + 1
-    freqs = np.arange(bins) * sample_rate / n_fft
-    weights = np.zeros((bins, n_mels))
-    for j in range(n_mels):
+def mel_filterbank():
+    """Triangular mel filter weights, (N_FFT // 2 + 1, N_MELS), spaced evenly
+    on the mel scale from 0 Hz to the Nyquist frequency."""
+    points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), N_MELS + 2))
+    bins = N_FFT // 2 + 1
+    freqs = np.arange(bins) * SAMPLE_RATE / N_FFT
+    weights = np.zeros((bins, N_MELS))
+    for j in range(N_MELS):
         lo, center, hi = points[j], points[j + 1], points[j + 2]
         up = (freqs - lo) / max(center - lo, 1e-12)
         down = (hi - freqs) / max(hi - center, 1e-12)
@@ -150,25 +150,34 @@ def extract_video_patches(frames: np.ndarray):
     return x.reshape(t * r * cols, VIDEO_PATCH_DIM), (t, r, cols)
 
 
-def resample_linear(samples: np.ndarray, rate_in: int, rate_out: int = SAMPLE_RATE) -> np.ndarray:
-    if rate_in == rate_out:
-        return np.asarray(samples, dtype=np.float64)
+def resample_linear(samples: np.ndarray, rate_in: int) -> np.ndarray:
+    """`samples` at `rate_in` Hz, linearly interpolated to `SAMPLE_RATE`."""
     x = np.asarray(samples, dtype=np.float64)
-    n_out = int(round(x.size * rate_out / rate_in))
-    t_out = np.arange(n_out) * (rate_in / rate_out)
+    n_out = int(round(x.size * SAMPLE_RATE / rate_in))
+    t_out = np.arange(n_out) * (rate_in / SAMPLE_RATE)
     return np.interp(t_out, np.arange(x.size), x)
 
 
 def read_wav(path) -> np.ndarray:
     """The float64 samples of a PCM16 mono WAV at 16 kHz, resampled by linear
-    interpolation from any other rate."""
-    with wave_mod.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1:
-            raise ValueError(f"expected mono audio in {path}")
-        if fh.getsampwidth() != 2:
-            raise ValueError(f"expected 16-bit PCM in {path}")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
+    interpolation from any other rate. A file that is not such a WAV, or
+    ends before its header or its samples do, fails with one line naming
+    it."""
+    try:
+        with wave_mod.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio")
+            if fh.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM")
+            rate, frames = fh.getframerate(), fh.getnframes()
+            raw = fh.readframes(frames)
+    except EOFError:
+        raise ValueError(f"{path}: the file ends inside its WAV header") from None
+    except wave_mod.Error as exc:
+        raise ValueError(f"{path}: not a WAV file: {exc}") from None
+    if len(raw) != 2 * frames:
+        raise ValueError(f"{path}: the file holds {len(raw)} of the {2 * frames} "
+                         f"sample bytes its WAV header declares")
     samples = np.divide(np.frombuffer(raw, dtype="<i2"), 32768.0, dtype=np.float64)
     if rate != SAMPLE_RATE:
         samples = np.clip(resample_linear(samples, rate), -1.0, 1.0)

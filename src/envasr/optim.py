@@ -135,7 +135,7 @@ def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,
         raise ValueError(f"adam_step: missing gradient for {missing[0]}")
     runs = []
     for name, p in live:
-        if p.grad is not p._grad_buf:  # assigned by the caller, not by backward
+        if p.grad is not p._grad_buf:  # set by the caller or by a generic op
             np.copyto(p._grad_buf, p.grad)
         p.grad = None
         lo, hi, _ = params.layout[name]

@@ -221,11 +221,6 @@ def config_lines(cfg: RunConfig) -> list:
             for key, _, value in sorted(_items(cfg), key=lambda item: item[0])]
 
 
-def save_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(config_lines(cfg)) + "\n")
-
-
 # model-config adapters ------------------------------------------------------
 
 

@@ -40,7 +40,8 @@ def _extract(path, features, data):
 
 def load_corpus(manifest_path) -> list:
     """Read every utterance of a manifest into memory as patch sequences; a
-    WAV or clip the front end rejects fails naming its file."""
+    WAV or clip that does not read, or that the front end rejects, fails with
+    one line naming its file."""
     utts = []
     for wav_path, clip_path, labels in load_manifest(manifest_path):
         patches = _extract(wav_path, lambda x: stack_frames(compute_lfbe(x)),

@@ -124,14 +124,18 @@ def write_raw_array(path, arr) -> None:
 
 
 def read_raw_array(path) -> np.ndarray:
+    """The float32 array of a raw-array file; any malformed header or payload
+    fails with one line naming the file."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        try:
+            header = [int(token) for token in fh.readline().decode("ascii").split()]
+        except ValueError:  # a non-integer token, or a non-ASCII byte
+            raise ValueError(f"bad raw-array header in {path}") from None
         if not header:
             raise ValueError(f"empty raw-array header in {path}")
-        ndim = int(header[0])
-        if len(header) != ndim + 1:
+        if len(header) != header[0] + 1 or min(header) < 0:
             raise ValueError(f"bad raw-array header in {path}")
-        shape = tuple(int(d) for d in header[1:])
+        shape = tuple(header[1:])
         count = int(np.prod(shape)) if shape else 1
         raw = fh.read(count * 4)
         if len(raw) != count * 4:

@@ -13,6 +13,9 @@ prints ``identical`` when dtype, shape and bytes agree, and otherwise the
 size of the difference, max|a - b| / max|a| (``inf`` when A is all zeros or
 the shapes differ).
 Names found in only one file are listed after. A last line sums it up.
+The exit code is 1 when a tensor differs or is in one file only, as with
+``artifact_hashes.py --compare``, and 0 otherwise: header differences are
+printed but do not change it.
 """
 
 import argparse
@@ -83,7 +86,7 @@ def main(argv=None) -> int:
     print(f"{len(common) - len(differ)} identical, {len(differ)} differ{largest}, "
           f"{len(only_a)} only in A, {len(only_b)} only in B, "
           f"{len(header)} header fields differ")
-    return 0
+    return 1 if differ or only_a or only_b else 0
 
 
 if __name__ == "__main__":

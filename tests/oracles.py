@@ -374,7 +374,7 @@ def toposort_dfs(root):
 
 
 def predict_states_loop(model, labels):
-    """(U+1, pred_dim) prediction states, one label at a time: each step is
+    """(U+1, model_dim) prediction states, one label at a time: each step is
     narrow, matmul, add, (matmul, add,) tanh, and the rows are concatenated."""
     p = model.params
     tokens = np.concatenate([[model.blank_id], np.asarray(labels, dtype=np.int64)])
@@ -394,7 +394,7 @@ def joint_log_probs_chain(model, enc, pred):
     """(T, U+1, V+1) joint log-probabilities with the hidden layer as a
     broadcasting reshape/add/add/tanh/reshape chain."""
     p = model.params
-    t, u1, j = enc.data.shape[0], pred.data.shape[0], model.config.joint_dim
+    t, u1, j = enc.data.shape[0], pred.data.shape[0], model.config.model_dim
     e = ad.reshape(ad.matmul(enc, p["joint.w_enc"]), (t, 1, j))
     g = ad.reshape(ad.matmul(pred, p["joint.w_pred"]), (1, u1, j))
     h = ad.reshape(tanh(ad.add(ad.add(e, g), p["joint.b"])), (t * u1, j))
@@ -439,7 +439,7 @@ def attention_composite(q, k, v, heads):
     return ad.reshape(transpose(mixed, (1, 0, 2)), (tq, d))
 
 
-def embed_per_utterance(model, batch, apply_mask=True):
+def embed_per_utterance(model, batch):
     """``EnvEncoder.embed`` of one utterance, one modality block at a time:
     each stem is a matmul and ``instance_norm_chain``, then mask swap,
     modality and position embeddings, and the video block (if any) and audio
@@ -447,7 +447,7 @@ def embed_per_utterance(model, batch, apply_mask=True):
     cfg = model.config
     p = model.params
     flags = None
-    if apply_mask and batch.mask is not None:
+    if batch.mask is not None:
         flags = np.asarray(batch.mask, dtype=bool)
     n_v = 0 if batch.video_patches is None else batch.video_patches.shape[0]
 
@@ -506,11 +506,14 @@ def encoder_forward_composite(model, embedded, rows=None):
 
 def pretrain_losses_all_rows(model, batches):
     """One masked cross-entropy per masked batch, each from its own graph
-    over every row: the loss ignores the unmasked rows' logits."""
+    over every row: the head runs on every row, and the loss gathers the
+    masked rows' logits."""
     losses = []
     for b in batches:
         encoded = encoder_forward_composite(model, embed_per_utterance(model, b))
-        losses.append(ad.cross_entropy(model.mlm_logits(encoded), b.labels, ignore=~b.mask))
+        rows = np.flatnonzero(b.mask)
+        losses.append(ad.cross_entropy(ad.embedding(model.mlm_logits(encoded), rows),
+                                       b.labels[rows]))
     return losses
 
 

@@ -439,38 +439,27 @@ class TestCrossEntropy:
                                    cross_entropy_logsumexp(logits, targets),
                                    atol=1e-12)
 
-    def test_ignore_flags(self, rng):
-        logits = rng.standard_normal((5, 4))
-        targets = rng.integers(0, 4, 5)
-        ignore = np.array([False, True, False, True, True])
-        kept = [i for i in range(5) if not ignore[i]]
-        expected = cross_entropy_logsumexp(logits[kept], targets[kept])
-        out = ad.cross_entropy(t(logits), targets, ignore=ignore)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-    def test_all_ignored(self):
-        with pytest.raises(ValueError, match="ignored"):
-            ad.cross_entropy(t(np.zeros((2, 3))), [0, 1], ignore=[True, True])
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="n > 0"):
+            ad.cross_entropy(t(np.zeros((0, 3))), [])
 
     def test_segments_average_per_segment_means(self, rng):
         logits = rng.standard_normal((6, 4))
         targets = rng.integers(0, 4, 6)
-        ignore = np.array([False, True, False, False, True, False])
         lengths = [3, 1, 2]
         want, lo = 0.0, 0
         for n in lengths:
-            kept = [i for i in range(lo, lo + n) if not ignore[i]]
-            want += cross_entropy_logsumexp(logits[kept], targets[kept]) / len(lengths)
+            seg = slice(lo, lo + n)
+            want += cross_entropy_logsumexp(logits[seg], targets[seg]) / len(lengths)
             lo += n
         x = t(logits, grad=True)
-        out = ad.cross_entropy(x, targets, ignore=ignore, lengths=lengths)
+        out = ad.cross_entropy(x, targets, lengths=lengths)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
-        check_gradients(lambda: ad.cross_entropy(x, targets, ignore, lengths), [x])
+        check_gradients(lambda: ad.cross_entropy(x, targets, lengths), [x])
 
-    def test_segment_fully_ignored(self):
-        with pytest.raises(ValueError, match="every position of segment 1 of 2"):
-            ad.cross_entropy(t(np.zeros((3, 3))), [0, 1, 2],
-                             ignore=[False, True, True], lengths=[1, 2])
+    def test_empty_segment_rejected(self):
+        with pytest.raises(ValueError, match=r"segment lengths \[3, 0\] must be positive"):
+            ad.cross_entropy(t(np.zeros((3, 3))), [0, 1, 2], lengths=[3, 0])
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError, match=r"segment lengths \[1, 1\] must be positive "

@@ -1,6 +1,6 @@
 import numpy as np
 
-from envasr.pipeline import parse_config_lines, save_config
+from envasr.pipeline import config_lines, parse_config_lines
 from envasr.pipeline.cli import main
 
 
@@ -9,7 +9,7 @@ def write_cfg(path, data_dir, out_dir):
              "tokenize.k_audio = 8", "tokenize.k_video = 16", "max_steps = 3",
              "checkpoint_every = 3", "eval_every = 3", "augment.time_masks = 1",
              "augment.time_width = 6"]
-    save_config(path, parse_config_lines(lines))
+    path.write_text("\n".join(config_lines(parse_config_lines(lines))) + "\n")
     return path
 
 

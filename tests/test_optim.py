@@ -115,7 +115,6 @@ class TestAdamMatchesPerTensorOracle:
                                     for _ in range(2)) for n in live}
                 for params in (packed, oracle):
                     self.backward(params, weights)
-                assert np.shares_memory(packed["a.w"].grad, packed.flat.grad)
                 g = rng.standard_normal(7).astype(dtype)
                 packed["c.b"].grad, oracle["c.b"].grad = g.copy(), g
             adam_step(packed, 1e-2, 0.9, 0.99, 1e-8)

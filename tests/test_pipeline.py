@@ -8,11 +8,11 @@ from envasr.asr.conformer import AsrModel, ConformerConfig
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, extract_env_embeddings,
                                 parameter_hash)
 from envasr.features import read_wav, whiten_clip, write_wav
-from envasr.optim import adam_step
+from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, generate_synthetic_corpus,
                              load_config, load_checkpoint, load_manifest,
                              parse_config_lines, restore_params, run_tokenize,
-                             save_checkpoint, save_config, write_corpus)
+                             save_checkpoint, write_corpus)
 from envasr.pipeline.corpus import SYMBOL_HZ, SYMBOLS
 from envasr.pipeline.data import (cached_env_embeddings, ensure_codebooks,
                                   ensure_whitener, load_corpus, load_whitener,
@@ -66,7 +66,7 @@ class TestConfig:
             "tokenize.k_audio = 8", "tokenize.k_video = 16",
             "asr.fusion_mode = self_attention_baseline",
             f"paths.out_dir = {tmp_path / 'out'}"])
-        save_config(tmp_path / "run.cfg", cfg)
+        (tmp_path / "run.cfg").write_text("\n".join(config_lines(cfg)) + "\n")
         assert load_config(tmp_path / "run.cfg") == cfg
 
     def test_missing_lr_defaults_to_3e4(self, corpus_dir):
@@ -298,7 +298,7 @@ class TestCheckpoint:
         params.t = 4
         save_checkpoint(b, params, 2, ["seed = 4", "max_steps = 5"], "inf 1",
                         keys={"whitener": "bb", "codebooks": "cc"})
-        checkpoint_diff.main([a, b])
+        assert checkpoint_diff.main([a, b]) == 0  # header fields alone
         out = capsys.readouterr().out.splitlines()
         n = len(params.names())
         assert out[:6] == ["header        step: 1 in A, 2 in B",
@@ -309,6 +309,18 @@ class TestCheckpoint:
                            "header        key codebooks: None in A, 'cc' in B"]
         assert out[-1] == (f"{3 * n} identical, 0 differ, 0 only in A, 0 only in B, "
                            f"6 header fields differ")
+        c, d = str(tmp_path / "c.ckpt"), str(tmp_path / "d.ckpt")
+        params["head.b"].data[0] += 1.0
+        save_checkpoint(c, params, 1, ["seed = 3", "max_steps = 5"], keys={"whitener": "aa"})
+        assert checkpoint_diff.main([a, c]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"{3 * n - 1} identical, 1 differ, largest rel inf (p.head.b), 0 only in A, "
+            f"0 only in B, 1 header fields differ")
+        fewer = ParameterSet({name: p.data for name, p in params.items() if name != "head.b"})
+        save_checkpoint(d, fewer, 1, ["seed = 3", "max_steps = 5"], keys={"whitener": "aa"})
+        assert checkpoint_diff.main([a, d]) == 1
+        assert capsys.readouterr().out.splitlines()[-4:-1] == [
+            "only in A     m.head.b", "only in A     p.head.b", "only in A     v.head.b"]
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -438,10 +450,23 @@ class TestDataPlumbing:
 
     @pytest.mark.parametrize("suffix,write,message", [
         (".wav", lambda p: write_wav(p, np.zeros(100)),
-         "waveform too short: 100 < 400 samples"),
+         "{}: waveform too short: 100 < 400 samples"),
         (".clip", lambda p: write_raw_array(p, np.zeros((4, 16, 16, 3))),
-         "frame count 4 not divisible by 3"),
-    ], ids=["wav", "clip"])
+         "{}: frame count 4 not divisible by 3"),
+        (".wav", lambda p: p.write_bytes(b"not a wav file, just text"),
+         "{}: not a WAV file: file does not start with RIFF id"),
+        (".wav", lambda p: p.write_bytes(b""), "{}: the file ends inside its WAV header"),
+        (".wav", lambda p: p.write_bytes(p.read_bytes()[:30]),
+         "{}: the file ends inside its WAV header"),
+        (".wav", lambda p: (write_wav(p, np.zeros(1000)),
+                            p.write_bytes(p.read_bytes()[:-1001])),
+         "{}: the file holds 999 of the 2000 sample bytes its WAV header declares"),
+        (".clip", lambda p: p.write_bytes(b"x 3 32 32 3\n" + bytes(4 * 9216)),
+         "bad raw-array header in {}"),
+        (".clip", lambda p: p.write_bytes(b"4 \xe2\x80\x89 3 32 32 3\n" + bytes(4 * 9216)),
+         "bad raw-array header in {}"),
+    ], ids=["wav", "clip", "wav-garbage", "wav-empty", "wav-cut-header", "wav-cut-samples",
+            "clip-header-x", "clip-header-non-ascii"])
     def test_load_corpus_names_the_bad_input_file(self, tmp_path, suffix, write, message):
         corpus = generate_synthetic_corpus(2, seed=5)
         manifest = write_corpus(corpus, tmp_path)
@@ -449,7 +474,7 @@ class TestDataPlumbing:
         write(path)
         with pytest.raises(ValueError) as err:
             load_corpus(manifest)
-        assert str(err.value) == f"{path}: {message}"
+        assert str(err.value) == message.format(path)
 
     def test_whitener_roundtrip(self, tmp_path, rng):
         w = Whitener(rng.standard_normal(5), rng.uniform(0.5, 2.0, 5))

@@ -4,8 +4,8 @@ import pytest
 from envasr import autodiff as ad
 from envasr.autodiff import Tensor
 from envasr.asr.conformer import AsrModel, ConformerConfig
-from envasr.asr.transducer import (greedy_decode, rnnt_alphas, rnnt_betas,
-                                   rnnt_grad, rnnt_loss)
+from envasr.asr.transducer import (MAX_SYMBOLS_PER_FRAME, greedy_decode, rnnt_alphas,
+                                   rnnt_betas, rnnt_grad, rnnt_loss)
 
 from oracles import (check_gradients, make_lattice, transducer_alphas_loop,
                      transducer_betas_loop, transducer_grad_loop,
@@ -157,6 +157,5 @@ class TestGreedyDecode:
         model.params["joint.b_out"].data[:] = 0.0
         model.params["joint.b_out"].data[1] = 10.0
         env = rng.standard_normal((3, 4))
-        out = greedy_decode(model, encoded(model, rng.standard_normal((9, 6)), env),
-                            max_symbols_per_frame=10)
-        assert len(out) == 10 * 4  # 4 encoder frames from 9 inputs
+        out = greedy_decode(model, encoded(model, rng.standard_normal((9, 6)), env))
+        assert len(out) == MAX_SYMBOLS_PER_FRAME * 4  # 4 encoder frames from 9 inputs
