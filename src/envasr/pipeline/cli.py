@@ -47,25 +47,21 @@ def main(argv=None) -> int:
             return 0
         cfg = load_config(args.config)
         if args.command == "tokenize":
-            cfg.stage = "tokenize"
             summary = run_tokenize(cfg)
             print(f"unified vocab {summary['vocab_size']}, "
                   f"codebooks in {summary['codebook_dir']}")
         elif args.command == "pretrain":
-            cfg.stage = "pretrain"
             summary = run_pretraining(cfg, resume=args.resume)
             print(f"pretraining done: steps={summary['steps_run']} "
                   f"masked_accuracy={summary['masked_accuracy']:.4f} "
                   f"checkpoint={summary['checkpoint']}")
         elif args.command == "train-asr":
-            cfg.stage = "train_asr"
             summary = run_asr_training(cfg)
             wer = summary["final_wer"]
             print(f"asr training done: steps={summary['steps_run']} "
                   f"wer={'n/a' if wer is None else f'{wer:.4f}'} "
                   f"checkpoint={summary['checkpoint']}")
         else:
-            cfg.stage = "eval"
             run_eval(cfg, checkpoint=args.checkpoint)
         return 0
     except Exception as exc:  # single-line diagnostic, nonzero exit

@@ -21,8 +21,6 @@ from ..env_encoder import EnvEncoderConfig
 from ..masking import MaskSchedule
 from ..optim import AdamHyper
 
-STAGES = ("pretrain", "train_asr", "eval", "tokenize")
-
 
 def _require_positive(prefix: str, obj, names) -> None:
     for name in names:
@@ -116,7 +114,6 @@ class AsrConfig:
 
 @dataclass
 class RunConfig:
-    stage: str = "pretrain"
     seed: int = 0
     batch_size: int = 1
     max_steps: int = 1000
@@ -132,8 +129,6 @@ class RunConfig:
     augment: SpecAugmentPolicy = field(default_factory=SpecAugmentPolicy)
 
     def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
         _require_positive("", self, ("batch_size", "max_steps", "checkpoint_every",
                                      "eval_every"))
         for name in ("seed", "patience"):

@@ -207,9 +207,15 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
 
 def _load_model(ckpt_path, asr: bool = False):
     """The environment encoder (or, with `asr`, the ASR model) a checkpoint
-    holds, built from the config snapshot it stores, and the checkpoint's keys."""
+    holds, built from the config snapshot it stores, and the checkpoint's
+    keys. A snapshot that no longer parses, such as one with a key since
+    removed, fails with one line naming the checkpoint."""
     ckpt = load_checkpoint(ckpt_path)
-    snap = parse_config_lines(ckpt.config_lines, check_paths=False)
+    try:
+        snap = parse_config_lines(ckpt.config_lines, check_paths=False)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {ckpt_path} holds a config snapshot that does not "
+                         f"load ({exc}); re-run the stage that wrote it") from None
     if asr:
         model = AsrModel(conformer_config(snap, vocab_size=len(SYMBOLS)), seed=None)
     else:

@@ -25,7 +25,7 @@ KEYS = [
     "pretrain.dtype", "pretrain.heads", "pretrain.model_dim", "pretrain.num_blocks",
     "schedule.p_final", "schedule.p_init", "schedule.stage_steps",
     "schedule.width_final", "schedule.width_init", "schedule.width_step",
-    "seed", "stage",
+    "seed",
     "tokenize.k_audio", "tokenize.k_video", "tokenize.max_iters",
     "tokenize.sample_cap",
 ]
@@ -34,7 +34,7 @@ KEYS = [
 def test_key_set():
     keys = [line.split(" = ", 1)[0] for line in config_lines(RunConfig())]
     assert keys == sorted(keys) == KEYS
-    assert len(KEYS) == 43
+    assert len(KEYS) == 42
 
 
 @pytest.mark.parametrize("preset", ["toy", "full-pretrain", "full-asr"])
@@ -63,7 +63,7 @@ NON_DEFAULT = {
     "pretrain.num_blocks": "1",
     "schedule.p_final": "0.5", "schedule.p_init": "0.1", "schedule.stage_steps": "100",
     "schedule.width_final": "7", "schedule.width_init": "3", "schedule.width_step": "4",
-    "seed": "5", "stage": "eval",
+    "seed": "5",
     "tokenize.k_audio": "16", "tokenize.k_video": "32", "tokenize.max_iters": "10",
     "tokenize.sample_cap": "500",
 }
@@ -78,7 +78,6 @@ def test_every_key_sets_its_own_value():
 
 # one bad value per check; each line alone is rejected while parsing
 REJECTED = [
-    ("stage", "finetune"),
     ("batch_size", "0"),
     ("max_steps", "0"),
     ("checkpoint_every", "-1"),

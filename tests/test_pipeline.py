@@ -95,11 +95,6 @@ class TestConfig:
         ])
         assert cfg.seed == 5
 
-    def test_bad_stage_rejected(self, corpus_dir):
-        with pytest.raises(ValueError, match="stage"):
-            parse_config_lines([f"paths.data_dir = {corpus_dir}",
-                                "stage = finetune"])
-
 
 def micro_env_model(seed=0, dtype="f32"):
     cfg = EnvEncoderConfig(model_dim=8, num_blocks=1, heads=2, vocab_size=6,

@@ -18,7 +18,7 @@ from envasr.features import whiten_clip
 from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, conformer_config,
                              env_encoder_config, generate_synthetic_corpus,
-                             load_checkpoint, parse_config_lines,
+                             load_checkpoint, parse_config_lines, restore_params,
                              run_asr_training, run_eval, run_pretraining,
                              run_tokenize, save_checkpoint, write_corpus)
 from envasr.pipeline.corpus import (SYMBOLS, SyntheticCorpus, SyntheticUtterance,
@@ -192,6 +192,33 @@ class TestPretrainingRunner:
         assert str(err.value) == ("checkpoint holds parameters unknown to the model: "
                                   "block0.attn.bk")
         assert not (cfg.out_path() / "pretrain.log").exists()
+
+    def test_config_snapshot_with_a_removed_key(self, tmp_path, corpus16, capsys):
+        """A checkpoint whose snapshot holds a key since removed (``stage``)
+        cannot build a model, so ASR training on it fails naming it; a resume
+        reads no snapshot and continues as from a current checkpoint."""
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=2, checkpoint_every=2)
+        run_pretraining(cfg)
+        ckpt, old = cfg.pretrain_ckpt_path(), tmp_path / "old.ckpt"
+        stored = load_checkpoint(ckpt)
+        model = EnvEncoder(env_encoder_config(cfg), seed=None)
+        restore_params(model.params, stored)
+        snapshot = sorted(config_lines(cfg) + ["stage = pretrain"])
+        save_checkpoint(old, model.params, stored.step, snapshot, stored.loop, stored.keys)
+        asr = replace(cfg, paths=replace(cfg.paths, pretrain_checkpoint=str(old)))
+        with pytest.raises(ValueError) as err:
+            run_asr_training(asr)
+        assert str(err.value) == (f"checkpoint {old} holds a config snapshot that does not "
+                                  f"load (line {snapshot.index('stage = pretrain') + 1}: "
+                                  f"unknown key 'stage'); re-run the stage that wrote it")
+        run = replace(cfg, max_steps=4, paths=replace(cfg.paths,
+                                                      out_dir=str(tmp_path / "resumed")))
+        resumed = []
+        for start in (old, ckpt):
+            shutil.rmtree(run.out_path(), ignore_errors=True)
+            assert run_pretraining(run, resume=str(start))["steps_run"] == 2
+            resumed.append(run.pretrain_ckpt_path().read_bytes())
+        assert resumed[0] == resumed[1]
 
     def test_batch_size_groups_utterances(self, tmp_path, corpus16, capsys):
         cfg = toy_cfg(corpus16, tmp_path / "bs", batch_size=4, max_steps=3,
