@@ -161,22 +161,22 @@ def resample_linear(samples: np.ndarray, rate_in: int) -> np.ndarray:
 def read_wav(path) -> np.ndarray:
     """The float64 samples of a PCM16 mono WAV at 16 kHz, resampled by linear
     interpolation from any other rate. A file that is not such a WAV, or
-    ends before its header or its samples do, fails with one line naming
-    it."""
+    ends before its header or its samples do, fails with a one-line
+    reason."""
     try:
         with wave_mod.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1:
-                raise ValueError(f"{path}: expected mono audio")
+                raise ValueError("expected mono audio")
             if fh.getsampwidth() != 2:
-                raise ValueError(f"{path}: expected 16-bit PCM")
+                raise ValueError("expected 16-bit PCM")
             rate, frames = fh.getframerate(), fh.getnframes()
             raw = fh.readframes(frames)
     except EOFError:
-        raise ValueError(f"{path}: the file ends inside its WAV header") from None
+        raise ValueError("the file ends inside its WAV header") from None
     except wave_mod.Error as exc:
-        raise ValueError(f"{path}: not a WAV file: {exc}") from None
+        raise ValueError(f"not a WAV file: {exc}") from None
     if len(raw) != 2 * frames:
-        raise ValueError(f"{path}: the file holds {len(raw)} of the {2 * frames} "
+        raise ValueError(f"the file holds {len(raw)} of the {2 * frames} "
                          f"sample bytes its WAV header declares")
     samples = np.divide(np.frombuffer(raw, dtype="<i2"), 32768.0, dtype=np.float64)
     if rate != SAMPLE_RATE:

@@ -51,10 +51,7 @@ class SyntheticCorpus:
 
 
 def labels_to_ids(names) -> np.ndarray:
-    try:
-        return np.array([SYMBOLS.index(n) for n in names], dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"unknown label token in {list(names)!r}") from exc
+    return np.array([SYMBOLS.index(n) for n in names], dtype=np.int64)
 
 
 def synth_wave(label_ids, env_id: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,19 +115,28 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> Path:
 
 
 def load_manifest(manifest_path):
-    """[(wav path, clip path or None, label names), ...], paths resolved."""
+    """[(wav path, clip path or None, label names), ...], paths resolved.
+
+    Each non-blank line is a WAV's path relative to the manifest's directory,
+    a tab, then its labels: one or more of `SYMBOLS`, separated by spaces.
+    Any other line fails as ``<manifest>: line <n>: <reason>``."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise ValueError(f"manifest not found: {manifest_path}")
     root = manifest_path.parent
     entries = []
-    for line in manifest_path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        if "\t" not in line:
-            raise ValueError(f"malformed manifest line: {line!r}")
-        audio, labels = line.split("\t", 1)
+        audio, tab, labels = line.partition("\t")
+        names = labels.split()
+        unknown = [name for name in names if name not in SYMBOLS]
+        reason = (f"no tab between the WAV path and the labels in {line!r}" if not tab
+                  else "no labels after the tab" if not names
+                  else f"unknown label token {unknown[0]!r}" if unknown else "")
+        if reason:
+            raise ValueError(f"{manifest_path}: line {lineno}: {reason}")
         wav = root / audio
         clip = wav.with_suffix(".clip")
-        entries.append((wav, clip if clip.is_file() else None, labels.split()))
+        entries.append((wav, clip if clip.is_file() else None, names))
     return entries

@@ -29,11 +29,11 @@ class LoadedUtterance:
     video_grid: tuple | None
 
 
-def _extract(path, features, data):
-    """`features(data)`, whose ValueError is re-raised as one line naming
-    `path`, the input file `data` was read from."""
+def _extract(path, read, features):
+    """`features(read(path))`, any ValueError of which is re-raised as one
+    line naming `path`."""
     try:
-        return features(data)
+        return features(read(path))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -44,12 +44,11 @@ def load_corpus(manifest_path) -> list:
     one line naming its file."""
     utts = []
     for wav_path, clip_path, labels in load_manifest(manifest_path):
-        patches = _extract(wav_path, lambda x: stack_frames(compute_lfbe(x)),
-                           read_wav(wav_path))
+        patches = _extract(wav_path, read_wav, lambda x: stack_frames(compute_lfbe(x)))
         video_patches = video_grid = None
         if clip_path is not None:
-            video_patches, video_grid = _extract(clip_path, extract_video_patches,
-                                                 read_raw_array(clip_path))
+            video_patches, video_grid = _extract(clip_path, read_raw_array,
+                                                 extract_video_patches)
         utts.append(LoadedUtterance(
             name=wav_path.stem,
             label_names=labels,

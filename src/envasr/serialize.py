@@ -125,21 +125,21 @@ def write_raw_array(path, arr) -> None:
 
 def read_raw_array(path) -> np.ndarray:
     """The float32 array of a raw-array file; any malformed header or payload
-    fails with one line naming the file."""
+    fails with a one-line reason."""
     with open(path, "rb") as fh:
         try:
             header = [int(token) for token in fh.readline().decode("ascii").split()]
         except ValueError:  # a non-integer token, or a non-ASCII byte
-            raise ValueError(f"bad raw-array header in {path}") from None
+            raise ValueError("bad raw-array header") from None
         if not header:
-            raise ValueError(f"empty raw-array header in {path}")
+            raise ValueError("empty raw-array header")
         if len(header) != header[0] + 1 or min(header) < 0:
-            raise ValueError(f"bad raw-array header in {path}")
+            raise ValueError("bad raw-array header")
         shape = tuple(header[1:])
         count = int(np.prod(shape)) if shape else 1
         raw = fh.read(count * 4)
         if len(raw) != count * 4:
-            raise ValueError(f"raw-array payload truncated in {path}")
+            raise ValueError("raw-array payload truncated")
         if fh.read(1):
-            raise ValueError(f"raw-array payload longer than its header says in {path}")
+            raise ValueError("raw-array payload longer than its header says")
         return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)

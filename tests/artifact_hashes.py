@@ -11,7 +11,8 @@ directory (checkpoints store the config, paths included), and compare:
 
 ``--compare`` prints identical/total for each case (the first path
 component) and over all, then names each file whose hash differs or that
-only one listing has; it exits 1 when any does.
+only one listing has; it exits 1 when any does. It needs no ``envasr`` on
+the path.
 
 The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
 --seed 11``, one out_dir each:
@@ -54,17 +55,13 @@ from pathlib import Path
 
 import numpy as np
 
-from envasr.pipeline import (generate_synthetic_corpus, run_asr_training, run_eval,
-                             run_pretraining, run_tokenize, write_corpus)
-from envasr.pipeline.config import parse_config_lines
-from envasr.pipeline.corpus import (ENV_KINDS, SYMBOLS, SyntheticCorpus, SyntheticUtterance,
-                                    synth_clip, synth_wave)
-
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 LONG_LENGTHS = (13, 60, 20, 53, 27, 47, 34, 40)  # symbols per ``long`` utterance
 
 
 def config(work: Path, case: str, **overrides):
+    from envasr.pipeline.config import parse_config_lines
+
     values = {"paths.data_dir": work / "data", "paths.out_dir": work / case,
               "max_steps": 300, **overrides}
     lines = TOY_CFG.read_text(encoding="utf-8").splitlines()
@@ -72,6 +69,12 @@ def config(work: Path, case: str, **overrides):
 
 
 def run_all(work: Path) -> None:
+    # imported here, so that --compare runs without envasr on the path
+    from envasr.pipeline import (generate_synthetic_corpus, run_asr_training, run_eval,
+                                 run_pretraining, run_tokenize, write_corpus)
+    from envasr.pipeline.corpus import (ENV_KINDS, SYMBOLS, SyntheticCorpus,
+                                        SyntheticUtterance, synth_clip, synth_wave)
+
     write_corpus(generate_synthetic_corpus(16, seed=11), work / "data")
     toy = config(work, "toy")
     run_pretraining(toy)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +366,20 @@ class TestSyntheticCorpus:
             assert wav.is_file() and clip is not None and clip.is_file()
             assert all(l in SYMBOLS for l in labels)
 
+    @pytest.mark.parametrize("line,reason", [
+        ("utt0000.wav a z b", "no tab between the WAV path and the labels in "
+                              "'utt0000.wav a z b'"),
+        ("utt0000.wav\t ", "no labels after the tab"),
+        ("utt0000.wav\ta z b", "unknown label token 'z'"),
+    ], ids=["no-tab", "no-labels", "unknown-label"])
+    def test_bad_manifest_line_names_the_manifest_and_line(self, tmp_path, line, reason):
+        manifest = write_corpus(generate_synthetic_corpus(2, seed=5), tmp_path)
+        good = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([good[0], "", line, good[1]]) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == f"{manifest}: line 3: {reason}"
+
     def test_written_wave_reloads(self, tmp_path):
         corpus = generate_synthetic_corpus(2, seed=5)
         manifest = write_corpus(corpus, tmp_path / "c")
@@ -430,7 +446,7 @@ class TestRawArrays:
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(ValueError) as err:
             read_raw_array(path)
-        assert str(err.value) == f"raw-array payload longer than its header says in {path}"
+        assert str(err.value) == "raw-array payload longer than its header says"
 
 
 class TestDataPlumbing:
@@ -457,9 +473,9 @@ class TestDataPlumbing:
                             p.write_bytes(p.read_bytes()[:-1001])),
          "{}: the file holds 999 of the 2000 sample bytes its WAV header declares"),
         (".clip", lambda p: p.write_bytes(b"x 3 32 32 3\n" + bytes(4 * 9216)),
-         "bad raw-array header in {}"),
+         "{}: bad raw-array header"),
         (".clip", lambda p: p.write_bytes(b"4 \xe2\x80\x89 3 32 32 3\n" + bytes(4 * 9216)),
-         "bad raw-array header in {}"),
+         "{}: bad raw-array header"),
     ], ids=["wav", "clip", "wav-garbage", "wav-empty", "wav-cut-header", "wav-cut-samples",
             "clip-header-x", "clip-header-non-ascii"])
     def test_load_corpus_names_the_bad_input_file(self, tmp_path, suffix, write, message):
@@ -602,3 +618,13 @@ class TestArtifactHashListings:
             "long  1/2 identical", "toy   1/2 identical", "all   2/4 identical",
             f"only in {b}: long/w.tsv", "differs: toy/y.log"]
         assert artifact_hashes.main(["--compare", str(a), str(a)]) == 0
+
+    def test_compare_runs_without_envasr_on_the_path(self, tmp_path):
+        a = tmp_path / "a.txt"
+        a.write_text("11  toy/x.ckpt\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        script = Path(__file__).resolve().parent / "artifact_hashes.py"
+        done = subprocess.run([sys.executable, str(script), "--compare", str(a), str(a)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == ["toy  1/1 identical", "all  1/1 identical"]
