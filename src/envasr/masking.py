@@ -3,8 +3,10 @@
 Training starts with single-position masks at center probability 0.15.
 Every `stage_steps` optimization steps the span width grows by 2 (odd widths
 1 -> 11) and the probability resets to 0.15, then saturates toward 0.45
-within the stage: p(t) = p_init + (p_final - p_init) * (1 - exp(-lam*t/S)).
+within the stage: p(t) = P_INIT + (P_FINAL - P_INIT) * (1 - exp(-lam*t/S)).
 With lam = ln(100) each stage ends within 1% of the target probability.
+These widths and probabilities are the recipe's constants; only
+`stage_steps` is a config key.
 
 `sample_segmented_mask` draws a mask at a (width, probability) pair as two
 boolean arrays over a sequence of segments: the masked positions and the
@@ -17,29 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 RAMP_RATE = math.log(100.0)  # lam above
+P_INIT, P_FINAL = 0.15, 0.45
+WIDTH_INIT, WIDTH_FINAL, WIDTH_STEP = 1, 11, 2
 
 
 @dataclass
 class MaskSchedule:
-    """The ``schedule.*`` config section."""
+    """The ``schedule.*`` config section: steps per curriculum stage."""
 
-    p_init: float = 0.15
-    p_final: float = 0.45
-    width_init: int = 1
-    width_final: int = 11
-    width_step: int = 2
     stage_steps: int = 10000
 
     def __post_init__(self):
-        if self.width_init % 2 == 0 or self.width_final % 2 == 0:
-            raise ValueError("schedule.width_init and schedule.width_final must be odd, "
-                             f"got {self.width_init} and {self.width_final}")
-        if self.width_step % 2 != 0 or self.width_step <= 0:
-            raise ValueError("schedule.width_step must be a positive even increment, "
-                             f"got {self.width_step}")
-        if not (0.0 <= self.p_init <= self.p_final <= 1.0):
-            raise ValueError("need 0 <= schedule.p_init <= schedule.p_final <= 1, "
-                             f"got {self.p_init} and {self.p_final}")
         if self.stage_steps < 1:
             raise ValueError("schedule.stage_steps must be positive, "
                              f"got {self.stage_steps}")
@@ -50,10 +40,10 @@ def mask_params_at(sched: MaskSchedule, step: int):
     if step < 0:
         raise ValueError("step must be non-negative")
     stage = step // sched.stage_steps
-    width = min(sched.width_init + sched.width_step * stage, sched.width_final)
+    width = min(WIDTH_INIT + WIDTH_STEP * stage, WIDTH_FINAL)
     t = step - stage * sched.stage_steps
     ramp = 1.0 - math.exp(-RAMP_RATE * t / sched.stage_steps)
-    prob = sched.p_init + (sched.p_final - sched.p_init) * ramp
+    prob = P_INIT + (P_FINAL - P_INIT) * ramp
     return width, prob
 
 

@@ -1,5 +1,6 @@
 """Named parameter sets, their initialiser, and the Adam update used by both
-training stages."""
+training stages: Adam (Kingma & Ba) at the recipe's fixed betas 0.9 and 0.99
+and eps 1e-8; only the learning rate is a config key."""
 
 import math
 from dataclasses import dataclass
@@ -12,28 +13,22 @@ from .autodiff import Tensor, mul
 # Elements per in-place Adam chunk: small enough for the cache, large enough
 # to amortise the Python loop (fastest in a sweep on both benchmark shapes).
 ADAM_CHUNK = 65536
+# Adam's first- and second-moment decay rates and denominator floor, fixed
+# by the training recipe.
+BETA1 = 0.9
+BETA2 = 0.99
+EPS = 1e-8
 
 
 @dataclass
 class AdamHyper:
-    """Optimizer hyper-parameters, the ``optimizer.*`` config section
-    (defaults follow the training recipe)."""
+    """The ``optimizer.*`` config section: Adam's learning rate."""
 
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("lr", "eps"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"optimizer.{name} must be positive and finite, "
-                                 f"got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"optimizer.{name} must lie in [0, 1), got {value}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"optimizer.lr must be positive and finite, got {self.lr}")
 
 
 class FlatBuffers(NamedTuple):
@@ -119,10 +114,10 @@ def init_param(arrays: dict, rng, name: str, shape, dtype, zero=False,
     return arrays[name]
 
 
-def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,
-              beta2: float = 0.99, eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update of every parameter that requires gradients;
-    gradients are consumed (cleared) and the set's step count `t` rises by one.
+def adam_step(params: ParameterSet, lr: float) -> None:
+    """Bias-corrected Adam update, at `BETA1`, `BETA2` and `EPS`, of every
+    parameter that requires gradients; gradients are consumed (cleared) and
+    the set's step count `t` rises by one.
 
     Live parameters that are neighbours in name order form one run of the
     flat buffers, updated in place `ADAM_CHUNK` elements at a time. Each
@@ -144,26 +139,26 @@ def adam_step(params: ParameterSet, lr: float, beta1: float = 0.9,
         else:
             runs.append([lo, hi])
     params.t += 1
-    c1 = 1.0 - beta1 ** params.t
-    c2 = 1.0 - beta2 ** params.t
+    c1 = 1.0 - BETA1 ** params.t
+    c2 = 1.0 - BETA2 ** params.t
     data, grad, m, v = params.flat
     for lo, hi in runs:
         for start in range(lo, hi, ADAM_CHUNK):
             end = min(start + ADAM_CHUNK, hi)
             g, mc, vc, pc = grad[start:end], m[start:end], v[start:end], data[start:end]
             a, b = (s[: end - start] for s in params._scratch)
-            np.multiply(mc, beta1, out=mc)
-            np.multiply(g, 1.0 - beta1, out=a)
+            np.multiply(mc, BETA1, out=mc)
+            np.multiply(g, 1.0 - BETA1, out=a)
             np.add(mc, a, out=mc)          # m = b1*m + (1-b1)*g
             np.multiply(g, g, out=a)
-            np.multiply(a, 1.0 - beta2, out=a)
-            np.multiply(vc, beta2, out=vc)
+            np.multiply(a, 1.0 - BETA2, out=a)
+            np.multiply(vc, BETA2, out=vc)
             np.add(vc, a, out=vc)          # v = b2*v + (1-b2)*(g*g)
             np.divide(mc, c1, out=a)
             np.multiply(a, lr, out=a)      # lr * m_hat
             np.divide(vc, c2, out=b)
             np.sqrt(b, out=b)
-            np.add(b, eps, out=b)          # sqrt(v_hat) + eps
+            np.add(b, EPS, out=b)          # sqrt(v_hat) + eps
             np.divide(a, b, out=a)
             np.subtract(pc, a, out=pc)
 
@@ -173,7 +168,7 @@ def minimize_mean(params: ParameterSet, losses, hyper: AdamHyper) -> float:
     returns the mean loss."""
     total = mul(sum(losses[1:], losses[0]), 1.0 / len(losses))
     total.backward()
-    adam_step(params, hyper.lr, hyper.beta1, hyper.beta2, hyper.eps)
+    adam_step(params, hyper.lr)
     return float(total.data)
 
 

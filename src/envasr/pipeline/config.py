@@ -35,11 +35,6 @@ def _require_heads_divide(prefix: str, obj) -> None:
                          f"{prefix}model_dim = {obj.model_dim}")
 
 
-def _require_dtype(key: str, value: str) -> None:
-    if value not in ("f32", "f64"):
-        raise ValueError(f"{key} must be f32 or f64, got {value!r}")
-
-
 @dataclass
 class PathsConfig:
     """Where a run reads and writes; an empty path means the default that
@@ -75,17 +70,16 @@ class TokenizeConfig:
 
 @dataclass
 class PretrainConfig:
-    """The environment encoder's shape; its vocabulary is the two codebooks."""
+    """The environment encoder's shape; its vocabulary is the two codebooks
+    and it trains in float32."""
 
     model_dim: int = 32
     num_blocks: int = 2
     heads: int = 4
-    dtype: str = "f32"
 
     def __post_init__(self):
-        _require_positive("pretrain.", self, ("model_dim", "num_blocks", "heads"))
+        _require_positive("pretrain.", self, vars(self))
         _require_heads_divide("pretrain.", self)
-        _require_dtype("pretrain.dtype", self.dtype)
 
 
 @dataclass
@@ -109,7 +103,8 @@ class AsrConfig:
             raise ValueError(f"asr.conv_kernel must be odd, got {self.conv_kernel}")
         if self.fusion_mode not in (CROSS, BASELINE):
             raise ValueError(f"unknown asr.fusion_mode {self.fusion_mode!r}")
-        _require_dtype("asr.dtype", self.dtype)
+        if self.dtype not in ("f32", "f64"):
+            raise ValueError(f"asr.dtype must be f32 or f64, got {self.dtype!r}")
 
 
 @dataclass
@@ -223,7 +218,7 @@ def env_encoder_config(cfg: RunConfig) -> EnvEncoderConfig:
     return EnvEncoderConfig(model_dim=cfg.pretrain.model_dim,
                             num_blocks=cfg.pretrain.num_blocks, heads=cfg.pretrain.heads,
                             vocab_size=cfg.tokenize.k_audio + cfg.tokenize.k_video,
-                            dtype=cfg.pretrain.dtype, schedule=cfg.schedule)
+                            dtype="f32", schedule=cfg.schedule)
 
 
 def conformer_config(cfg: RunConfig, vocab_size: int) -> ConformerConfig:

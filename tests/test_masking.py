@@ -50,10 +50,8 @@ class TestScheduleParams:
             mask_params_at(self.sched, -1)
 
     def test_schedule_invariants(self):
-        with pytest.raises(ValueError, match="odd"):
-            MaskSchedule(width_init=2)
-        with pytest.raises(ValueError, match="p_init"):
-            MaskSchedule(p_init=0.6, p_final=0.4)
+        with pytest.raises(ValueError, match="stage_steps"):
+            MaskSchedule(stage_steps=0)
 
 
 class TestSampleMask:

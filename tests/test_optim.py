@@ -18,7 +18,7 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         params = make_params({"w": [2.0, -1.0, 0.5]})
         params["w"].grad = np.array([0.3, -4.0, 1e-3])
-        adam_step(params, lr=0.01, eps=1e-8)
+        adam_step(params, lr=0.01)
         delta = params["w"].data - np.array([2.0, -1.0, 0.5])
         np.testing.assert_allclose(delta, -0.01 * np.sign([0.3, -4.0, 1e-3]),
                                    rtol=1e-4)
@@ -44,7 +44,7 @@ class TestAdam:
         seen = []
         for g in grads:
             params["x"].grad = np.array([g])
-            adam_step(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            adam_step(params, lr=lr)
             seen.append(float(params["x"].data[0]))
         expected = adam_scalar_trajectory(2.0, grads, lr, b1, b2, eps)
         np.testing.assert_allclose(seen, expected, atol=1e-12)
@@ -117,7 +117,7 @@ class TestAdamMatchesPerTensorOracle:
                     self.backward(params, weights)
                 g = rng.standard_normal(7).astype(dtype)
                 packed["c.b"].grad, oracle["c.b"].grad = g.copy(), g
-            adam_step(packed, 1e-2, 0.9, 0.99, 1e-8)
+            adam_step(packed, 1e-2)
             adam_step_per_tensor(oracle, moments, 1e-2, 0.9, 0.99, 1e-8)
             assert packed.t == self.START_T + step + 1
             for name in live:
@@ -146,7 +146,7 @@ class TestMinimizeMean:
         first, second = losses(by_hand)
         mean = ad.mul(ad.add(first, second), 0.5)
         mean.backward()
-        adam_step(by_hand, hyper.lr, hyper.beta1, hyper.beta2, hyper.eps)
+        adam_step(by_hand, hyper.lr)
 
         assert loss == float(mean.data)
         np.testing.assert_array_equal(helper["w"].data, by_hand["w"].data)

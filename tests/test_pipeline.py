@@ -74,7 +74,6 @@ class TestConfig:
     def test_missing_lr_defaults_to_3e4(self, corpus_dir):
         cfg = parse_config_lines([f"paths.data_dir = {corpus_dir}"])
         assert cfg.optimizer.lr == pytest.approx(3e-4)
-        assert cfg.optimizer.beta1 == 0.9 and cfg.optimizer.beta2 == 0.99
 
     def test_negative_batch_size_rejected(self, corpus_dir):
         with pytest.raises(ValueError, match="batch_size"):

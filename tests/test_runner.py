@@ -194,31 +194,37 @@ class TestPretrainingRunner:
         assert not (cfg.out_path() / "pretrain.log").exists()
 
     def test_config_snapshot_with_a_removed_key(self, tmp_path, corpus16, capsys):
-        """A checkpoint whose snapshot holds a key since removed (``stage``)
-        cannot build a model, so ASR training on it fails naming it; a resume
-        reads no snapshot and continues as from a current checkpoint."""
+        """A checkpoint whose snapshot holds a key since removed (``stage``,
+        ``optimizer.beta1``) cannot build a model, so ASR training on it fails
+        naming it; a resume reads no snapshot and continues as from a current
+        checkpoint."""
         cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=2, checkpoint_every=2)
         run_pretraining(cfg)
-        ckpt, old = cfg.pretrain_ckpt_path(), tmp_path / "old.ckpt"
+        ckpt = cfg.pretrain_ckpt_path()
         stored = load_checkpoint(ckpt)
         model = EnvEncoder(env_encoder_config(cfg), seed=None)
         restore_params(model.params, stored)
-        snapshot = sorted(config_lines(cfg) + ["stage = pretrain"])
-        save_checkpoint(old, model.params, stored.step, snapshot, stored.loop, stored.keys)
-        asr = replace(cfg, paths=replace(cfg.paths, pretrain_checkpoint=str(old)))
-        with pytest.raises(ValueError) as err:
-            run_asr_training(asr)
-        assert str(err.value) == (f"checkpoint {old} holds a config snapshot that does not "
-                                  f"load (line {snapshot.index('stage = pretrain') + 1}: "
-                                  f"unknown key 'stage'); re-run the stage that wrote it")
+        olds = []
+        for i, removed in enumerate(["stage = pretrain", "optimizer.beta1 = 0.9"]):
+            old = tmp_path / f"old{i}.ckpt"
+            snapshot = sorted(config_lines(cfg) + [removed])
+            save_checkpoint(old, model.params, stored.step, snapshot, stored.loop, stored.keys)
+            asr = replace(cfg, paths=replace(cfg.paths, pretrain_checkpoint=str(old)))
+            with pytest.raises(ValueError) as err:
+                run_asr_training(asr)
+            key = removed.split(" = ")[0]
+            assert str(err.value) == (f"checkpoint {old} holds a config snapshot that does "
+                                      f"not load (line {snapshot.index(removed) + 1}: "
+                                      f"unknown key {key!r}); re-run the stage that wrote it")
+            olds.append(old)
         run = replace(cfg, max_steps=4, paths=replace(cfg.paths,
                                                       out_dir=str(tmp_path / "resumed")))
         resumed = []
-        for start in (old, ckpt):
+        for start in olds + [ckpt]:
             shutil.rmtree(run.out_path(), ignore_errors=True)
             assert run_pretraining(run, resume=str(start))["steps_run"] == 2
             resumed.append(run.pretrain_ckpt_path().read_bytes())
-        assert resumed[0] == resumed[1]
+        assert resumed[0] == resumed[1] == resumed[2]
 
     def test_batch_size_groups_utterances(self, tmp_path, corpus16, capsys):
         cfg = toy_cfg(corpus16, tmp_path / "bs", batch_size=4, max_steps=3,
