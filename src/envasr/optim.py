@@ -1,6 +1,6 @@
-"""Named parameter sets, their initialiser, and the Adam update used by both
-training stages: Adam (Kingma & Ba) at the recipe's fixed betas 0.9 and 0.99
-and eps 1e-8; only the learning rate is a config key."""
+"""Named parameter sets, their initialiser, and the Adam update (Kingma & Ba)
+used by both training stages. Its betas and eps are the recipe's constants
+`BETA1`, `BETA2` and `EPS`; only the learning rate is a config key."""
 
 import math
 from dataclasses import dataclass
