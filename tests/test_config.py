@@ -152,6 +152,31 @@ def test_optimizer_value_rejected_before_step_0(key, value):
         parse_config_lines([f"{key} = {value}"], check_paths=False)
 
 
+# keys the recipe fixed as constants, each at the value configs once set it to
+REMOVED = [
+    ("optimizer.beta1", "0.9"), ("optimizer.beta2", "0.99"), ("optimizer.eps", "1e-08"),
+    ("pretrain.dtype", "f32"),
+    ("schedule.p_init", "0.15"), ("schedule.p_final", "0.45"),
+    ("schedule.width_init", "1"), ("schedule.width_final", "11"),
+    ("schedule.width_step", "2"),
+]
+
+
+@pytest.mark.parametrize("key,value", REMOVED)
+def test_removed_key_rejected_at_load(key, value):
+    assert key not in KEYS
+    with pytest.raises(ValueError, match=f"^line 1: unknown key {re.escape(repr(key))}$"):
+        parse_config_lines([f"{key} = {value}"], check_paths=False)
+
+
+def test_preset_with_the_removed_keys_rejected_at_the_first():
+    lines = (ROOT / "configs" / "full-pretrain.cfg").read_text().splitlines()
+    old = lines + [f"{k} = {v}" for k, v in REMOVED]
+    with pytest.raises(ValueError, match=f"^line {len(lines) + 1}: unknown key "
+                                         "'optimizer.beta1'$"):
+        parse_config_lines(old, check_paths=False)
+
+
 @pytest.mark.parametrize("lines", [
     [],                                       # paths.data_dir missing
     ["paths.data_dir = /nonexistent/corpus"],

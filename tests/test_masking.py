@@ -49,6 +49,29 @@ class TestScheduleParams:
         with pytest.raises(ValueError):
             mask_params_at(self.sched, -1)
 
+    @pytest.mark.parametrize("stage", range(8))
+    def test_stage_width_and_probability_ramp(self, stage):
+        start, end = stage * 10000, stage * 10000 + 9999
+        width = (1, 3, 5, 7, 9, 11, 11, 11)[stage]
+        assert mask_params_at(self.sched, start) == (width, 0.15)
+        w, prob = mask_params_at(self.sched, end)
+        assert w == width
+        assert prob == pytest.approx(0.447, abs=5e-4) and prob < 0.45
+
+    @pytest.mark.parametrize("stage_steps", [1, 4, 100, 10000])
+    def test_curriculum_depends_only_on_step_over_stage_steps(self, stage_steps):
+        # p = 0.15 + 0.30 * (1 - 100 ** -(t / stage_steps)) at every quarter-stage
+        sched = MaskSchedule(stage_steps=stage_steps)
+        for stage in range(8):
+            for quarter in range(4):
+                t, rem = divmod(quarter * stage_steps, 4)
+                if rem:
+                    continue
+                width, prob = mask_params_at(sched, stage * stage_steps + t)
+                assert width == min(1 + 2 * stage, 11), (stage, quarter)
+                want = 0.15 + 0.30 * (1 - 100.0 ** (-quarter / 4))
+                assert prob == pytest.approx(want, abs=1e-12), (stage, quarter)
+
     def test_schedule_invariants(self):
         with pytest.raises(ValueError, match="stage_steps"):
             MaskSchedule(stage_steps=0)

@@ -3,7 +3,7 @@ import pytest
 
 from envasr import autodiff as ad
 from envasr.autodiff import Tensor
-from envasr.optim import (ADAM_CHUNK, AdamHyper, ParameterSet, adam_step,
+from envasr.optim import (ADAM_CHUNK, EPS, AdamHyper, ParameterSet, adam_step,
                           count_parameters, init_param, minimize_mean)
 
 from oracles import adam_scalar_trajectory, adam_step_per_tensor, sum_
@@ -48,6 +48,16 @@ class TestAdam:
             seen.append(float(params["x"].data[0]))
         expected = adam_scalar_trajectory(2.0, grads, lr, b1, b2, eps)
         np.testing.assert_allclose(seen, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("g", [1e-9, 1e-8, 1e-7, -1e-6])
+    def test_eps_sets_the_first_step_for_small_gradients(self, g):
+        # step 1 moves by lr * g / (|g| + eps): eps = 1e-8 damps gradients near it
+        params = make_params({"x": [0.0]})
+        params["x"].grad = np.array([g])
+        adam_step(params, lr=0.5)
+        assert EPS == 1e-8
+        np.testing.assert_allclose(params["x"].data, [-0.5 * g / (abs(g) + 1e-8)],
+                                   rtol=1e-12)
 
     def test_missing_grad_rejected(self):
         params = make_params({"a": [1.0], "b": [2.0]})
