@@ -38,8 +38,8 @@ its utterance's keys and values, so those rows are exactly what the
 all-rows graph computes, and the rows left out had gradient zero. Only the
 rounding moves: a weight gradient's sum over rows now has fewer terms, so
 BLAS groups it differently. At a mask rate of about 0.16, the first
-curriculum stage's, that skips most of the last block. Extraction and
-`masked_accuracy` still run every row.
+curriculum stage's, that skips most of the last block. `masked_accuracy`
+shares that pass, `masked_logits`; only extraction runs every row.
 """
 
 import hashlib
@@ -277,9 +277,9 @@ class EnvEncoder:
         return ad.layer_norm(x, self.params["final_norm.g"], self.params["final_norm.b"])
 
     def encoder_forward(self, embedded: Tensor, lengths=None) -> Tensor:
-        """Pre-norm transformer stack over every row, then the final norm;
-        every row attends to every row of its segment (`lengths`, as in
-        `ad.attention`)."""
+        """Pre-norm transformer stack over every row, then the final norm, as
+        extraction runs it; every row attends to every row of its segment
+        (`lengths`, as in `ad.attention`)."""
         x = embedded
         for i in range(self.config.num_blocks):
             x = self._block(i, x, lengths)
@@ -288,11 +288,10 @@ class EnvEncoder:
     def mlm_logits(self, encoded: Tensor) -> Tensor:
         return ad.matmul(encoded, self.params["head.w"], self.params["head.b"])
 
-    def forward_loss(self, batch: MultimodalBatch | PackedBatch) -> Tensor:
-        """The mean over the batch's utterances of each one's cross-entropy
-        over the unified vocabulary at its masked positions, from one packed
+    def masked_logits(self, packed: PackedBatch):
+        """(head logits at the masked rows of `packed`'s utterances, in packed
+        order, those rows' labels, masked rows per utterance), from one packed
         forward pass whose last block computes only the masked rows."""
-        packed = batch if isinstance(batch, PackedBatch) else PackedBatch([batch])
         x = self.embed(packed.items)
         masks = [np.asarray(b.mask, dtype=bool).reshape(-1) for b in packed.items]
         counts = [int(m.sum()) for m in masks]
@@ -307,8 +306,14 @@ class EnvEncoder:
         for i in range(last):
             x = self._block(i, x, packed.lengths)
         x = self._block(last, x, packed.lengths, rows, counts)
-        return ad.cross_entropy(self.mlm_logits(self._final_norm(x)), labels[rows],
-                                lengths=counts)
+        return self.mlm_logits(self._final_norm(x)), labels[rows], counts
+
+    def forward_loss(self, batch: MultimodalBatch | PackedBatch) -> Tensor:
+        """The mean over the batch's utterances of each one's cross-entropy
+        over the unified vocabulary at its masked positions."""
+        packed = batch if isinstance(batch, PackedBatch) else PackedBatch([batch])
+        logits, labels, counts = self.masked_logits(packed)
+        return ad.cross_entropy(logits, labels, lengths=counts)
 
 
 def draw_batch_mask(batch: MultimodalBatch, width: int, prob: float,
@@ -348,19 +353,14 @@ def extract_env_embeddings(model: EnvEncoder, audio_patches: np.ndarray) -> np.n
 def masked_accuracy(model: EnvEncoder, batches, seed: int = 0) -> float:
     """Fraction of masked tokens predicted correctly under fixed eval masks
     of span width 1 and probability 0.3 (utterance i's drawn from
-    `substream(seed, "eval-mask", i)`), from one packed no-grad pass over all
-    utterances."""
+    `substream(seed, "eval-mask", i)`), from one packed no-grad
+    `masked_logits` pass over all utterances."""
     masked = PackedBatch([replace(b, mask=draw_batch_mask(b, 1, 0.3,
                                                           substream(seed, "eval-mask", i)))
                           for i, b in enumerate(batches)])
-    if not masked.items:
-        return 0.0
     with ad.no_grad():
-        logits = model.mlm_logits(model.encoder_forward(model.embed(masked.items),
-                                                        masked.lengths))
-    flags = np.concatenate([b.mask for b in masked.items])
-    labels = np.concatenate([b.labels for b in masked.items])
-    return int((logits.data.argmax(axis=1)[flags] == labels[flags]).sum()) / int(flags.sum())
+        logits, labels, _ = model.masked_logits(masked)
+    return int((logits.data.argmax(axis=1) == labels).sum()) / labels.size
 
 
 def parameter_hash(params: ParameterSet) -> str:

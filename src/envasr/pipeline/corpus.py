@@ -15,7 +15,7 @@ import numpy as np
 
 from ..features import SAMPLE_RATE, write_wav
 from ..rng import substream
-from ..serialize import write_raw_array
+from ..serialize import write_array
 
 SYMBOLS = ("a", "b", "c", "d", "e", "f", "g", "h")
 SYMBOL_HZ = (400.0, 600.0, 800.0, 1000.0, 1300.0, 1700.0, 2200.0, 2800.0)
@@ -101,13 +101,14 @@ def generate_synthetic_corpus(n_utterances: int, seed: int) -> SyntheticCorpus:
 
 
 def write_corpus(corpus: SyntheticCorpus, out_dir) -> Path:
-    """Write wav + clip files and the tab-separated manifest; returns its path."""
+    """Write each utterance's WAV and clip (a `serialize.write_array` file)
+    and the tab-separated manifest; returns its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for utt in corpus.utterances:
         write_wav(out / f"{utt.name}.wav", utt.wave)
-        write_raw_array(out / f"{utt.name}.clip", utt.clip)
+        write_array(out / f"{utt.name}.clip", utt.clip)
         lines.append(f"{utt.name}.wav\t{' '.join(utt.label_names)}")
     manifest = out / "manifest.tsv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -117,8 +118,8 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> Path:
 def load_manifest(manifest_path):
     """[(wav path, clip path or None, label names), ...], paths resolved.
 
-    Each non-blank line is a WAV's path relative to the manifest's directory,
-    a tab, then its labels: one or more of `SYMBOLS`, separated by spaces.
+    Each non-blank line is an existing WAV's path relative to the manifest's
+    directory, unpadded, a tab, then its labels: one or more of `SYMBOLS`.
     Any other line fails as ``<manifest>: line <n>: <reason>``."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -131,12 +132,15 @@ def load_manifest(manifest_path):
         audio, tab, labels = line.partition("\t")
         names = labels.split()
         unknown = [name for name in names if name not in SYMBOLS]
+        wav = root / audio
         reason = (f"no tab between the WAV path and the labels in {line!r}" if not tab
+                  else "no WAV path before the tab" if not audio.strip()
+                  else f"spaces around the WAV path {audio!r}" if audio != audio.strip()
                   else "no labels after the tab" if not names
-                  else f"unknown label token {unknown[0]!r}" if unknown else "")
+                  else f"unknown label token {unknown[0]!r}" if unknown
+                  else f"no WAV file {audio!r}" if not wav.is_file() else "")
         if reason:
             raise ValueError(f"{manifest_path}: line {lineno}: {reason}")
-        wav = root / audio
         clip = wav.with_suffix(".clip")
         entries.append((wav, clip if clip.is_file() else None, names))
     return entries

@@ -14,8 +14,8 @@ from ..features import (Whitener, compute_lfbe, extract_video_patches, fit_white
 from ..quantize import (Codebook, assign_tokens, load_codebook, sample_rows, save_codebook,
                         train_kmeans)
 from ..rng import derive_seed, substream
-from ..serialize import (atomic_write, header_field, read_raw_array, read_tensors,
-                         write_raw_array, write_tensors)
+from ..serialize import (header_field, read_array, read_raw_array, read_tensors, write_array,
+                         write_tensors)
 from .corpus import labels_to_ids, load_manifest
 
 
@@ -179,23 +179,15 @@ def make_pretrain_batch(utt: LoadedUtterance, audio: np.ndarray,
 def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
                           audio_patches: np.ndarray, model_hash: str) -> np.ndarray:
     """The float32 env embeddings of `audio_patches`, from the extract-once
-    cache `<utt_name>.env`, reused only while it reads and `<utt_name>.key`
-    holds `model_hash` (the env model's `parameter_hash`) and the hash of these
-    patch bytes; otherwise it is rewritten."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"{utt_name}.env"
-    key_path = cache_dir / f"{utt_name}.key"
-    key = (f"{model_hash} "
-           f"{hashlib.sha256(np.ascontiguousarray(audio_patches)).hexdigest()}\n")
-    try:
-        if key_path.read_text() == key:
-            return read_raw_array(path)
-    except (FileNotFoundError, ValueError):
-        pass  # a missing or unreadable entry is recomputed, like a stale one
-    key_path.unlink(missing_ok=True)  # an old key must not vouch for the new entry
+    cache entry `<utt_name>.env`, an array file reused only while it reads
+    and its key holds `model_hash` (the env model's `parameter_hash`) and the
+    hash of these patch bytes; otherwise it is rewritten."""
+    path = Path(cache_dir) / f"{utt_name}.env"
+    key = f"{model_hash} {hashlib.sha256(np.ascontiguousarray(audio_patches)).hexdigest()}"
+    entry = _stored(read_array, path, key)
+    if entry is not None:
+        return entry.array
     vectors = extract_env_embeddings(model, audio_patches).astype(np.float32)
-    write_raw_array(path, vectors)
-    with atomic_write(key_path) as fh:
-        fh.write(key.encode("ascii"))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_array(path, vectors, key)
     return vectors

@@ -38,7 +38,7 @@ from ..env_encoder import (EnvEncoder, masked_accuracy, parameter_hash,
 from ..features import whiten_clip
 from ..masking import mask_params_at
 from ..quantize import assign_tokens, unified_vocab_size
-from ..serialize import atomic_write
+from ..serialize import DTYPE_TOKENS, atomic_write
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import (RunConfig, config_lines, conformer_config,
                      env_encoder_config, parse_config_lines)
@@ -91,12 +91,13 @@ def run_tokenize(cfg: RunConfig) -> dict:
             "utterances": len(utts)}
 
 
-def _whiten_corpus(utts, whitener):
-    """(names, reference words, label ids, whitened audio patches) of `utts`,
-    one entry per utterance. A stage keeps these and drops `utts`: whitening
-    is the last reader of the unwhitened patch rows."""
+def _whiten_corpus(utts, whitener, dtype: str):
+    """(names, reference words, label ids, whitened audio patches in the ASR
+    model's `dtype`) of `utts`, one entry per utterance. A stage keeps these
+    and drops `utts`: whitening is the last reader of the unwhitened rows."""
     return ([u.name for u in utts], [u.label_names for u in utts], [u.label_ids for u in utts],
-            [whiten_clip(u.raw_patches, whitener) for u in utts])
+            [whiten_clip(u.raw_patches, whitener).astype(DTYPE_TOKENS[dtype], copy=False)
+             for u in utts])
 
 
 def _check_positions(env_cfg, name: str, audio_patches: int, video_grid) -> None:
@@ -288,7 +289,7 @@ def run_asr_training(cfg: RunConfig) -> dict:
     """Transducer training over frozen environment embeddings."""
     utts = load_corpus(cfg.train_manifest_path())
     whitener = ensure_whitener(cfg.codebook_path(), utts)
-    names, refs, label_ids, feats = _whiten_corpus(utts, whitener)
+    names, refs, label_ids, feats = _whiten_corpus(utts, whitener, cfg.asr.dtype)
     del utts
     frames, shortest = min(zip((f.shape[0] for f in feats), names))
     policy = cfg.augment
@@ -345,7 +346,7 @@ def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
     whitener = load_whitener(whitener_path)
     keys = {"whitener": whitener.key}
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
-    names, refs, label_ids, feats = _whiten_corpus(utts, whitener)
+    names, refs, label_ids, feats = _whiten_corpus(utts, whitener, model.config.dtype)
     del utts
     envs = [None] * len(names)
     if model.config.fusion_mode == CROSS:

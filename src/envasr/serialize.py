@@ -1,13 +1,11 @@
-"""Binary array formats shared across the pipeline.
+"""The one binary format of the pipeline, the tensor container.
 
-Two formats live here:
-
-* the tensor container, for checkpoints, the whitener and the codebooks:
-  the magic line ``envasr-<kind> <version>``, ``header <n>`` and n lines the
-  kind defines, ``tensors <n> <f32|f64>`` and one ``name shape`` line per
-  array, then the arrays, little-endian and back to back.
-* raw arrays: a single text header ``ndim d0 d1 ... dn`` followed by a
-  little-endian float32 payload. Used for video clips and cached embeddings.
+Checkpoints, the whitener, codebooks, corpus clips and env-cache entries are
+all containers: the magic line ``envasr-<kind> <version>``, ``header <n>``
+and n lines the kind defines, ``tensors <n> <f32|f64>`` and one ``name
+shape`` line per array, then the arrays, little-endian and back to back.
+Clips and env-cache entries are the ``envasr-array`` kind: one float32 array
+and a ``key`` header line, empty for clips.
 
 Every file here is written through ``atomic_write``, so a failed write never
 leaves a truncated file behind.
@@ -15,6 +13,7 @@ leaves a truncated file behind.
 
 import math
 import os
+from collections import namedtuple
 from contextlib import contextmanager, suppress
 
 import numpy as np
@@ -70,30 +69,36 @@ def read_tensors(path, magic: str, names, parse):
         if first != magic and first.startswith(kind + " "):
             raise ValueError(f"{path} is {what} format {first[len(kind) + 1:]}, "
                              f"which is no longer read; re-run the stage that wrote it")
-        lines = (raw.decode("utf-8").rstrip("\n") for raw in iter(fh.readline, b""))
         try:
             if first != magic:
                 raise ValueError("bad magic line")
-            header = [next(lines, "") for _ in range(int(header_field(lines, "header")))]
-            count, token = header_field(lines, "tensors").split(" ")
-            if token not in DTYPE_TOKENS:
-                raise ValueError(f"unknown dtype token {token!r}")
-            table = [next(lines, "").split(" ") for _ in range(int(count))]
-            table = [(name, parse_shape(shape)) for name, shape in table]
-            if [name for name, _ in table] != list(names):
-                raise ValueError(f"its arrays are {', '.join(n for n, _ in table)}, "
-                                 f"not {', '.join(names)}")
-            dtype = DTYPE_TOKENS[token]
-            counts = [math.prod(shape) for _, shape in table]
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if size != sum(counts) * dtype.itemsize:
-                raise ValueError(f"the payload holds {size} bytes, "
-                                 f"its tensor table needs {sum(counts) * dtype.itemsize}")
-            parts = np.split(np.frombuffer(fh.read(size), dtype), np.cumsum(counts)[:-1])
-            return parse(iter(header), tuple(part.reshape(shape)
-                                             for (_, shape), part in zip(table, parts)))
+            return _read_body(fh, names, parse)
         except ValueError as exc:
             raise ValueError(f"corrupt {what} {path}: {exc}") from None
+
+
+def _read_body(fh, names, parse):
+    """`read_tensors` past the magic line of the open file `fh`; any fault
+    raises a bare one-line reason."""
+    lines = (raw.decode("utf-8").rstrip("\n") for raw in iter(fh.readline, b""))
+    header = [next(lines, "") for _ in range(int(header_field(lines, "header")))]
+    count, token = header_field(lines, "tensors").split(" ")
+    if token not in DTYPE_TOKENS:
+        raise ValueError(f"unknown dtype token {token!r}")
+    table = [next(lines, "").split(" ") for _ in range(int(count))]
+    table = [(name, parse_shape(shape)) for name, shape in table]
+    if [name for name, _ in table] != list(names):
+        raise ValueError(f"its arrays are {', '.join(n for n, _ in table)}, "
+                         f"not {', '.join(names)}")
+    dtype = DTYPE_TOKENS[token]
+    counts = [math.prod(shape) for _, shape in table]
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != sum(counts) * dtype.itemsize:
+        raise ValueError(f"the payload holds {size} bytes, "
+                         f"its tensor table needs {sum(counts) * dtype.itemsize}")
+    parts = np.split(np.frombuffer(fh.read(size), dtype), np.cumsum(counts)[:-1])
+    return parse(iter(header), tuple(part.reshape(shape)
+                                     for (_, shape), part in zip(table, parts)))
 
 
 @contextmanager
@@ -115,31 +120,26 @@ def atomic_write(path):
         raise
 
 
-def write_raw_array(path, arr) -> None:
-    arr = np.ascontiguousarray(arr, dtype="<f4")
-    header = " ".join([str(arr.ndim)] + [str(d) for d in arr.shape])
-    with atomic_write(path) as fh:
-        fh.write((header + "\n").encode("ascii"))
-        fh.write(arr)
+ARRAY_MAGIC = "envasr-array 1"
+KeyedArray = namedtuple("KeyedArray", "array key")
+
+
+def write_array(path, arr, key: str = "") -> None:
+    """`arr` as float32 and the header line ``key <key>``: a corpus clip
+    (key empty) or an env-cache entry."""
+    write_tensors(path, ARRAY_MAGIC, [f"key {key}"], [("array", np.asarray(arr, np.float32))])
+
+
+def read_array(path) -> KeyedArray:
+    """The read-only array and the key of a file `write_array` wrote; any
+    other file fails with a one-line reason that does not name it."""
+    with open(path, "rb") as fh:
+        if fh.readline() != f"{ARRAY_MAGIC}\n".encode():
+            raise ValueError(f"not an {ARRAY_MAGIC} file")
+        return _read_body(fh, ("array",), lambda lines, arrays:
+                          KeyedArray(arrays[0], header_field(lines, "key")))
 
 
 def read_raw_array(path) -> np.ndarray:
-    """The float32 array of a raw-array file; any malformed header or payload
-    fails with a one-line reason."""
-    with open(path, "rb") as fh:
-        try:
-            header = [int(token) for token in fh.readline().decode("ascii").split()]
-        except ValueError:  # a non-integer token, or a non-ASCII byte
-            raise ValueError("bad raw-array header") from None
-        if not header:
-            raise ValueError("empty raw-array header")
-        if len(header) != header[0] + 1 or min(header) < 0:
-            raise ValueError("bad raw-array header")
-        shape = tuple(header[1:])
-        count = int(np.prod(shape)) if shape else 1
-        raw = fh.read(count * 4)
-        if len(raw) != count * 4:
-            raise ValueError("raw-array payload truncated")
-        if fh.read(1):
-            raise ValueError("raw-array payload longer than its header says")
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+    """`read_array(path).array`, a clip's or an env-cache entry's."""
+    return read_array(path).array

@@ -413,7 +413,10 @@ class TestMaskedAccuracy:
         model.params["head.b"].data[7] = 10.0
         assert masked_accuracy(model, [batch], seed=0) == 1.0
 
-    def test_packed_predictions_match_per_utterance_oracle(self, rng, monkeypatch):
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_packed_predictions_match_per_utterance_oracle(self, rng, monkeypatch, seed):
+        """One packed pass whose head sees only the masked rows predicts what
+        the all-rows graphs of the oracle predict at those rows."""
         cfg = toy_config()
         model = EnvEncoder(cfg, seed=5)
         batches = mixed_batches(rng, cfg)
@@ -425,8 +428,8 @@ class TestMaskedAccuracy:
             return seen[-1]
 
         monkeypatch.setattr(model, "mlm_logits", recording)
-        acc = masked_accuracy(model, batches, seed=3)
+        acc = masked_accuracy(model, batches, seed=seed)
         assert len(seen) == 1  # one packed pass
-        pred, labels, flags = masked_predictions_per_utterance(model, batches, seed=3)
-        np.testing.assert_array_equal(seen[0].data.argmax(axis=1), pred)
+        pred, labels, flags = masked_predictions_per_utterance(model, batches, seed=seed)
+        np.testing.assert_array_equal(seen[0].data.argmax(axis=1), pred[flags])
         assert acc == (pred[flags] == labels[flags]).sum() / flags.sum()

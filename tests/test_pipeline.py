@@ -21,7 +21,7 @@ from envasr.pipeline.data import (cached_env_embeddings, ensure_codebooks,
                                   save_whitener)
 from envasr.features import SAMPLE_RATE, Whitener, fit_whitener
 from envasr.quantize import Codebook, load_codebook, save_codebook
-from envasr.serialize import read_raw_array, write_raw_array
+from envasr.serialize import ARRAY_MAGIC, read_array, read_raw_array, write_array
 
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
@@ -370,7 +370,10 @@ class TestSyntheticCorpus:
                               "'utt0000.wav a z b'"),
         ("utt0000.wav\t ", "no labels after the tab"),
         ("utt0000.wav\ta z b", "unknown label token 'z'"),
-    ], ids=["no-tab", "no-labels", "unknown-label"])
+        ("\ta b", "no WAV path before the tab"),
+        (" utt0000.wav \ta b", "spaces around the WAV path ' utt0000.wav '"),
+        ("utt0009.wav\ta b", "no WAV file 'utt0009.wav'"),
+    ], ids=["no-tab", "no-labels", "unknown-label", "no-path", "spaced-path", "missing-wav"])
     def test_bad_manifest_line_names_the_manifest_and_line(self, tmp_path, line, reason):
         manifest = write_corpus(generate_synthetic_corpus(2, seed=5), tmp_path)
         good = manifest.read_text().splitlines()
@@ -388,14 +391,18 @@ class TestSyntheticCorpus:
                                    atol=1.0 / 32768)
 
 
-class TestRawArrays:
-    def test_roundtrip(self, tmp_path, rng):
-        arr = rng.standard_normal((3, 4, 5)).astype(np.float32)
-        write_raw_array(tmp_path / "a.arr", arr)
-        np.testing.assert_array_equal(read_raw_array(tmp_path / "a.arr"), arr)
+class TestContainers:
+    def test_array_roundtrip(self, tmp_path, rng):
+        arr = rng.standard_normal((3, 4, 5))
+        write_array(tmp_path / "a.arr", arr, key="ab cd")
+        back = read_array(tmp_path / "a.arr")
+        assert back.key == "ab cd" and back.array.dtype == np.float32
+        np.testing.assert_array_equal(back.array, arr.astype(np.float32))
+        write_array(tmp_path / "a.arr", arr)
+        assert read_array(tmp_path / "a.arr").key == ""
 
     @pytest.mark.parametrize("write,read", [
-        (write_raw_array, read_raw_array),
+        (write_array, read_raw_array),
         (lambda p, a: save_whitener(p, Whitener(a[0], a[1] + 2.0)),
          lambda p: load_whitener(p).std),
         (lambda p, a: save_codebook(p, Codebook(a, "audio", 0)),
@@ -434,18 +441,21 @@ class TestRawArrays:
             read(path)
         assert str(err.value) == "corrupt " + message.format(path)
 
-    def test_header_validation(self, tmp_path):
-        (tmp_path / "bad.arr").write_bytes(b"2 3\n")
-        with pytest.raises(ValueError, match="header"):
-            read_raw_array(tmp_path / "bad.arr")
+    def test_array_file_of_the_old_format_rejected(self, tmp_path):
+        """An array file as clips and env-cache entries were written before
+        the container: a ``ndim d0 ... dn`` line, then the float32 payload."""
+        (tmp_path / "old.arr").write_bytes(b"2 3 2\n" + bytes(24))
+        with pytest.raises(ValueError) as err:
+            read_raw_array(tmp_path / "old.arr")
+        assert str(err.value) == f"not an {ARRAY_MAGIC} file"
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         path = tmp_path / "a.arr"
-        write_raw_array(path, rng.standard_normal((3, 2)))
+        write_array(path, rng.standard_normal((3, 2)))
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(ValueError) as err:
             read_raw_array(path)
-        assert str(err.value) == "raw-array payload longer than its header says"
+        assert str(err.value) == "the payload holds 32 bytes, its tensor table needs 24"
 
 
 class TestDataPlumbing:
@@ -461,7 +471,7 @@ class TestDataPlumbing:
     @pytest.mark.parametrize("suffix,write,message", [
         (".wav", lambda p: write_wav(p, np.zeros(100)),
          "{}: waveform too short: 100 < 400 samples"),
-        (".clip", lambda p: write_raw_array(p, np.zeros((4, 16, 16, 3))),
+        (".clip", lambda p: write_array(p, np.zeros((4, 16, 16, 3))),
          "{}: frame count 4 not divisible by 3"),
         (".wav", lambda p: p.write_bytes(b"not a wav file, just text"),
          "{}: not a WAV file: file does not start with RIFF id"),
@@ -471,12 +481,14 @@ class TestDataPlumbing:
         (".wav", lambda p: (write_wav(p, np.zeros(1000)),
                             p.write_bytes(p.read_bytes()[:-1001])),
          "{}: the file holds 999 of the 2000 sample bytes its WAV header declares"),
-        (".clip", lambda p: p.write_bytes(b"x 3 32 32 3\n" + bytes(4 * 9216)),
-         "{}: bad raw-array header"),
-        (".clip", lambda p: p.write_bytes(b"4 \xe2\x80\x89 3 32 32 3\n" + bytes(4 * 9216)),
-         "{}: bad raw-array header"),
+        (".clip", lambda p: p.write_bytes(b"3 32 32 3\n" + bytes(4 * 9216)),
+         f"{{}}: not an {ARRAY_MAGIC} file"),
+        (".clip", lambda p: p.write_bytes(p.read_bytes().replace(b"3x32x32x3", b"3x32x\xe2x3")),
+         "{}: 'utf-8' codec can't decode byte 0xe2 in position 11: invalid continuation byte"),
+        (".clip", lambda p: p.write_bytes(p.read_bytes()[:-4]),
+         "{}: the payload holds 36860 bytes, its tensor table needs 36864"),
     ], ids=["wav", "clip", "wav-garbage", "wav-empty", "wav-cut-header", "wav-cut-samples",
-            "clip-header-x", "clip-header-non-ascii"])
+            "clip-old-format", "clip-header-non-utf8", "clip-cut"])
     def test_load_corpus_names_the_bad_input_file(self, tmp_path, suffix, write, message):
         corpus = generate_synthetic_corpus(2, seed=5)
         manifest = write_corpus(corpus, tmp_path)
@@ -583,13 +595,24 @@ class TestDataPlumbing:
         np.testing.assert_array_equal(env, want)
         np.testing.assert_array_equal(read_raw_array(cache / "u0.env"), want)
 
+    def test_env_cache_entry_reads_as_its_embeddings(self, tmp_path, rng):
+        """The reader contract of perfbench's env-cache check: `read_raw_array`
+        of `<name>.env` returns the embeddings, one row per audio patch, and
+        the entry is the cache's only file."""
+        cache = tmp_path / "cache"
+        audio = rng.standard_normal((5, 6))
+        want = lookup(cache, "u0", micro_env_model(), audio)
+        np.testing.assert_array_equal(read_raw_array(cache / "u0.env"), want)
+        assert read_raw_array(cache / "u0.env").shape[0] == audio.shape[0]
+        assert [p.name for p in cache.iterdir()] == ["u0.env"]
+
     @pytest.mark.parametrize("damage", ["trailing bytes", "truncated", "bad header",
                                         "no entry", "unreadable key"])
     def test_env_cache_recomputes_an_unreadable_entry(self, tmp_path, rng, damage):
         cache, model = tmp_path / "cache", micro_env_model()
         audio = rng.standard_normal((5, 6)).astype(np.float32)
         want = lookup(cache, "u0", model, audio)
-        entry, key = cache / "u0.env", cache / "u0.key"
+        entry = cache / "u0.env"
         good = entry.read_bytes()
         if damage == "trailing bytes":
             entry.write_bytes(good + bytes(8))
@@ -600,7 +623,7 @@ class TestDataPlumbing:
         elif damage == "no entry":
             entry.unlink()
         else:
-            key.write_bytes(b"\xff\xfe")
+            entry.write_bytes(good.replace(b"\nkey ", b"\nkey \xff\xfe", 1))
         np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
         assert entry.read_bytes() == good  # rewritten
         np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)

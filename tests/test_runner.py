@@ -14,7 +14,7 @@ from envasr import autodiff as ad
 from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance
 from envasr.asr.transducer import greedy_decode
 from envasr.env_encoder import EnvEncoder, extract_env_embeddings
-from envasr.features import whiten_clip
+from envasr.features import fit_whitener, whiten_clip
 from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, conformer_config,
                              env_encoder_config, generate_synthetic_corpus,
@@ -27,7 +27,7 @@ from envasr.pipeline.data import ensure_whitener, load_corpus, load_whitener
 from envasr.pipeline import runner
 from envasr.pipeline.runner import _load_model
 from envasr.quantize import load_codebook
-from envasr.serialize import read_raw_array, write_raw_array
+from envasr.serialize import read_raw_array, write_array
 
 from test_pipeline import TOY_CFG, write_old_whitener
 
@@ -282,6 +282,17 @@ class TestAsrRunner:
         run_pretraining(cfg)
         capsys.readouterr()
         return cfg
+
+    @pytest.mark.parametrize("dtype, np_dtype", [("f32", np.float32), ("f64", np.float64)])
+    def test_whitened_features_take_the_model_dtype(self, corpus16, dtype, np_dtype):
+        """The stages keep whitened rows in the dtype the ASR model casts them
+        to, so an f64 model still reads them unrounded."""
+        utts = load_corpus(corpus16 / "manifest.tsv")
+        whitener = fit_whitener(np.concatenate([u.raw_patches for u in utts]))
+        for u, feats in zip(utts, runner._whiten_corpus(utts, whitener, dtype)[3]):
+            assert feats.dtype == np_dtype
+            np.testing.assert_array_equal(
+                feats, whiten_clip(u.raw_patches, whitener).astype(np_dtype))
 
     def test_cross_mode_needs_pretrain_checkpoint(self, tmp_path, corpus16):
         cfg = toy_cfg(corpus16, tmp_path / "nockpt")
@@ -546,7 +557,7 @@ class TestDerivedFileKeys:
         other = tmp_path / "other"
         shutil.copytree(corpus16, other)
         for clip in other.rglob("*.clip"):
-            write_raw_array(clip, np.clip(1.0 - read_raw_array(clip), 0.0, 1.0))
+            write_array(clip, np.clip(1.0 - read_raw_array(clip), 0.0, 1.0))
         ckpt = cfg.pretrain_ckpt_path()
         with pytest.raises(ValueError) as err:
             run_pretraining(replace(cfg, paths=replace(cfg.paths, data_dir=str(other))),
