@@ -23,8 +23,9 @@ class SpecAugmentPolicy:
 
 def specaugment(features: np.ndarray, policy: SpecAugmentPolicy,
                 rng: np.random.Generator) -> np.ndarray:
-    """Zero up to n random frequency bands and time spans of a (T, D) matrix."""
-    x = np.array(features, dtype=np.float64)
+    """Zero up to n random frequency bands and time spans of a copy of a
+    (T, D) matrix, in its dtype."""
+    x = np.array(features)
     t, d = x.shape
     if policy.freq_width > d:
         raise ValueError(f"frequency mask width {policy.freq_width} exceeds {d} dims")

@@ -86,11 +86,6 @@ class Utterance:
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
 
-    def require_labels(self) -> "Utterance":
-        if self.labels.size == 0:
-            raise ValueError("training utterances need a non-empty label sequence")
-        return self
-
 
 class AsrModel:
     """Conformer transducer: subsampling stem (a conv over

@@ -4,8 +4,9 @@
     envasr tokenize  --config run.cfg
     envasr pretrain  --config run.cfg [--resume ckpt]
     envasr train-asr --config run.cfg
-    envasr eval      --config run.cfg [--checkpoint ckpt]
+    envasr eval      --config run.cfg
 
+`eval` decodes with the ASR checkpoint that `paths.asr_checkpoint` names.
 Exit code 0 on success; nonzero with a one-line diagnostic on stderr.
 """
 
@@ -33,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="run configuration file")
         if name == "pretrain":
             cmd.add_argument("--resume", help="checkpoint to resume from")
-        if name == "eval":
-            cmd.add_argument("--checkpoint", help="override the ASR checkpoint path")
     return parser
 
 
@@ -62,7 +61,7 @@ def main(argv=None) -> int:
                   f"wer={'n/a' if wer is None else f'{wer:.4f}'} "
                   f"checkpoint={summary['checkpoint']}")
         else:
-            run_eval(cfg, checkpoint=args.checkpoint)
+            run_eval(cfg)
         return 0
     except Exception as exc:  # single-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

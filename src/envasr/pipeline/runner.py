@@ -17,6 +17,10 @@ A checkpoint records the keys of the whitener and (pretraining) each codebook
 it was trained with; a resume, ASR training on a pretraining checkpoint and
 eval fail with one line when they differ from the files in use.
 
+Each model's inputs are built in one place: `_pretrain_inputs` for
+pretraining and tokenize, `_asr_examples` then `_attach_env` for ASR
+training and eval.
+
 An ASR step is one packed graph over its batch (`asr_step`). Eval, inside
 training and in `run_eval`, encodes consecutive utterances in packed no-grad
 passes of at most `ENCODE_ROWS` encoder rows, then greedy-decodes each
@@ -30,14 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .. import autodiff as ad
-from ..asr.conformer import CROSS, AsrModel, Utterance, asr_step
+from ..asr.conformer import CROSS, SUBSAMPLE_KERNEL, AsrModel, Utterance, asr_step
 from ..asr.metrics import corpus_wer, format_wer_report
 from ..asr.transducer import greedy_decode
 from ..env_encoder import (EnvEncoder, masked_accuracy, parameter_hash,
                            pretrain_step)
 from ..features import whiten_clip
 from ..masking import mask_params_at
-from ..quantize import assign_tokens, unified_vocab_size
 from ..serialize import DTYPE_TOKENS, atomic_write
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import (RunConfig, config_lines, conformer_config,
@@ -62,41 +65,56 @@ def _write_lines(path, lines) -> None:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def run_tokenize(cfg: RunConfig) -> dict:
-    """Fit the codebooks offline (video only for a corpus with clips) and
-    write per-utterance token manifests."""
-    utts = load_corpus(cfg.train_manifest_path())
-    cb_dir = cfg.codebook_path()
-    whitener = ensure_whitener(cb_dir, utts)
+def _pretrain_inputs(cfg: RunConfig, utts):
+    """(one `MultimodalBatch` per utterance of `utts`, keys of the whitener
+    and codebooks they were built with), whitening each utterance once."""
+    whitener = ensure_whitener(cfg.codebook_path(), utts)
     audio = [whiten_clip(u.raw_patches, whitener) for u in utts]
     cb_audio, cb_video = ensure_codebooks(cfg, utts, audio, whitener.key)
-    vocab = (cb_audio.k + cfg.tokenize.k_video if cb_video is None
-             else unified_vocab_size(cb_audio, cb_video))
+    batches = [make_pretrain_batch(u, rows, cb_audio, cb_video)
+               for u, rows in zip(utts, audio)]
+    keys = {"whitener": whitener.key, "audio_codebook": cb_audio.key}
+    if cb_video is not None:
+        keys["video_codebook"] = cb_video.key
+    return batches, keys
+
+
+def run_tokenize(cfg: RunConfig) -> dict:
+    """Fit the codebooks offline (video only for a corpus with clips) and
+    write per-utterance token manifests: each batch's labels, split at its
+    video row count (video ids come first)."""
+    utts = load_corpus(cfg.train_manifest_path())
+    batches, _ = _pretrain_inputs(cfg, utts)
     audio_lines = []
     video_lines = []
-    for utt, rows in zip(utts, audio):
-        ids = assign_tokens(cb_audio, rows)
-        audio_lines.append(utt.name + "\t" + " ".join(map(str, ids)))
-        if utt.video_patches is not None:
-            vids = assign_tokens(cb_video, utt.video_patches)
-            video_lines.append(utt.name + "\t" + " ".join(map(str, vids)))
+    for utt, batch in zip(utts, batches):
+        n_video = 0 if batch.video_patches is None else batch.video_patches.shape[0]
+        if batch.video_patches is not None:
+            video_lines.append(utt.name + "\t" + " ".join(map(str, batch.labels[:n_video])))
+        audio_lines.append(utt.name + "\t" + " ".join(map(str, batch.labels[n_video:])))
+    cb_dir = cfg.codebook_path()
     _write_lines(cb_dir / "tokens_audio.tsv", audio_lines)
     if video_lines:
         _write_lines(cb_dir / "tokens_video.tsv", video_lines)
     else:  # an earlier corpus's video tokens must not outlive it
         (cb_dir / "tokens_video.tsv").unlink(missing_ok=True)
-    return {"vocab_size": vocab, "codebook_dir": str(cb_dir),
-            "audio_codebook": str(cb_dir / "audio.cb"),
-            "video_codebook": None if cb_video is None else str(cb_dir / "video.cb"),
+    return {"vocab_size": cfg.tokenize.k_audio + cfg.tokenize.k_video,
+            "codebook_dir": str(cb_dir), "audio_codebook": str(cb_dir / "audio.cb"),
+            "video_codebook": str(cb_dir / "video.cb") if video_lines else None,
             "utterances": len(utts)}
 
 
-def _whiten_corpus(utts, whitener, dtype: str):
-    """(names, reference words, label ids, whitened audio patches in the ASR
-    model's `dtype`) of `utts`, one entry per utterance. A stage keeps these
-    and drops `utts`: whitening is the last reader of the unwhitened rows."""
-    return ([u.name for u in utts], [u.label_names for u in utts], [u.label_ids for u in utts],
-            [whiten_clip(u.raw_patches, whitener).astype(DTYPE_TOKENS[dtype], copy=False)
+def _asr_examples(utts, whitener, dtype: str):
+    """(names, reference words, env-less examples) of `utts`, whose audio
+    patches are whitened into the ASR model's `dtype`. A stage keeps these and
+    drops `utts`: whitening is the last reader of the unwhitened rows."""
+    for u in utts:
+        if u.raw_patches.shape[0] < SUBSAMPLE_KERNEL:
+            raise ValueError(f"utterance {u.name} has {u.raw_patches.shape[0]} audio patches, "
+                             f"fewer than the {SUBSAMPLE_KERNEL} the subsampling conv needs")
+    return ([u.name for u in utts], [u.label_names for u in utts],
+            [Utterance(whiten_clip(u.raw_patches, whitener)
+                       .astype(DTYPE_TOKENS[dtype], copy=False), u.label_ids)
              for u in utts])
 
 
@@ -163,15 +181,8 @@ def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     env_cfg = env_encoder_config(cfg)
     for u in utts:
         _check_positions(env_cfg, u.name, u.raw_patches.shape[0], u.video_grid)
-    whitener = ensure_whitener(cfg.codebook_path(), utts)
-    audio = [whiten_clip(u.raw_patches, whitener) for u in utts]
-    cb_audio, cb_video = ensure_codebooks(cfg, utts, audio, whitener.key)
-    batches = [make_pretrain_batch(u, rows, cb_audio, cb_video)
-               for u, rows in zip(utts, audio)]
+    batches, keys = _pretrain_inputs(cfg, utts)
     del utts  # whitening was the raw rows' last reader; the batches hold the rest
-    keys = {"whitener": whitener.key, "audio_codebook": cb_audio.key}
-    if cb_video is not None:
-        keys["video_codebook"] = cb_video.key
 
     model = EnvEncoder(env_cfg, seed=cfg.seed)
     start, best, misses = 0, math.inf, 0
@@ -235,30 +246,32 @@ def _check_keys(cfg: RunConfig, ckpt_path, ckpt_keys, keys) -> None:
                              f"(another {kind} key); re-run the stage that wrote it")
 
 
-def _frozen_env(cfg: RunConfig, names, feats, env_dim: int, keys):
-    """(env model, its parameter hash, per-utterance embeddings) from the
-    pretraining checkpoint, which must be `env_dim` wide and trained with the
-    derived files keyed `keys`; the embeddings of the utterances `names`,
-    whose whitened audio patches are `feats`, go through the cache under
-    out_dir/env_cache."""
+def _attach_env(cfg: RunConfig, names, examples, model_cfg, keys):
+    """Set the env embeddings of `examples` (utterances `names`), through the
+    cache under out_dir/env_cache, and return (env model, its parameter hash),
+    or (None, None) when `model_cfg` is the baseline. The env model is the
+    pretraining checkpoint, which must be `model_cfg.env_dim` wide and
+    trained with the derived files keyed `keys`."""
+    if model_cfg.fusion_mode != CROSS:
+        return None, None
     ckpt_path = cfg.pretrain_ckpt_path()
     if not Path(ckpt_path).is_file():
         raise ValueError(f"cross-attention needs a pretraining checkpoint at {ckpt_path}")
     env_model, ckpt_keys = _load_model(ckpt_path)
-    if env_model.config.model_dim != env_dim:
+    if env_model.config.model_dim != model_cfg.env_dim:
         raise ValueError(
             f"pretraining checkpoint {ckpt_path} has model_dim "
             f"{env_model.config.model_dim}, but the ASR model's "
-            f"pretrain.model_dim is {env_dim}")
+            f"pretrain.model_dim is {model_cfg.env_dim}")
     # env extraction is audio-only, so video grids never reach the tables here
-    for name, f in zip(names, feats):
-        _check_positions(env_model.config, name, f.shape[0], None)
+    for name, ex in zip(names, examples):
+        _check_positions(env_model.config, name, ex.features.shape[0], None)
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
     model_hash = parameter_hash(env_model.params)
     cache = cfg.out_path() / "env_cache"
-    envs = [cached_env_embeddings(cache, name, env_model, f, model_hash)
-            for name, f in zip(names, feats)]
-    return env_model, model_hash, envs
+    for name, ex in zip(names, examples):
+        ex.env = cached_env_embeddings(cache, name, env_model, ex.features, model_hash)
+    return env_model, model_hash
 
 
 def _decode_corpus(model, refs, examples):
@@ -287,29 +300,23 @@ def _decode_corpus(model, refs, examples):
 
 def run_asr_training(cfg: RunConfig) -> dict:
     """Transducer training over frozen environment embeddings."""
+    model_cfg = conformer_config(cfg, vocab_size=len(SYMBOLS))
     utts = load_corpus(cfg.train_manifest_path())
     whitener = ensure_whitener(cfg.codebook_path(), utts)
-    names, refs, label_ids, feats = _whiten_corpus(utts, whitener, cfg.asr.dtype)
+    names, refs, examples = _asr_examples(utts, whitener, model_cfg.dtype)
     del utts
-    frames, shortest = min(zip((f.shape[0] for f in feats), names))
+    frames, shortest = min(zip((ex.features.shape[0] for ex in examples), names))
     policy = cfg.augment
     if policy.time_width > frames:
         raise ValueError(f"augment.time_width = {policy.time_width} exceeds the "
                          f"{frames} frames of utterance {shortest}")
-    if policy.freq_width > feats[0].shape[1]:
+    if policy.freq_width > model_cfg.feature_dim:
         raise ValueError(f"augment.freq_width = {policy.freq_width} exceeds the "
-                         f"{feats[0].shape[1]} feature dims")
-
-    env_hash_before = env_hash_after = None
-    envs = [None] * len(names)
+                         f"{model_cfg.feature_dim} feature dims")
     keys = {"whitener": whitener.key}
-    if cfg.asr.fusion_mode == CROSS:
-        env_model, env_hash_before, envs = _frozen_env(cfg, names, feats,
-                                                       cfg.pretrain.model_dim, keys)
-    examples = [Utterance(f, ids, e).require_labels()
-                for f, ids, e in zip(feats, label_ids, envs)]
+    env_model, env_hash_before = _attach_env(cfg, names, examples, model_cfg, keys)
 
-    model = AsrModel(conformer_config(cfg, vocab_size=len(SYMBOLS)), seed=cfg.seed)
+    model = AsrModel(model_cfg, seed=cfg.seed)
     latest_wer = None
 
     def train_step(step, items):
@@ -326,15 +333,14 @@ def run_asr_training(cfg: RunConfig) -> dict:
 
     summary = _train_loop(cfg, "train_asr.log", len(examples), train_step, evaluate,
                           model.params, cfg.asr_ckpt_path(), keys=keys)
-    if cfg.asr.fusion_mode == CROSS:
-        env_hash_after = parameter_hash(env_model.params)
+    env_hash_after = None if env_model is None else parameter_hash(env_model.params)
     return {**summary, "final_wer": latest_wer, "env_hash_before": env_hash_before,
             "env_hash_after": env_hash_after, "model": model}
 
 
-def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
+def run_eval(cfg: RunConfig) -> dict:
     """Greedy-decode the eval manifest and report pooled corpus WER."""
-    ckpt_path = Path(checkpoint) if checkpoint else cfg.asr_ckpt_path()
+    ckpt_path = cfg.asr_ckpt_path()
     if not ckpt_path.is_file():
         raise ValueError(f"ASR checkpoint not found: {ckpt_path}")
     model, ckpt_keys = _load_model(ckpt_path, asr=True)
@@ -346,12 +352,9 @@ def run_eval(cfg: RunConfig, checkpoint=None) -> dict:
     whitener = load_whitener(whitener_path)
     keys = {"whitener": whitener.key}
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
-    names, refs, label_ids, feats = _whiten_corpus(utts, whitener, model.config.dtype)
+    names, refs, examples = _asr_examples(utts, whitener, model.config.dtype)
     del utts
-    envs = [None] * len(names)
-    if model.config.fusion_mode == CROSS:
-        envs = _frozen_env(cfg, names, feats, model.config.env_dim, keys)[2]
-    examples = [Utterance(f, ids, e) for f, ids, e in zip(feats, label_ids, envs)]
+    _attach_env(cfg, names, examples, model.config, keys)
     pairs, hyps = _decode_corpus(model, refs, examples)
     rate, counts, ref_words = corpus_wer(pairs)
     out_dir = cfg.out_path()

@@ -41,14 +41,6 @@ class TestStages:
         assert (tmp_path / "tok" / "codebooks" / "audio.cb").is_file()
         assert "unified vocab 24" in capsys.readouterr().out
 
-    def test_eval_checkpoint_override(self, tmp_path, corpus_dir, capsys):
-        cfg_path = write_cfg(tmp_path / "e.cfg", corpus_dir, tmp_path / "ov")
-        assert main(["pretrain", "--config", str(cfg_path)]) == 0
-        assert main(["train-asr", "--config", str(cfg_path)]) == 0
-        override = tmp_path / "ov" / "asr.ckpt"
-        assert main(["eval", "--config", str(cfg_path),
-                     "--checkpoint", str(override)]) == 0
-
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -342,8 +342,7 @@ class TestPackedAsr:
     def test_f64_step_matches_per_utterance_step(self, rng):
         cfg = micro_config(model_dim=16, num_blocks=2, conv_kernel=5)
         packed, oracle = AsrModel(cfg, seed=6), AsrModel(cfg, seed=6)
-        batch = [u.require_labels() for u in mixed_batch(
-            rng, packed, ((9, 2, 5), (12, 1, 1), (31, 6, 7), (15, 3, 3)))]
+        batch = mixed_batch(rng, packed, ((9, 2, 5), (12, 1, 1), (31, 6, 7), (15, 3, 3)))
         policy = SpecAugmentPolicy(freq_masks=1, freq_width=2, time_masks=1, time_width=3)
         for step in range(3):
             items = [(step + j) % 4 for j in range(3)]

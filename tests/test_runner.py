@@ -14,7 +14,7 @@ from envasr import autodiff as ad
 from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance
 from envasr.asr.transducer import greedy_decode
 from envasr.env_encoder import EnvEncoder, extract_env_embeddings
-from envasr.features import fit_whitener, whiten_clip
+from envasr.features import fit_whitener, whiten_clip, write_wav
 from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, conformer_config,
                              env_encoder_config, generate_synthetic_corpus,
@@ -289,10 +289,10 @@ class TestAsrRunner:
         to, so an f64 model still reads them unrounded."""
         utts = load_corpus(corpus16 / "manifest.tsv")
         whitener = fit_whitener(np.concatenate([u.raw_patches for u in utts]))
-        for u, feats in zip(utts, runner._whiten_corpus(utts, whitener, dtype)[3]):
-            assert feats.dtype == np_dtype
+        for u, ex in zip(utts, runner._asr_examples(utts, whitener, dtype)[2]):
+            assert ex.features.dtype == np_dtype
             np.testing.assert_array_equal(
-                feats, whiten_clip(u.raw_patches, whitener).astype(np_dtype))
+                ex.features, whiten_clip(u.raw_patches, whitener).astype(np_dtype))
 
     def test_cross_mode_needs_pretrain_checkpoint(self, tmp_path, corpus16):
         cfg = toy_cfg(corpus16, tmp_path / "nockpt")
@@ -398,6 +398,42 @@ class TestAsrRunner:
         cfg = toy_cfg(corpus16, tmp_path / "noeval")
         with pytest.raises(ValueError, match="checkpoint not found"):
             run_eval(cfg)
+
+
+class TestShortUtterances:
+    """An utterance with fewer audio patches than the subsampling conv's
+    kernel is rejected, naming it, before ASR training's step 0 and before
+    eval decodes anything."""
+
+    MSG = "^utterance short has 1 audio patches, fewer than the 3 the subsampling conv needs$"
+
+    @pytest.fixture
+    def with_short(self, tmp_path, corpus16):
+        """corpus16 plus `short`, a 1,120-sample WAV: 5 LFBE frames, 1 patch."""
+        data = tmp_path / "with_short"
+        shutil.copytree(corpus16, data)
+        write_wav(data / "short.wav", np.random.default_rng(0).uniform(-0.1, 0.1, 1120))
+        with open(data / "manifest.tsv", "a", encoding="utf-8") as fh:
+            fh.write("short.wav\ta b\n")
+        return data
+
+    def test_train_asr_rejects_it_before_step_0(self, tmp_path, with_short, capsys):
+        # no time masks, so the augment width checks let it through
+        cfg = toy_cfg(with_short, tmp_path / "out", **{
+            "asr.fusion_mode": "self_attention_baseline", "augment.time_masks": 0,
+            "augment.time_width": 0})
+        with pytest.raises(ValueError, match=self.MSG):
+            run_asr_training(cfg)
+        assert not (cfg.out_path() / "train_asr.log").exists()
+
+    def test_eval_rejects_it_before_decoding(self, tmp_path, corpus16, with_short, capsys):
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=1, checkpoint_every=1,
+                      eval_every=1, **{"asr.fusion_mode": "self_attention_baseline",
+                                       "paths.eval_manifest": with_short / "manifest.tsv"})
+        run_asr_training(cfg)
+        with pytest.raises(ValueError, match=self.MSG):
+            run_eval(cfg)
+        assert not (cfg.out_path() / "hypotheses.txt").exists()
 
 
 class TestPositionTables:
