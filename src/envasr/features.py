@@ -1,8 +1,9 @@
 """Audio and video front ends: each step takes and returns plain arrays.
 
-Audio: `read_wav` gives 16 kHz mono samples in [-1, 1]; `compute_lfbe` turns
-them into (T, 64) log mel-filterbank energies (25 ms Hann window, 10 ms hop,
-512-point FFT, 64 triangular filters from 0 Hz to 8 kHz); `stack_frames`
+Audio: `decode_wav` gives a WAV file's bytes as 16 kHz mono samples in
+[-1, 1]; `compute_lfbe` turns them into (T, 64) log mel-filterbank energies
+(25 ms Hann window, 10 ms hop, 512-point FFT, 64 triangular filters from
+0 Hz to 8 kHz); `stack_frames`
 concatenates non-overlapping stacks of 3 frames into (T // 3, 192) patches;
 `whiten_clip` whitens patch rows with global statistics (a `Whitener`) and
 clips them to [-1.2, 1.2].
@@ -20,6 +21,7 @@ multiples of 16) into flattened non-overlapping tubelets of 3 frames x 16x16
 pixels x RGB, (N, 2304) patches, and the (time, rows, cols) grid they tile.
 """
 
+import io
 import wave as wave_mod
 from dataclasses import dataclass
 
@@ -40,6 +42,11 @@ AUDIO_PATCH_DIM = STACK * N_MELS
 VIDEO_PATCH_DIM = TUBE_FRAMES * TUBE_PIXELS * TUBE_PIXELS * 3
 STD_FLOOR = 1e-6
 LFBE_BLOCK = 128     # frames per FFT block in compute_lfbe
+# Version of the audio front end's output. `pipeline.data` keys stored audio
+# patches by it and the audio constants above: bump it whenever a change to
+# `decode_wav`, `compute_lfbe` or `stack_frames` can change the bytes they
+# return, or stored patches of the old front end will keep being read.
+FRONT_END_VERSION = 1
 
 
 @dataclass
@@ -158,13 +165,13 @@ def resample_linear(samples: np.ndarray, rate_in: int) -> np.ndarray:
     return np.interp(t_out, np.arange(x.size), x)
 
 
-def read_wav(path) -> np.ndarray:
-    """The float64 samples of a PCM16 mono WAV at 16 kHz, resampled by linear
-    interpolation from any other rate. A file that is not such a WAV, or
-    ends before its header or its samples do, fails with a one-line
-    reason."""
+def decode_wav(data: bytes) -> np.ndarray:
+    """The float64 samples of the bytes of a PCM16 mono WAV at 16 kHz,
+    resampled by linear interpolation from any other rate. Bytes that are not
+    such a WAV, or end before its header or its samples do, fail with a
+    one-line reason."""
     try:
-        with wave_mod.open(str(path), "rb") as fh:
+        with wave_mod.open(io.BytesIO(data), "rb") as fh:
             if fh.getnchannels() != 1:
                 raise ValueError("expected mono audio")
             if fh.getsampwidth() != 2:

@@ -120,12 +120,14 @@ def load_manifest(manifest_path):
 
     Each non-blank line is an existing WAV's path relative to the manifest's
     directory, unpadded, a tab, then its labels: one or more of `SYMBOLS`.
+    The WAV's file stem names the utterance, and no two lines may share one.
     Any other line fails as ``<manifest>: line <n>: <reason>``."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise ValueError(f"manifest not found: {manifest_path}")
     root = manifest_path.parent
     entries = []
+    lines_of = {}  # utterance name -> the line that named it
     for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -138,9 +140,12 @@ def load_manifest(manifest_path):
                   else f"spaces around the WAV path {audio!r}" if audio != audio.strip()
                   else "no labels after the tab" if not names
                   else f"unknown label token {unknown[0]!r}" if unknown
-                  else f"no WAV file {audio!r}" if not wav.is_file() else "")
+                  else f"no WAV file {audio!r}" if not wav.is_file()
+                  else f"utterance name {wav.stem!r} repeats line {lines_of[wav.stem]}"
+                  if wav.stem in lines_of else "")
         if reason:
             raise ValueError(f"{manifest_path}: line {lineno}: {reason}")
+        lines_of[wav.stem] = lineno
         clip = wav.with_suffix(".clip")
         entries.append((wav, clip if clip.is_file() else None, names))
     return entries

@@ -1,21 +1,23 @@
-"""Shared data plumbing between the runners: feature extraction, whitener and
-codebook persistence, batch assembly, and the on-disk environment-embedding
-cache."""
+"""Shared data plumbing between the runners: feature extraction and the
+per-corpus features file, whitener and codebook persistence, batch assembly,
+and the on-disk environment-embedding cache."""
 
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .. import features
 from ..env_encoder import EnvEncoder, MultimodalBatch, extract_env_embeddings
-from ..features import (Whitener, compute_lfbe, extract_video_patches, fit_whitener,
-                        read_wav, stack_frames)
+from ..features import (Whitener, compute_lfbe, decode_wav, extract_video_patches,
+                        fit_whitener, stack_frames)
 from ..quantize import (Codebook, assign_tokens, load_codebook, sample_rows, save_codebook,
                         train_kmeans)
 from ..rng import derive_seed, substream
-from ..serialize import (header_field, read_array, read_raw_array, read_tensors, write_array,
-                         write_tensors)
+from ..serialize import (header_field, read_array, read_raw_array, read_tensors,
+                         write_array, write_tensors)
 from .corpus import labels_to_ids, load_manifest
 
 
@@ -29,26 +31,89 @@ class LoadedUtterance:
     video_grid: tuple | None
 
 
-def _extract(path, read, features):
-    """`features(read(path))`, any ValueError of which is re-raised as one
-    line naming `path`."""
+def _extract(path, make):
+    """`make()`, any ValueError of which is re-raised as one line naming
+    `path`."""
     try:
-        return features(read(path))
+        return make()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def load_corpus(manifest_path) -> list:
+_FEATURES_MAGIC = "envasr-features 1"
+_StoredFeatures = namedtuple("_StoredFeatures", "patches key")
+# what the stored patches depend on besides the WAV bytes
+_FRONT_END = ("FRONT_END_VERSION", "SAMPLE_RATE", "FRAME_LENGTH", "FRAME_SHIFT", "N_FFT",
+              "N_MELS", "LOG_FLOOR", "STACK")
+
+
+class Corpus(list):
+    """The `LoadedUtterance`s of a manifest, in its order. After a miss of
+    its features file, `store_features` writes that file, once."""
+
+    def __init__(self, utts, missed=None):
+        super().__init__(utts)
+        self._missed = missed   # (path, key) of the features file to write, or None
+
+    def store_features(self) -> None:
+        """Write the features file `load_corpus` missed; a no-op after a hit
+        or when it was called without a cache_dir."""
+        if self._missed is not None:
+            path, key = self._missed
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_tensors(path, _FEATURES_MAGIC, [f"key {key}"],
+                          [(str(i), u.raw_patches) for i, u in enumerate(self)])
+            self._missed = None
+
+
+def _features_key(wavs) -> str:
+    """SHA-256 of the front end's signature, then of each WAV's length and
+    bytes, `wavs` in manifest order."""
+    digest = hashlib.sha256(" ".join(f"{name}={getattr(features, name)}"
+                                     for name in _FRONT_END).encode("utf-8"))
+    for data in wavs:
+        digest.update(len(data).to_bytes(8, "little"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _load_features(path, count) -> _StoredFeatures:
+    """The `count` patch arrays and the key of a features file."""
+    return read_tensors(path, _FEATURES_MAGIC, [str(i) for i in range(count)],
+                        lambda lines, arrays: _StoredFeatures(arrays, header_field(lines, "key")))
+
+
+def load_corpus(manifest_path, cache_dir=None) -> Corpus:
     """Read every utterance of a manifest into memory as patch sequences; a
     WAV or clip that does not read, or that the front end rejects, fails with
-    one line naming its file."""
+    one line naming its file.
+
+    With a `cache_dir`, the audio patches come from the features file
+    `<cache_dir>/features/<key>.bin` while it reads and holds its key, the
+    SHA-256 of the front end's constants and of the WAVs' bytes; otherwise
+    they are computed, and `Corpus.store_features` writes the file."""
+    entries = load_manifest(manifest_path)
+    if not entries:
+        raise ValueError(f"manifest is empty: {manifest_path}")
+    wavs = [wav_path.read_bytes() for wav_path, _, _ in entries]
+    stored = missed = None
+    if cache_dir is not None:
+        key = _features_key(wavs)
+        path = Path(cache_dir) / "features" / f"{key}.bin"
+        stored = _stored(lambda p: _load_features(p, len(entries)), path, key)
+        if stored is None:
+            missed = (path, key)
     utts = []
-    for wav_path, clip_path, labels in load_manifest(manifest_path):
-        patches = _extract(wav_path, read_wav, lambda x: stack_frames(compute_lfbe(x)))
+    for i, (wav_path, clip_path, labels) in enumerate(entries):
+        if stored is not None:
+            patches = stored.patches[i]
+        else:
+            patches = _extract(wav_path, lambda: stack_frames(compute_lfbe(decode_wav(wavs[i]))))
+        wavs[i] = None  # the load holds each WAV's bytes only until they are decoded
         video_patches = video_grid = None
         if clip_path is not None:
-            video_patches, video_grid = _extract(clip_path, read_raw_array,
-                                                 extract_video_patches)
+            video_patches, video_grid = _extract(
+                clip_path, lambda: extract_video_patches(read_raw_array(clip_path)))
         utts.append(LoadedUtterance(
             name=wav_path.stem,
             label_names=labels,
@@ -57,9 +122,7 @@ def load_corpus(manifest_path) -> list:
             video_patches=video_patches,
             video_grid=video_grid,
         ))
-    if not utts:
-        raise ValueError(f"manifest is empty: {manifest_path}")
-    return utts
+    return Corpus(utts, missed)
 
 
 # whitener persistence -------------------------------------------------------

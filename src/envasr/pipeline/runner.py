@@ -21,6 +21,12 @@ Each model's inputs are built in one place: `_pretrain_inputs` for
 pretraining and tokenize, `_asr_examples` then `_attach_env` for ASR
 training and eval.
 
+Every stage loads its corpus through the features file in codebook_dir
+(`data.load_corpus`). After a miss, it writes that file for the training
+corpus right after `ensure_whitener`, which pretraining reaches only past its
+position checks, and for the eval corpus after `_attach_env`'s checks, so a
+corpus those checks reject leaves no file.
+
 An ASR step is one packed graph over its batch (`asr_step`). Eval, inside
 training and in `run_eval`, encodes consecutive utterances in packed no-grad
 passes of at most `ENCODE_ROWS` encoder rows, then greedy-decodes each
@@ -69,6 +75,7 @@ def _pretrain_inputs(cfg: RunConfig, utts):
     """(one `MultimodalBatch` per utterance of `utts`, keys of the whitener
     and codebooks they were built with), whitening each utterance once."""
     whitener = ensure_whitener(cfg.codebook_path(), utts)
+    utts.store_features()
     audio = [whiten_clip(u.raw_patches, whitener) for u in utts]
     cb_audio, cb_video = ensure_codebooks(cfg, utts, audio, whitener.key)
     batches = [make_pretrain_batch(u, rows, cb_audio, cb_video)
@@ -83,7 +90,7 @@ def run_tokenize(cfg: RunConfig) -> dict:
     """Fit the codebooks offline (video only for a corpus with clips) and
     write per-utterance token manifests: each batch's labels, split at its
     video row count (video ids come first)."""
-    utts = load_corpus(cfg.train_manifest_path())
+    utts = load_corpus(cfg.train_manifest_path(), cfg.codebook_path())
     batches, _ = _pretrain_inputs(cfg, utts)
     audio_lines = []
     video_lines = []
@@ -177,7 +184,7 @@ def _train_loop(cfg: RunConfig, log_name: str, n_items: int, step_fn, eval_fn,
 
 def run_pretraining(cfg: RunConfig, resume=None) -> dict:
     """Masked multimodal pretraining on the corpus; returns a summary dict."""
-    utts = load_corpus(cfg.train_manifest_path())
+    utts = load_corpus(cfg.train_manifest_path(), cfg.codebook_path())
     env_cfg = env_encoder_config(cfg)
     for u in utts:
         _check_positions(env_cfg, u.name, u.raw_patches.shape[0], u.video_grid)
@@ -301,8 +308,9 @@ def _decode_corpus(model, refs, examples):
 def run_asr_training(cfg: RunConfig) -> dict:
     """Transducer training over frozen environment embeddings."""
     model_cfg = conformer_config(cfg, vocab_size=len(SYMBOLS))
-    utts = load_corpus(cfg.train_manifest_path())
+    utts = load_corpus(cfg.train_manifest_path(), cfg.codebook_path())
     whitener = ensure_whitener(cfg.codebook_path(), utts)
+    utts.store_features()
     names, refs, examples = _asr_examples(utts, whitener, model_cfg.dtype)
     del utts
     frames, shortest = min(zip((ex.features.shape[0] for ex in examples), names))
@@ -345,7 +353,7 @@ def run_eval(cfg: RunConfig) -> dict:
         raise ValueError(f"ASR checkpoint not found: {ckpt_path}")
     model, ckpt_keys = _load_model(ckpt_path, asr=True)
 
-    utts = load_corpus(cfg.eval_manifest_path())
+    utts = load_corpus(cfg.eval_manifest_path(), cfg.codebook_path())
     whitener_path = cfg.codebook_path() / "whitener.bin"
     if not whitener_path.is_file():
         raise ValueError(f"whitener not found: {whitener_path} (run the training stages first)")
@@ -353,8 +361,9 @@ def run_eval(cfg: RunConfig) -> dict:
     keys = {"whitener": whitener.key}
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
     names, refs, examples = _asr_examples(utts, whitener, model.config.dtype)
-    del utts
     _attach_env(cfg, names, examples, model.config, keys)
+    utts.store_features()  # only once every input check has passed
+    del utts
     pairs, hyps = _decode_corpus(model, refs, examples)
     rate, counts, ref_words = corpus_wer(pairs)
     out_dir = cfg.out_path()

@@ -131,16 +131,6 @@ def assign_tokens(cb: Codebook, vectors: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1) + cb.vocab_offset
 
 
-def unified_vocab_size(cb_audio: Codebook, cb_video: Codebook) -> int:
-    if cb_audio.vocab_offset != 0:
-        raise ValueError("audio ids must start at 0")
-    if cb_video.vocab_offset != cb_audio.k:
-        raise ValueError(
-            f"video offset {cb_video.vocab_offset} overlaps audio range [0, {cb_audio.k})"
-        )
-    return cb_audio.k + cb_video.k
-
-
 def sample_rows(parts, cap: int, rng: np.random.Generator) -> np.ndarray:
     """A new float64 array of at most `cap` of the n rows of the (n_i, d)
     arrays `parts`, concatenated: all of them when n <= cap (drawing nothing

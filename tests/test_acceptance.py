@@ -22,7 +22,7 @@ from envasr.masking import MaskSchedule, mask_params_at, sample_segmented_mask
 from envasr.optim import count_parameters
 from envasr.pipeline import (generate_synthetic_corpus, load_checkpoint,
                              parse_config_lines, restore_params, run_asr_training,
-                             run_eval, run_pretraining, save_checkpoint, write_corpus)
+                             run_pretraining, save_checkpoint, write_corpus)
 from envasr.pipeline.corpus import SYMBOLS
 from envasr.quantize import assign_tokens, lloyd, train_kmeans
 from envasr.rng import substream

@@ -1,5 +1,3 @@
-import numpy as np
-
 from envasr.pipeline import config_lines, parse_config_lines
 from envasr.pipeline.cli import main
 

@@ -6,16 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from envasr import features
 from envasr.asr.conformer import AsrModel, ConformerConfig
 from envasr.env_encoder import (EnvEncoder, EnvEncoderConfig, extract_env_embeddings,
                                 parameter_hash)
-from envasr.features import read_wav, whiten_clip, write_wav
+from envasr.features import compute_lfbe, decode_wav, whiten_clip, write_wav
 from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, generate_synthetic_corpus,
                              load_config, load_checkpoint, load_manifest,
                              parse_config_lines, restore_params, run_tokenize,
                              save_checkpoint, write_corpus)
-from envasr.pipeline.corpus import SYMBOL_HZ, SYMBOLS
+from envasr.pipeline import data
+from envasr.pipeline.corpus import (SYMBOL_HZ, SYMBOLS, SyntheticCorpus, SyntheticUtterance,
+                                    synth_clip, synth_wave)
 from envasr.pipeline.data import (cached_env_embeddings, ensure_codebooks,
                                   ensure_whitener, load_corpus, load_whitener,
                                   save_whitener)
@@ -382,11 +385,22 @@ class TestSyntheticCorpus:
             load_manifest(manifest)
         assert str(err.value) == f"{manifest}: line 3: {reason}"
 
+    def test_repeated_utterance_name_rejected(self, tmp_path):
+        """Two WAVs with one file stem would write two token lines of one
+        name and share one env-cache entry."""
+        for sub, seed in (("a", 5), ("b", 6)):
+            write_corpus(generate_synthetic_corpus(1, seed=seed), tmp_path / sub)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("a/utt0000.wav\ta b\nb/utt0000.wav\tc\n")
+        with pytest.raises(ValueError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == f"{manifest}: line 2: utterance name 'utt0000' repeats line 1"
+
     def test_written_wave_reloads(self, tmp_path):
         corpus = generate_synthetic_corpus(2, seed=5)
         manifest = write_corpus(corpus, tmp_path / "c")
         wav, _, _ = load_manifest(manifest)[0]
-        samples = read_wav(wav)
+        samples = decode_wav(wav.read_bytes())
         np.testing.assert_allclose(samples, corpus.utterances[0].wave,
                                    atol=1.0 / 32768)
 
@@ -627,6 +641,108 @@ class TestDataPlumbing:
         np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
         assert entry.read_bytes() == good  # rewritten
         np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
+
+
+def write_long_corpus(root):
+    """Two utterances of 64 and 5 tones: 638 and 48 LFBE frames, the first
+    spanning several front-end blocks."""
+    rng = np.random.default_rng(0)
+    utts = []
+    for i, n_symbols in enumerate((64, 5)):
+        labels = rng.integers(0, len(SYMBOLS), n_symbols)
+        utts.append(SyntheticUtterance(f"long{i}", labels, 1, synth_wave(labels, 1, rng),
+                                       synth_clip(1, rng)))
+    return write_corpus(SyntheticCorpus(utts, seed=0), root)
+
+
+class TestFeaturesFile:
+    """`load_corpus` with a cache_dir reads a corpus's patches from its
+    features file, the computed ones byte for byte, and recomputes them when
+    the file is missing, does not read, or holds another key."""
+
+    @pytest.fixture
+    def front_end_calls(self, monkeypatch):
+        """The number of utterances the front end has run on, as a list."""
+        calls = []
+
+        def counted(samples):
+            calls.append(1)
+            return compute_lfbe(samples)
+
+        monkeypatch.setattr(data, "compute_lfbe", counted)
+        return calls
+
+    @staticmethod
+    def stored_files(cb_dir):
+        return sorted((cb_dir / "features").iterdir())
+
+    @pytest.mark.parametrize("long", [False, True], ids=["gen-corpus", "multi-block"])
+    def test_warm_load_equals_cold_load(self, tmp_path, corpus_dir, front_end_calls, long):
+        manifest = write_long_corpus(tmp_path / "c") if long else corpus_dir / "manifest.tsv"
+        cold = load_corpus(manifest, tmp_path / "cb")
+        assert not (tmp_path / "cb").exists()  # only the stage writes the file
+        cold.store_features()
+        ran = len(front_end_calls)
+        warm = load_corpus(manifest, tmp_path / "cb")
+        assert len(front_end_calls) == ran == len(cold)  # the warm load ran no front end
+        if long:
+            assert cold[0].raw_patches.shape[0] * features.STACK >= 600
+        for c, w, plain in zip(cold, warm, load_corpus(manifest)):
+            assert w.raw_patches.dtype == np.float64
+            assert w.raw_patches.shape == c.raw_patches.shape == plain.raw_patches.shape
+            assert w.raw_patches.tobytes() == c.raw_patches.tobytes() \
+                == plain.raw_patches.tobytes()
+            assert (w.name, w.label_names, w.video_grid) == (c.name, c.label_names,
+                                                             c.video_grid)
+            np.testing.assert_array_equal(w.video_patches, c.video_patches)
+        (path,) = self.stored_files(tmp_path / "cb")
+        assert path.read_bytes().startswith(f"envasr-features 1\nheader 1\n"
+                                            f"key {path.stem}\n".encode())
+
+    def test_changed_sample_misses_and_is_stored_anew(self, tmp_path, front_end_calls):
+        manifest = write_corpus(generate_synthetic_corpus(3, seed=5), tmp_path / "c")
+        cb_dir = tmp_path / "cb"
+        before = load_corpus(manifest, cb_dir)
+        before.store_features()
+        wav = tmp_path / "c" / "utt0001.wav"
+        samples = decode_wav(wav.read_bytes())
+        samples[800] = -samples[800] if samples[800] else 0.5
+        write_wav(wav, samples)
+        after = load_corpus(manifest, cb_dir)
+        assert len(front_end_calls) == 6
+        assert after[1].raw_patches.tobytes() != before[1].raw_patches.tobytes()
+        after.store_features()
+        assert len(self.stored_files(cb_dir)) == 2
+        again = load_corpus(manifest, cb_dir)
+        assert len(front_end_calls) == 6
+        for a, b in zip(after, again):
+            assert a.raw_patches.tobytes() == b.raw_patches.tobytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "other-key", "not-a-container"])
+    def test_bad_file_is_recomputed_and_replaced(self, tmp_path, corpus_dir, front_end_calls,
+                                                 damage):
+        manifest = corpus_dir / "manifest.tsv"
+        cb_dir = tmp_path / "cb"
+        load_corpus(manifest, cb_dir).store_features()
+        (path,) = self.stored_files(cb_dir)
+        good = path.read_bytes()
+        path.write_bytes(good[:-8] if damage == "truncated"
+                         else good.replace(f"key {path.stem}".encode(), b"key " + b"0" * 64)
+                         if damage == "other-key" else b"not a features file\n")
+        utts = load_corpus(manifest, cb_dir)
+        assert len(front_end_calls) == 16
+        utts.store_features()
+        assert self.stored_files(cb_dir) == [path] and path.read_bytes() == good
+
+    def test_new_front_end_version_misses(self, tmp_path, corpus_dir, front_end_calls,
+                                          monkeypatch):
+        manifest = corpus_dir / "manifest.tsv"
+        cb_dir = tmp_path / "cb"
+        load_corpus(manifest, cb_dir).store_features()
+        monkeypatch.setattr(features, "FRONT_END_VERSION", features.FRONT_END_VERSION + 1)
+        load_corpus(manifest, cb_dir).store_features()
+        assert len(front_end_calls) == 16
+        assert len(self.stored_files(cb_dir)) == 2
 
 
 class TestArtifactHashListings:

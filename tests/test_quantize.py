@@ -118,28 +118,11 @@ class TestAssignTokens:
 
 
 class TestUnifiedVocab:
-    def test_full_scale_sizes(self, rng):
-        cb_a = vq.Codebook(rng.standard_normal((4096, 4)), "audio", 0)
-        cb_v = vq.Codebook(rng.standard_normal((8192, 4)), "video", 4096)
-        assert vq.unified_vocab_size(cb_a, cb_v) == 12288
-
-    def test_toy_sizes(self, rng):
-        cb_a = vq.Codebook(rng.standard_normal((8, 2)), "audio", 0)
-        cb_v = vq.Codebook(rng.standard_normal((16, 2)), "video", 8)
-        assert vq.unified_vocab_size(cb_a, cb_v) == 24
-
     def test_max_assignable_id(self, rng):
         cb_a = vq.Codebook(rng.standard_normal((8, 2)), "audio", 0)
         cb_v = vq.Codebook(rng.standard_normal((16, 2)), "video", 8)
-        size = vq.unified_vocab_size(cb_a, cb_v)
         top = vq.assign_tokens(cb_v, cb_v.centers[-1][None, :])[0]
-        assert top == size - 1
-
-    def test_overlapping_ranges_rejected(self, rng):
-        cb_a = vq.Codebook(rng.standard_normal((8, 2)), "audio", 0)
-        cb_v = vq.Codebook(rng.standard_normal((16, 2)), "video", 4)
-        with pytest.raises(ValueError, match="overlap"):
-            vq.unified_vocab_size(cb_a, cb_v)
+        assert top == cb_a.k + cb_v.k - 1
 
     def test_ranges_disjoint_and_contiguous(self, rng):
         cb_a = vq.Codebook(rng.standard_normal((8, 3)), "audio", 0)

@@ -23,6 +23,7 @@ from envasr.pipeline import (config_lines, conformer_config,
                              run_tokenize, save_checkpoint, write_corpus)
 from envasr.pipeline.corpus import (SYMBOLS, SyntheticCorpus, SyntheticUtterance,
                                     synth_clip, synth_wave)
+from envasr.pipeline import data
 from envasr.pipeline.data import ensure_whitener, load_corpus, load_whitener
 from envasr.pipeline import runner
 from envasr.pipeline.runner import _load_model
@@ -92,7 +93,7 @@ class TestTokenize:
         summary = run_tokenize(cfg)
         assert (summary["vocab_size"], summary["video_codebook"]) == (24, None)
         assert sorted(p.name for p in cfg.codebook_path().iterdir()) == [
-            "audio.cb", "tokens_audio.tsv", "whitener.bin"]
+            "audio.cb", "features", "tokens_audio.tsv", "whitener.bin"]
 
 
 class TestPretrainingRunner:
@@ -492,6 +493,50 @@ class TestPositionTables:
         # env extraction for the ASR stage reads audio only
         self.save_untrained_env(cfg)
         assert run_asr_training(cfg)["steps_run"] == 1
+
+
+class TestFeaturesFileInStages:
+    """The stages keep each corpus's features file in codebook_dir, and write
+    it only once the stage's input checks on that corpus have passed."""
+
+    def test_training_and_eval_corpora_both_hit_on_their_second_load(
+            self, tmp_path, corpus16, capsys, monkeypatch):
+        heldout = write_corpus(generate_synthetic_corpus(4, seed=99), tmp_path / "heldout")
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=2, checkpoint_every=2,
+                      eval_every=2, **{"asr.fusion_mode": "self_attention_baseline",
+                                       "paths.eval_manifest": heldout})
+
+        def no_front_end(samples):
+            raise AssertionError("the front end ran on a stored corpus")
+
+        runs = []
+        for _ in range(2):
+            run_asr_training(cfg)
+            run_eval(cfg)
+            runs.append([(cfg.out_path() / name).read_bytes() for name in
+                         ("train_asr.log", "asr.ckpt", "hypotheses.txt", "wer_report.txt")])
+            assert len(list((cfg.codebook_path() / "features").iterdir())) == 2
+            monkeypatch.setattr(data, "compute_lfbe", no_front_end)  # the second pass hits
+        assert runs[0] == runs[1]
+
+    def test_runs_rejected_by_the_position_tables_store_no_features(self, tmp_path,
+                                                                    corpus16, capsys):
+        long = TestPositionTables().write_one(tmp_path / "long", n_symbols=160)
+        msg = "^utterance long has 532 audio patches, more than max_audio_positions = 512$"
+        rejected = toy_cfg(long, tmp_path / "rejected")
+        with pytest.raises(ValueError, match=msg):
+            run_pretraining(rejected)
+        assert not rejected.codebook_path().exists()
+        # a long held-out corpus, evaluated after training on corpus16
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=1, checkpoint_every=1,
+                      eval_every=1, **{"paths.eval_manifest": long / "manifest.tsv"})
+        run_pretraining(cfg)
+        run_asr_training(cfg)
+        stored = sorted((cfg.codebook_path() / "features").iterdir())
+        assert len(stored) == 1
+        with pytest.raises(ValueError, match=msg):
+            run_eval(cfg)
+        assert sorted((cfg.codebook_path() / "features").iterdir()) == stored
 
 
 class TestDeterminism:
