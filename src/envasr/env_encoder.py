@@ -368,5 +368,5 @@ def parameter_hash(params: ParameterSet) -> str:
     digest = hashlib.sha256()
     for name, p in params.items():
         digest.update(name.encode())
-        digest.update(np.ascontiguousarray(p.data).tobytes())
+        digest.update(np.ascontiguousarray(p.data))
     return digest.hexdigest()

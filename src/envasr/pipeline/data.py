@@ -16,8 +16,8 @@ from ..features import (Whitener, compute_lfbe, decode_wav, extract_video_patche
 from ..quantize import (Codebook, assign_tokens, load_codebook, sample_rows, save_codebook,
                         train_kmeans)
 from ..rng import derive_seed, substream
-from ..serialize import (header_field, read_array, read_raw_array, read_tensors,
-                         write_array, write_tensors)
+from ..serialize import (KeyedArray, header_field, read_array, read_raw_array,
+                         read_tensors, write_array, write_tensors)
 from .corpus import labels_to_ids, load_manifest
 
 
@@ -49,7 +49,7 @@ _FRONT_END = ("FRONT_END_VERSION", "SAMPLE_RATE", "FRAME_LENGTH", "FRAME_SHIFT",
 
 class Corpus(list):
     """The `LoadedUtterance`s of a manifest, in its order. After a miss of
-    its features file, `store_features` writes that file, once."""
+    its features file, `store_features` replaces that file, once."""
 
     def __init__(self, utts, missed=None):
         super().__init__(utts)
@@ -83,15 +83,23 @@ def _load_features(path, count) -> _StoredFeatures:
                         lambda lines, arrays: _StoredFeatures(arrays, header_field(lines, "key")))
 
 
-def load_corpus(manifest_path, cache_dir=None) -> Corpus:
+def corpus_id(manifest_path) -> str:
+    """The SHA-256 of a manifest's resolved path, which names its corpus's
+    features file and env-cache directory in codebook_dir."""
+    return _sha256(str(Path(manifest_path).resolve()))
+
+
+def load_corpus(manifest_path, cache_dir=None, video=True) -> Corpus:
     """Read every utterance of a manifest into memory as patch sequences; a
     WAV or clip that does not read, or that the front end rejects, fails with
-    one line naming its file.
+    one line naming its file. Without `video`, clips are not read and every
+    utterance's `video_patches` and `video_grid` are None.
 
-    With a `cache_dir`, the audio patches come from the features file
-    `<cache_dir>/features/<key>.bin` while it reads and holds its key, the
-    SHA-256 of the front end's constants and of the WAVs' bytes; otherwise
-    they are computed, and `Corpus.store_features` writes the file."""
+    With a `cache_dir`, the audio patches come from the corpus's features
+    file `<cache_dir>/features/<corpus_id>.bin` while it reads and holds its
+    key, the SHA-256 of the front end's constants and of the WAVs' bytes;
+    otherwise they are computed, and `Corpus.store_features` replaces the
+    file."""
     entries = load_manifest(manifest_path)
     if not entries:
         raise ValueError(f"manifest is empty: {manifest_path}")
@@ -99,7 +107,7 @@ def load_corpus(manifest_path, cache_dir=None) -> Corpus:
     stored = missed = None
     if cache_dir is not None:
         key = _features_key(wavs)
-        path = Path(cache_dir) / "features" / f"{key}.bin"
+        path = Path(cache_dir) / "features" / f"{corpus_id(manifest_path)}.bin"
         stored = _stored(lambda p: _load_features(p, len(entries)), path, key)
         if stored is None:
             missed = (path, key)
@@ -111,7 +119,7 @@ def load_corpus(manifest_path, cache_dir=None) -> Corpus:
             patches = _extract(wav_path, lambda: stack_frames(compute_lfbe(decode_wav(wavs[i]))))
         wavs[i] = None  # the load holds each WAV's bytes only until they are decoded
         video_patches = video_grid = None
-        if clip_path is not None:
+        if video and clip_path is not None:
             video_patches, video_grid = _extract(
                 clip_path, lambda: extract_video_patches(read_raw_array(clip_path)))
         utts.append(LoadedUtterance(
@@ -240,17 +248,18 @@ def make_pretrain_batch(utt: LoadedUtterance, audio: np.ndarray,
 
 
 def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
-                          audio_patches: np.ndarray, model_hash: str) -> np.ndarray:
-    """The float32 env embeddings of `audio_patches`, from the extract-once
-    cache entry `<utt_name>.env`, an array file reused only while it reads
-    and its key holds `model_hash` (the env model's `parameter_hash`) and the
-    hash of these patch bytes; otherwise it is rewritten."""
+                          audio_patches: np.ndarray, model_hash: str) -> KeyedArray:
+    """The float32 env embeddings of `audio_patches` and their key, from the
+    extract-once cache entry `<cache_dir>/<utt_name>.env`, an array file
+    reused only while it reads and its key holds `model_hash` (the env
+    model's `parameter_hash`) and the hash of these patch bytes; otherwise
+    they are extracted and the entry is replaced."""
     path = Path(cache_dir) / f"{utt_name}.env"
     key = f"{model_hash} {hashlib.sha256(np.ascontiguousarray(audio_patches)).hexdigest()}"
     entry = _stored(read_array, path, key)
     if entry is not None:
-        return entry.array
+        return entry
     vectors = extract_env_embeddings(model, audio_patches).astype(np.float32)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_array(path, vectors, key)
-    return vectors
+    return KeyedArray(vectors, key)

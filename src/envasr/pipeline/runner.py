@@ -22,10 +22,18 @@ pretraining and tokenize, `_asr_examples` then `_attach_env` for ASR
 training and eval.
 
 Every stage loads its corpus through the features file in codebook_dir
-(`data.load_corpus`). After a miss, it writes that file for the training
-corpus right after `ensure_whitener`, which pretraining reaches only past its
-position checks, and for the eval corpus after `_attach_env`'s checks, so a
-corpus those checks reject leaves no file.
+(`data.load_corpus`); only `tokenize` and pretraining read its clips. After
+a miss, it writes that file for the training corpus right after
+`ensure_whitener`, which pretraining reaches only past its position checks,
+and for the eval corpus after `_attach_env`'s checks, so a corpus those
+checks reject leaves no file.
+
+The frozen env model's embeddings of a corpus live in codebook_dir too, one
+entry per utterance under `env/<corpus_id>/`, keyed by the model's
+`parameter_hash` and the utterance's whitened features: ASR training and
+eval on the same corpus, whitener and pretraining checkpoint extract each
+utterance once, whatever their out_dir. Each stage also writes the
+embeddings it used to `out_dir/env_cache/`, a record nothing reads back.
 
 An ASR step is one packed graph over its batch (`asr_step`). Eval, inside
 training and in `run_eval`, encodes consecutive utterances in packed no-grad
@@ -47,12 +55,12 @@ from ..env_encoder import (EnvEncoder, masked_accuracy, parameter_hash,
                            pretrain_step)
 from ..features import whiten_clip
 from ..masking import mask_params_at
-from ..serialize import DTYPE_TOKENS, atomic_write
+from ..serialize import DTYPE_TOKENS, atomic_write, write_array
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import (RunConfig, config_lines, conformer_config,
                      env_encoder_config, parse_config_lines)
 from .corpus import SYMBOLS
-from .data import (cached_env_embeddings, ensure_codebooks, ensure_whitener,
+from .data import (cached_env_embeddings, corpus_id, ensure_codebooks, ensure_whitener,
                    load_corpus, load_whitener, make_pretrain_batch)
 
 
@@ -253,12 +261,14 @@ def _check_keys(cfg: RunConfig, ckpt_path, ckpt_keys, keys) -> None:
                              f"(another {kind} key); re-run the stage that wrote it")
 
 
-def _attach_env(cfg: RunConfig, names, examples, model_cfg, keys):
-    """Set the env embeddings of `examples` (utterances `names`), through the
-    cache under out_dir/env_cache, and return (env model, its parameter hash),
-    or (None, None) when `model_cfg` is the baseline. The env model is the
-    pretraining checkpoint, which must be `model_cfg.env_dim` wide and
-    trained with the derived files keyed `keys`."""
+def _attach_env(cfg: RunConfig, manifest, names, examples, model_cfg, keys):
+    """Set the env embeddings of `examples` (utterances `names` of the
+    corpus `manifest`) from the corpus's cache directory
+    `<codebook_dir>/env/<corpus_id>`, recording them under out_dir/env_cache,
+    and return (env model, its parameter hash), or (None, None) when
+    `model_cfg` is the baseline. The env model is the pretraining checkpoint,
+    which must be `model_cfg.env_dim` wide and trained with the derived files
+    keyed `keys`; every check runs before any entry or record is written."""
     if model_cfg.fusion_mode != CROSS:
         return None, None
     ckpt_path = cfg.pretrain_ckpt_path()
@@ -275,9 +285,12 @@ def _attach_env(cfg: RunConfig, names, examples, model_cfg, keys):
         _check_positions(env_model.config, name, ex.features.shape[0], None)
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
     model_hash = parameter_hash(env_model.params)
-    cache = cfg.out_path() / "env_cache"
+    cache = cfg.codebook_path() / "env" / corpus_id(manifest)
+    record = cfg.out_path() / "env_cache"
+    record.mkdir(parents=True, exist_ok=True)
     for name, ex in zip(names, examples):
-        ex.env = cached_env_embeddings(cache, name, env_model, ex.features, model_hash)
+        ex.env, key = cached_env_embeddings(cache, name, env_model, ex.features, model_hash)
+        write_array(record / f"{name}.env", ex.env, key)
     return env_model, model_hash
 
 
@@ -308,7 +321,8 @@ def _decode_corpus(model, refs, examples):
 def run_asr_training(cfg: RunConfig) -> dict:
     """Transducer training over frozen environment embeddings."""
     model_cfg = conformer_config(cfg, vocab_size=len(SYMBOLS))
-    utts = load_corpus(cfg.train_manifest_path(), cfg.codebook_path())
+    manifest = cfg.train_manifest_path()
+    utts = load_corpus(manifest, cfg.codebook_path(), video=False)
     whitener = ensure_whitener(cfg.codebook_path(), utts)
     utts.store_features()
     names, refs, examples = _asr_examples(utts, whitener, model_cfg.dtype)
@@ -322,7 +336,8 @@ def run_asr_training(cfg: RunConfig) -> dict:
         raise ValueError(f"augment.freq_width = {policy.freq_width} exceeds the "
                          f"{model_cfg.feature_dim} feature dims")
     keys = {"whitener": whitener.key}
-    env_model, env_hash_before = _attach_env(cfg, names, examples, model_cfg, keys)
+    env_model, env_hash_before = _attach_env(cfg, manifest, names, examples, model_cfg,
+                                             keys)
 
     model = AsrModel(model_cfg, seed=cfg.seed)
     latest_wer = None
@@ -353,7 +368,8 @@ def run_eval(cfg: RunConfig) -> dict:
         raise ValueError(f"ASR checkpoint not found: {ckpt_path}")
     model, ckpt_keys = _load_model(ckpt_path, asr=True)
 
-    utts = load_corpus(cfg.eval_manifest_path(), cfg.codebook_path())
+    manifest = cfg.eval_manifest_path()
+    utts = load_corpus(manifest, cfg.codebook_path(), video=False)
     whitener_path = cfg.codebook_path() / "whitener.bin"
     if not whitener_path.is_file():
         raise ValueError(f"whitener not found: {whitener_path} (run the training stages first)")
@@ -361,7 +377,7 @@ def run_eval(cfg: RunConfig) -> dict:
     keys = {"whitener": whitener.key}
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
     names, refs, examples = _asr_examples(utts, whitener, model.config.dtype)
-    _attach_env(cfg, names, examples, model.config, keys)
+    _attach_env(cfg, manifest, names, examples, model.config, keys)
     utts.store_features()  # only once every input check has passed
     del utts
     pairs, hyps = _decode_corpus(model, refs, examples)

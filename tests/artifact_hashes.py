@@ -14,11 +14,21 @@ component) and over all, then names each file whose hash differs or that
 only one listing has; it exits 1 when any does. It needs no ``envasr`` on
 the path.
 
+A case's out_dir holds its logs, checkpoints, hypotheses, WER report and
+``env_cache/`` records, and, unless the case names another, its
+``codebooks/``: the whitener, the codebooks, token TSVs, ``features/`` (one
+features file per corpus) and ``env/`` (one directory of env-embedding
+entries per corpus).
+
 The runs use ``configs/toy.cfg`` cut to 300 steps on ``gen-corpus --n 16
 --seed 11``, one out_dir each:
 
 - ``toy``: pretraining, cross-attention ASR training, eval, then tokenize
   (codebooks loaded from disk, token TSVs written);
+- ``toy-eval2``: a second eval of ``toy``'s checkpoints into a fresh
+  out_dir on ``toy``'s codebooks, which takes every env embedding from
+  ``env/``. The script exits 1 unless each of its files (hypotheses, WER
+  report, ``env_cache/`` records) hashes equal to the same file of ``toy``;
 - ``patience``: pretraining with ``patience = 2``, ``eval_every = 7``, which
   stops early;
 - ``baseline``: f64 ``self_attention_baseline`` ASR training without early
@@ -57,6 +67,7 @@ import numpy as np
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 LONG_LENGTHS = (13, 60, 20, 53, 27, 47, 34, 40)  # symbols per ``long`` utterance
+RERUN = "toy-eval2"  # the case that repeats ``toy``'s eval
 
 
 def config(work: Path, case: str, **overrides):
@@ -80,6 +91,9 @@ def run_all(work: Path) -> None:
     run_pretraining(toy)
     run_asr_training(toy)
     run_eval(toy)
+    run_eval(config(work, RERUN, **{"paths.codebook_dir": work / "toy" / "codebooks",
+                                    "paths.pretrain_checkpoint": work / "toy" / "pretrain.ckpt",
+                                    "paths.asr_checkpoint": work / "toy" / "asr.ckpt"}))
     run_tokenize(toy)
     run_pretraining(config(work, "patience", patience=2, eval_every=7))
     baseline = config(work, "baseline", max_steps=95, eval_every=40,
@@ -110,6 +124,13 @@ def run_all(work: Path) -> None:
     run_pretraining(long)
     run_asr_training(long)
     run_eval(long)
+
+
+def rerun_differences(listing) -> list:
+    """The files of the ``toy-eval2`` case whose hash is not that of the same
+    file of ``toy``, in a listing (path -> sha256)."""
+    return [name for name, digest in listing.items() if name.startswith(RERUN + "/")
+            and listing.get("toy/" + name.split("/", 1)[1]) != digest]
 
 
 def read_listing(path) -> dict:
@@ -156,10 +177,15 @@ def main(argv=None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         run_all(work)
+    listing = {}
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(work)}")
-    return 0
+        name = str(path.relative_to(work))
+        listing[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{listing[name]}  {name}")
+    differences = rerun_differences(listing)
+    for name in differences:
+        print(f"differs from toy's eval: {name}", file=sys.stderr)
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

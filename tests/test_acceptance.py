@@ -312,7 +312,7 @@ class TestCriterion6AsrOverfit:
                 env_model, _ = _load_model(cfg.pretrain_ckpt_path())
                 model_hash = parameter_hash(env_model.params)
             env = cached_env_embeddings(cfg.out_path() / "env_cache", u.name,
-                                        env_model, feats, model_hash)
+                                        env_model, feats, model_hash).array
             with ad.no_grad():
                 enc = model.encode([feats], [env]).data
             hyp = [SYMBOLS[i] for i in greedy_decode(model, enc)]

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -375,6 +376,17 @@ class TestExtraction:
         before = parameter_hash(model.params)
         extract_env_embeddings(model, rng.standard_normal((5, cfg.audio_patch_dim)))
         assert parameter_hash(model.params) == before
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_parameter_hash_digest_is_the_bytes_digest(self, dtype):
+        """`parameter_hash` hashes each array in place, and its digest is the
+        one of every parameter's name and `tobytes()`, in name order."""
+        params = EnvEncoder(toy_config(dtype=dtype), seed=0).params
+        digest = hashlib.sha256()
+        for name, p in params.items():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(p.data).tobytes())
+        assert parameter_hash(params) == digest.hexdigest()
 
     def test_empty_audio_rejected(self, rng):
         model = EnvEncoder(toy_config(), seed=0)

@@ -61,7 +61,7 @@ def fit_codebooks(cfg, utts, whitener):
 
 def lookup(cache_dir, name, model, audio):
     return cached_env_embeddings(cache_dir, name, model, audio,
-                                 parameter_hash(model.params))
+                                 parameter_hash(model.params)).array
 
 
 class TestConfig:
@@ -657,8 +657,9 @@ def write_long_corpus(root):
 
 class TestFeaturesFile:
     """`load_corpus` with a cache_dir reads a corpus's patches from its
-    features file, the computed ones byte for byte, and recomputes them when
-    the file is missing, does not read, or holds another key."""
+    features file, named by the manifest's path, the computed ones byte for
+    byte, and recomputes and replaces them when the file is missing, does not
+    read, or holds another key."""
 
     @pytest.fixture
     def front_end_calls(self, monkeypatch):
@@ -675,6 +676,11 @@ class TestFeaturesFile:
     @staticmethod
     def stored_files(cb_dir):
         return sorted((cb_dir / "features").iterdir())
+
+    @staticmethod
+    def stored_key(path):
+        """The key in the header of the features file `path`."""
+        return path.read_bytes().split(b"\n", 3)[2].decode().removeprefix("key ")
 
     @pytest.mark.parametrize("long", [False, True], ids=["gen-corpus", "multi-block"])
     def test_warm_load_equals_cold_load(self, tmp_path, corpus_dir, front_end_calls, long):
@@ -696,8 +702,23 @@ class TestFeaturesFile:
                                                              c.video_grid)
             np.testing.assert_array_equal(w.video_patches, c.video_patches)
         (path,) = self.stored_files(tmp_path / "cb")
+        assert path.name == f"{data.corpus_id(manifest)}.bin"
+        wavs = [wav.read_bytes() for wav, _, _ in load_manifest(manifest)]
         assert path.read_bytes().startswith(f"envasr-features 1\nheader 1\n"
-                                            f"key {path.stem}\n".encode())
+                                            f"key {data._features_key(wavs)}\n".encode())
+
+    def test_load_without_video_reads_no_clip(self, corpus_dir, monkeypatch):
+        manifest = corpus_dir / "manifest.tsv"
+        full = load_corpus(manifest)
+
+        def no_clips(path):
+            raise AssertionError(f"read clip {path}")
+
+        monkeypatch.setattr(data, "read_raw_array", no_clips)
+        for a, f in zip(load_corpus(manifest, video=False), full):
+            assert (a.video_patches, a.video_grid) == (None, None)
+            assert (a.name, a.label_names) == (f.name, f.label_names)
+            assert a.raw_patches.tobytes() == f.raw_patches.tobytes()
 
     def test_changed_sample_misses_and_is_stored_anew(self, tmp_path, front_end_calls):
         manifest = write_corpus(generate_synthetic_corpus(3, seed=5), tmp_path / "c")
@@ -708,11 +729,14 @@ class TestFeaturesFile:
         samples = decode_wav(wav.read_bytes())
         samples[800] = -samples[800] if samples[800] else 0.5
         write_wav(wav, samples)
+        (path,) = self.stored_files(cb_dir)
+        old_key = self.stored_key(path)
         after = load_corpus(manifest, cb_dir)
         assert len(front_end_calls) == 6
         assert after[1].raw_patches.tobytes() != before[1].raw_patches.tobytes()
         after.store_features()
-        assert len(self.stored_files(cb_dir)) == 2
+        assert self.stored_files(cb_dir) == [path]  # replaced, not added to
+        assert self.stored_key(path) != old_key
         again = load_corpus(manifest, cb_dir)
         assert len(front_end_calls) == 6
         for a, b in zip(after, again):
@@ -727,7 +751,7 @@ class TestFeaturesFile:
         (path,) = self.stored_files(cb_dir)
         good = path.read_bytes()
         path.write_bytes(good[:-8] if damage == "truncated"
-                         else good.replace(f"key {path.stem}".encode(), b"key " + b"0" * 64)
+                         else good.replace(self.stored_key(path).encode(), b"0" * 64)
                          if damage == "other-key" else b"not a features file\n")
         utts = load_corpus(manifest, cb_dir)
         assert len(front_end_calls) == 16
@@ -739,10 +763,13 @@ class TestFeaturesFile:
         manifest = corpus_dir / "manifest.tsv"
         cb_dir = tmp_path / "cb"
         load_corpus(manifest, cb_dir).store_features()
+        (path,) = self.stored_files(cb_dir)
+        old_key = self.stored_key(path)
         monkeypatch.setattr(features, "FRONT_END_VERSION", features.FRONT_END_VERSION + 1)
         load_corpus(manifest, cb_dir).store_features()
         assert len(front_end_calls) == 16
-        assert len(self.stored_files(cb_dir)) == 2
+        assert self.stored_files(cb_dir) == [path]
+        assert self.stored_key(path) != old_key
 
 
 class TestArtifactHashListings:
@@ -756,6 +783,14 @@ class TestArtifactHashListings:
             "long  1/2 identical", "toy   1/2 identical", "all   2/4 identical",
             f"only in {b}: long/w.tsv", "differs: toy/y.log"]
         assert artifact_hashes.main(["--compare", str(a), str(a)]) == 0
+
+    def test_rerun_differences_names_files_unlike_toys(self):
+        import artifact_hashes
+        listing = {"toy/hypotheses.txt": "11", "toy/env_cache/u.env": "22",
+                   "toy-eval2/hypotheses.txt": "11", "toy-eval2/env_cache/u.env": "23",
+                   "toy-eval2/wer_report.txt": "33", "baseline/hypotheses.txt": "44"}
+        assert artifact_hashes.rerun_differences(listing) == [
+            "toy-eval2/env_cache/u.env", "toy-eval2/wer_report.txt"]
 
     def test_compare_runs_without_envasr_on_the_path(self, tmp_path):
         a = tmp_path / "a.txt"

@@ -13,7 +13,7 @@ import pytest
 from envasr import autodiff as ad
 from envasr.asr.conformer import AsrModel, ConformerConfig, Utterance
 from envasr.asr.transducer import greedy_decode
-from envasr.env_encoder import EnvEncoder, extract_env_embeddings
+from envasr.env_encoder import EnvEncoder, extract_env_embeddings, parameter_hash
 from envasr.features import fit_whitener, whiten_clip, write_wav
 from envasr.optim import ParameterSet, adam_step
 from envasr.pipeline import (config_lines, conformer_config,
@@ -28,7 +28,7 @@ from envasr.pipeline.data import ensure_whitener, load_corpus, load_whitener
 from envasr.pipeline import runner
 from envasr.pipeline.runner import _load_model
 from envasr.quantize import load_codebook
-from envasr.serialize import read_raw_array, write_array
+from envasr.serialize import read_array, read_raw_array, write_array
 
 from test_pipeline import TOY_CFG, write_old_whitener
 
@@ -593,6 +593,145 @@ class TestEnvCacheAcrossRuns:
                f"but the ASR model's pretrain.model_dim is 32$")
         with pytest.raises(ValueError, match=msg):
             run_eval(cfg)
+
+
+class TestEnvStoreInCodebookDir:
+    """Cross-attention ASR training and eval keep each corpus's env
+    embeddings in `<codebook_dir>/env/<corpus_id>/`: a run that shares the
+    corpus, the whitener and the pretraining checkpoint with an earlier run
+    extracts nothing, whatever its out_dir, and writes the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def stage1(self, tmp_path_factory):
+        """Corpora a (gen-corpus seed 11) and b (seed 99) of 8 utterances
+        with the same names, and the codebook_dir and pretraining checkpoint
+        of a 2-step pretraining on a."""
+        root = tmp_path_factory.mktemp("envstore")
+        for name, seed in (("a", 11), ("b", 99)):
+            write_corpus(generate_synthetic_corpus(8, seed=seed), root / name)
+        run_pretraining(toy_cfg(root / "a", root / "stage1", max_steps=2,
+                                checkpoint_every=2, eval_every=2))
+        return root
+
+    def cfg(self, stage1, tmp_path, out="out", **kw):
+        """ASR training on a and eval on b into `tmp_path / out`, on a copy of
+        stage 1's codebook_dir and checkpoint, made by the first call."""
+        if not (tmp_path / "cb").exists():
+            shutil.copytree(stage1 / "stage1" / "codebooks", tmp_path / "cb")
+            shutil.copy(stage1 / "stage1" / "pretrain.ckpt", tmp_path / "pretrain.ckpt")
+        return toy_cfg(stage1 / "a", tmp_path / out, max_steps=2, checkpoint_every=2,
+                       eval_every=2, **{"paths.codebook_dir": tmp_path / "cb",
+                                        "paths.pretrain_checkpoint": tmp_path / "pretrain.ckpt",
+                                        "paths.eval_manifest": stage1 / "b" / "manifest.tsv",
+                                        **kw})
+
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        """The number of utterances the env model has run on, as a list."""
+        calls = []
+
+        def counted(model, audio):
+            calls.append(1)
+            return extract_env_embeddings(model, audio)
+
+        monkeypatch.setattr(data, "extract_env_embeddings", counted)
+        return calls
+
+    @staticmethod
+    def outputs(out_dir, *names):
+        """name -> bytes of the files `names` of `out_dir` and of its env
+        records."""
+        files = {name: (out_dir / name).read_bytes() for name in names}
+        files.update((f"env_cache/{p.name}", p.read_bytes())
+                     for p in (out_dir / "env_cache").iterdir())
+        return files
+
+    def train_and_eval(self, cfg):
+        run_asr_training(cfg)
+        trained = self.outputs(cfg.out_path(), "train_asr.log", "asr.ckpt")
+        run_eval(cfg)
+        return trained, self.outputs(cfg.out_path(), "hypotheses.txt", "wer_report.txt")
+
+    @staticmethod
+    def entries(cfg, manifest):
+        return sorted((cfg.codebook_path() / "env" / data.corpus_id(manifest)).iterdir())
+
+    def test_runs_into_fresh_out_dirs_extract_nothing(self, stage1, tmp_path, capsys,
+                                                      monkeypatch):
+        cfg = self.cfg(stage1, tmp_path)
+        first = self.train_and_eval(cfg)
+        assert len(first[0]) == len(first[1]) == 2 + 8
+
+        def no_extraction(model, audio):
+            raise AssertionError("env embeddings extracted again")
+
+        monkeypatch.setattr(data, "extract_env_embeddings", no_extraction)
+        shutil.rmtree(cfg.out_path())
+        assert self.train_and_eval(cfg) == first
+        other = self.cfg(stage1, tmp_path, "other",
+                         **{"paths.asr_checkpoint": cfg.asr_ckpt_path()})
+        run_eval(other)
+        assert self.outputs(other.out_path(), "hypotheses.txt", "wer_report.txt") == first[1]
+
+    def test_corpora_with_equal_names_keep_their_own_entries(self, stage1, tmp_path,
+                                                             capsys, extractions):
+        cfg = self.cfg(stage1, tmp_path)
+        first = self.train_and_eval(cfg)
+        assert len(extractions) == 16
+        assert self.train_and_eval(cfg) == first
+        assert len(extractions) == 16
+        for manifest in (cfg.train_manifest_path(), cfg.eval_manifest_path()):
+            assert [p.name for p in self.entries(cfg, manifest)] == [
+                f"utt{i:04d}.env" for i in range(8)]
+
+    def test_repretrained_env_model_replaces_every_entry(self, stage1, tmp_path, capsys,
+                                                         extractions):
+        cfg = self.cfg(stage1, tmp_path)
+        run_asr_training(cfg)
+        run_pretraining(replace(cfg, max_steps=3))
+        env_model, _ = _load_model(cfg.pretrain_ckpt_path())
+        new_hash = parameter_hash(env_model.params)
+        assert run_asr_training(cfg)["env_hash_before"] == new_hash
+        assert len(extractions) == 16
+        entries = self.entries(cfg, cfg.train_manifest_path())
+        assert len(entries) == 8
+        for path in entries:
+            assert read_array(path).key.split(" ")[0] == new_hash
+            assert path.read_bytes() == (cfg.out_path() / "env_cache" / path.name).read_bytes()
+
+    def test_damaged_entry_is_recomputed(self, stage1, tmp_path, capsys, extractions):
+        cfg = self.cfg(stage1, tmp_path)
+        trained = self.train_and_eval(cfg)[0]
+        entry = self.entries(cfg, cfg.train_manifest_path())[3]
+        good = entry.read_bytes()
+        entry.write_bytes(good[:-4])
+        run_asr_training(cfg)
+        assert len(extractions) == 16 + 1
+        assert entry.read_bytes() == good
+        assert self.outputs(cfg.out_path(), "train_asr.log", "asr.ckpt") == trained
+
+    def test_rejected_runs_write_no_entry(self, stage1, tmp_path, capsys):
+        narrow = self.cfg(stage1, tmp_path, **{"pretrain.model_dim": 16})
+        with pytest.raises(ValueError, match="has model_dim 32"):
+            run_asr_training(narrow)
+        assert not (narrow.codebook_path() / "env").exists()
+        long = TestPositionTables().write_one(tmp_path / "long", n_symbols=160)
+        cfg = self.cfg(stage1, tmp_path, **{"paths.eval_manifest": long / "manifest.tsv"})
+        run_asr_training(cfg)
+        stored = sorted((cfg.codebook_path() / "env").rglob("*"))
+        assert len(stored) == 1 + 8
+        with pytest.raises(ValueError, match="more than max_audio_positions"):
+            run_eval(cfg)
+        assert sorted((cfg.codebook_path() / "env").rglob("*")) == stored
+
+    def test_asr_stages_read_no_clip(self, stage1, tmp_path, capsys, monkeypatch):
+        def no_clips(path):
+            raise AssertionError(f"read clip {path}")
+
+        monkeypatch.setattr(data, "read_raw_array", no_clips)
+        cfg = self.cfg(stage1, tmp_path)
+        assert run_asr_training(cfg)["steps_run"] == 2
+        assert run_eval(cfg)["reference_words"] > 0
 
 
 class TestDerivedFileKeys:
