@@ -1,10 +1,14 @@
-"""Shared data plumbing between the runners: feature extraction and the
-per-corpus features file, whitener and codebook persistence, batch assembly,
-and the on-disk environment-embedding cache."""
+"""Shared data plumbing between the runners: feature extraction, the
+codebook_dir store, whitener and codebook fits, and batch assembly.
+
+Only this module names a file in codebook_dir (`store_path`). Its five keyed
+kinds (whitener, codebooks, each corpus's features file and env entries) are
+read only by `_stored`, where a missing, unreadable or other-key file is a
+miss, and written only by `_store`: `_stored(...) or _store(...)`."""
 
 import hashlib
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,41 @@ def _extract(path, make):
         raise ValueError(f"{path}: {exc}") from None
 
 
+# codebook_dir ------------------------------------------------------------------
+
+
+# kind -> its path in codebook_dir, "{}" standing for a corpus's id; the
+# whitener's and codebooks' kinds are those a checkpoint's keys name
+_LAYOUT = {"whitener": "whitener.bin", "audio_codebook": "audio.cb",
+           "video_codebook": "video.cb", "corpus_features": "features/{}.bin",
+           "corpus_env": "env/{}", "audio_tokens": "tokens_audio.tsv",
+           "video_tokens": "tokens_video.tsv"}
+
+
+def store_path(codebook_dir, kind: str, manifest_path=None) -> Path:
+    """`kind`'s path in codebook_dir; a corpus's kinds are named by its
+    corpus id, the SHA-256 of `manifest_path` resolved."""
+    corpus_id = "" if manifest_path is None else _sha256(str(Path(manifest_path).resolve()))
+    return Path(codebook_dir) / _LAYOUT[kind].format(corpus_id)
+
+
+def _stored(load, path, key):
+    """`load(path)`, or None on a miss: the file is missing, unreadable or
+    holds another key than `key`."""
+    try:
+        stored = load(path)
+    except (FileNotFoundError, ValueError):
+        return None
+    return stored if stored.key == key else None
+
+
+def _store(path, save, value):
+    """`value`, once `save(path, value)` has replaced `path` atomically."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save(path, value)
+    return value
+
+
 _FEATURES_MAGIC = "envasr-features 1"
 _StoredFeatures = namedtuple("_StoredFeatures", "patches key")
 # what the stored patches depend on besides the WAV bytes
@@ -60,9 +99,7 @@ class Corpus(list):
         or when it was called without a cache_dir."""
         if self._missed is not None:
             path, key = self._missed
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_tensors(path, _FEATURES_MAGIC, [f"key {key}"],
-                          [(str(i), u.raw_patches) for i, u in enumerate(self)])
+            _store(path, _save_features, _StoredFeatures([u.raw_patches for u in self], key))
             self._missed = None
 
 
@@ -83,10 +120,9 @@ def _load_features(path, count) -> _StoredFeatures:
                         lambda lines, arrays: _StoredFeatures(arrays, header_field(lines, "key")))
 
 
-def corpus_id(manifest_path) -> str:
-    """The SHA-256 of a manifest's resolved path, which names its corpus's
-    features file and env-cache directory in codebook_dir."""
-    return _sha256(str(Path(manifest_path).resolve()))
+def _save_features(path, stored: _StoredFeatures) -> None:
+    write_tensors(path, _FEATURES_MAGIC, [f"key {stored.key}"],
+                  [(str(i), patches) for i, patches in enumerate(stored.patches)])
 
 
 def load_corpus(manifest_path, cache_dir=None, video=True) -> Corpus:
@@ -96,10 +132,9 @@ def load_corpus(manifest_path, cache_dir=None, video=True) -> Corpus:
     utterance's `video_patches` and `video_grid` are None.
 
     With a `cache_dir`, the audio patches come from the corpus's features
-    file `<cache_dir>/features/<corpus_id>.bin` while it reads and holds its
-    key, the SHA-256 of the front end's constants and of the WAVs' bytes;
-    otherwise they are computed, and `Corpus.store_features` replaces the
-    file."""
+    file in it while that file reads and holds its key, the SHA-256 of the
+    front end's constants and of the WAVs' bytes; otherwise they are
+    computed, and `Corpus.store_features` replaces the file."""
     entries = load_manifest(manifest_path)
     if not entries:
         raise ValueError(f"manifest is empty: {manifest_path}")
@@ -107,7 +142,7 @@ def load_corpus(manifest_path, cache_dir=None, video=True) -> Corpus:
     stored = missed = None
     if cache_dir is not None:
         key = _features_key(wavs)
-        path = Path(cache_dir) / "features" / f"{corpus_id(manifest_path)}.bin"
+        path = store_path(cache_dir, "corpus_features", manifest_path)
         stored = _stored(lambda p: _load_features(p, len(entries)), path, key)
         if stored is None:
             missed = (path, key)
@@ -150,32 +185,15 @@ def load_whitener(path) -> Whitener:
                         lambda lines, arrays: Whitener(*arrays, key=header_field(lines, "key")))
 
 
-def _stored(load, path, key):
-    """`load(path)`, or None when the file is missing, unreadable or holds
-    another key than `key`."""
-    try:
-        stored = load(path)
-    except (FileNotFoundError, ValueError):
-        return None
-    return stored if stored.key == key else None
-
-
 def ensure_whitener(codebook_dir, utts) -> Whitener:
     """The whitener of these utterances, keyed by the SHA-256 of their patch
     bytes: the stored one while it holds that key, else a refit, which
     replaces it."""
-    digest = hashlib.sha256()
-    for u in utts:
-        digest.update(u.raw_patches)
-    key = digest.hexdigest()
-    path = Path(codebook_dir) / "whitener.bin"
-    whitener = _stored(load_whitener, path, key)
-    if whitener is None:
-        whitener = fit_whitener(np.concatenate([u.raw_patches for u in utts], axis=0))
-        whitener.key = key
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_whitener(path, whitener)
-    return whitener
+    key = _sha256(*(u.raw_patches for u in utts))
+    path = store_path(codebook_dir, "whitener")
+    return _stored(load_whitener, path, key) or _store(
+        path, save_whitener,
+        replace(fit_whitener(np.concatenate([u.raw_patches for u in utts], axis=0)), key=key))
 
 
 # codebooks -------------------------------------------------------------------
@@ -185,49 +203,43 @@ def ensure_codebooks(cfg, utts, audio, whitener_key: str):
     """The audio codebook of the corpus `utts`, whose audio patches whitened
     by the whitener keyed `whitener_key` are `audio` (one array per
     utterance), and its video codebook, or None when no utterance has a clip:
-    such a corpus needs no video.cb. Each file is keyed by what it is fitted
-    from, the tokenize config and the seed: audio.cb by the SHA-256 of those
-    and the whitener key, video.cb by the SHA-256 of those and of the video
-    patch bytes. A stored file is used while it holds its key; any other is
-    refitted on (a capped sample of) the modality's patch rows and replaced.
-    A modality with fewer patch rows than its codebook size fails before
-    k-means runs."""
+    such a corpus needs no video.cb. A miss refits on (a capped sample of) the
+    modality's patch rows. Each key is the SHA-256 of the tokenize config,
+    the seed and what the file is fitted from: the whitener key for audio.cb,
+    the video patch bytes for video.cb. A modality with fewer patch rows than
+    its codebook size fails before any lookup."""
     tok = cfg.tokenize
     config = f"{tok!r} seed={cfg.seed}"
     video = [u.video_patches for u in utts if u.video_patches is not None]
     # modality -> (patch rows per utterance, codebook size, vocab offset, key)
     fits = {"audio": (audio, tok.k_audio, 0, _sha256(f"{whitener_key} {config}"))}
     if video:
-        digest = hashlib.sha256()
-        for part in video:
-            digest.update(part)
         fits["video"] = (video, tok.k_video, tok.k_audio,
-                         _sha256(f"video {digest.hexdigest()} {config}"))
-    cb_dir = cfg.codebook_path()
-    codebooks = {modality: _stored(load_codebook, cb_dir / f"{modality}.cb", fit[3])
-                 for modality, fit in fits.items()}
-    stale = [modality for modality, cb in codebooks.items() if cb is None]
-    for modality in stale:
-        parts, k = fits[modality][:2]
+                         _sha256(f"video {_sha256(*video)} {config}"))
+    for modality, (parts, k, _, _) in fits.items():
         n = sum(part.shape[0] for part in parts)
         if n < k:
             raise ValueError(f"corpus has {n} {modality} patch rows, "
                              f"fewer than tokenize.k_{modality} = {k}")
-    for modality in stale:
-        parts, k, offset, key = fits[modality]
-        rows = sample_rows(parts, tok.sample_cap, substream(cfg.seed, f"sample-{modality}"))
-        cb = train_kmeans(rows, k, max_iters=tok.max_iters,
-                          seed=derive_seed(cfg.seed, f"kmeans-{modality}"),
-                          modality=modality, vocab_offset=offset)
-        cb.key = key
-        cb_dir.mkdir(parents=True, exist_ok=True)
-        save_codebook(cb_dir / f"{modality}.cb", cb)
-        codebooks[modality] = cb
+    codebooks = {}
+    for modality, (parts, k, offset, key) in fits.items():
+        def fit():
+            rows = sample_rows(parts, tok.sample_cap, substream(cfg.seed, f"sample-{modality}"))
+            return replace(train_kmeans(rows, k, max_iters=tok.max_iters,
+                                        seed=derive_seed(cfg.seed, f"kmeans-{modality}"),
+                                        modality=modality, vocab_offset=offset), key=key)
+        path = store_path(cfg.codebook_path(), f"{modality}_codebook")
+        codebooks[modality] = (_stored(load_codebook, path, key)
+                               or _store(path, save_codebook, fit()))
     return codebooks["audio"], codebooks.get("video")
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha256(*parts) -> str:
+    """The SHA-256 of `parts` in turn: text as UTF-8, arrays as their bytes."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.encode("utf-8") if isinstance(part, str) else part)
+    return digest.hexdigest()
 
 
 # batches and caches -----------------------------------------------------------
@@ -249,17 +261,12 @@ def make_pretrain_batch(utt: LoadedUtterance, audio: np.ndarray,
 
 def cached_env_embeddings(cache_dir, utt_name: str, model: EnvEncoder,
                           audio_patches: np.ndarray, model_hash: str) -> KeyedArray:
-    """The float32 env embeddings of `audio_patches` and their key, from the
-    extract-once cache entry `<cache_dir>/<utt_name>.env`, an array file
-    reused only while it reads and its key holds `model_hash` (the env
-    model's `parameter_hash`) and the hash of these patch bytes; otherwise
-    they are extracted and the entry is replaced."""
+    """The float32 env embeddings of `audio_patches` and their key, stored as
+    the array file `<utt_name>.env` of the corpus's env directory `cache_dir`
+    under `model_hash` (the env model's `parameter_hash`) and the hash of
+    these patch bytes; a miss extracts them."""
+    key = f"{model_hash} {_sha256(np.ascontiguousarray(audio_patches))}"
     path = Path(cache_dir) / f"{utt_name}.env"
-    key = f"{model_hash} {hashlib.sha256(np.ascontiguousarray(audio_patches)).hexdigest()}"
-    entry = _stored(read_array, path, key)
-    if entry is not None:
-        return entry
-    vectors = extract_env_embeddings(model, audio_patches).astype(np.float32)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_array(path, vectors, key)
-    return KeyedArray(vectors, key)
+    return _stored(read_array, path, key) or _store(
+        path, lambda p, entry: write_array(p, *entry),
+        KeyedArray(extract_env_embeddings(model, audio_patches).astype(np.float32), key))

@@ -21,19 +21,16 @@ Each model's inputs are built in one place: `_pretrain_inputs` for
 pretraining and tokenize, `_asr_examples` then `_attach_env` for ASR
 training and eval.
 
-Every stage loads its corpus through the features file in codebook_dir
-(`data.load_corpus`); only `tokenize` and pretraining read its clips. After
-a miss, it writes that file for the training corpus right after
+codebook_dir is `data`'s keyed store, and only `data` names its files
+(`data.store_path`). Every stage loads its corpus through the corpus's
+features file there; only `tokenize` and pretraining read clips. After a
+miss, a stage writes the training corpus's file right after
 `ensure_whitener`, which pretraining reaches only past its position checks,
-and for the eval corpus after `_attach_env`'s checks, so a corpus those
-checks reject leaves no file.
-
-The frozen env model's embeddings of a corpus live in codebook_dir too, one
-entry per utterance under `env/<corpus_id>/`, keyed by the model's
-`parameter_hash` and the utterance's whitened features: ASR training and
-eval on the same corpus, whitener and pretraining checkpoint extract each
-utterance once, whatever their out_dir. Each stage also writes the
-embeddings it used to `out_dir/env_cache/`, a record nothing reads back.
+and the eval corpus's after `_attach_env`'s checks, so a corpus those checks
+reject leaves no file. Cross-attention stages take each utterance's env
+embeddings from the store too, so runs that share a corpus, whitener and
+pretraining checkpoint extract it once, whatever their out_dir; each also
+writes them to `out_dir/env_cache/`, a record nothing reads back.
 
 An ASR step is one packed graph over its batch (`asr_step`). Eval, inside
 training and in `run_eval`, encodes consecutive utterances in packed no-grad
@@ -60,13 +57,8 @@ from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import (RunConfig, config_lines, conformer_config,
                      env_encoder_config, parse_config_lines)
 from .corpus import SYMBOLS
-from .data import (cached_env_embeddings, corpus_id, ensure_codebooks, ensure_whitener,
-                   load_corpus, load_whitener, make_pretrain_batch)
-
-
-# kind of derived file, as a checkpoint's keys name it -> its file in codebook_dir
-_DERIVED_FILES = {"whitener": "whitener.bin", "audio_codebook": "audio.cb",
-                 "video_codebook": "video.cb"}
+from .data import (cached_env_embeddings, ensure_codebooks, ensure_whitener, load_corpus,
+                   load_whitener, make_pretrain_batch, store_path)
 
 # Encoder rows per packed no-grad pass in eval: bounds the activations held at
 # once on a big eval set, while a pass still spans many utterances.
@@ -108,14 +100,15 @@ def run_tokenize(cfg: RunConfig) -> dict:
             video_lines.append(utt.name + "\t" + " ".join(map(str, batch.labels[:n_video])))
         audio_lines.append(utt.name + "\t" + " ".join(map(str, batch.labels[n_video:])))
     cb_dir = cfg.codebook_path()
-    _write_lines(cb_dir / "tokens_audio.tsv", audio_lines)
-    if video_lines:
-        _write_lines(cb_dir / "tokens_video.tsv", video_lines)
-    else:  # an earlier corpus's video tokens must not outlive it
-        (cb_dir / "tokens_video.tsv").unlink(missing_ok=True)
+    for modality, lines in (("audio", audio_lines), ("video", video_lines)):
+        if lines:
+            _write_lines(store_path(cb_dir, f"{modality}_tokens"), lines)
+        else:  # an earlier corpus's video tokens must not outlive it
+            store_path(cb_dir, f"{modality}_tokens").unlink(missing_ok=True)
     return {"vocab_size": cfg.tokenize.k_audio + cfg.tokenize.k_video,
-            "codebook_dir": str(cb_dir), "audio_codebook": str(cb_dir / "audio.cb"),
-            "video_codebook": str(cb_dir / "video.cb") if video_lines else None,
+            "codebook_dir": str(cb_dir),
+            "audio_codebook": str(store_path(cb_dir, "audio_codebook")),
+            "video_codebook": str(store_path(cb_dir, "video_codebook")) if video_lines else None,
             "utterances": len(utts)}
 
 
@@ -256,19 +249,19 @@ def _check_keys(cfg: RunConfig, ckpt_path, ckpt_keys, keys) -> None:
     keys are `ckpt_keys`, was trained with the derived files keyed `keys`."""
     for kind, key in keys.items():
         if ckpt_keys.get(kind) != key:
-            path = cfg.codebook_path() / _DERIVED_FILES[kind]
+            path = store_path(cfg.codebook_path(), kind)
             raise ValueError(f"checkpoint {ckpt_path} was not trained with {path} "
                              f"(another {kind} key); re-run the stage that wrote it")
 
 
 def _attach_env(cfg: RunConfig, manifest, names, examples, model_cfg, keys):
     """Set the env embeddings of `examples` (utterances `names` of the
-    corpus `manifest`) from the corpus's cache directory
-    `<codebook_dir>/env/<corpus_id>`, recording them under out_dir/env_cache,
-    and return (env model, its parameter hash), or (None, None) when
-    `model_cfg` is the baseline. The env model is the pretraining checkpoint,
-    which must be `model_cfg.env_dim` wide and trained with the derived files
-    keyed `keys`; every check runs before any entry or record is written."""
+    corpus `manifest`) from the corpus's env directory in codebook_dir,
+    recording them under out_dir/env_cache, and return (env model, its
+    parameter hash), or (None, None) when `model_cfg` is the baseline. The
+    env model is the pretraining checkpoint, which must be `model_cfg.env_dim`
+    wide and trained with the derived files keyed `keys`; every check runs
+    before any entry or record is written."""
     if model_cfg.fusion_mode != CROSS:
         return None, None
     ckpt_path = cfg.pretrain_ckpt_path()
@@ -285,7 +278,7 @@ def _attach_env(cfg: RunConfig, manifest, names, examples, model_cfg, keys):
         _check_positions(env_model.config, name, ex.features.shape[0], None)
     _check_keys(cfg, ckpt_path, ckpt_keys, keys)
     model_hash = parameter_hash(env_model.params)
-    cache = cfg.codebook_path() / "env" / corpus_id(manifest)
+    cache = store_path(cfg.codebook_path(), "corpus_env", manifest)
     record = cfg.out_path() / "env_cache"
     record.mkdir(parents=True, exist_ok=True)
     for name, ex in zip(names, examples):
@@ -370,7 +363,7 @@ def run_eval(cfg: RunConfig) -> dict:
 
     manifest = cfg.eval_manifest_path()
     utts = load_corpus(manifest, cfg.codebook_path(), video=False)
-    whitener_path = cfg.codebook_path() / "whitener.bin"
+    whitener_path = store_path(cfg.codebook_path(), "whitener")
     if not whitener_path.is_file():
         raise ValueError(f"whitener not found: {whitener_path} (run the training stages first)")
     whitener = load_whitener(whitener_path)

@@ -14,6 +14,17 @@ component) and over all, then names each file whose hash differs or that
 only one listing has; it exits 1 when any does. It needs no ``envasr`` on
 the path.
 
+``--against`` does all of that in one step, for a git ref against the work
+tree:
+
+    python tests/artifact_hashes.py --against HEAD /tmp/hashes
+
+It exports the ref's ``src`` with ``git archive``, hashes that tree and then
+the work tree's ``src`` in the work directory, which it clears before each
+run, prints the ``--compare`` table and exits 1 on any difference or failed
+run. It removes the exported tree; the work directory keeps the work tree's
+artifacts.
+
 A case's out_dir holds its logs, checkpoints, hypotheses, WER report and
 ``env_cache/`` records, and, unless the case names another, its
 ``codebooks/``: the whitener, the codebooks, token TSVs, ``features/`` (one
@@ -59,13 +70,19 @@ shows which tensors differ and by how much.
 import argparse
 import contextlib
 import hashlib
+import io
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+REPO = Path(__file__).resolve().parents[1]
+TOY_CFG = REPO / "configs" / "toy.cfg"
 LONG_LENGTHS = (13, 60, 20, 53, 27, 47, 34, 40)  # symbols per ``long`` utterance
 RERUN = "toy-eval2"  # the case that repeats ``toy``'s eval
 
@@ -142,10 +159,12 @@ def read_listing(path) -> dict:
     return listing
 
 
-def compare(a_path, b_path) -> int:
+def compare(a_path, b_path, labels=None) -> int:
     """Print identical/total per case and over all, then every file that
-    differs or is only in one listing; 1 if there is any, else 0."""
+    differs or is only in one listing, naming a listing by its `labels`
+    entry (default: its path); 1 if there is any, else 0."""
     a, b = read_listing(a_path), read_listing(b_path)
+    a_label, b_label = labels or (a_path, b_path)
     names = sorted(a.keys() | b.keys())
     same = {name: a.get(name) == b.get(name) for name in names}
     cases = sorted({name.split("/")[0] for name in names})
@@ -155,10 +174,47 @@ def compare(a_path, b_path) -> int:
         print(f"{case:<{width}}  {sum(same[n] for n in members)}/{len(members)} identical")
     for name in names:
         if name not in a or name not in b:
-            print(f"only in {a_path if name in a else b_path}: {name}")
+            print(f"only in {a_label if name in a else b_label}: {name}")
         elif not same[name]:
             print(f"differs: {name}")
     return 0 if all(same.values()) else 1
+
+
+def export_src(repo: Path, ref: str, dest: Path) -> Path:
+    """The ``src`` directory of `ref` in the git repository `repo`, exported
+    into `dest` with ``git archive``."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", ref, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def hash_run(src: Path, work: Path):
+    """(listing, exit code) of this script run into `work` with `src` on
+    PYTHONPATH; its stderr is passed on."""
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), str(work)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    sys.stderr.write(done.stderr)
+    return done.stdout, done.returncode
+
+
+def against(ref: str, work: Path, repo: Path = REPO) -> int:
+    """Hash `ref`'s ``src``, then `repo`'s work tree ``src``, each into the
+    cleared `work`, and compare the listings; 1 on a difference or a failed
+    run, else 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        srcs = {ref: export_src(repo, ref, tmp / "tree"), "work tree": repo / "src"}
+        listings, failed = [], 0
+        for i, src in enumerate(srcs.values()):
+            shutil.rmtree(work, ignore_errors=True)
+            listing, code = hash_run(src, work)
+            failed |= code != 0
+            listings.append(tmp / f"{i}.txt")
+            listings[-1].write_text(listing, encoding="utf-8")
+        return compare(*listings, labels=list(srcs)) | failed
 
 
 def main(argv=None) -> int:
@@ -166,6 +222,8 @@ def main(argv=None) -> int:
     parser.add_argument("work", nargs="?", help="work directory; must be missing or empty")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two listings this script printed instead")
+    parser.add_argument("--against", metavar="REF",
+                        help="hash git ref REF and the work tree in WORK and compare them")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
@@ -174,6 +232,11 @@ def main(argv=None) -> int:
     work = Path(args.work).resolve()
     if work.exists() and any(work.iterdir()):
         parser.error(f"{work} is not empty")
+    if args.against:
+        try:
+            return against(args.against, work)
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"git archive {args.against}: {exc.stderr.decode().strip()}")
     work.mkdir(parents=True, exist_ok=True)
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         run_all(work)

@@ -288,7 +288,7 @@ class TestCriterion5PretrainOverfit:
 
 class TestCriterion6AsrOverfit:
     def test_wer_zero_and_exact_decode(self, corpus16, trained_stage_one,
-                                       tmp_path_factory, capsys):
+                                       tmp_path_factory, capsys, monkeypatch):
         stage1_cfg, _ = trained_stage_one
         cfg = asr_cfg(corpus16, stage1_cfg.out_path())
         t0 = time.time()
@@ -296,23 +296,32 @@ class TestCriterion6AsrOverfit:
         elapsed = time.time() - t0
         wer_zero = summary["final_wer"] == 0.0 and summary["steps_run"] <= 5000
 
-        # greedy decode of the trained model reproduces every transcript
+        # greedy decode of the trained model reproduces every transcript, on
+        # the env embeddings training stored: none is extracted again
+        from envasr.pipeline import data
         from envasr.pipeline.data import (cached_env_embeddings, ensure_whitener,
-                                          load_corpus)
+                                          load_corpus, store_path)
         from envasr.features import whiten_clip
+        from envasr.serialize import DTYPE_TOKENS
         model = summary["model"]
         utts = load_corpus(cfg.train_manifest_path())
         whitener = ensure_whitener(cfg.codebook_path(), utts)
+        store = store_path(cfg.codebook_path(), "corpus_env", cfg.train_manifest_path())
+
+        def no_extraction(model, audio):
+            raise AssertionError("env embeddings extracted; training stored none for this check")
+
+        monkeypatch.setattr(data, "extract_env_embeddings", no_extraction)
         exact = True
         env_model = None
         for u in utts:
-            feats = whiten_clip(u.raw_patches, whitener)
+            # in the model's dtype, as training whitened them
+            feats = whiten_clip(u.raw_patches, whitener).astype(DTYPE_TOKENS[model.config.dtype])
             if env_model is None:
                 from envasr.pipeline.runner import _load_model
                 env_model, _ = _load_model(cfg.pretrain_ckpt_path())
                 model_hash = parameter_hash(env_model.params)
-            env = cached_env_embeddings(cfg.out_path() / "env_cache", u.name,
-                                        env_model, feats, model_hash).array
+            env = cached_env_embeddings(store, u.name, env_model, feats, model_hash).array
             with ad.no_grad():
                 enc = model.encode([feats], [env]).data
             hyp = [SYMBOLS[i] for i in greedy_decode(model, enc)]

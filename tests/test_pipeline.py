@@ -620,27 +620,75 @@ class TestDataPlumbing:
         assert read_raw_array(cache / "u0.env").shape[0] == audio.shape[0]
         assert [p.name for p in cache.iterdir()] == ["u0.env"]
 
-    @pytest.mark.parametrize("damage", ["trailing bytes", "truncated", "bad header",
-                                        "no entry", "unreadable key"])
-    def test_env_cache_recomputes_an_unreadable_entry(self, tmp_path, rng, damage):
-        cache, model = tmp_path / "cache", micro_env_model()
-        audio = rng.standard_normal((5, 6)).astype(np.float32)
-        want = lookup(cache, "u0", model, audio)
-        entry = cache / "u0.env"
-        good = entry.read_bytes()
-        if damage == "trailing bytes":
-            entry.write_bytes(good + bytes(8))
-        elif damage == "truncated":
-            entry.write_bytes(good[:-4])
-        elif damage == "bad header":
-            entry.write_bytes(b"x" + good)
-        elif damage == "no entry":
-            entry.unlink()
+# damage -> what it turns a stored file's bytes into; None deletes the file
+STORE_DAMAGES = {
+    "truncated": lambda raw: raw[:-4],
+    "trailing-bytes": lambda raw: raw + bytes(8),
+    "other-key": lambda raw: raw.replace(b"\nkey ", b"\nkey 0", 1),
+    "non-utf8-key": lambda raw: raw.replace(b"\nkey ", b"\nkey \xff\xfe", 1),
+    "missing": None,
+    "bad-magic": lambda raw: b"x" + raw,
+    "not-a-container": lambda raw: b"not a stored file\n",
+}
+
+
+class TestStore:
+    """Each of the five keyed kinds in codebook_dir treats a damaged file as
+    a miss: the value is computed again, to the undamaged file's bytes, and
+    replaces the file; the next lookup hits."""
+
+    @staticmethod
+    def kind(name, tmp_path, corpus_dir, rng):
+        """(the stored file, a call that looks it up and returns the value as
+        an array, the `data` function that computes it)."""
+        cb_dir, manifest = tmp_path / "cb", corpus_dir / "manifest.tsv"
+        utts = load_corpus(manifest)
+        if name == "whitener":
+            return (data.store_path(cb_dir, "whitener"),
+                    lambda: ensure_whitener(cb_dir, utts).std, "fit_whitener")
+        if name in ("audio_codebook", "video_codebook"):
+            cfg = tokenize_cfg(tmp_path)
+            whitener = ensure_whitener(cfg.codebook_path(), utts)
+            which = ["audio_codebook", "video_codebook"].index(name)
+            return (data.store_path(cfg.codebook_path(), name),
+                    lambda: fit_codebooks(cfg, utts, whitener)[which].centers, "train_kmeans")
+        if name == "corpus_features":
+            def load():
+                stored = load_corpus(manifest, cb_dir)
+                stored.store_features()
+                return np.concatenate([u.raw_patches for u in stored])
+            return data.store_path(cb_dir, name, manifest), load, "compute_lfbe"
+        model, audio = micro_env_model(), rng.standard_normal((5, 6)).astype(np.float32)
+        return (tmp_path / "cache" / "u0.env",
+                lambda: lookup(tmp_path / "cache", "u0", model, audio), "extract_env_embeddings")
+
+    @pytest.mark.parametrize("damage", STORE_DAMAGES)
+    @pytest.mark.parametrize("kind", ["whitener", "audio_codebook", "video_codebook",
+                                      "corpus_features", "env_entry"])
+    def test_bad_file_is_recomputed_and_replaced(self, tmp_path, corpus_dir, rng, monkeypatch,
+                                                 kind, damage):
+        path, call, compute = self.kind(kind, tmp_path, corpus_dir, rng)
+        want = call()
+        good, files = path.read_bytes(), sorted(path.parent.iterdir())
+        if STORE_DAMAGES[damage] is None:
+            path.unlink()
         else:
-            entry.write_bytes(good.replace(b"\nkey ", b"\nkey \xff\xfe", 1))
-        np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
-        assert entry.read_bytes() == good  # rewritten
-        np.testing.assert_array_equal(lookup(cache, "u0", model, audio), want)
+            path.write_bytes(STORE_DAMAGES[damage](good))
+            assert path.read_bytes() != good
+        calls = []
+        original = getattr(data, compute)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(data, compute, counted)
+        np.testing.assert_array_equal(call(), want)
+        assert calls  # a miss, computed again
+        assert path.read_bytes() == good and sorted(path.parent.iterdir()) == files
+        del calls[:]
+        np.testing.assert_array_equal(call(), want)
+        assert not calls  # the replaced file is a hit
 
 
 def write_long_corpus(root):
@@ -702,7 +750,7 @@ class TestFeaturesFile:
                                                              c.video_grid)
             np.testing.assert_array_equal(w.video_patches, c.video_patches)
         (path,) = self.stored_files(tmp_path / "cb")
-        assert path.name == f"{data.corpus_id(manifest)}.bin"
+        assert path == data.store_path(tmp_path / "cb", "corpus_features", manifest)
         wavs = [wav.read_bytes() for wav, _, _ in load_manifest(manifest)]
         assert path.read_bytes().startswith(f"envasr-features 1\nheader 1\n"
                                             f"key {data._features_key(wavs)}\n".encode())
@@ -742,22 +790,6 @@ class TestFeaturesFile:
         for a, b in zip(after, again):
             assert a.raw_patches.tobytes() == b.raw_patches.tobytes()
 
-    @pytest.mark.parametrize("damage", ["truncated", "other-key", "not-a-container"])
-    def test_bad_file_is_recomputed_and_replaced(self, tmp_path, corpus_dir, front_end_calls,
-                                                 damage):
-        manifest = corpus_dir / "manifest.tsv"
-        cb_dir = tmp_path / "cb"
-        load_corpus(manifest, cb_dir).store_features()
-        (path,) = self.stored_files(cb_dir)
-        good = path.read_bytes()
-        path.write_bytes(good[:-8] if damage == "truncated"
-                         else good.replace(self.stored_key(path).encode(), b"0" * 64)
-                         if damage == "other-key" else b"not a features file\n")
-        utts = load_corpus(manifest, cb_dir)
-        assert len(front_end_calls) == 16
-        utts.store_features()
-        assert self.stored_files(cb_dir) == [path] and path.read_bytes() == good
-
     def test_new_front_end_version_misses(self, tmp_path, corpus_dir, front_end_calls,
                                           monkeypatch):
         manifest = corpus_dir / "manifest.tsv"
@@ -791,6 +823,37 @@ class TestArtifactHashListings:
                    "toy-eval2/wer_report.txt": "33", "baseline/hypotheses.txt": "44"}
         assert artifact_hashes.rerun_differences(listing) == [
             "toy-eval2/env_cache/u.env", "toy-eval2/wer_report.txt"]
+
+    def test_against_hashes_the_ref_then_the_work_tree_in_one_work_dir(
+            self, tmp_path, monkeypatch, capsys):
+        import artifact_hashes
+        repo, work = tmp_path / "repo", tmp_path / "work"
+        (repo / "src").mkdir(parents=True)
+        marker = repo / "src" / "marker"
+        marker.write_text("parent")
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+               "-c", "commit.gpgsign=false"]
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "parent"]):
+            subprocess.run(git + args, check=True, capture_output=True)
+        marker.write_text("change")
+        runs, codes = [], [0, 0]
+
+        def fake_run(src, run_work):
+            assert run_work == work and not work.exists()  # cleared before each run
+            work.mkdir()
+            runs.append(src)
+            return f"{(src / 'marker').read_text()}  toy/marker\n11  toy/log\n", codes.pop(0)
+
+        monkeypatch.setattr(artifact_hashes, "hash_run", fake_run)
+        assert artifact_hashes.against("HEAD", work, repo) == 1
+        assert runs[1] == repo / "src" and not runs[0].exists()  # the export is removed
+        assert capsys.readouterr().out.splitlines() == [
+            "toy  1/2 identical", "all  1/2 identical", "differs: toy/marker"]
+        marker.write_text("parent")
+        codes[:] = [0, 0]
+        assert artifact_hashes.against("HEAD", work, repo) == 0
+        codes[:] = [0, 1]  # a failed run fails the comparison
+        assert artifact_hashes.against("HEAD", work, repo) == 1
 
     def test_compare_runs_without_envasr_on_the_path(self, tmp_path):
         a = tmp_path / "a.txt"

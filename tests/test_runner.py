@@ -654,7 +654,7 @@ class TestEnvStoreInCodebookDir:
 
     @staticmethod
     def entries(cfg, manifest):
-        return sorted((cfg.codebook_path() / "env" / data.corpus_id(manifest)).iterdir())
+        return sorted(data.store_path(cfg.codebook_path(), "corpus_env", manifest).iterdir())
 
     def test_runs_into_fresh_out_dirs_extract_nothing(self, stage1, tmp_path, capsys,
                                                       monkeypatch):
@@ -732,6 +732,40 @@ class TestEnvStoreInCodebookDir:
         cfg = self.cfg(stage1, tmp_path)
         assert run_asr_training(cfg)["steps_run"] == 2
         assert run_eval(cfg)["reference_words"] > 0
+
+
+class TestWarmCodebookDir:
+    """Every stage run again on a warm codebook_dir takes each stored kind
+    from the store: it fits, extracts and computes nothing, and every store
+    file keeps its bytes."""
+
+    def test_second_runs_fit_nothing(self, tmp_path, corpus16, capsys, monkeypatch):
+        heldout = write_corpus(generate_synthetic_corpus(4, seed=99), tmp_path / "heldout")
+        cfg = toy_cfg(corpus16, tmp_path / "out", max_steps=2, checkpoint_every=2,
+                      eval_every=2, **{"paths.eval_manifest": heldout})
+        cb_dir = cfg.codebook_path()
+
+        def run_stages():
+            run_tokenize(cfg)
+            run_pretraining(cfg)
+            run_asr_training(cfg)
+            run_eval(cfg)
+            return {p: p.read_bytes() for p in sorted(cb_dir.rglob("*")) if p.is_file()}
+
+        first = run_stages()
+        stored = [data.store_path(cb_dir, kind)
+                  for kind in ("whitener", "audio_codebook", "video_codebook")]
+        for manifest in (cfg.train_manifest_path(), heldout):
+            stored.append(data.store_path(cb_dir, "corpus_features", manifest))
+            stored += sorted(data.store_path(cb_dir, "corpus_env", manifest).iterdir())
+        assert set(stored) <= first.keys() and len(stored) == 3 + 2 + 16 + 4
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm codebook_dir computed a stored value")
+
+        for name in ("fit_whitener", "train_kmeans", "compute_lfbe", "extract_env_embeddings"):
+            monkeypatch.setattr(data, name, refuse)
+        assert run_stages() == first
 
 
 class TestDerivedFileKeys:
